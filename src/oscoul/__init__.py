@@ -1,16 +1,12 @@
 """Exactly solvable oscillator/Coulomb dual spectra on flat and curved spaces,
 their position-dependent-mass reinterpretations, and an independent
 finite-difference Sturm-Liouville oracle that cross-checks every closed form.
+
+The submodules are the API: ``models`` (the model classes, each carrying its
+own closed forms), ``duality``, ``quadrature``, ``oracle``, ``kernels`` and
+``cli``.  The model types are re-exported here.
 """
 
-from .duality import (
-    DualPair,
-    PointwiseReport,
-    beta_from_coupling,
-    map_curved,
-    map_euclidean,
-    verify_pointwise,
-)
 from .models import (
     BD,
     MM,
@@ -21,49 +17,6 @@ from .models import (
     PdmOrdering,
     QuantumNumbers,
     RadialState,
-    WavefunctionParams,
-    clike_bound_states,
-    clike_energy,
-    clike_is_bound,
-    clike_wavefunction,
-    clike_wavefunction_params,
-    coulomb_energy,
-    coulomb_wavefunction,
-    energy,
-    flat_picture_factor,
-    is_bound,
-    nlo_energy,
-    nlo_is_bound,
-    nlo_n_max,
-    nlo_wavefunction,
-    osc_energy,
-    osc_wavefunction,
-    pdm_energy,
-    pdm_mass,
-    pdm_potential,
-    wavefunction,
-    wavefunction_derivatives,
-)
-from .oracle import (
-    ConvergenceReport,
-    DiscreteOperator,
-    SturmLiouvilleProblem,
-    build_problem,
-    convergence_study,
-    discretize,
-    lowest_eigenvalues,
-    residual_norm,
-)
-from .quadrature import (
-    DivergentIntegralError,
-    Measure,
-    Verdict,
-    gauss_legendre,
-    inner_product,
-    measure_for,
-    norm,
-    norm_divergence_scan,
-    normalized,
 )
 
 __version__ = "0.1.0"

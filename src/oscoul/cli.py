@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import oracle, quadrature
+from . import oracle
 from .duality import map_curved, map_euclidean, verify_pointwise
 from .models import (
     BD,
@@ -27,13 +27,6 @@ from .models import (
     QuantumNumbers,
     RadialState,
     clike_bound_states,
-    energy,
-    flat_picture_factor,
-    is_bound,
-    model_kind,
-    nlo_n_max,
-    pdm_energy,
-    wavefunction,
 )
 
 SCHEMA = 1
@@ -145,12 +138,12 @@ def cmd_spectrum(args) -> int:
             principal = q.n if osc_side else q.nu
             if principal > n_cap:
                 break
-            if args.bound_only and not is_bound(model, q):
+            if args.bound_only and not model.is_bound(q):
                 n_r += 1
                 continue
-            row = [n_r, ang, principal, energy(model, q), int(is_bound(model, q))]
+            row = [n_r, ang, principal, model.energy(q), int(model.is_bound(q))]
             if pdm:
-                row += [pdm_energy(BD, model, q), pdm_energy(MM, model, q)]
+                row += [model.pdm_energy(BD, q), model.pdm_energy(MM, q)]
             rows.append(row)
             n_r += 1
     rows.sort(key=lambda r: (r[1], r[0]))
@@ -163,13 +156,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bound_states(args) -> int:
     model, _ = build_model(args)
-    if isinstance(model, CoulombLike):
+    if args.model in ("clike", "pdm-coulomb"):
         states = clike_bound_states(model)
-        rows = [[q.n_r, q.ang, q.nu, energy(model, q)] for q in states]
+        rows = [[q.n_r, q.ang, q.nu, model.energy(q)] for q in states]
         _emit_rows(["n_r", "L", "nu", "energy"], rows, args.format, args.out)
         return 0
-    if isinstance(model, NonlinearOscillator):
-        n_max = nlo_n_max(model)
+    if args.model in ("nlo", "pdm-osc"):
+        n_max = model.n_max
         _emit_json(
             {
                 "command": "bound-states",
@@ -194,11 +187,8 @@ def cmd_wavefunction(args) -> int:
     if not lo < x_max <= (hi if math.isfinite(hi) else math.inf):
         raise ConfigError("sampling range exceeds the coordinate domain")
     xs = np.linspace(x_max / args.points, x_max, args.points)
-    psi = np.asarray(wavefunction(model, q, xs))
-    kind = model_kind(model)
-    lam = getattr(model, "lam", 0.0)
-    dim = float(model.d) if hasattr(model, "d") else float(model.D)
-    tilde = flat_picture_factor(kind, dim, lam, xs) * psi
+    psi = np.asarray(model.wavefunction(q, xs))
+    tilde = model.flat_factor(xs) * psi
     rows = [[x, p, t] for x, p, t in zip(xs, psi, tilde)]
     _emit_rows(["x", "psi_weighted", "psi_tilde"], rows, args.format, args.out)
     return 0

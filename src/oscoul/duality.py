@@ -20,12 +20,6 @@ from .models import (
     EuclideanOscillator,
     NonlinearOscillator,
     QuantumNumbers,
-    clike_energy,
-    coulomb_energy,
-    nlo_energy,
-    nlo_is_bound,
-    osc_energy,
-    wavefunction,
 )
 
 __all__ = [
@@ -68,14 +62,14 @@ def map_euclidean(d: int, l: int, omega: float, n_r: int = 0) -> DualPair:
     """Euclidean oscillator (d, l, omega, n_r) -> Coulomb (D, L, Q, E) image."""
     osc = EuclideanOscillator(d=d, omega=omega)
     oq = QuantumNumbers(n_r, l)
-    e_osc = osc_energy(osc, oq)
+    e_osc = osc.energy(oq)
     D = (d + 2) / 2.0
     L = l / 2.0
     Q = 0.5 * e_osc
     cal_e = -0.125 * omega**2
     cm = EuclideanCoulomb(D=D, Q=Q)
     cq = QuantumNumbers(n_r, L)
-    _consistency(cal_e, coulomb_energy(cm, cq), "map_euclidean")
+    _consistency(cal_e, cm.energy(cq), "map_euclidean")
     return DualPair(
         oscillator=osc,
         osc_q=oq,
@@ -95,18 +89,18 @@ def map_curved(d: int, l: int, lam: float, beta: float, n_r: int = 0) -> DualPai
         return map_euclidean(d, l, beta, n_r)
     osc = NonlinearOscillator(d=d, lam=lam, beta=beta)
     oq = QuantumNumbers(n_r, l)
-    if not nlo_is_bound(osc, oq):
+    if not osc.is_bound(oq):
         raise ValueError(
             f"oscillator state n = {oq.n} is not normalizable for lam = {lam}, beta = {beta}"
         )
-    e_osc = nlo_energy(osc, oq)
+    e_osc = osc.energy(oq)
     D = (d + 2) / 2.0
     L = l / 2.0
     Q = 0.5 * (e_osc - 2.0 * lam * L * (L + D - 2.0))
     cal_e = -beta * (beta + lam) / 8.0 + 0.25 * lam * e_osc
     cm = CoulombLike(D=D, lam=lam, Q=Q)
     cq = QuantumNumbers(n_r, L)
-    _consistency(cal_e, clike_energy(cm, cq), "map_curved")
+    _consistency(cal_e, cm.energy(cq), "map_curved")
     return DualPair(
         oscillator=osc,
         osc_q=oq,
@@ -141,8 +135,8 @@ def verify_pointwise(pair: DualPair, samples) -> PointwiseReport:
     lo, hi = pair.coulomb.domain
     if not np.all((R > lo) & (R < hi)):
         raise ValueError("samples must lie strictly inside the Coulomb-side domain")
-    s_coul = np.asarray(wavefunction(pair.coulomb, pair.coulomb_q, R))
-    s_osc = np.asarray(wavefunction(pair.oscillator, pair.osc_q, np.sqrt(R)))
+    s_coul = np.asarray(pair.coulomb.wavefunction(pair.coulomb_q, R))
+    s_osc = np.asarray(pair.oscillator.wavefunction(pair.osc_q, np.sqrt(R)))
     scale = np.max(np.abs(s_osc))
     if scale == 0:
         raise ValueError("oscillator wavefunction vanishes on all samples")

@@ -2,83 +2,17 @@
 
 The negative-pivot count of the shifted LDL^T factorization equals the number
 of eigenvalues below the shift; bisecting on that count extracts the k lowest
-eigenvalues in O(k N) per sweep.  The count sweep is the hot loop of the whole
-oracle and is compiled with numba when available.  Set
-``OSCOUL_DISABLE_NUMBA=1`` to force the pure-numpy path, which runs the same
-bracketing logic with all k shifts batched per sweep.
+eigenvalues.  All k shifts are batched per sweep, so each sweep is one pass
+over the N rows.  This count sweep is the hot loop of the whole oracle.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-_DISABLED = os.environ.get("OSCOUL_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-USE_NUMBA = _HAVE_NUMBA and not _DISABLED
 
 _MAX_SWEEPS = 256
 
-__all__ = ["backend", "count_below", "lowest_eigenvalues_tridiag"]
-
-
-def backend() -> str:
-    """Name of the active kernel backend, "numba" or "numpy"."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
-def _count_src(diag, off2, x, pivmin):
-    # pivots of (T - x I) = L D L^T; negatives count eigenvalues < x
-    cnt = 0
-    q = diag[0] - x
-    if q < 0.0:
-        cnt = 1
-    for i in range(1, diag.shape[0]):
-        if -pivmin < q < pivmin:
-            q = -pivmin
-        q = diag[i] - x - off2[i - 1] / q
-        if q < 0.0:
-            cnt += 1
-    return cnt
-
-
-def _bisect_src(diag, off2, k, rel_tol, pivmin, lo0, hi0):
-    out = np.empty(k)
-    for j in range(k):
-        lo = lo0
-        hi = hi0
-        for _ in range(_MAX_SWEEPS):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if hi - lo <= rel_tol * max(abs(lo), abs(hi)):
-                break
-            if _COUNT(diag, off2, mid, pivmin) >= j + 1:
-                hi = mid
-            else:
-                lo = mid
-        out[j] = 0.5 * (lo + hi)
-    return out
-
-
-if USE_NUMBA:
-    _COUNT = njit("int64(float64[::1], float64[::1], float64, float64)", cache=True)(
-        _count_src
-    )
-    _BISECT = njit(
-        "float64[::1](float64[::1], float64[::1], int64, float64, float64, float64, float64)",
-        cache=True,
-    )(_bisect_src)
-else:  # pragma: no cover - exercised via the env flag in tests/benchmarks
-    _COUNT = None
-    _BISECT = None
+__all__ = ["lowest_eigenvalues_tridiag"]
 
 
 def _count_numpy(diag, off2, shifts, pivmin):
@@ -127,19 +61,9 @@ def _prepare(diag, off):
     return diag, off2, pivmin, lo0 - pad, hi0 + pad
 
 
-def count_below(diag, off, x) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix below x."""
-    diag, off2, pivmin, _, _ = _prepare(diag, off)
-    if USE_NUMBA:
-        return int(_COUNT(diag, off2, float(x), pivmin))
-    return int(_count_numpy(diag, off2, np.asarray([float(x)]), pivmin)[0])
-
-
 def lowest_eigenvalues_tridiag(diag, off, k: int, rel_tol: float = 1e-12) -> np.ndarray:
     """The k smallest eigenvalues, ascending, each bisected to rel_tol (or ulp)."""
     diag, off2, pivmin, lo0, hi0 = _prepare(diag, off)
     if not 1 <= k <= diag.size:
         raise ValueError(f"k must lie in [1, {diag.size}], got {k}")
-    if USE_NUMBA:
-        return _BISECT(diag, off2, k, float(rel_tol), pivmin, lo0, hi0)
     return _bisect_numpy(diag, off2, k, float(rel_tol), pivmin, lo0, hi0)

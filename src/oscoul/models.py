@@ -3,8 +3,13 @@
 Six models: the Euclidean oscillator and Coulomb problems, the nonlinear
 (constant-curvature) oscillator and its dual Coulomb-like problem in a
 nonconstant-curvature space, and the PDM reinterpretations of the latter two.
-Energies are exact; wavefunctions are returned unnormalized (numerical
-normalization lives in ``oscoul.quadrature``).  Units hbar = m = 1.
+Each model class is the one home of its physics: its side of the duality, its
+energies and bound-state rule, its measure, its wavefunctions with their exact
+derivatives, and the Sturm-Liouville coefficients the oracle discretizes; the
+two curved classes add their geodesic-coordinate and PDM (flat-picture) forms,
+and the Euclidean classes are their lam = 0 limits.  Energies are exact;
+wavefunctions are returned unnormalized (numerical normalization lives in
+``oscoul.quadrature``).  Units hbar = m = 1.
 """
 
 from __future__ import annotations
@@ -29,25 +34,6 @@ __all__ = [
     "RadialState",
     "WavefunctionParams",
     "clike_bound_states",
-    "clike_energy",
-    "clike_is_bound",
-    "clike_wavefunction",
-    "clike_wavefunction_params",
-    "coulomb_energy",
-    "coulomb_wavefunction",
-    "energy",
-    "flat_picture_factor",
-    "is_bound",
-    "model_kind",
-    "nlo_energy",
-    "nlo_is_bound",
-    "nlo_n_max",
-    "nlo_wavefunction",
-    "osc_energy",
-    "osc_wavefunction",
-    "pdm_energy",
-    "pdm_mass",
-    "pdm_potential",
     "wavefunction",
     "wavefunction_derivatives",
 ]
@@ -60,123 +46,6 @@ def _require(cond: bool, msg: str) -> None:
 
 def _finite(value) -> bool:
     return math.isfinite(float(value))
-
-
-@dataclass(frozen=True)
-class EuclideanOscillator:
-    """Isotropic harmonic oscillator in d Euclidean dimensions."""
-
-    d: int
-    omega: float
-
-    def __post_init__(self):
-        _require(
-            isinstance(self.d, (int, np.integer)) and self.d >= 2,
-            "dimension d must be an integer >= 2",
-        )
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "omega", float(self.omega))
-        _require(_finite(self.omega) and self.omega > 0, "omega must be positive")
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
-
-@dataclass(frozen=True)
-class EuclideanCoulomb:
-    """Attractive -Q/R problem in D dimensions.
-
-    D is a real > 1: the duality image of a d-dimensional oscillator has
-    D = (d+2)/2, a half-integer for odd d.
-    """
-
-    D: float
-    Q: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "D", float(self.D))
-        object.__setattr__(self, "Q", float(self.Q))
-        _require(_finite(self.D) and self.D > 1, "dimension D must be > 1")
-        _require(_finite(self.Q) and self.Q > 0, "coupling Q must be positive")
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
-
-@dataclass(frozen=True)
-class NonlinearOscillator:
-    """Nonlinear (Mathews-Lakshmanan type) oscillator in d dimensions.
-
-    Equivalently an oscillator on a space of constant curvature -lam.  The
-    potential strength is pinned to alpha^2 = beta*(beta+lam); only that
-    one-parameter family is exactly solvable, so alpha is never an input.
-    """
-
-    d: int
-    lam: float
-    beta: float
-
-    def __post_init__(self):
-        _require(
-            isinstance(self.d, (int, np.integer)) and self.d >= 2,
-            "dimension d must be an integer >= 2",
-        )
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "beta", float(self.beta))
-        _require(_finite(self.lam) and self.lam != 0, "lam must be nonzero")
-        _require(_finite(self.beta) and self.beta > 0, "beta must be positive")
-        _require(self.beta * (self.beta + self.lam) > 0, "need beta*(beta+lam) > 0")
-
-    @property
-    def alpha2(self) -> float:
-        return self.beta * (self.beta + self.lam)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        if self.lam > 0:
-            return (0.0, math.inf)
-        return (0.0, 1.0 / math.sqrt(-self.lam))
-
-
-@dataclass(frozen=True)
-class CoulombLike:
-    """-Q/R problem in the nonconstant-curvature space dual to the nonlinear oscillator."""
-
-    D: float
-    lam: float
-    Q: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "D", float(self.D))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "Q", float(self.Q))
-        _require(_finite(self.D) and self.D > 1, "dimension D must be > 1")
-        _require(_finite(self.lam) and self.lam != 0, "lam must be nonzero")
-        _require(_finite(self.Q) and self.Q > 0, "coupling Q must be positive")
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        if self.lam > 0:
-            return (0.0, math.inf)
-        return (0.0, 1.0 / abs(self.lam))
-
-
-RadialModel = Union[EuclideanOscillator, EuclideanCoulomb, NonlinearOscillator, CoulombLike]
-
-_OSCILLATOR_TYPES = (EuclideanOscillator, NonlinearOscillator)
-_COULOMB_TYPES = (EuclideanCoulomb, CoulombLike)
-
-
-def model_kind(model: RadialModel) -> str:
-    """"oscillator" or "coulomb" side of the duality."""
-    if isinstance(model, _OSCILLATOR_TYPES):
-        return "oscillator"
-    if isinstance(model, _COULOMB_TYPES):
-        return "coulomb"
-    raise ValueError(f"not a radial model: {model!r}")
 
 
 @dataclass(frozen=True)
@@ -252,127 +121,18 @@ BD = PdmOrdering(0.0, -1.0, 0.0)
 MM = PdmOrdering(-0.25, -0.5, -0.25)
 
 
-# ---------------------------------------------------------------------------
-# energies and bound-state admissibility
-# ---------------------------------------------------------------------------
+def _require_closed_form(ordering: PdmOrdering, what: str) -> None:
+    # a general von Roos triple is handled numerically by the oracle
+    if not (ordering.is_bd or ordering.is_mm):
+        raise ValueError(f"closed-form PDM {what} exist only for the BD and MM orderings")
 
 
-def osc_energy(model: EuclideanOscillator, q: QuantumNumbers) -> float:
-    """E_n = omega (n + d/2), n = 2 n_r + l."""
-    return model.omega * (q.n + model.d / 2.0)
+def unit_weight(x):
+    """The weight 1 of the flat measure (and the p = 1 of unit-mass operators)."""
+    return np.ones_like(np.asarray(x, dtype=float))
 
 
-def coulomb_energy(model: EuclideanCoulomb, q: QuantumNumbers) -> float:
-    """E_nu = -Q^2 / (2 (2 nu + D - 1)^2); depends on (n_r, L) through nu only."""
-    return -model.Q**2 / (2.0 * (2.0 * q.nu + model.D - 1.0) ** 2)
-
-
-def nlo_energy(model: NonlinearOscillator, q: QuantumNumbers) -> float:
-    """E_n = beta (n + d/2) - (lam/2) n (n + d - 1).
-
-    The formula is returned for every n; for lam > 0 states above
-    ``nlo_n_max`` it is a formal value of a non-normalizable state (see
-    ``nlo_is_bound``).
-    """
-    n = q.n
-    return model.beta * (n + model.d / 2.0) - 0.5 * model.lam * n * (n + model.d - 1.0)
-
-
-def nlo_n_max(model: NonlinearOscillator):
-    """Largest normalizable n for lam > 0; None marks the unbounded lam < 0 ladder.
-
-    A negative return value means the model has no bound states at all.
-    """
-    if model.lam < 0:
-        return None
-    x = model.beta / model.lam - (model.d + 1) / 2.0
-    return math.ceil(x - 1e-12)
-
-
-def nlo_is_bound(model: NonlinearOscillator, q: QuantumNumbers) -> bool:
-    n_max = nlo_n_max(model)
-    return n_max is None or q.n <= n_max
-
-
-def clike_energy(model: CoulombLike, q: QuantumNumbers) -> float:
-    """Bound-state energy of the Coulomb-like problem; nu-degeneracy is broken."""
-    nu = q.nu
-    ll = q.ang * (q.ang + model.D - 2.0)
-    f1 = model.Q + model.lam * (-nu * (nu + 0.5) + ll)
-    f2 = model.Q + model.lam * (-(nu + model.D - 1.0) * (nu + model.D - 1.5) + ll)
-    return -f1 * f2 / (2.0 * (2.0 * nu + model.D - 1.0) ** 2)
-
-
-def clike_is_bound(model: CoulombLike, q: QuantumNumbers) -> bool:
-    """Normalizability inequality for (n_r, L); strict on the boundary."""
-    n_r, L, D = q.n_r, q.ang, model.D
-    if model.lam < 0:
-        lhs = n_r**2 + (2 * L + D - 1) * n_r + 2 * L**2 + (2 * D - 3) * L + (D - 1) / 4.0
-        return lhs < model.Q / abs(model.lam)
-    lhs = n_r**2 + (2 * L + D - 1) * n_r + L + (D - 1) * (2 * D - 3) / 4.0
-    return lhs < model.Q / model.lam
-
-
-def clike_bound_states(model: CoulombLike, caps: tuple[int, int] | None = None) -> list[QuantumNumbers]:
-    """All admissible (n_r, L), ordered by (L, n_r).
-
-    With explicit ``caps = (n_r_max, L_max)`` the search box boundary must be
-    fully inadmissible, otherwise a ValueError is raised.  Without caps the box
-    is doubled until that holds (the admissible set is finite, so this
-    terminates).
-    """
-
-    def boundary_clear(n_cap: int, l_cap: int) -> bool:
-        edge = [QuantumNumbers(n_cap, L) for L in range(l_cap + 1)]
-        edge += [QuantumNumbers(n_r, l_cap) for n_r in range(n_cap + 1)]
-        return not any(clike_is_bound(model, q) for q in edge)
-
-    if caps is not None:
-        n_cap, l_cap = caps
-        if not boundary_clear(n_cap, l_cap):
-            raise ValueError(
-                "caps too small: admissible states found on the search-box boundary"
-            )
-    else:
-        n_cap = l_cap = 4
-        while not boundary_clear(n_cap, l_cap):
-            n_cap *= 2
-            l_cap *= 2
-    states = [
-        QuantumNumbers(n_r, L)
-        for L in range(l_cap + 1)
-        for n_r in range(n_cap + 1)
-        if clike_is_bound(model, QuantumNumbers(n_r, L))
-    ]
-    return states
-
-
-def is_bound(model: RadialModel, q: QuantumNumbers) -> bool:
-    if isinstance(model, NonlinearOscillator):
-        return nlo_is_bound(model, q)
-    if isinstance(model, CoulombLike):
-        return clike_is_bound(model, q)
-    return True
-
-
-def energy(model: RadialModel, q: QuantumNumbers) -> float:
-    if isinstance(model, EuclideanOscillator):
-        return osc_energy(model, q)
-    if isinstance(model, EuclideanCoulomb):
-        return coulomb_energy(model, q)
-    if isinstance(model, NonlinearOscillator):
-        return nlo_energy(model, q)
-    if isinstance(model, CoulombLike):
-        return clike_energy(model, q)
-    raise ValueError(f"not a radial model: {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# wavefunctions
-# ---------------------------------------------------------------------------
-
-
-def _check_coordinate(model: RadialModel, x):
+def _check_coordinate(model, x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("coordinate must be finite")
@@ -386,73 +146,8 @@ def _like_input(value, x):
     return value if np.ndim(x) else float(value)
 
 
-def osc_wavefunction(model: EuclideanOscillator, q: QuantumNumbers, r):
-    """Unnormalized r^l exp(-omega r^2/2) L_{n_r}^(l+(d-2)/2)(omega r^2)."""
-    ra = _check_coordinate(model, r)
-    u = model.omega * ra * ra
-    alpha = q.ang + (model.d - 2.0) / 2.0
-    val = ra**q.ang * np.exp(-0.5 * u) * specfun.laguerre(q.n_r, alpha, u)
-    return _like_input(val, r)
-
-
-def coulomb_wavefunction(model: EuclideanCoulomb, q: QuantumNumbers, R):
-    """Unnormalized R^L exp(-kappa R) L_{n_r}^(2L+D-2)(2 kappa R), kappa = sqrt(2|E_nu|)."""
-    Ra = _check_coordinate(model, R)
-    kappa = math.sqrt(2.0 * abs(coulomb_energy(model, q)))
-    alpha = 2.0 * q.ang + model.D - 2.0
-    val = Ra**q.ang * np.exp(-kappa * Ra) * specfun.laguerre(q.n_r, alpha, 2.0 * kappa * Ra)
-    return _like_input(val, R)
-
-
-def nlo_wavefunction(model: NonlinearOscillator, q: QuantumNumbers, r):
-    """Unnormalized r^l (1+lam r^2)^(-beta/(2 lam)) P_{n_r}^(l+(d-2)/2, -beta/lam-1/2)(1+2 lam r^2)."""
-    ra = _check_coordinate(model, r)
-    t = 1.0 + model.lam * ra * ra
-    a = q.ang + (model.d - 2.0) / 2.0
-    b = -model.beta / model.lam - 0.5
-    val = ra**q.ang * t ** (-model.beta / (2.0 * model.lam)) * specfun.jacobi(
-        q.n_r, a, b, 1.0 + 2.0 * model.lam * ra * ra
-    )
-    return _like_input(val, r)
-
-
-def clike_wavefunction_params(model: CoulombLike, q: QuantumNumbers) -> WavefunctionParams:
-    """The (rho, sigma, tau) triple of the Coulomb-like bound-state wavefunction."""
-    nu, L, D, lam, Q = q.nu, q.ang, model.D, model.lam, model.Q
-    ll = L * (L + D - 2.0)
-    rho = 2.0 * L + D - 2.0
-    sigma = -(Q + lam * (nu**2 + (D - 1.0) * nu + 0.25 * (D - 1.0) + ll)) / (
-        lam * (nu + 0.5 * (D - 1.0))
-    )
-    tau = -(Q + lam * (nu * (nu + D - 1.5) + ll)) / (lam * (2.0 * nu + D - 1.0))
-    return WavefunctionParams(rho=rho, sigma=sigma, tau=tau)
-
-
-def clike_wavefunction(model: CoulombLike, q: QuantumNumbers, R):
-    """Unnormalized R^L (1+lam R)^tau P_{n_r}^(rho,sigma)(1+2 lam R)."""
-    Ra = _check_coordinate(model, R)
-    wp = clike_wavefunction_params(model, q)
-    t = 1.0 + model.lam * Ra
-    val = Ra**q.ang * t**wp.tau * specfun.jacobi(
-        q.n_r, wp.rho, wp.sigma, 1.0 + 2.0 * model.lam * Ra
-    )
-    return _like_input(val, R)
-
-
-def wavefunction(model: RadialModel, q: QuantumNumbers, x):
-    if isinstance(model, EuclideanOscillator):
-        return osc_wavefunction(model, q, x)
-    if isinstance(model, EuclideanCoulomb):
-        return coulomb_wavefunction(model, q, x)
-    if isinstance(model, NonlinearOscillator):
-        return nlo_wavefunction(model, q, x)
-    if isinstance(model, CoulombLike):
-        return clike_wavefunction(model, q, x)
-    raise ValueError(f"not a radial model: {model!r}")
-
-
 # ---------------------------------------------------------------------------
-# exact derivative triples (psi, psi', psi'') for ODE-residual checks
+# exact derivative triples (f, f', f'') of products and compositions
 # ---------------------------------------------------------------------------
 
 
@@ -498,143 +193,544 @@ def _jacobi3(n, a, b, z, dz, ddz):
     return (p0, p1 * dz, p2 * dz * dz + p1 * ddz)
 
 
-def wavefunction_derivatives(model: RadialModel, q: QuantumNumbers, x):
-    """(psi, psi', psi'') of the closed-form radial function, exact in x > 0."""
-    xa = _check_coordinate(model, x)
-    if isinstance(model, EuclideanOscillator):
-        u = model.omega * xa * xa
-        trip = _mul3(_pow3(xa, q.ang), _exp3(u, 2.0 * model.omega * xa, 2.0 * model.omega))
-        alpha = q.ang + (model.d - 2.0) / 2.0
-        trip = _mul3(trip, _laguerre3(q.n_r, alpha, u, 2.0 * model.omega * xa, 2.0 * model.omega))
-    elif isinstance(model, EuclideanCoulomb):
-        kappa = math.sqrt(2.0 * abs(coulomb_energy(model, q)))
-        u = 2.0 * kappa * xa
-        trip = _mul3(_pow3(xa, q.ang), _exp3(u, 2.0 * kappa, 0.0))
-        alpha = 2.0 * q.ang + model.D - 2.0
-        trip = _mul3(trip, _laguerre3(q.n_r, alpha, u, 2.0 * kappa, 0.0))
-    elif isinstance(model, NonlinearOscillator):
-        lam = model.lam
-        t = 1.0 + lam * xa * xa
-        trip = _mul3(
-            _pow3(xa, q.ang),
-            _cpow3(t, 2.0 * lam * xa, 2.0 * lam, -model.beta / (2.0 * lam)),
+# ---------------------------------------------------------------------------
+# the two sides of the duality
+# ---------------------------------------------------------------------------
+
+
+class _Side:
+    """What both sides share.  The stretch t(x) is 1 + lam r^2 on the oscillator
+    side and 1 + lam R on the Coulomb side; the PDM mass is a power of it, and
+    it is 1 in the Euclidean limit, where the model's lam is 0."""
+
+    def is_bound(self, q: QuantumNumbers) -> bool:
+        return True
+
+    def _checked_stretch(self, x):
+        xa = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(xa)) or not np.all(xa > 0):
+            raise ValueError("coordinate must be finite and > 0")
+        t = self._stretch(xa)
+        if not np.all(t > 0):
+            raise ValueError("coordinate outside the domain")
+        return xa, t
+
+    def flat_factor(self, x):
+        """Multiplier turning a weighted-measure eigenfunction into the flat-measure one.
+
+        oscillator side: r^((d-1)/2) (1+lam r^2)^(-1/4);
+        coulomb side: R^((D-1)/2) (1+lam R)^(-3/4).
+        """
+        xa, t = self._checked_stretch(x)
+        return _like_input(xa ** ((self.dim - 1.0) / 2.0) * t**self._FLAT_POWER, x)
+
+    def flat_factor_derivatives(self, x):
+        """(f, f', f'') of ``flat_factor``; used by the oracle residuals."""
+        xa = np.asarray(x, dtype=float)
+        return _mul3(
+            _pow3(xa, (self.dim - 1.0) / 2.0), _cpow3(*self._stretch3(xa), self._FLAT_POWER)
         )
-        a = q.ang + (model.d - 2.0) / 2.0
-        b = -model.beta / lam - 0.5
-        z = 1.0 + 2.0 * lam * xa * xa
-        trip = _mul3(trip, _jacobi3(q.n_r, a, b, z, 4.0 * lam * xa, 4.0 * lam))
-    elif isinstance(model, CoulombLike):
-        lam = model.lam
-        wp = clike_wavefunction_params(model, q)
-        t = 1.0 + lam * xa
-        trip = _mul3(_pow3(xa, q.ang), _cpow3(t, lam, 0.0, wp.tau))
-        z = 1.0 + 2.0 * lam * xa
-        trip = _mul3(trip, _jacobi3(q.n_r, wp.rho, wp.sigma, z, 2.0 * lam, 0.0))
-    else:
-        raise ValueError(f"not a radial model: {model!r}")
-    return trip
+
+    def _flat_centrifugal(self, ang: float, x):
+        return (ang + (self.dim - 1.0) / 2.0) * (ang + (self.dim - 3.0) / 2.0) / (x * x)
+
+
+class _OscillatorSide(_Side):
+    """Oscillator side of the r = sqrt(R) duality: dimension d, coordinate r."""
+
+    kind = "oscillator"
+    _FLAT_POWER = -0.25
+
+    @property
+    def dim(self) -> float:
+        return float(self.d)
+
+    def _stretch(self, r):
+        return 1.0 + self.lam * r * r
+
+    def _stretch3(self, r):
+        return (self._stretch(r), 2.0 * self.lam * r, 2.0 * self.lam)
+
+    def pdm_mass(self, r):
+        """Position-dependent mass (1+lam r^2)^-1."""
+        return _like_input(1.0 / self._checked_stretch(r)[1], r)
+
+
+class _CoulombSide(_Side):
+    """Coulomb side of the r = sqrt(R) duality: dimension D, coordinate R."""
+
+    kind = "coulomb"
+    _FLAT_POWER = -0.75
+
+    @property
+    def dim(self) -> float:
+        return self.D
+
+    def _stretch(self, R):
+        return 1.0 + self.lam * R
+
+    def _stretch3(self, R):
+        return (self._stretch(R), self.lam, 0.0)
+
+    def pdm_mass(self, R):
+        """Position-dependent mass (1+lam R)^-2."""
+        t = self._checked_stretch(R)[1]
+        return _like_input(1.0 / (t * t), R)
 
 
 # ---------------------------------------------------------------------------
-# PDM reinterpretation
+# the models
 # ---------------------------------------------------------------------------
 
 
-def pdm_mass(kind: str, lam: float, x):
-    """Position-dependent mass: (1+lam r^2)^-1 (oscillator) or (1+lam R)^-2 (coulomb)."""
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)) or not np.all(xa > 0):
-        raise ValueError("coordinate must be finite and > 0")
-    if kind == "oscillator":
-        t = 1.0 + lam * xa * xa
-    elif kind == "coulomb":
-        t = 1.0 + lam * xa
-    else:
-        raise ValueError(f"unknown PDM kind {kind!r}")
-    if not np.all(t > 0):
-        raise ValueError("coordinate outside the domain (1 + lam x^... <= 0)")
-    val = 1.0 / t if kind == "oscillator" else 1.0 / (t * t)
-    return _like_input(val, x)
+@dataclass(frozen=True)
+class EuclideanOscillator(_OscillatorSide):
+    """Isotropic harmonic oscillator in d Euclidean dimensions."""
+
+    d: int
+    omega: float
+    lam = 0.0  # the Euclidean limit of the curved models
+
+    def __post_init__(self):
+        _require(
+            isinstance(self.d, (int, np.integer)) and self.d >= 2,
+            "dimension d must be an integer >= 2",
+        )
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "omega", float(self.omega))
+        _require(_finite(self.omega) and self.omega > 0, "omega must be positive")
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        return (0.0, math.inf)
+
+    def energy(self, q: QuantumNumbers) -> float:
+        """E_n = omega (n + d/2), n = 2 n_r + l."""
+        return self.omega * (q.n + self.d / 2.0)
+
+    def weight(self, r):
+        """Measure weight r^(d-1)."""
+        return r ** (self.d - 1.0)
+
+    def wavefunction(self, q: QuantumNumbers, r):
+        """Unnormalized r^l exp(-omega r^2/2) L_{n_r}^(l+(d-2)/2)(omega r^2)."""
+        ra = _check_coordinate(self, r)
+        u = self.omega * ra * ra
+        alpha = q.ang + (self.d - 2.0) / 2.0
+        val = ra**q.ang * np.exp(-0.5 * u) * specfun.laguerre(q.n_r, alpha, u)
+        return _like_input(val, r)
+
+    def derivatives(self, q: QuantumNumbers, r):
+        """(psi, psi', psi'') of ``wavefunction``, exact in r > 0."""
+        ra = _check_coordinate(self, r)
+        om = self.omega
+        u = om * ra * ra
+        trip = _mul3(_pow3(ra, q.ang), _exp3(u, 2.0 * om * ra, 2.0 * om))
+        alpha = q.ang + (self.d - 2.0) / 2.0
+        return _mul3(trip, _laguerre3(q.n_r, alpha, u, 2.0 * om * ra, 2.0 * om))
+
+    def weighted_coefficients(self, ang: float) -> dict:
+        """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
+        d, om = self.d, self.omega
+        return dict(
+            p=unit_weight,
+            w=self.weight,
+            V=lambda r: ang * (ang + d - 2.0) / (r * r) + om**2 * r * r,
+            c1=lambda r: (d - 1.0) / r,
+        )
 
 
-def pdm_potential(ordering: PdmOrdering, model, ang: float, x):
-    """Closed-form PDM potential: V1/V2 for the oscillator, U for the Coulomb problem.
+@dataclass(frozen=True)
+class EuclideanCoulomb(_CoulombSide):
+    """Attractive -Q/R problem in D dimensions.
 
-    Only the BD and MM orderings have closed-form potentials; a general von
-    Roos triple is handled numerically by the oracle.
+    D is a real > 1: the duality image of a d-dimensional oscillator has
+    D = (d+2)/2, a half-integer for odd d.
     """
-    if not (ordering.is_bd or ordering.is_mm):
-        raise ValueError(
-            "closed-form PDM potentials exist only for the BD and MM orderings"
+
+    D: float
+    Q: float
+    lam = 0.0  # the Euclidean limit of the curved models
+
+    def __post_init__(self):
+        object.__setattr__(self, "D", float(self.D))
+        object.__setattr__(self, "Q", float(self.Q))
+        _require(_finite(self.D) and self.D > 1, "dimension D must be > 1")
+        _require(_finite(self.Q) and self.Q > 0, "coupling Q must be positive")
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        return (0.0, math.inf)
+
+    def energy(self, q: QuantumNumbers) -> float:
+        """E_nu = -Q^2 / (2 (2 nu + D - 1)^2); depends on (n_r, L) through nu only."""
+        return -self.Q**2 / (2.0 * (2.0 * q.nu + self.D - 1.0) ** 2)
+
+    def weight(self, R):
+        """Measure weight R^(D-1)."""
+        return R ** (self.D - 1.0)
+
+    def wavefunction(self, q: QuantumNumbers, R):
+        """Unnormalized R^L exp(-kappa R) L_{n_r}^(2L+D-2)(2 kappa R), kappa = sqrt(2|E_nu|)."""
+        Ra = _check_coordinate(self, R)
+        kappa = math.sqrt(2.0 * abs(self.energy(q)))
+        alpha = 2.0 * q.ang + self.D - 2.0
+        val = Ra**q.ang * np.exp(-kappa * Ra) * specfun.laguerre(q.n_r, alpha, 2.0 * kappa * Ra)
+        return _like_input(val, R)
+
+    def derivatives(self, q: QuantumNumbers, R):
+        """(psi, psi', psi'') of ``wavefunction``, exact in R > 0."""
+        Ra = _check_coordinate(self, R)
+        kappa = math.sqrt(2.0 * abs(self.energy(q)))
+        u = 2.0 * kappa * Ra
+        trip = _mul3(_pow3(Ra, q.ang), _exp3(u, 2.0 * kappa, 0.0))
+        alpha = 2.0 * q.ang + self.D - 2.0
+        return _mul3(trip, _laguerre3(q.n_r, alpha, u, 2.0 * kappa, 0.0))
+
+    def weighted_coefficients(self, ang: float) -> dict:
+        """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
+        D, Q = self.D, self.Q
+        return dict(
+            p=unit_weight,
+            w=self.weight,
+            V=lambda R: ang * (ang + D - 2.0) / (R * R) - Q / R,
+            c1=lambda R: (D - 1.0) / R,
         )
-    if isinstance(model, NonlinearOscillator):
-        ra = _check_coordinate(model, x)
-        d, lam, beta = model.d, model.lam, model.beta
+
+
+@dataclass(frozen=True)
+class NonlinearOscillator(_OscillatorSide):
+    """Nonlinear (Mathews-Lakshmanan type) oscillator in d dimensions.
+
+    Equivalently an oscillator on a space of constant curvature -lam.  The
+    potential strength is pinned to alpha^2 = beta*(beta+lam); only that
+    one-parameter family is exactly solvable, so alpha is never an input.
+    """
+
+    d: int
+    lam: float
+    beta: float
+
+    def __post_init__(self):
+        _require(
+            isinstance(self.d, (int, np.integer)) and self.d >= 2,
+            "dimension d must be an integer >= 2",
+        )
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "beta", float(self.beta))
+        _require(_finite(self.lam) and self.lam != 0, "lam must be nonzero")
+        _require(_finite(self.beta) and self.beta > 0, "beta must be positive")
+        _require(self.beta * (self.beta + self.lam) > 0, "need beta*(beta+lam) > 0")
+
+    @property
+    def alpha2(self) -> float:
+        return self.beta * (self.beta + self.lam)
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        if self.lam > 0:
+            return (0.0, math.inf)
+        return (0.0, 1.0 / math.sqrt(-self.lam))
+
+    @property
+    def n_max(self):
+        """Largest normalizable n for lam > 0; None marks the unbounded lam < 0 ladder.
+
+        A negative value means the model has no bound states at all.
+        """
+        if self.lam < 0:
+            return None
+        x = self.beta / self.lam - (self.d + 1) / 2.0
+        return math.ceil(x - 1e-12)
+
+    def energy(self, q: QuantumNumbers) -> float:
+        """E_n = beta (n + d/2) - (lam/2) n (n + d - 1).
+
+        The formula is returned for every n; for lam > 0 states above
+        ``n_max`` it is a formal value of a non-normalizable state (see
+        ``is_bound``).
+        """
+        n = q.n
+        return self.beta * (n + self.d / 2.0) - 0.5 * self.lam * n * (n + self.d - 1.0)
+
+    def is_bound(self, q: QuantumNumbers) -> bool:
+        n_max = self.n_max
+        return n_max is None or q.n <= n_max
+
+    def weight(self, r):
+        """Measure weight (1+lam r^2)^(-1/2) r^(d-1)."""
+        return (1.0 + self.lam * r * r) ** (-0.5) * r ** (self.d - 1.0)
+
+    def wavefunction(self, q: QuantumNumbers, r):
+        """Unnormalized r^l (1+lam r^2)^(-beta/(2 lam)) P_{n_r}^(l+(d-2)/2, -beta/lam-1/2)(1+2 lam r^2)."""
+        ra = _check_coordinate(self, r)
+        lam = self.lam
         t = 1.0 + lam * ra * ra
-        cent = (ang + (d - 1.0) / 2.0) * (ang + (d - 3.0) / 2.0) / (ra * ra)
+        a = q.ang + (self.d - 2.0) / 2.0
+        b = -self.beta / lam - 0.5
+        val = ra**q.ang * t ** (-self.beta / (2.0 * lam)) * specfun.jacobi(
+            q.n_r, a, b, 1.0 + 2.0 * lam * ra * ra
+        )
+        return _like_input(val, r)
+
+    def derivatives(self, q: QuantumNumbers, r):
+        """(psi, psi', psi'') of ``wavefunction``, exact in r > 0."""
+        ra = _check_coordinate(self, r)
+        lam = self.lam
+        trip = _mul3(_pow3(ra, q.ang), _cpow3(*self._stretch3(ra), -self.beta / (2.0 * lam)))
+        a = q.ang + (self.d - 2.0) / 2.0
+        b = -self.beta / lam - 0.5
+        z = 1.0 + 2.0 * lam * ra * ra
+        return _mul3(trip, _jacobi3(q.n_r, a, b, z, 4.0 * lam * ra, 4.0 * lam))
+
+    def weighted_coefficients(self, ang: float) -> dict:
+        """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
+        d, lam, beta = self.d, self.lam, self.beta
+        return dict(
+            p=self._stretch,
+            w=self.weight,
+            V=lambda r: ang * (ang + d - 2.0) / (r * r)
+            + beta * (beta + lam) * r * r / (1.0 + lam * r * r),
+            c1=lambda r: (d - 1.0 + d * lam * r * r) / r,
+        )
+
+    def geodesic_coefficients(self, ang: float) -> dict:
+        """(p = 1, w, V) of the lam > 0 weighted problem in s = arcsinh(sqrt(lam) r)/sqrt(lam).
+
+        Bound states decay only as a power of r, so the radial truncation rule
+        is useless there; the arc-length coordinate keeps the spectrum and the
+        measure (w_s ds = w_r dr) while making the tails exponential.  The map
+        s -> r comes back as ``to_r``.
+        """
+        d, rt = self.d, math.sqrt(self.lam)
+        V = self.weighted_coefficients(ang)["V"]
+
+        def to_r(s):
+            return np.sinh(rt * np.asarray(s, dtype=float)) / rt
+
+        return dict(
+            p=unit_weight,
+            w=lambda s: to_r(s) ** (d - 1.0),
+            V=lambda s: V(to_r(s)),
+            to_r=to_r,
+        )
+
+    def _bd_potential(self, ang: float, r):
+        """V1, the BD potential."""
+        lam, beta = self.lam, self.beta
+        return self._flat_centrifugal(ang, r) + (beta * (beta + lam) * r * r - 0.25 * lam) / (
+            1.0 + lam * r * r
+        )
+
+    def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
+        """Reduced flat-picture (p, w = 1, V, c1 = p').
+
+        The paper's V2 plus the MM shift collapses to V1, so every ordering
+        shares the BD potential here.
+        """
+        lam = self.lam
+        return dict(
+            p=self._stretch,
+            w=unit_weight,
+            V=lambda r: self._bd_potential(ang, r),
+            c1=lambda r: 2.0 * lam * r,
+        )
+
+    def pdm_potential(self, ordering: PdmOrdering, ang: float, r):
+        """Closed-form PDM potential: V1 for BD, V2 for MM."""
+        _require_closed_form(ordering, "potentials")
+        ra = _check_coordinate(self, r)
         if ordering.is_bd:
-            val = cent + (beta * (beta + lam) * ra * ra - 0.25 * lam) / t
-        else:
-            val = cent + ((beta + 0.5 * lam) ** 2 * ra * ra + 0.25 * lam) / t
-        return _like_input(val, x)
-    if isinstance(model, CoulombLike):
-        Ra = _check_coordinate(model, x)
-        D, lam, Q = model.D, model.lam, model.Q
-        cent = (ang + (D - 1.0) / 2.0) * (ang + (D - 3.0) / 2.0) / (Ra * Ra)
-        val = cent - (Q - 0.25 * (D - 1.0) * (2.0 * D - 5.0) * lam) / Ra
-        return _like_input(val, x)
-    raise ValueError("PDM potentials are defined for curved models only")
+            return _like_input(self._bd_potential(ang, ra), r)
+        lam = self.lam
+        val = self._flat_centrifugal(ang, ra) + (
+            (self.beta + 0.5 * lam) ** 2 * ra * ra + 0.25 * lam
+        ) / (1.0 + lam * ra * ra)
+        return _like_input(val, r)
+
+    def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
+        """PDM energy: the curved energy plus the ordering shift (BD and MM coincide here)."""
+        _require_closed_form(ordering, "energies")
+        return self.energy(q) - self.d * (self.d - 2.0) * self.lam / 8.0
 
 
-def pdm_energy(ordering: PdmOrdering, model, q: QuantumNumbers) -> float:
-    """PDM energy: the curved energy plus the ordering-dependent shift."""
-    if not (ordering.is_bd or ordering.is_mm):
-        raise ValueError("closed-form PDM energies exist only for the BD and MM orderings")
-    if isinstance(model, NonlinearOscillator):
-        # BD and MM coincide for the oscillator
-        return nlo_energy(model, q) - model.d * (model.d - 2.0) * model.lam / 8.0
-    if isinstance(model, CoulombLike):
-        D, lam = model.D, model.lam
-        base = clike_energy(model, q)
+@dataclass(frozen=True)
+class CoulombLike(_CoulombSide):
+    """-Q/R problem in the nonconstant-curvature space dual to the nonlinear oscillator."""
+
+    D: float
+    lam: float
+    Q: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "D", float(self.D))
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "Q", float(self.Q))
+        _require(_finite(self.D) and self.D > 1, "dimension D must be > 1")
+        _require(_finite(self.lam) and self.lam != 0, "lam must be nonzero")
+        _require(_finite(self.Q) and self.Q > 0, "coupling Q must be positive")
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        if self.lam > 0:
+            return (0.0, math.inf)
+        return (0.0, 1.0 / abs(self.lam))
+
+    def energy(self, q: QuantumNumbers) -> float:
+        """Bound-state energy of the Coulomb-like problem; nu-degeneracy is broken."""
+        nu = q.nu
+        ll = q.ang * (q.ang + self.D - 2.0)
+        f1 = self.Q + self.lam * (-nu * (nu + 0.5) + ll)
+        f2 = self.Q + self.lam * (-(nu + self.D - 1.0) * (nu + self.D - 1.5) + ll)
+        return -f1 * f2 / (2.0 * (2.0 * nu + self.D - 1.0) ** 2)
+
+    def is_bound(self, q: QuantumNumbers) -> bool:
+        """Normalizability inequality for (n_r, L); strict on the boundary."""
+        n_r, L, D = q.n_r, q.ang, self.D
+        if self.lam < 0:
+            lhs = n_r**2 + (2 * L + D - 1) * n_r + 2 * L**2 + (2 * D - 3) * L + (D - 1) / 4.0
+            return lhs < self.Q / abs(self.lam)
+        lhs = n_r**2 + (2 * L + D - 1) * n_r + L + (D - 1) * (2 * D - 3) / 4.0
+        return lhs < self.Q / self.lam
+
+    def weight(self, R):
+        """Measure weight (1+lam R)^(-3/2) R^(D-1)."""
+        return (1.0 + self.lam * R) ** (-1.5) * R ** (self.D - 1.0)
+
+    def wavefunction_params(self, q: QuantumNumbers) -> WavefunctionParams:
+        """The (rho, sigma, tau) triple of the bound-state wavefunction."""
+        nu, L, D, lam, Q = q.nu, q.ang, self.D, self.lam, self.Q
+        ll = L * (L + D - 2.0)
+        rho = 2.0 * L + D - 2.0
+        sigma = -(Q + lam * (nu**2 + (D - 1.0) * nu + 0.25 * (D - 1.0) + ll)) / (
+            lam * (nu + 0.5 * (D - 1.0))
+        )
+        tau = -(Q + lam * (nu * (nu + D - 1.5) + ll)) / (lam * (2.0 * nu + D - 1.0))
+        return WavefunctionParams(rho=rho, sigma=sigma, tau=tau)
+
+    def wavefunction(self, q: QuantumNumbers, R):
+        """Unnormalized R^L (1+lam R)^tau P_{n_r}^(rho,sigma)(1+2 lam R)."""
+        Ra = _check_coordinate(self, R)
+        wp = self.wavefunction_params(q)
+        t = 1.0 + self.lam * Ra
+        val = Ra**q.ang * t**wp.tau * specfun.jacobi(
+            q.n_r, wp.rho, wp.sigma, 1.0 + 2.0 * self.lam * Ra
+        )
+        return _like_input(val, R)
+
+    def derivatives(self, q: QuantumNumbers, R):
+        """(psi, psi', psi'') of ``wavefunction``, exact in R > 0."""
+        Ra = _check_coordinate(self, R)
+        lam = self.lam
+        wp = self.wavefunction_params(q)
+        trip = _mul3(_pow3(Ra, q.ang), _cpow3(*self._stretch3(Ra), wp.tau))
+        z = 1.0 + 2.0 * lam * Ra
+        return _mul3(trip, _jacobi3(q.n_r, wp.rho, wp.sigma, z, 2.0 * lam, 0.0))
+
+    def weighted_coefficients(self, ang: float) -> dict:
+        """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
+        D, lam, Q = self.D, self.lam, self.Q
+        return dict(
+            p=lambda R: (1.0 + lam * R) ** 2,
+            w=self.weight,
+            V=lambda R: ang * (ang + D - 2.0) / (R * R) - Q / R,
+            c1=lambda R: (D - 1.0)
+            / R
+            * (1.0 + lam * R)
+            * (1.0 + (2.0 * D - 1.0) / (2.0 * D - 2.0) * lam * R),
+        )
+
+    def geodesic_coefficients(self, ang: float) -> dict:
+        """(p = 1, w, V) of the lam > 0 weighted problem in s = log(1+lam R)/lam.
+
+        As for the nonlinear oscillator, the arc-length coordinate keeps the
+        spectrum and the measure while making the tails exponential; the map
+        s -> R comes back as ``to_r``.
+        """
+        D, lam = self.D, self.lam
+        V = self.weighted_coefficients(ang)["V"]
+
+        def to_r(s):
+            return np.expm1(lam * np.asarray(s, dtype=float)) / lam
+
+        def w(s):
+            R = to_r(s)
+            return (1.0 + lam * R) ** (-0.5) * R ** (D - 1.0)
+
+        return dict(p=unit_weight, w=w, V=lambda s: V(to_r(s)), to_r=to_r)
+
+    def _bd_potential(self, ang: float, R):
+        """U, the PDM potential of both the BD and the MM ordering."""
+        D = self.D
+        return self._flat_centrifugal(ang, R) - (
+            self.Q - 0.25 * (D - 1.0) * (2.0 * D - 5.0) * self.lam
+        ) / R
+
+    def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
+        """Reduced flat-picture (p, w = 1, V, c1 = p'): U plus the von Roos shift.
+
+        The shift is the potential 2 U_vr = -K1/2 m'^2/m^3 - (xi+zeta)/2 m''/m^2,
+        K1 = zeta(eta+zeta-1) + xi(eta+xi-1), that the ordering adds over BD.
+        For the mass (1+lam R)^-2 both ratios are constants, 4 lam^2 and
+        6 lam^2, so the shift is zero for BD and -lam^2/4 for MM.
+        """
+        lam = self.lam
+        xi, eta, zeta = ordering.xi, ordering.eta, ordering.zeta
+        k1 = zeta * (eta + zeta - 1.0) + xi * (eta + xi - 1.0)
+        shift = -0.5 * k1 * (4.0 * lam**2) - 0.5 * (xi + zeta) * (6.0 * lam**2)
+        return dict(
+            p=lambda R: (1.0 + lam * R) ** 2,
+            w=unit_weight,
+            V=lambda R: self._bd_potential(ang, R) + shift,
+            c1=lambda R: 2.0 * lam * (1.0 + lam * R),
+        )
+
+    def pdm_potential(self, ordering: PdmOrdering, ang: float, R):
+        """Closed-form PDM potential U, the same for BD and MM."""
+        _require_closed_form(ordering, "potentials")
+        Ra = _check_coordinate(self, R)
+        return _like_input(self._bd_potential(ang, Ra), R)
+
+    def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
+        """PDM energy: the curved energy plus the ordering-dependent shift."""
+        _require_closed_form(ordering, "energies")
+        D, lam = self.D, self.lam
+        base = self.energy(q)
         if ordering.is_bd:
             return base - (2.0 * D - 1.0) * (2.0 * D - 5.0) * lam**2 / 32.0
         return base - (2.0 * D - 3.0) ** 2 * lam**2 / 32.0
-    raise ValueError("PDM energies are defined for curved models only")
 
 
-def flat_picture_factor(kind: str, dim: float, lam: float, x):
-    """Multiplier turning a weighted-measure eigenfunction into the flat-measure one.
+RadialModel = Union[EuclideanOscillator, EuclideanCoulomb, NonlinearOscillator, CoulombLike]
 
-    oscillator: r^((d-1)/2) (1+lam r^2)^(-1/4); coulomb: R^((D-1)/2) (1+lam R)^(-3/4).
-    Accepts lam = 0 (Euclidean limit) and any real dim.
+
+def clike_bound_states(model: CoulombLike) -> list[QuantumNumbers]:
+    """All admissible (n_r, L), ordered by (L, n_r).
+
+    The left side of the bound-state inequality increases in n_r and in
+    integer L for every D > 1, so the admissible set is a staircase: walk
+    L = 0, 1, ... while (0, L) is bound, and n_r = 0, 1, ... within each L.
     """
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)) or not np.all(xa > 0):
-        raise ValueError("coordinate must be finite and > 0")
-    if kind == "oscillator":
-        t = 1.0 + lam * xa * xa
-        expo = -0.25
-    elif kind == "coulomb":
-        t = 1.0 + lam * xa
-        expo = -0.75
-    else:
-        raise ValueError(f"unknown PDM kind {kind!r}")
-    if not np.all(t > 0):
-        raise ValueError("coordinate outside the domain")
-    return _like_input(xa ** ((dim - 1.0) / 2.0) * t**expo, x)
+    states = []
+    L = 0
+    while model.is_bound(QuantumNumbers(0, L)):
+        n_r = 0
+        while model.is_bound(q := QuantumNumbers(n_r, L)):
+            states.append(q)
+            n_r += 1
+        L += 1
+    return states
 
 
-def flat_factor_derivatives(kind: str, dim: float, lam: float, x):
-    """(f, f', f'') of the flat-picture factor; used by the oracle residuals."""
-    xa = np.asarray(x, dtype=float)
-    a = (dim - 1.0) / 2.0
-    if kind == "oscillator":
-        t = 1.0 + lam * xa * xa
-        return _mul3(_pow3(xa, a), _cpow3(t, 2.0 * lam * xa, 2.0 * lam, -0.25))
-    if kind == "coulomb":
-        t = 1.0 + lam * xa
-        return _mul3(_pow3(xa, a), _cpow3(t, lam, 0.0, -0.75))
-    raise ValueError(f"unknown PDM kind {kind!r}")
+def wavefunction(model: RadialModel, q: QuantumNumbers, x):
+    """The model's unnormalized closed-form radial function at x."""
+    return model.wavefunction(q, x)
+
+
+def wavefunction_derivatives(model: RadialModel, q: QuantumNumbers, x):
+    """(psi, psi', psi'') of the closed-form radial function, exact in x > 0."""
+    return model.derivatives(q, x)
 
 
 @dataclass(frozen=True)
@@ -646,16 +742,16 @@ class RadialState:
     amplitude: float = 1.0
 
     def __call__(self, x):
-        return self.amplitude * wavefunction(self.model, self.q, x)
+        return self.amplitude * self.model.wavefunction(self.q, x)
 
     def derivatives(self, x):
-        f, f1, f2 = wavefunction_derivatives(self.model, self.q, x)
+        f, f1, f2 = self.model.derivatives(self.q, x)
         a = self.amplitude
         return (a * f, a * f1, a * f2)
 
     @property
     def energy(self) -> float:
-        return energy(self.model, self.q)
+        return self.model.energy(self.q)
 
     def scaled(self, factor: float) -> "RadialState":
         return replace(self, amplitude=self.amplitude * factor)

@@ -3,13 +3,15 @@
 Every radial problem is cast as a Sturm-Liouville triple (p, w, V) with the
 operator (-1/w) d/dx (p w d/dx) + V, discretized on a half-cell-offset uniform
 grid in conservative (flux) form, symmetrized by the similarity transform
-W^(1/2) H W^(-1/2), and solved by Sturm-sequence bisection.  Eigenvalues are
-reported in the doubled convention (2E).
+W^(1/2) H W^(-1/2), and solved by Sturm-sequence bisection (``oscoul.kernels``).
+Eigenvalues are reported in the doubled convention (2E).  The coefficients
+come from the model classes: ``weighted_coefficients``, the lam > 0
+``geodesic_coefficients`` and the PDM ``flat_coefficients``.
 
 The PDM flat pictures use w = 1: BD is -d/dx (1/m) d/dx + V1 (or U) directly;
 the MM quarter-power operator and any von Roos ordering are reduced exactly to
 that BD form by the substitution psi = m^(1/4) u, which turns the ordering
-ambiguity into the closed-form potential term ``_von_roos_shift``.
+ambiguity into a closed-form potential term of the model's flat coefficients.
 """
 
 from __future__ import annotations
@@ -21,22 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .models import (
-    BD,
-    CoulombLike,
-    EuclideanCoulomb,
-    EuclideanOscillator,
-    NonlinearOscillator,
-    PdmOrdering,
-    QuantumNumbers,
-    RadialState,
-    energy,
-    flat_factor_derivatives,
-    is_bound,
-    model_kind,
-    pdm_energy,
-    wavefunction_derivatives,
-)
+from .models import BD, PdmOrdering, QuantumNumbers, RadialState
 
 __all__ = [
     "ConvergenceReport",
@@ -102,164 +89,14 @@ class ConvergenceReport:
         }
 
 
-def _von_roos_shift(kind: str, lam: float, ordering: PdmOrdering, x):
-    """2 U_vr: the potential the von Roos kinetic operator adds over the BD one.
-
-    With K1 = zeta(eta+zeta-1) + xi(eta+xi-1):
-    2 U_vr = -K1/2 * m'^2/m^3 - (xi+zeta)/2 * m''/m^2, in closed form per mass.
-    Identically zero for the BD triple; for MM it cancels V2 - V1 exactly
-    (oscillator) or equals the constant -lam^2/4 (coulomb).
-    """
-    xi, eta, zeta = ordering.xi, ordering.eta, ordering.zeta
-    k1 = zeta * (eta + zeta - 1.0) + xi * (eta + xi - 1.0)
-    s = xi + zeta
-    xa = np.asarray(x, dtype=float)
-    if kind == "oscillator":
-        t = 1.0 + lam * xa * xa
-        ratio1 = 4.0 * lam**2 * xa * xa / t  # m'^2/m^3
-        ratio2 = -2.0 * lam + 8.0 * lam**2 * xa * xa / t  # m''/m^2
-    else:
-        ratio1 = np.full_like(xa, 4.0 * lam**2)
-        ratio2 = np.full_like(xa, 6.0 * lam**2)
-    return -0.5 * k1 * ratio1 - 0.5 * s * ratio2
-
-
-def _weighted_coefficients(model, ang: float):
-    """(p, w, V) plus the first-derivative coefficient c1 = p' + p w'/w."""
-    if isinstance(model, EuclideanOscillator):
-        d, om = model.d, model.omega
-        return dict(
-            p=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            w=lambda r: r ** (d - 1.0),
-            V=lambda r: ang * (ang + d - 2.0) / (r * r) + om**2 * r * r,
-            c1=lambda r: (d - 1.0) / r,
-        )
-    if isinstance(model, NonlinearOscillator):
-        d, lam, beta = model.d, model.lam, model.beta
-        return dict(
-            p=lambda r: 1.0 + lam * r * r,
-            w=lambda r: (1.0 + lam * r * r) ** (-0.5) * r ** (d - 1.0),
-            V=lambda r: ang * (ang + d - 2.0) / (r * r)
-            + beta * (beta + lam) * r * r / (1.0 + lam * r * r),
-            c1=lambda r: (d - 1.0 + d * lam * r * r) / r,
-        )
-    if isinstance(model, EuclideanCoulomb):
-        D, Q = model.D, model.Q
-        return dict(
-            p=lambda R: np.ones_like(np.asarray(R, dtype=float)),
-            w=lambda R: R ** (D - 1.0),
-            V=lambda R: ang * (ang + D - 2.0) / (R * R) - Q / R,
-            c1=lambda R: (D - 1.0) / R,
-        )
-    if isinstance(model, CoulombLike):
-        D, lam, Q = model.D, model.lam, model.Q
-        return dict(
-            p=lambda R: (1.0 + lam * R) ** 2,
-            w=lambda R: (1.0 + lam * R) ** (-1.5) * R ** (D - 1.0),
-            V=lambda R: ang * (ang + D - 2.0) / (R * R) - Q / R,
-            c1=lambda R: (D - 1.0)
-            / R
-            * (1.0 + lam * R)
-            * (1.0 + (2.0 * D - 1.0) / (2.0 * D - 2.0) * lam * R),
-        )
-    raise ValueError(f"not a radial model: {model!r}")
-
-
-def _flat_coefficients(model, ang: float, ordering: PdmOrdering):
-    """Reduced flat-picture (p, w=1, V): BD potential plus the von Roos shift.
-
-    For the oscillator the paper's V2 plus the MM shift collapses to V1, so
-    every ordering shares V1 there; the Coulomb problem keeps U plus the
-    (constant) shift.
-    """
-    kind = model_kind(model)
-    lam = model.lam
-    if kind == "oscillator":
-        d, beta = model.d, model.beta
-
-        def v_eff(r):
-            cent = (ang + (d - 1.0) / 2.0) * (ang + (d - 3.0) / 2.0) / (r * r)
-            return cent + (beta * (beta + lam) * r * r - 0.25 * lam) / (1.0 + lam * r * r)
-
-        return dict(
-            p=lambda r: 1.0 + lam * r * r,
-            w=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            V=v_eff,
-            c1=lambda r: 2.0 * lam * r,
-        )
-    D, Q = model.D, model.Q
-
-    def v_eff(R):
-        cent = (ang + (D - 1.0) / 2.0) * (ang + (D - 3.0) / 2.0) / (R * R)
-        u = cent - (Q - 0.25 * (D - 1.0) * (2.0 * D - 5.0) * lam) / R
-        return u + _von_roos_shift("coulomb", lam, ordering, R)
-
-    return dict(
-        p=lambda R: (1.0 + lam * R) ** 2,
-        w=lambda R: np.ones_like(np.asarray(R, dtype=float)),
-        V=v_eff,
-        c1=lambda R: 2.0 * lam * (1.0 + lam * R),
-    )
-
-
-def _geodesic_coefficients(model, ang: float):
-    """(p, w, V) of the lam > 0 weighted problem in its geodesic coordinate.
-
-    Bound states of the curved models decay only as a power of r, so the
-    radial truncation rule is useless there; the arc-length substitution
-    s = arcsinh(sqrt(lam) r)/sqrt(lam) (oscillator) or s = log(1+lam R)/lam
-    (Coulomb-like) keeps the spectrum and the measure (w_s ds = w_r dr) while
-    making the tails exponential.  In both cases p becomes 1.
-    """
-    lam = model.lam
-    if isinstance(model, NonlinearOscillator):
-        d, beta = model.d, model.beta
-        rt = math.sqrt(lam)
-
-        def to_r(s):
-            return np.sinh(rt * np.asarray(s, dtype=float)) / rt
-
-        def w(s):
-            return to_r(s) ** (d - 1.0)
-
-        def V(s):
-            r = to_r(s)
-            return ang * (ang + d - 2.0) / (r * r) + beta * (beta + lam) * r * r / (
-                1.0 + lam * r * r
-            )
-
-    elif isinstance(model, CoulombLike):
-        D, Q = model.D, model.Q
-
-        def to_r(s):
-            return np.expm1(lam * np.asarray(s, dtype=float)) / lam
-
-        def w(s):
-            R = to_r(s)
-            return (1.0 + lam * R) ** (-0.5) * R ** (D - 1.0)
-
-        def V(s):
-            R = to_r(s)
-            return ang * (ang + D - 2.0) / (R * R) - Q / R
-
-    else:
-        raise ValueError("geodesic coordinates apply to the curved models only")
-    return dict(
-        p=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        w=w,
-        V=V,
-        to_r=to_r,
-    )
-
-
 def analytic_reference(
     model, ang: float, n_r: int, picture: str = "weighted", ordering: PdmOrdering = BD
 ) -> float:
     """Closed-form eigenvalue in the oracle's 2E convention."""
     q = QuantumNumbers(n_r, ang)
     if picture == "weighted":
-        return 2.0 * energy(model, q)
-    return 2.0 * pdm_energy(ordering, model, q)
+        return 2.0 * model.energy(q)
+    return 2.0 * model.pdm_energy(ordering, q)
 
 
 def _state_scale(model, ang: float, n_r: int) -> float:
@@ -316,27 +153,19 @@ def truncation_radius(
     if math.isfinite(hi):
         return hi
     q = QuantumNumbers(n_r, ang)
-    if not is_bound(model, q):
+    if not model.is_bound(q):
         raise ValueError("truncation undefined: target state is not normalizable")
-    lam = getattr(model, "lam", 0.0)
     state = RadialState(model, q)
     if picture == "weighted":
-        if lam > 0:
-            geo = _geodesic_coefficients(model, ang)
+        if model.lam > 0:
+            geo = model.geodesic_coefficients(ang)
             return _exp_cutoff(lambda s: state(geo["to_r"](s)) * np.sqrt(geo["w"](s)))
-        coeff = _weighted_coefficients(model, ang)
-        return _exp_cutoff(lambda r: state(r) * np.sqrt(coeff["w"](r)))
-    # flat picture, radial coordinate
-    coeff = _flat_coefficients(model, ang, ordering)
-    kind = model_kind(model)
-    if lam <= 0:
-        def amp(r):
-            return flat_factor_derivatives(kind, _dim_of(model), lam, r)[0] * state(r)
-
-        return _exp_cutoff(amp)
+        return _exp_cutoff(lambda r: state(r) * np.sqrt(model.weight(r)))
+    # flat picture, radial coordinate; an infinite domain means lam > 0 here
+    coeff = model.flat_coefficients(ang, ordering)
     grid = np.geomspace(1e-4, 1e9, 16384)
     psi, dpsi, _ = state.derivatives(grid)
-    f, df, _ = flat_factor_derivatives(kind, _dim_of(model), lam, grid)
+    f, df, _ = model.flat_factor_derivatives(grid)
     psi, dpsi = f * psi, df * psi + f * dpsi
     amp_vals = np.abs(psi)
     ipk = int(np.argmax(amp_vals))
@@ -349,10 +178,6 @@ def truncation_radius(
     if not ok.size:
         raise ValueError("no truncation radius meets the error budget")
     return float(grid[ok[0]])
-
-
-def _dim_of(model) -> float:
-    return float(model.d if hasattr(model, "d") else model.D)
 
 
 def build_problem(
@@ -373,19 +198,18 @@ def build_problem(
     if picture == "weighted":
         if ordering is not None:
             raise ValueError("ordering applies to the flat picture only")
-        lam = getattr(model, "lam", 0.0)
-        if lam > 0:
-            coeff = _geodesic_coefficients(model, ang)
+        if model.lam > 0:
+            coeff = model.geodesic_coefficients(ang)
             label = f"weighted-geodesic {type(model).__name__} ang={ang}"
         else:
-            coeff = _weighted_coefficients(model, ang)
+            coeff = model.weighted_coefficients(ang)
             label = f"weighted {type(model).__name__} ang={ang}"
         bc_inner = "natural"
     elif picture == "flat":
-        if not isinstance(model, (NonlinearOscillator, CoulombLike)):
+        if model.lam == 0:
             raise ValueError("the PDM flat picture applies to the curved models only")
         ordering = BD if ordering is None else ordering
-        coeff = _flat_coefficients(model, ang, ordering)
+        coeff = model.flat_coefficients(ang, ordering)
         label = f"flat {type(model).__name__} ang={ang}"
         bc_inner = "dirichlet-wall"
     else:
@@ -465,9 +289,9 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     return DiscreteOperator(diag=diag, off=off, h=h, nodes=x)
 
 
-def lowest_eigenvalues(op: DiscreteOperator, k: int, rel_tol: float = 1e-12) -> np.ndarray:
+def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     """The k smallest eigenvalues of the discretized operator (2E convention)."""
-    return kernels.lowest_eigenvalues_tridiag(op.diag, op.off, k, rel_tol)
+    return kernels.lowest_eigenvalues_tridiag(op.diag, op.off, k)
 
 
 def residual_norm(
@@ -483,28 +307,23 @@ def residual_norm(
     """
     model, q = state.model, state.q
     x = np.atleast_1d(np.asarray(samples, dtype=float))
-    lam = getattr(model, "lam", 0.0)
     if picture == "weighted":
-        coeff = _weighted_coefficients(model, q.ang)
+        coeff = model.weighted_coefficients(q.ang)
         psi, dpsi, d2psi = state.derivatives(x)
-        lam2e = 2.0 * energy(model, q)
-        kin2 = np.asarray(coeff["p"](x)) * d2psi
-        kin1 = np.asarray(coeff["c1"](x)) * dpsi
-        pot = np.asarray(coeff["V"](x)) * psi
+        lam2e = 2.0 * model.energy(q)
     elif picture == "flat":  # -(p psi')' + V psi = 2E psi, c1 = p'
-        coeff = _flat_coefficients(model, q.ang, ordering)
-        kind = model_kind(model)
-        f, df, d2f = flat_factor_derivatives(kind, _dim_of(model), lam, x)
+        coeff = model.flat_coefficients(q.ang, ordering)
+        f, df, d2f = model.flat_factor_derivatives(x)
         psi0, dpsi0, d2psi0 = state.derivatives(x)
         psi = f * psi0
         dpsi = df * psi0 + f * dpsi0
         d2psi = d2f * psi0 + 2.0 * df * dpsi0 + f * d2psi0
-        lam2e = 2.0 * pdm_energy(ordering, model, q)
-        kin2 = np.asarray(coeff["p"](x)) * d2psi
-        kin1 = np.asarray(coeff["c1"](x)) * dpsi
-        pot = np.asarray(coeff["V"](x)) * psi
+        lam2e = 2.0 * model.pdm_energy(ordering, q)
     else:
         raise ValueError(f"unknown picture {picture!r}")
+    kin2 = np.asarray(coeff["p"](x)) * d2psi
+    kin1 = np.asarray(coeff["c1"](x)) * dpsi
+    pot = np.asarray(coeff["V"](x)) * psi
     # both pictures: p psi'' + c1 psi' - V psi + 2E psi = 0
     resid = np.abs(kin2 + kin1 - pot + lam2e * psi)
     scale = np.abs(lam2e * psi) + np.abs(kin2) + np.abs(kin1) + np.abs(pot)

@@ -10,19 +10,15 @@ geometrically into the (integrable) singularity of the measure.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .models import (
-    CoulombLike,
-    EuclideanCoulomb,
-    EuclideanOscillator,
-    NonlinearOscillator,
-    RadialState,
-)
+from .models import RadialState, unit_weight
 
 __all__ = [
     "DivergentIntegralError",
@@ -49,11 +45,20 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+@functools.cache
+def _legendre_rule(npoints: int):
+    # read-only: the cache hands every caller the same arrays
+    x, w = leggauss(npoints)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(npoints: int, a: float, b: float):
     """Gauss-Legendre nodes and weights on [a, b].
 
-    Newton iteration on the Legendre recurrence, tolerance 1e-15; exact for
-    polynomials of degree <= 2 npoints - 1.
+    Exact for polynomials of degree <= 2 npoints - 1; the reference rule on
+    [-1, 1] is computed once per npoints.
     """
     if not isinstance(npoints, (int, np.integer)) or npoints < 1:
         raise ValueError(f"npoints must be an integer >= 1, got {npoints}")
@@ -63,37 +68,14 @@ def gauss_legendre(npoints: int, a: float, b: float):
         raise ValueError("need finite bounds with a < b")
     if npoints == 1:
         return np.array([0.5 * (a + b)]), np.array([b - a])
-    n = int(npoints)
-    i = np.arange(n)
-    x = np.cos(math.pi * (i + 0.75) / (n + 0.5))
-    for _ in range(100):
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for k in range(2, n + 1):
-            p, p_prev = ((2.0 * k - 1.0) * x * p - (k - 1.0) * p_prev) / k, p
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) <= 1e-15:
-            break
-    x = 0.5 * (x - x[::-1])  # enforce symmetry
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p, p_prev = ((2.0 * k - 1.0) * x * p - (k - 1.0) * p_prev) / k, p
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    nodes = a + 0.5 * (b - a) * (x[order] + 1.0)
-    weights = 0.5 * (b - a) * w[order]
-    return nodes, weights
+    x, w = _legendre_rule(int(npoints))
+    return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
 
 
 @dataclass(frozen=True)
 class Measure:
-    """Integration weight and domain for one model family and picture."""
+    """Integration weight and domain for one model and picture."""
 
-    kind: str
     weight: Callable
     domain: tuple[float, float]
     singular_outer: bool = False
@@ -101,39 +83,13 @@ class Measure:
 
 def measure_for(model, picture: str = "weighted") -> Measure:
     """The L^2 measure the given model's radial functions are orthogonal under."""
-    singular = getattr(model, "lam", 0.0) < 0
     if picture == "flat":
-        return Measure(
-            kind="flat",
-            weight=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            domain=model.domain,
-            singular_outer=singular,
-        )
-    if picture != "weighted":
+        weight = unit_weight
+    elif picture == "weighted":
+        weight = model.weight
+    else:
         raise ValueError(f"unknown picture {picture!r}")
-    if isinstance(model, EuclideanOscillator):
-        d = model.d
-        return Measure("euclidean-oscillator", lambda r: r ** (d - 1.0), model.domain)
-    if isinstance(model, EuclideanCoulomb):
-        D = model.D
-        return Measure("euclidean-coulomb", lambda R: R ** (D - 1.0), model.domain)
-    if isinstance(model, NonlinearOscillator):
-        d, lam = model.d, model.lam
-        return Measure(
-            "curved-oscillator",
-            lambda r: (1.0 + lam * r * r) ** (-0.5) * r ** (d - 1.0),
-            model.domain,
-            singular_outer=singular,
-        )
-    if isinstance(model, CoulombLike):
-        D, lam = model.D, model.lam
-        return Measure(
-            "curved-coulomb",
-            lambda R: (1.0 + lam * R) ** (-1.5) * R ** (D - 1.0),
-            model.domain,
-            singular_outer=singular,
-        )
-    raise ValueError(f"no measure for model {model!r}")
+    return Measure(weight, model.domain, singular_outer=model.lam < 0)
 
 
 def _probe_grid(lo: float, hi: float):

@@ -22,12 +22,6 @@ from oscoul.models import (
     QuantumNumbers,
     RadialState,
     clike_bound_states,
-    clike_energy,
-    clike_is_bound,
-    coulomb_energy,
-    nlo_energy,
-    nlo_is_bound,
-    osc_energy,
 )
 from oscoul.quadrature import (
     Verdict,
@@ -49,7 +43,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_curved_oscillator_vs_oracle():
     cases = [(2, -0.1, 1.0, 0.0), (2, -0.1, 1.0, 1.0), (4, -0.1, 1.0, 0.0), (2, 0.2, 1.0, 1.0)]
-    worst_err, worst_order = 0.0, 2.0
+    worst_err, worst_order = 0.0, 0.0
     for d, lam, beta, l in cases:
         model = NonlinearOscillator(d=d, lam=lam, beta=beta)
         rep = oracle.convergence_study(model, l, 2, GRIDS)
@@ -70,7 +64,7 @@ def test_criterion_2_coulomb_like_vs_oracle():
         rep = oracle.convergence_study(model, L, 1, GRIDS)
         assert rep.rel_error[0] <= 1e-6, (D, lam, L, rep.rel_error[0])
         worst = max(worst, rep.rel_error[0])
-    ground = clike_energy(CoulombLike(D=3, lam=-0.1, Q=1.0), QuantumNumbers(0, 0))
+    ground = CoulombLike(D=3, lam=-0.1, Q=1.0).energy(QuantumNumbers(0, 0))
     assert math.isclose(ground, -0.1625, rel_tol=1e-14)
     report(2, True, f"Coulomb-like: worst rel err {worst:.2e}; ground energy -0.1625 exact")
 
@@ -109,7 +103,7 @@ def _residual_matrix():
     for D, lam, Q, L in [(3, -0.1, 1.0, 0), (3, -0.1, 1.0, 1), (3, 0.2, 1.0, 0)]:
         m = CoulombLike(D=D, lam=lam, Q=Q)
         cases += [(m, QuantumNumbers(0, L))]
-        if clike_is_bound(m, QuantumNumbers(1, L)):
+        if m.is_bound(QuantumNumbers(1, L)):
             cases.append((m, QuantumNumbers(1, L)))
     return cases
 
@@ -159,9 +153,9 @@ def test_criterion_5_duality():
         except ValueError:
             continue
         osc = NonlinearOscillator(d=int(round(2 * D - 2)), lam=lam, beta=beta)
-        e_osc = nlo_energy(osc, QuantumNumbers(s.n_r, 2 * s.ang))
+        e_osc = osc.energy(QuantumNumbers(s.n_r, 2 * s.ang))
         route_b = -beta * (beta + lam) / 8.0 + 0.25 * lam * e_osc
-        route_a = clike_energy(model, s)
+        route_a = model.energy(s)
         scale = max(abs(route_a), beta * (beta + lam) / 8.0 + abs(0.25 * lam * e_osc))
         rel = abs(route_a - route_b) / scale
         assert rel <= 1e-12, (D, lam, Q, s, rel)
@@ -191,10 +185,7 @@ def test_criterion_6_bound_state_counting_and_divergence():
     disagreements = 0
     for model, (n_r, ang) in matrix:
         q = QuantumNumbers(n_r, ang)
-        if isinstance(model, NonlinearOscillator):
-            analytic = nlo_is_bound(model, q)
-        else:
-            analytic = clike_is_bound(model, q)
+        analytic = model.is_bound(q)
         verdict = norm_divergence_scan(RadialState(model, q), measure_for(model))
         expected = Verdict.CONVERGES if analytic else Verdict.DIVERGES
         if verdict is not expected:
@@ -206,11 +197,11 @@ def test_criterion_6_bound_state_counting_and_divergence():
 def test_criterion_7_degeneracy_structure():
     m = EuclideanCoulomb(D=3, Q=1.0)
     for nu in range(5):
-        vals = {coulomb_energy(m, QuantumNumbers(n_r, nu - n_r)) for n_r in range(nu + 1)}
+        vals = {m.energy(QuantumNumbers(n_r, nu - n_r)) for n_r in range(nu + 1)}
         assert len(vals) == 1, nu
     mc = CoulombLike(D=3, lam=-0.1, Q=1.0)
-    e10 = clike_energy(mc, QuantumNumbers(1, 0))
-    e01 = clike_energy(mc, QuantumNumbers(0, 1))
+    e10 = mc.energy(QuantumNumbers(1, 0))
+    e01 = mc.energy(QuantumNumbers(0, 1))
     assert math.isclose(e10, -0.062890625, rel_tol=1e-14)
     assert math.isclose(e01, -0.046015625, rel_tol=1e-14)
     assert abs(e10 - e01) > 10 * np.finfo(float).eps * abs(e10)
@@ -221,19 +212,19 @@ def test_criterion_8_limits():
     lams = np.array([1e-2, 1e-3, 1e-4])
     q = QuantumNumbers(1, 1)
 
-    osc_ref = osc_energy(EuclideanOscillator(d=3, omega=1.0), q)
+    osc_ref = EuclideanOscillator(d=3, omega=1.0).energy(q)
     for sign in (+1.0, -1.0):
         diffs = [
-            abs(nlo_energy(NonlinearOscillator(d=3, lam=sign * lam, beta=1.0), q) - osc_ref)
+            abs(NonlinearOscillator(d=3, lam=sign * lam, beta=1.0).energy(q) - osc_ref)
             for lam in lams
         ]
         slope = np.polyfit(np.log(lams), np.log(diffs), 1)[0]
         assert abs(slope - 1.0) <= 0.1, slope
 
-    coul_ref = coulomb_energy(EuclideanCoulomb(D=3, Q=1.0), QuantumNumbers(0, 1))
+    coul_ref = EuclideanCoulomb(D=3, Q=1.0).energy(QuantumNumbers(0, 1))
     for sign in (+1.0, -1.0):
         diffs = [
-            abs(clike_energy(CoulombLike(D=3, lam=sign * lam, Q=1.0), QuantumNumbers(0, 1)) - coul_ref)
+            abs(CoulombLike(D=3, lam=sign * lam, Q=1.0).energy(QuantumNumbers(0, 1)) - coul_ref)
             for lam in lams
         ]
         slope = np.polyfit(np.log(lams), np.log(diffs), 1)[0]

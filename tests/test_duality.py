@@ -11,8 +11,6 @@ from oscoul.models import (
     NonlinearOscillator,
     QuantumNumbers,
     clike_bound_states,
-    clike_energy,
-    nlo_energy,
 )
 
 
@@ -126,9 +124,9 @@ def test_two_route_energy_consistency():
         except ValueError:
             continue
         osc = NonlinearOscillator(d=int(round(2 * D - 2)), lam=lam, beta=beta)
-        e_osc = nlo_energy(osc, QuantumNumbers(s.n_r, 2 * s.ang))
+        e_osc = osc.energy(QuantumNumbers(s.n_r, 2 * s.ang))
         route_b = -beta * (beta + lam) / 8.0 + 0.25 * lam * e_osc
-        route_a = clike_energy(model, s)
+        route_a = model.energy(s)
         # both routes cancel terms of this size; relative agreement is judged
         # against it so near-zero energies do not demand sub-ulp luck
         scale = max(abs(route_a), beta * (beta + lam) / 8.0 + abs(0.25 * lam * e_osc))

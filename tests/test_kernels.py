@@ -51,26 +51,6 @@ def test_relative_precision_small_matrix():
     assert np.all(np.abs(got - exact) <= 1e-11 * np.abs(exact))
 
 
-def test_count_below_brackets_eigenvalues():
-    rng = np.random.default_rng(3)
-    diag = rng.normal(size=25)
-    off = rng.normal(size=24)
-    ref = eigh_tridiagonal(diag, off, eigvals_only=True)
-    for x in (-3.0, 0.0, 1.5):
-        assert kernels.count_below(diag, off, x) == int(np.sum(ref < x))
-
-
-def test_numpy_backend_agrees():
-    rng = np.random.default_rng(11)
-    diag = rng.normal(scale=3.0, size=200)
-    off = rng.normal(size=199)
-    diag_c, off2, pivmin, lo0, hi0 = kernels._prepare(diag, off)
-    via_numpy = kernels._bisect_numpy(diag_c, off2, 3, 1e-12, pivmin, lo0, hi0)
-    active = kernels.lowest_eigenvalues_tridiag(diag, off, 3)
-    scale = np.max(np.abs(diag)) + np.max(np.abs(off))
-    np.testing.assert_allclose(via_numpy, active, rtol=1e-10, atol=1e-12 * scale)
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         kernels.lowest_eigenvalues_tridiag(np.ones(4), np.ones(2), 1)

@@ -16,22 +16,6 @@ from oscoul.models import (
     QuantumNumbers,
     RadialState,
     clike_bound_states,
-    clike_energy,
-    clike_is_bound,
-    clike_wavefunction,
-    clike_wavefunction_params,
-    coulomb_energy,
-    coulomb_wavefunction,
-    flat_picture_factor,
-    nlo_energy,
-    nlo_is_bound,
-    nlo_n_max,
-    nlo_wavefunction,
-    osc_energy,
-    osc_wavefunction,
-    pdm_energy,
-    pdm_mass,
-    pdm_potential,
     wavefunction_derivatives,
 )
 
@@ -42,38 +26,38 @@ def q(n_r, ang=0):
 
 class TestOscillatorEnergy:
     def test_ground_state_d3(self):
-        assert osc_energy(EuclideanOscillator(d=3, omega=1.0), q(0, 0)) == 1.5
+        assert EuclideanOscillator(d=3, omega=1.0).energy(q(0, 0)) == 1.5
 
     def test_excited_d2(self):
-        assert osc_energy(EuclideanOscillator(d=2, omega=2.0), q(1, 1)) == 8.0
+        assert EuclideanOscillator(d=2, omega=2.0).energy(q(1, 1)) == 8.0
 
     def test_degeneracy_same_n(self):
         for d, omega in [(2, 1.0), (3, 0.7), (5, 2.5)]:
             m = EuclideanOscillator(d=d, omega=omega)
-            assert osc_energy(m, q(1, 0)) == osc_energy(m, q(0, 2))
+            assert m.energy(q(1, 0)) == m.energy(q(0, 2))
 
 
 class TestCoulombEnergy:
     def test_values(self):
-        assert coulomb_energy(EuclideanCoulomb(D=3, Q=1.0), q(0, 0)) == -0.125
-        assert coulomb_energy(EuclideanCoulomb(D=3, Q=1.0), q(1, 0)) == -0.03125
-        assert coulomb_energy(EuclideanCoulomb(D=5, Q=2.0), q(0, 0)) == -0.125
+        assert EuclideanCoulomb(D=3, Q=1.0).energy(q(0, 0)) == -0.125
+        assert EuclideanCoulomb(D=3, Q=1.0).energy(q(1, 0)) == -0.03125
+        assert EuclideanCoulomb(D=5, Q=2.0).energy(q(0, 0)) == -0.125
 
     def test_accidental_degeneracy_exact(self):
         # energy depends on (n_r, L) only through nu = n_r + L
         m = EuclideanCoulomb(D=3.5, Q=1.3)
         for nu in range(6):
-            vals = {coulomb_energy(m, q(n_r, nu - n_r)) for n_r in range(nu + 1)}
+            vals = {m.energy(q(n_r, nu - n_r)) for n_r in range(nu + 1)}
             assert len(vals) == 1
 
 
 class TestNonlinearOscillator:
     def test_energy_values(self):
         assert math.isclose(
-            nlo_energy(NonlinearOscillator(d=2, lam=-0.1, beta=1.0), q(1, 0)), 3.3
+            NonlinearOscillator(d=2, lam=-0.1, beta=1.0).energy(q(1, 0)), 3.3
         )
         assert math.isclose(
-            nlo_energy(NonlinearOscillator(d=2, lam=0.2, beta=1.0), q(2, 0)), 3.0
+            NonlinearOscillator(d=2, lam=0.2, beta=1.0).energy(q(2, 0)), 3.0
         )
 
     def test_lam_to_zero_recovers_oscillator(self):
@@ -83,36 +67,36 @@ class TestNonlinearOscillator:
             for n_r, l in [(0, 0), (1, 0), (0, 2), (3, 0), (1, 4)]:
                 qq = q(n_r, l)
                 shift = 0.5 * abs(lam) * qq.n * (qq.n + 2)
-                assert abs(nlo_energy(m, qq) - osc_energy(osc, qq)) <= shift + 1e-15
+                assert abs(m.energy(qq) - osc.energy(qq)) <= shift + 1e-15
 
     def test_n_max(self):
-        assert nlo_n_max(NonlinearOscillator(d=2, lam=-0.1, beta=1.0)) is None
-        assert nlo_n_max(NonlinearOscillator(d=2, lam=0.2, beta=1.0)) == 4
-        assert nlo_n_max(NonlinearOscillator(d=2, lam=0.25, beta=1.0)) == 3
+        assert NonlinearOscillator(d=2, lam=-0.1, beta=1.0).n_max is None
+        assert NonlinearOscillator(d=2, lam=0.2, beta=1.0).n_max == 4
+        assert NonlinearOscillator(d=2, lam=0.25, beta=1.0).n_max == 3
 
     def test_no_bound_states_marker(self):
         m = NonlinearOscillator(d=4, lam=2.0, beta=1.0)
-        assert nlo_n_max(m) < 0
-        assert not nlo_is_bound(m, q(0, 0))
+        assert m.n_max < 0
+        assert not m.is_bound(q(0, 0))
 
     def test_ground_wavefunction_shape(self):
         m = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
         r = np.linspace(0.2, 2.5, 9)
-        got = nlo_wavefunction(m, q(0, 0), r)
+        got = m.wavefunction(q(0, 0), r)
         np.testing.assert_allclose(got, (1.0 - 0.1 * r * r) ** 5.0, rtol=1e-14)
 
     def test_small_lam_matches_euclidean_wavefunction(self):
         r = np.linspace(0.1, 2.0, 7)
-        osc = osc_wavefunction(EuclideanOscillator(d=2, omega=1.0), q(1, 1), r)
+        osc = EuclideanOscillator(d=2, omega=1.0).wavefunction(q(1, 1), r)
         for lam in (1e-6, -1e-6):
             m = NonlinearOscillator(d=2, lam=lam, beta=1.0)
-            got = nlo_wavefunction(m, q(1, 1), r)
+            got = m.wavefunction(q(1, 1), r)
             np.testing.assert_allclose(got, osc, rtol=1e-4)
 
     def test_domain_enforced(self):
         m = NonlinearOscillator(d=2, lam=-0.25, beta=1.0)
         with pytest.raises(ValueError):
-            nlo_wavefunction(m, q(0, 0), 2.5)  # beyond 1/sqrt(0.25) = 2
+            m.wavefunction(q(0, 0), 2.5)  # beyond 1/sqrt(0.25) = 2
 
 
 class TestEuclideanWavefunctions:
@@ -120,39 +104,39 @@ class TestEuclideanWavefunctions:
         m = EuclideanOscillator(d=3, omega=1.3)
         r = np.linspace(0.05, 3.0, 11)
         np.testing.assert_allclose(
-            osc_wavefunction(m, q(0, 0), r), np.exp(-0.65 * r * r), rtol=1e-15
+            m.wavefunction(q(0, 0), r), np.exp(-0.65 * r * r), rtol=1e-15
         )
-        assert osc_wavefunction(m, q(0, 0), 1e-300) == 1.0
+        assert m.wavefunction(q(0, 0), 1e-300) == 1.0
 
     def test_coulomb_ground_value(self):
         # E_0 = -1/8, kappa = 1/2
         m = EuclideanCoulomb(D=3, Q=1.0)
-        got = coulomb_wavefunction(m, q(0, 0), 1.0)
+        got = m.wavefunction(q(0, 0), 1.0)
         assert abs(got - math.exp(-0.5)) < 1e-15
 
 
 class TestCoulombLike:
     def test_energy_frozen_values(self):
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        assert math.isclose(clike_energy(m, q(0, 0)), -0.1625, rel_tol=1e-14)
-        assert math.isclose(clike_energy(m, q(1, 0)), -0.062890625, rel_tol=1e-14)
-        assert math.isclose(clike_energy(m, q(0, 1)), -0.046015625, rel_tol=1e-14)
+        assert math.isclose(m.energy(q(0, 0)), -0.1625, rel_tol=1e-14)
+        assert math.isclose(m.energy(q(1, 0)), -0.062890625, rel_tol=1e-14)
+        assert math.isclose(m.energy(q(0, 1)), -0.046015625, rel_tol=1e-14)
 
     def test_degeneracy_broken(self):
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        e10, e01 = clike_energy(m, q(1, 0)), clike_energy(m, q(0, 1))
+        e10, e01 = m.energy(q(1, 0)), m.energy(q(0, 1))
         assert abs(e10 - e01) > 10 * np.finfo(float).eps * abs(e10)
 
     def test_small_lam_reduces_to_coulomb(self):
         mc = EuclideanCoulomb(D=3, Q=1.0)
         for n_r, L in [(0, 0), (1, 0), (0, 1), (2, 2)]:
-            ref = coulomb_energy(mc, q(n_r, L))
+            ref = mc.energy(q(n_r, L))
             for lam in (1e-8, -1e-8):
                 m = CoulombLike(D=3, lam=lam, Q=1.0)
-                assert abs(clike_energy(m, q(n_r, L)) - ref) < 1e-7
+                assert abs(m.energy(q(n_r, L)) - ref) < 1e-7
 
     def test_wavefunction_params_frozen(self):
-        wp = clike_wavefunction_params(CoulombLike(D=3, lam=-0.1, Q=1.0), q(0, 0))
+        wp = CoulombLike(D=3, lam=-0.1, Q=1.0).wavefunction_params(q(0, 0))
         assert wp.rho == 1.0
         assert math.isclose(wp.sigma, 9.5, rel_tol=1e-13)
         assert math.isclose(wp.tau, 5.0, rel_tol=1e-13)
@@ -160,13 +144,13 @@ class TestCoulombLike:
     def test_params_match_dual_oscillator(self):
         # sigma = -beta/lam - 1/2 and tau = -beta/(2 lam) with beta = 1
         lam = -0.1
-        wp = clike_wavefunction_params(CoulombLike(D=3, lam=lam, Q=1.0), q(0, 0))
+        wp = CoulombLike(D=3, lam=lam, Q=1.0).wavefunction_params(q(0, 0))
         assert math.isclose(wp.sigma, -1.0 / lam - 0.5, rel_tol=1e-13)
         assert math.isclose(wp.tau, -1.0 / (2 * lam), rel_tol=1e-13)
 
     def test_rho_formula(self):
         for D, L in [(2.5, 0), (3, 1), (4, 2.5)]:
-            wp = clike_wavefunction_params(CoulombLike(D=D, lam=0.1, Q=1.0), q(1, L))
+            wp = CoulombLike(D=D, lam=0.1, Q=1.0).wavefunction_params(q(1, L))
             assert wp.rho == 2 * L + D - 2
 
     def test_tau_small_lam_limit(self):
@@ -175,20 +159,20 @@ class TestCoulombLike:
         kappa = 0.25  # sqrt(2 |E_1|) = Q/(2 nu + D - 1) for D=3, Q=1, nu=1
         ratios = []
         for lam in (-1e-2, -1e-3, -1e-4):
-            wp = clike_wavefunction_params(CoulombLike(D=3, lam=lam, Q=1.0), q(1, 0))
+            wp = CoulombLike(D=3, lam=lam, Q=1.0).wavefunction_params(q(1, 0))
             ratios.append(wp.tau * abs(lam) / kappa)
         np.testing.assert_allclose(ratios, 1.0, rtol=3e-2)
         assert abs(ratios[2] - 1.0) < abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
         R = 2.0
-        wp = clike_wavefunction_params(CoulombLike(D=3, lam=-1e-4, Q=1.0), q(1, 0))
+        wp = CoulombLike(D=3, lam=-1e-4, Q=1.0).wavefunction_params(q(1, 0))
         assert abs((1.0 - 1e-4 * R) ** wp.tau - math.exp(-kappa * R)) < 1e-3
 
     def test_ground_wavefunction_is_pure_power(self):
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        wp = clike_wavefunction_params(m, q(0, 0))
+        wp = m.wavefunction_params(q(0, 0))
         R = np.linspace(0.3, 8.0, 9)
         np.testing.assert_allclose(
-            clike_wavefunction(m, q(0, 0), R), (1.0 - 0.1 * R) ** wp.tau, rtol=1e-14
+            m.wavefunction(q(0, 0), R), (1.0 - 0.1 * R) ** wp.tau, rtol=1e-14
         )
 
 
@@ -207,35 +191,44 @@ class TestBoundStates:
         # Q <= (D-1)|lam|/4 leaves no bound state at all
         assert clike_bound_states(CoulombLike(D=3, lam=-1.0, Q=0.4)) == []
 
-    def test_caps_too_small_raises(self):
-        with pytest.raises(ValueError):
-            clike_bound_states(CoulombLike(D=3, lam=-0.1, Q=1.0), caps=(1, 1))
-
-    def test_explicit_caps_match_auto(self):
-        m = CoulombLike(D=3, lam=0.2, Q=1.0)
-        assert clike_bound_states(m, caps=(8, 8)) == clike_bound_states(m)
+    @pytest.mark.parametrize("lam", [0.01, -0.01, -0.1, -1.0, 0.2, 0.5])
+    def test_matches_brute_force_box(self, lam):
+        # for every D > 1 the inequality's left side is at least n_r^2 - 1/32
+        # and at least L - 1/32, so no bound state lies outside this box
+        for D in (1.2, 2.0, 2.5, 3.0, 4.0):
+            for Q in (0.3, 1.0, 2.5):
+                m = CoulombLike(D=D, lam=lam, Q=Q)
+                ratio = Q / abs(lam)
+                n_cap, l_cap = int(math.sqrt(ratio + 1.0)) + 1, int(ratio + 1.0) + 1
+                expected = [
+                    q(n_r, L)
+                    for L in range(l_cap + 1)
+                    for n_r in range(n_cap + 1)
+                    if m.is_bound(q(n_r, L))
+                ]
+                assert clike_bound_states(m) == expected, (D, lam, Q)
 
 
 class TestPdm:
     def test_mass_values(self):
-        assert pdm_mass("oscillator", 0.3, 1e-12) == pytest.approx(1.0)
-        assert pdm_mass("coulomb", -0.1, 5.0) == pytest.approx(4.0)
-        assert pdm_mass("oscillator", 0.2, 2.0) == pytest.approx(1.0 / 1.8)
+        assert NonlinearOscillator(d=2, lam=0.3, beta=1.0).pdm_mass(1e-12) == pytest.approx(1.0)
+        assert CoulombLike(D=3, lam=-0.1, Q=1.0).pdm_mass(5.0) == pytest.approx(4.0)
+        assert NonlinearOscillator(d=2, lam=0.2, beta=1.0).pdm_mass(2.0) == pytest.approx(1.0 / 1.8)
 
     def test_mass_domain(self):
         with pytest.raises(ValueError):
-            pdm_mass("coulomb", -0.1, 20.0)
+            CoulombLike(D=3, lam=-0.1, Q=1.0).pdm_mass(20.0)
 
     def test_potential_lam_to_zero(self):
         # V1 -> -1/(4 r^2) + beta^2 r^2 for d=2, l=0
         r = np.linspace(0.5, 2.0, 5)
         m = NonlinearOscillator(d=2, lam=-1e-12, beta=1.0)
-        got = pdm_potential(BD, m, 0.0, r)
+        got = m.pdm_potential(BD, 0.0, r)
         np.testing.assert_allclose(got, -0.25 / r**2 + r**2, rtol=1e-9)
 
     def test_potential_difference_mm_bd(self):
         m = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
-        diff = pdm_potential(MM, m, 0.0, 1.0) - pdm_potential(BD, m, 0.0, 1.0)
+        diff = m.pdm_potential(MM, 0.0, 1.0) - m.pdm_potential(BD, 0.0, 1.0)
         assert math.isclose(diff, (0.0025 - 0.05) / 0.9, rel_tol=1e-12)
 
     def test_coulomb_potential_coefficient_at_half_integer_dimension(self):
@@ -243,28 +236,28 @@ class TestPdm:
         m = CoulombLike(D=2.5, lam=-0.1, Q=1.3)
         R = np.linspace(0.5, 5.0, 7)
         cent = (0.0 + 0.75) * (0.0 - 0.25) / R**2
-        np.testing.assert_allclose(pdm_potential(BD, m, 0.0, R), cent - 1.3 / R, rtol=1e-14)
+        np.testing.assert_allclose(m.pdm_potential(BD, 0.0, R), cent - 1.3 / R, rtol=1e-14)
         np.testing.assert_allclose(
-            pdm_potential(BD, m, 0.0, R), pdm_potential(MM, m, 0.0, R), rtol=0
+            m.pdm_potential(BD, 0.0, R), m.pdm_potential(MM, 0.0, R), rtol=0
         )
 
     def test_general_von_roos_rejected(self):
         vr = PdmOrdering(-0.5, 0.0, -0.5)
         m = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
         with pytest.raises(ValueError):
-            pdm_potential(vr, m, 0.0, 1.0)
+            m.pdm_potential(vr, 0.0, 1.0)
         with pytest.raises(ValueError):
-            pdm_energy(vr, m, q(0, 0))
+            m.pdm_energy(vr, q(0, 0))
 
     def test_energies(self):
         m2 = NonlinearOscillator(d=2, lam=-0.3, beta=1.0)
-        assert pdm_energy(BD, m2, q(1, 0)) == nlo_energy(m2, q(1, 0))  # d(d-2) = 0
+        assert m2.pdm_energy(BD, q(1, 0)) == m2.energy(q(1, 0))  # d(d-2) = 0
         m4 = NonlinearOscillator(d=4, lam=-0.1, beta=1.0)
-        assert math.isclose(pdm_energy(BD, m4, q(0, 0)), 2.1, rel_tol=1e-14)
-        assert pdm_energy(MM, m4, q(0, 0)) == pdm_energy(BD, m4, q(0, 0))
+        assert math.isclose(m4.pdm_energy(BD, q(0, 0)), 2.1, rel_tol=1e-14)
+        assert m4.pdm_energy(MM, q(0, 0)) == m4.pdm_energy(BD, q(0, 0))
         mc = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        assert math.isclose(pdm_energy(BD, mc, q(0, 0)), -0.1640625, rel_tol=1e-14)
-        assert math.isclose(pdm_energy(MM, mc, q(0, 0)), -0.1653125, rel_tol=1e-14)
+        assert math.isclose(mc.pdm_energy(BD, q(0, 0)), -0.1640625, rel_tol=1e-14)
+        assert math.isclose(mc.pdm_energy(MM, q(0, 0)), -0.1653125, rel_tol=1e-14)
 
     def test_ordering_constraint(self):
         with pytest.raises(ValueError):
@@ -273,14 +266,16 @@ class TestPdm:
 
 class TestFlatPictureFactor:
     def test_one_dimensional_limit(self):
+        # no model has d = 1; at lam = 0 the factor is the bare radial power
+        # r^((d-1)/2), which reduces to 1 there
         r = np.linspace(0.2, 3.0, 6)
-        np.testing.assert_allclose(flat_picture_factor("oscillator", 1.0, 0.0, r), 1.0)
+        np.testing.assert_allclose(EuclideanOscillator(d=3, omega=1.0).flat_factor(r), r, rtol=0)
+        np.testing.assert_allclose(EuclideanCoulomb(D=2.0, Q=1.0).flat_factor(r), np.sqrt(r))
 
     def test_values(self):
-        assert flat_picture_factor("oscillator", 3.0, -0.1, 1.0) == pytest.approx(
-            0.9 ** (-0.25)
-        )
-        assert flat_picture_factor("coulomb", 3.0, -0.1, 2.0) == pytest.approx(
+        m = NonlinearOscillator(d=3, lam=-0.1, beta=1.0)
+        assert m.flat_factor(1.0) == pytest.approx(0.9 ** (-0.25))
+        assert CoulombLike(D=3, lam=-0.1, Q=1.0).flat_factor(2.0) == pytest.approx(
             2.0 * 0.8 ** (-0.75)
         )
 

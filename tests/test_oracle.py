@@ -74,7 +74,7 @@ class TestBuildProblem:
     def test_weighted_reproduces_radial_equation(self, model, ang):
         # (1/w)(p w psi')' must expand to p psi'' + c1 psi' with the paper's c1,
         # checked via numerical differentiation of p and w at sample points
-        coeff = oracle._weighted_coefficients(model, ang)
+        coeff = model.weighted_coefficients(ang)
         hi = model.domain[1]
         x = np.linspace(0.3, 0.8 * (hi if math.isfinite(hi) else 5.0), 7)
         h = 1e-6
@@ -89,8 +89,8 @@ class TestBuildProblem:
             NonlinearOscillator(d=2, lam=0.2, beta=1.0),
             CoulombLike(D=3, lam=0.2, Q=1.0),
         ]:
-            geo = oracle._geodesic_coefficients(model, 1.0)
-            rad = oracle._weighted_coefficients(model, 1.0)
+            geo = model.geodesic_coefficients(1.0)
+            rad = model.weighted_coefficients(1.0)
             s = np.linspace(0.2, 4.0, 9)
             r = geo["to_r"](s)
             h = 1e-6
@@ -101,7 +101,7 @@ class TestBuildProblem:
 
     def test_flat_picture_bd_potential_is_v1(self):
         m = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
-        coeff = oracle._flat_coefficients(m, 1.0, BD)
+        coeff = m.flat_coefficients(1.0, BD)
         r = np.linspace(0.3, 2.5, 7)
         v1 = (1.0 + 0.5) * (1.0 - 0.5) / r**2 + (0.9 * r**2 + 0.025) / (1.0 - 0.1 * r**2)
         np.testing.assert_allclose(coeff["V"](r), v1, rtol=1e-13)
