@@ -233,6 +233,9 @@ def cmd_verify(args) -> int:
         picture = "flat"
     ordering = parse_ordering(args.ordering) if picture == "flat" else None
     grids = [int(g) for g in args.grids.split(",")]
+    # a state without a closed form is a usage error; report it before the eigensolves
+    for j in range(args.k):
+        oracle.analytic_reference(model, ang, j, picture, ordering or BD)
     report = oracle.convergence_study(
         model, ang, args.k, grids, picture=picture, ordering=ordering
     )

@@ -1,9 +1,12 @@
-"""Symmetric-tridiagonal eigenvalue extraction by Sturm-sequence bisection.
+"""Symmetric-tridiagonal eigenvalue extraction by Sturm-count multisection.
 
 The negative-pivot count of the shifted LDL^T factorization equals the number
-of eigenvalues below the shift; bisecting on that count extracts the k lowest
-eigenvalues.  All k shifts are batched per sweep, so each sweep is one pass
-over the N rows.  This count sweep is the hot loop of the whole oracle.
+of eigenvalues below the shift.  Each sweep places ``_SPLIT`` evenly spaced
+shifts inside every distinct active bracket and counts them all in one pass
+over the N rows (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).
+A pass costs about the same for one shift as for a few hundred, since the
+per-row Python overhead dominates, so a sweep narrows each bracket 64-fold
+where bisection halves it.  This count sweep is the hot loop of the oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 _MAX_SWEEPS = 256
+_SPLIT = 63  # shifts per bracket per sweep
+_FRACTIONS = np.arange(1, _SPLIT + 1) / (_SPLIT + 1)
 
 __all__ = ["lowest_eigenvalues_tridiag"]
 
@@ -25,7 +30,7 @@ def _count_numpy(diag, off2, shifts, pivmin):
     return cnt
 
 
-def _bisect_numpy(diag, off2, k, rel_tol, pivmin, lo0, hi0):
+def _multisect_numpy(diag, off2, k, rel_tol, pivmin, lo0, hi0):
     lo = np.full(k, lo0)
     hi = np.full(k, hi0)
     targets = np.arange(1, k + 1)
@@ -35,10 +40,24 @@ def _bisect_numpy(diag, off2, k, rel_tol, pivmin, lo0, hi0):
         active &= (hi - lo) > rel_tol * np.maximum(np.abs(lo), np.abs(hi))
         if not np.any(active):
             break
-        cnt = _count_numpy(diag, off2, mid, pivmin)
-        pull_down = cnt >= targets
-        hi = np.where(active & pull_down, mid, hi)
-        lo = np.where(active & ~pull_down, mid, lo)
+        act = np.flatnonzero(active)
+        # targets sharing a bracket share its shifts; brackets are equal or disjoint
+        brackets, owner = np.unique(
+            np.stack((lo[act], hi[act])), axis=1, return_inverse=True
+        )
+        b_lo, b_hi = brackets
+        shifts = b_lo[:, None] + _FRACTIONS * (b_hi - b_lo)[:, None]
+        cnt = _count_numpy(diag, off2, shifts.ravel(), pivmin).reshape(shifts.shape)
+        s, c = shifts[owner], cnt[owner]
+        a_lo, a_hi = lo[act, None], hi[act, None]
+        inside = (s > a_lo) & (s < a_hi)
+        above = inside & (c >= targets[act, None])
+        new_hi = np.min(np.where(above, s, a_hi), axis=1)
+        # lo comes from below the new hi, so lo < hi holds even if the count
+        # is not monotone in floating point
+        below = inside & ~above & (s < new_hi[:, None])
+        lo[act] = np.max(np.where(below, s, a_lo), axis=1)
+        hi[act] = new_hi
     return 0.5 * (lo + hi)
 
 
@@ -62,8 +81,8 @@ def _prepare(diag, off):
 
 
 def lowest_eigenvalues_tridiag(diag, off, k: int, rel_tol: float = 1e-12) -> np.ndarray:
-    """The k smallest eigenvalues, ascending, each bisected to rel_tol (or ulp)."""
+    """The k smallest eigenvalues, ascending, each bracketed to rel_tol (or ulp)."""
     diag, off2, pivmin, lo0, hi0 = _prepare(diag, off)
     if not 1 <= k <= diag.size:
         raise ValueError(f"k must lie in [1, {diag.size}], got {k}")
-    return _bisect_numpy(diag, off2, k, float(rel_tol), pivmin, lo0, hi0)
+    return _multisect_numpy(diag, off2, k, float(rel_tol), pivmin, lo0, hi0)

@@ -3,7 +3,7 @@
 Every radial problem is cast as a Sturm-Liouville triple (p, w, V) with the
 operator (-1/w) d/dx (p w d/dx) + V, discretized on a half-cell-offset uniform
 grid in conservative (flux) form, symmetrized by the similarity transform
-W^(1/2) H W^(-1/2), and solved by Sturm-sequence bisection (``oscoul.kernels``).
+W^(1/2) H W^(-1/2), and solved by Sturm-count multisection (``oscoul.kernels``).
 Eigenvalues are reported in the doubled convention (2E).  The coefficients
 come from the model classes: ``weighted_coefficients``, the lam > 0
 ``geodesic_coefficients`` and the PDM ``flat_coefficients``.
@@ -347,12 +347,21 @@ def convergence_study(
     grids = [int(N) for N in grids]
     if len(grids) < 3 or any(b <= a for a, b in zip(grids, grids[1:])):
         raise ValueError("need at least 3 strictly increasing grid sizes")
-    # each target state gets its own truncation, so low states keep a fine grid
+    # each target state gets its own truncation, so low states keep a fine grid;
+    # consecutive states on the same domain share one solve per grid
+    problems = [
+        build_problem(model, ang, picture, ordering, n_states=j + 1, r_max=r_max)
+        for j in range(k)
+    ]
     eig = np.empty((len(grids), k))
-    for j in range(k):
-        problem = build_problem(model, ang, picture, ordering, n_states=j + 1, r_max=r_max)
+    first = 0
+    for top in range(k):
+        if top + 1 < k and problems[top + 1].domain == problems[top].domain:
+            continue
         for i, N in enumerate(grids):
-            eig[i, j] = lowest_eigenvalues(discretize(problem, N), j + 1)[j]
+            vals = lowest_eigenvalues(discretize(problems[top], N), top + 1)
+            eig[i, first : top + 1] = vals[first:]
+        first = top + 1
     hs = 1.0 / np.asarray(grids, dtype=float)
     orders, extrap, refs, errs, mono = [], [], [], [], []
     ordering_eff = ordering if ordering is not None else BD

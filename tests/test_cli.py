@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oscoul
+from oscoul import kernels
 from oscoul.cli import main
 
 
@@ -197,3 +202,36 @@ def test_verify_byte_identical_reports(capsys, tmp_path):
     assert main(args + ["--out", str(f2)]) == 0
     capsys.readouterr()
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "model_flags",
+    [
+        ["--model", "pdm-coulomb", "--D", "3", "--lambda", "-0.1", "--Q", "1"],
+        ["--model", "nlo", "--picture", "flat", "--d", "2", "--lambda", "-0.1", "--beta", "1"],
+    ],
+)
+def test_verify_general_vonroos_fails_before_solving(model_flags, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve ran before the closed-form check")
+
+    monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", no_solve)
+    code, _, err = run(
+        ["verify", *model_flags, "--ordering", "vonroos:-0.5,0,-0.5", "--k", "1"], capsys
+    )
+    assert code == 2
+    assert "closed-form PDM energies exist only for the BD and MM orderings" in err
+
+
+def test_cli_import_loads_no_scipy_or_numba():
+    # scipy.linalg alone adds about 28 MB of resident memory to every run
+    src = os.path.dirname(os.path.dirname(oscoul.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import oscoul.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

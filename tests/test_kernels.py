@@ -1,10 +1,12 @@
-"""Sturm-bisection eigenvalue kernel tests, including backend agreement."""
+"""Sturm-count eigenvalue kernel tests against closed forms and LAPACK, including
+the multisection bracket logic on clustered, repeated and nearly split spectra."""
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from oscoul import kernels
+from oscoul import kernels, oracle
+from oscoul.models import NonlinearOscillator
 
 
 def toeplitz_reference(n, diag, off):
@@ -58,3 +60,53 @@ def test_input_validation():
         kernels.lowest_eigenvalues_tridiag(np.ones(4), np.ones(3), 5)
     with pytest.raises(ValueError):
         kernels.lowest_eigenvalues_tridiag(np.array([1.0, np.nan]), np.ones(1), 1)
+
+
+def assert_matches_lapack(diag, off, k):
+    got = kernels.lowest_eigenvalues_tridiag(diag, off, k)
+    ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k - 1))
+    scale = np.max(np.abs(diag)) + np.max(np.abs(off))
+    assert np.all(np.diff(got) >= 0.0)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale)
+
+
+def test_wilkinson_close_pairs():
+    # negated W21+: the lowest eigenvalues come in pairs closer than 1e-13
+    diag = -np.abs(np.arange(21) - 10.0)
+    off = np.ones(20)
+    ref = eigh_tridiagonal(diag, off, eigvals_only=True)
+    assert np.min(np.diff(ref)) < 1e-13
+    assert_matches_lapack(diag, off, 21)
+
+
+def test_exactly_repeated_eigenvalues():
+    rng = np.random.default_rng(11)
+    block_diag, block_off = rng.normal(size=5), rng.normal(size=4)
+    diag = np.tile(block_diag, 3)
+    off = np.concatenate([block_off, [0.0], block_off, [0.0], block_off])
+    assert_matches_lapack(diag, off, 15)
+
+
+def test_tiny_off_diagonals():
+    rng = np.random.default_rng(12)
+    assert_matches_lapack(rng.normal(size=50), 1e-8 * rng.normal(size=49), 10)
+
+
+def test_all_eigenvalues():
+    rng = np.random.default_rng(13)
+    assert_matches_lapack(rng.normal(scale=3.0, size=30), rng.normal(size=29), 30)
+
+
+def test_oracle_matrix_matches_lapack_bisection():
+    # nlo d=2 lam=-0.1 l=1 at N=2048: the kernel's 1e-12 stopping rule plus the
+    # eps*||T|| round-off floor of the Sturm count
+    model = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
+    op = oracle.discretize(oracle.build_problem(model, 1.0, n_states=3), 2048)
+    got = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3)
+    ref = eigh_tridiagonal(
+        op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 2),
+        lapack_driver="stebz", tol=1e-300,
+    )
+    norm = np.max(np.abs(op.diag)) + np.max(np.abs(op.off))
+    assert np.all(np.diff(got) > 0.0)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + np.finfo(float).eps * norm)

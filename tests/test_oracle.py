@@ -249,6 +249,37 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             oracle.convergence_study(m, 0.0, 1, [512, 512, 1024])
 
+    @staticmethod
+    def spy_solves(monkeypatch):
+        real = oracle.lowest_eigenvalues
+        calls = []
+
+        def spy(op, k):
+            calls.append(k)
+            return real(op, k)
+
+        monkeypatch.setattr(oracle, "lowest_eigenvalues", spy)
+        return real, calls
+
+    def test_shared_domain_solves_once_per_grid(self, monkeypatch):
+        m = CoulombLike(D=3, lam=-0.1, Q=1.0)
+        grids = [128, 256, 512]
+        real, calls = self.spy_solves(monkeypatch)
+        rep = oracle.convergence_study(m, 0.0, 3, grids)
+        assert calls == [3] * len(grids)
+        for j in range(3):
+            problem = oracle.build_problem(m, 0.0, n_states=j + 1)
+            for i, N in enumerate(grids):
+                alone = real(oracle.discretize(problem, N), j + 1)[j]
+                assert rep.eigenvalues[i][j] == pytest.approx(alone, rel=1e-12, abs=0)
+
+    def test_own_truncation_solves_per_state(self, monkeypatch):
+        m = CoulombLike(D=3, lam=0.05, Q=1.0)
+        grids = [128, 256, 512]
+        _, calls = self.spy_solves(monkeypatch)
+        oracle.convergence_study(m, 0.0, 3, grids)
+        assert len(calls) == 3 * len(grids)
+
 
 class TestVariationalMonotonicity:
     def test_eigenvalues_decrease_with_domain_at_fixed_h(self):
