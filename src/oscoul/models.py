@@ -632,7 +632,7 @@ class CoulombLike(_CoulombSide):
         """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
         D, lam, Q = self.D, self.lam, self.Q
         return dict(
-            p=lambda R: (1.0 + lam * R) ** 2,
+            p=self._inverse_mass,
             w=self.weight,
             V=lambda R: ang * (ang + D - 2.0) / (R * R) - Q / R,
             c1=lambda R: (D - 1.0)
@@ -660,6 +660,10 @@ class CoulombLike(_CoulombSide):
 
         return dict(p=unit_weight, w=w, V=lambda s: V(to_r(s)), to_r=to_r)
 
+    def _inverse_mass(self, R):
+        """(1+lam R)^2, the inverse PDM mass and the p of both pictures."""
+        return (1.0 + self.lam * R) ** 2
+
     def _bd_potential(self, ang: float, R):
         """U, the PDM potential of both the BD and the MM ordering."""
         D = self.D
@@ -680,7 +684,7 @@ class CoulombLike(_CoulombSide):
         k1 = zeta * (eta + zeta - 1.0) + xi * (eta + xi - 1.0)
         shift = -0.5 * k1 * (4.0 * lam**2) - 0.5 * (xi + zeta) * (6.0 * lam**2)
         return dict(
-            p=lambda R: (1.0 + lam * R) ** 2,
+            p=self._inverse_mass,
             w=unit_weight,
             V=lambda R: self._bd_potential(ang, R) + shift,
             c1=lambda R: 2.0 * lam * (1.0 + lam * R),

@@ -3,10 +3,12 @@
 Every radial problem is cast as a Sturm-Liouville triple (p, w, V) with the
 operator (-1/w) d/dx (p w d/dx) + V, discretized on a half-cell-offset uniform
 grid in conservative (flux) form, symmetrized by the similarity transform
-W^(1/2) H W^(-1/2), and solved by Sturm-count multisection (``oscoul.kernels``).
-Eigenvalues are reported in the doubled convention (2E).  The coefficients
-come from the model classes: ``weighted_coefficients``, the lam > 0
-``geodesic_coefficients`` and the PDM ``flat_coefficients``.
+W^(1/2) H W^(-1/2), and solved by lockstep Sturm-count multisection
+(``oscoul.kernels``): a convergence study discretizes each distinct domain on
+each grid and solves all of those matrices in one batch.  Eigenvalues are
+reported in the doubled convention (2E).  The coefficients come from the model
+classes: ``weighted_coefficients``, the lam > 0 ``geodesic_coefficients`` and
+the PDM ``flat_coefficients``.
 
 The PDM flat pictures use w = 1: BD is -d/dx (1/m) d/dx + V1 (or U) directly;
 the MM quarter-power operator and any von Roos ordering are reduced exactly to
@@ -348,19 +350,27 @@ def convergence_study(
     if len(grids) < 3 or any(b <= a for a, b in zip(grids, grids[1:])):
         raise ValueError("need at least 3 strictly increasing grid sizes")
     # each target state gets its own truncation, so low states keep a fine grid;
-    # consecutive states on the same domain share one solve per grid
+    # consecutive states on the same domain share one solve per grid, and every
+    # solve of the study runs in one batch
     problems = [
         build_problem(model, ang, picture, ordering, n_states=j + 1, r_max=r_max)
         for j in range(k)
     ]
+    # the top state of each run of consecutive states on one domain
+    tops = [
+        j for j in range(k) if j + 1 == k or problems[j + 1].domain != problems[j].domain
+    ]
+    batch = []
+    for top in tops:
+        for N in grids:
+            op = discretize(problems[top], N)
+            batch.append((op.diag, op.off, top + 1))
+    vals = iter(kernels.lowest_eigenvalues_batch(batch))
     eig = np.empty((len(grids), k))
     first = 0
-    for top in range(k):
-        if top + 1 < k and problems[top + 1].domain == problems[top].domain:
-            continue
-        for i, N in enumerate(grids):
-            vals = lowest_eigenvalues(discretize(problems[top], N), top + 1)
-            eig[i, first : top + 1] = vals[first:]
+    for top in tops:
+        for i in range(len(grids)):
+            eig[i, first : top + 1] = next(vals)[first:]
         first = top + 1
     hs = 1.0 / np.asarray(grids, dtype=float)
     orders, extrap, refs, errs, mono = [], [], [], [], []

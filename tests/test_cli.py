@@ -215,7 +215,7 @@ def test_verify_general_vonroos_fails_before_solving(model_flags, capsys, monkey
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve ran before the closed-form check")
 
-    monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", no_solve)
+    monkeypatch.setattr(kernels, "lowest_eigenvalues_batch", no_solve)
     code, _, err = run(
         ["verify", *model_flags, "--ordering", "vonroos:-0.5,0,-0.5", "--k", "1"], capsys
     )

@@ -1,12 +1,14 @@
 """Sturm-count eigenvalue kernel tests against closed forms and LAPACK, including
 the multisection bracket logic on clustered, repeated and nearly split spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from oscoul import kernels, oracle
-from oscoul.models import NonlinearOscillator
+from oscoul.models import CoulombLike, NonlinearOscillator
 
 
 def toeplitz_reference(n, diag, off):
@@ -110,3 +112,75 @@ def test_oracle_matrix_matches_lapack_bisection():
     norm = np.max(np.abs(op.diag)) + np.max(np.abs(op.off))
     assert np.all(np.diff(got) > 0.0)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + np.finfo(float).eps * norm)
+
+
+def nlo_operators(grids):
+    model = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
+    problem = oracle.build_problem(model, 1.0, n_states=3)
+    return [oracle.discretize(problem, N) for N in grids]
+
+
+def test_batch_equals_each_matrix_alone():
+    rng = np.random.default_rng(21)
+    h = 1.0 / 3.0
+    ops = nlo_operators([512, 1024, 2048])
+    batch = [
+        (np.full(3, 2.0 / h**2), np.full(2, -1.0 / h**2), 3),  # k = N
+        (rng.normal(size=16), rng.normal(size=15), 4),
+        *[(op.diag, op.off, 3) for op in ops],
+        (ops[1].diag, ops[1].off, 3),  # the same matrix twice
+        (-1e3 + rng.normal(size=40), rng.normal(size=39), 5),  # wholly negative spectrum
+        (1e6 + rng.normal(size=40), rng.normal(size=39), 5),
+    ]
+    assert np.all(eigh_tridiagonal(batch[-2][0], batch[-2][1], eigvals_only=True) < 0.0)
+    got = kernels.lowest_eigenvalues_batch(batch)
+    assert len(got) == len(batch)
+    for (diag, off, k), vals in zip(batch, got):
+        alone = kernels.lowest_eigenvalues_tridiag(diag, off, k)
+        assert vals.shape == (k,)
+        assert vals.tobytes() == alone.tobytes()
+        assert np.all(np.diff(vals) > 0.0)
+    # the largest matrix of the batch against LAPACK bisection
+    op = ops[2]
+    ref = eigh_tridiagonal(
+        op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 2),
+        lapack_driver="stebz", tol=1e-300,
+    )
+    norm = np.max(np.abs(op.diag)) + np.max(np.abs(op.off))
+    assert np.all(np.abs(got[4] - ref) <= 1e-12 * np.abs(ref) + np.finfo(float).eps * norm)
+
+
+def test_zero_pivot_at_a_shift():
+    # zero diagonal, unit couplings: the Gershgorin bracket is symmetric about 0,
+    # so the first sweep counts at shift 0, where the leading pivot is exactly 0
+    # and the pivmin guard has to act
+    assert_matches_lapack(np.zeros(9), np.ones(8), 9)
+
+
+def test_empty_batch():
+    assert kernels.lowest_eigenvalues_batch([]) == []
+
+
+def test_study_batch_memory(monkeypatch):
+    # the 9 matrices of a lam > 0 study (each state truncated on its own) in one
+    # batch: the count's block buffers stay near 1 MB, where an N x shifts
+    # array would take about 28 MB
+    real = kernels.lowest_eigenvalues_batch
+    batches = []
+
+    def capture(matrices, *args, **kwargs):
+        batches.append(matrices)
+        return real(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "lowest_eigenvalues_batch", capture)
+    oracle.convergence_study(CoulombLike(D=3, lam=0.05, Q=1.0), 0.0, 3, [512, 1024, 2048])
+    monkeypatch.undo()
+    (batch,) = batches
+    assert len(batch) == 9
+    tracemalloc.start()
+    try:
+        real(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6

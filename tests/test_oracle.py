@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oscoul import oracle
+from oscoul import kernels, oracle
 from oscoul.models import (
     BD,
     MM,
@@ -251,34 +251,34 @@ class TestConvergenceStudy:
 
     @staticmethod
     def spy_solves(monkeypatch):
-        real = oracle.lowest_eigenvalues
+        real = kernels.lowest_eigenvalues_batch
         calls = []
 
-        def spy(op, k):
-            calls.append(k)
-            return real(op, k)
+        def spy(matrices, *args, **kwargs):
+            calls.append([k for _, _, k in matrices])
+            return real(matrices, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "lowest_eigenvalues", spy)
-        return real, calls
+        monkeypatch.setattr(kernels, "lowest_eigenvalues_batch", spy)
+        return calls
 
     def test_shared_domain_solves_once_per_grid(self, monkeypatch):
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
         grids = [128, 256, 512]
-        real, calls = self.spy_solves(monkeypatch)
+        calls = self.spy_solves(monkeypatch)
         rep = oracle.convergence_study(m, 0.0, 3, grids)
-        assert calls == [3] * len(grids)
+        assert calls == [[3] * len(grids)]
         for j in range(3):
             problem = oracle.build_problem(m, 0.0, n_states=j + 1)
             for i, N in enumerate(grids):
-                alone = real(oracle.discretize(problem, N), j + 1)[j]
+                alone = oracle.lowest_eigenvalues(oracle.discretize(problem, N), j + 1)[j]
                 assert rep.eigenvalues[i][j] == pytest.approx(alone, rel=1e-12, abs=0)
 
     def test_own_truncation_solves_per_state(self, monkeypatch):
         m = CoulombLike(D=3, lam=0.05, Q=1.0)
         grids = [128, 256, 512]
-        _, calls = self.spy_solves(monkeypatch)
+        calls = self.spy_solves(monkeypatch)
         oracle.convergence_study(m, 0.0, 3, grids)
-        assert len(calls) == 3 * len(grids)
+        assert calls == [[j + 1 for j in range(3) for _ in grids]]
 
 
 class TestVariationalMonotonicity:
