@@ -8,6 +8,7 @@ Output is byte-deterministic for a fixed flag set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import oracle
 from .duality import map_curved, map_euclidean, verify_pointwise
+from .kernels import LapackNotFound
 from .models import (
     BD,
     MM,
@@ -314,7 +316,10 @@ def _add_model_flags(sp):
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args fills a fresh
+    namespace on every call, so calls share no state through it."""
     parser = argparse.ArgumentParser(
         prog="oscoul",
         description="Exactly solvable oscillator/Coulomb dual spectra with an "
@@ -363,14 +368,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError, LapackNotFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,131 +1,71 @@
-"""Symmetric-tridiagonal eigenvalues by lockstep Sturm-count multisection.
+"""Lowest eigenvalues of a symmetric tridiagonal matrix by LAPACK ``dstebz``.
 
-The negative-pivot count of the shifted LDL^T factorization equals the number
-of eigenvalues below the shift.  ``lowest_eigenvalues_batch`` finds the k
-lowest eigenvalues of a whole batch of matrices at once.  Each target keeps
-its own bracket, started from its matrix's Gershgorin interval, its matrix's
-pivmin and the stopping rule of a matrix solved alone.  Each sweep places
-``_SPLIT`` evenly spaced shifts inside every distinct active bracket (distinct
-per matrix; targets of one matrix that share a bracket share its shifts) and
-counts the shifts of every matrix in one pass over the rows (Lo, Philippe &
-Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).  The per-row Python overhead
-dominates a pass, so a sweep over a few hundred shifts costs little more than
-one bisection step, and it narrows each bracket 64-fold instead of 2-fold.
+``dstebz`` is Sturm-count bisection (Barth, Martin & Wilkinson 1967), with
+the floating-point safeguards that make the count reliable (Demmel, Dhillon
+& Ren 1995).  The routine comes from the OpenBLAS that every NumPy 2 wheel
+bundles and loads (``libscipy_openblas64_``, 64-bit integers, symbols
+prefixed ``scipy_``), bound here with ``ctypes``: no SciPy import and no
+build step.  The library is located and bound on the first eigensolve and
+cached, so importing this module, or running anything that needs no
+eigenvalue, never touches it.
 
-Matrices are padded to the longest N.  A padded row has a diagonal above every
-matrix's Gershgorin bound and a zero coupling, so its pivot is positive for
-every shift and never changes a count.  The shifts are ordered by matrix size,
-so a block of rows that lies past the end of some matrices skips their shifts.
-
-The row loop walks blocks of rows through preallocated buffers, sized to about
-``_SCRATCH_BYTES`` whatever N is.  ``diag - shift`` and the couplings of a
-block are gathered in one vectorized operation each, a row then costs one
-division and one subtraction, and the negative pivots of a block are summed
-once.  The pivmin guard (a pivot smaller than pivmin in magnitude becomes
--pivmin) is checked once per block; a block that needs it is recomputed with
-the guard applied row by row.  The floating-point operations and their order
-are those of the row-by-row recurrence, so each matrix's eigenvalues do not
-depend on what else is in the batch.  This count is the hot loop of the oracle.
+ABSTOL is a tiny positive number, so each eigenvalue is bracketed to about
+2 ulp of itself.  ABSTOL <= 0 would make LAPACK stop at ulp * ||T||, which on
+the oracle's matrices moves the lowest eigenvalues by up to about 1e-9
+relative.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from pathlib import Path
+
 import numpy as np
 
-_MAX_SWEEPS = 256
-_SPLIT = 63  # shifts per bracket per sweep
-_FRACTIONS = np.arange(1, _SPLIT + 1) / (_SPLIT + 1)
-_SCRATCH_BYTES = 1 << 20  # block buffers of one count pass
-_MAX_BLOCK = 64  # rows per block
+_LIBRARY = "libscipy_openblas64_"
+_SYMBOL = "scipy_dstebz_64_"
+_ABSTOL = 1e-300
 
-__all__ = ["lowest_eigenvalues_batch", "lowest_eigenvalues_tridiag"]
+__all__ = ["LapackNotFound", "lowest_eigenvalues_batch", "lowest_eigenvalues_tridiag"]
 
 
-def _count(diag, coupling, shifts, col, col_sizes, pivmin):
-    """Negative pivots of every shift column against its matrix ``col``.
-
-    ``diag`` and ``coupling`` are (N, M) padded arrays; ``coupling[i]`` is the
-    squared off-diagonal into row i (zero in row 0).  ``col_sizes`` and
-    ``pivmin`` are those of each column's matrix; columns must be ordered by
-    matrix size, largest first.
-    """
-    n_cols = shifts.size
-    # four float buffers and one bool buffer: 33 bytes a cell
-    block = max(1, min(_MAX_BLOCK, _SCRATCH_BYTES // (33 * n_cols)))
-    t, c, q, a = (np.empty(block * n_cols) for _ in range(4))
-    neg = np.empty(block * n_cols, dtype=bool)
-    tmp = np.empty(n_cols)
-    # row 0 has no predecessor: t - 0 / inf is t exactly
-    carry = np.full(n_cols, np.inf)
-    cnt = np.zeros(n_cols, dtype=np.int64)
-    n = int(col_sizes[0])  # rows of the largest matrix with a shift
-    for r0 in range(0, n, block):
-        w = int(np.count_nonzero(col_sizes > r0))  # columns still inside their matrix
-        b = min(block, n - r0)
-        tb, cb, qb, ab = (buf[: b * w].reshape(b, w) for buf in (t, c, q, a))
-        nb = neg[: b * w].reshape(b, w)
-        # mode="clip" writes straight into out=; "raise" would buffer a copy
-        np.take(diag[r0 : r0 + b], col[:w], axis=1, out=tb, mode="clip")
-        np.subtract(tb, shifts[:w], out=tb)
-        np.take(coupling[r0 : r0 + b], col[:w], axis=1, out=cb, mode="clip")
-        piv, prev0, div = pivmin[:w], carry[:w], tmp[:w]
-        guard = bool((np.abs(prev0) < piv).any())
-        while True:
-            prev = prev0
-            for cj, tj, qj in zip(cb, tb, qb):  # the hot loop: positional out
-                if guard:
-                    prev = np.where(np.abs(prev) < piv, -piv, prev)
-                np.divide(cj, prev, div)
-                np.subtract(tj, div, qj)
-                prev = qj
-            if guard:
-                break
-            np.abs(qb[:-1], out=ab[:-1])
-            np.less(ab[:-1], piv, out=nb[:-1])
-            if not nb[:-1].any():
-                break
-            guard = True
-        np.less(qb, 0.0, out=nb)
-        cnt[:w] += nb.sum(axis=0)
-        carry[:w] = qb[-1]
-    return cnt
+class LapackNotFound(OSError):
+    """NumPy's bundled OpenBLAS, which provides ``dstebz``, cannot be loaded."""
 
 
-def _multisect(diag, coupling, sizes, ks, rel_tol, pivmin, lo0, hi0):
-    """Lockstep multisection; targets of matrix m are 1..ks[m], in order."""
-    mat = np.repeat(np.arange(ks.size), ks)
-    targets = np.concatenate([np.arange(1, k + 1) for k in ks])
-    lo, hi = lo0[mat], hi0[mat]
-    for _ in range(_MAX_SWEEPS):
-        mid = 0.5 * (lo + hi)
-        active = (mid > lo) & (mid < hi)
-        active &= (hi - lo) > rel_tol * np.maximum(np.abs(lo), np.abs(hi))
-        if not np.any(active):
-            break
-        act = np.flatnonzero(active)
-        # targets of one matrix sharing a bracket share its shifts; brackets of
-        # one matrix are equal or disjoint; sorting by matrix keeps sizes descending
-        brackets, owner = np.unique(
-            np.stack((mat[act], lo[act], hi[act])), axis=1, return_inverse=True
-        )
-        b_mat, b_lo, b_hi = brackets
-        shifts = b_lo[:, None] + _FRACTIONS * (b_hi - b_lo)[:, None]
-        col = np.repeat(b_mat.astype(np.intp), _SPLIT)
-        # an unguarded block may divide by a zero pivot before it is redone
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cnt = _count(diag, coupling, shifts.ravel(), col, sizes[col], pivmin[col])
-        cnt = cnt.reshape(shifts.shape)
-        s, c = shifts[owner], cnt[owner]
-        a_lo, a_hi = lo[act, None], hi[act, None]
-        inside = (s > a_lo) & (s < a_hi)
-        above = inside & (c >= targets[act, None])
-        new_hi = np.min(np.where(above, s, a_hi), axis=1)
-        # lo comes from below the new hi, so lo < hi holds even if the count
-        # is not monotone in floating point
-        below = inside & ~above & (s < new_hi[:, None])
-        lo[act] = np.max(np.where(below, s, a_lo), axis=1)
-        hi[act] = new_hi
-    return np.split(0.5 * (lo + hi), np.cumsum(ks)[:-1])
+def _library_dirs() -> list:
+    """Where NumPy wheels keep their bundled libraries (Linux and Windows, macOS)."""
+    root = Path(np.__file__).resolve().parent
+    return [root.parent / "numpy.libs", root / ".dylibs"]
+
+
+@functools.cache
+def _dstebz():
+    """The bound ``dstebz``; NumPy has already mapped the library, so this
+    only takes another handle on it."""
+    dirs = _library_dirs()
+    for path in sorted(p for d in dirs for p in d.glob(_LIBRARY + "*")):
+        try:
+            fn = getattr(ctypes.CDLL(str(path)), _SYMBOL)
+        except (OSError, AttributeError):
+            continue
+        int_ref, dbl_ref = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+        ints, dbls = (np.ctypeslib.ndpointer(t, ndim=1, flags="C") for t in (np.int64, np.float64))
+        fn.argtypes = [
+            ctypes.c_char_p, ctypes.c_char_p,  # RANGE, ORDER
+            int_ref, dbl_ref, dbl_ref, int_ref, int_ref, dbl_ref,  # N, VL, VU, IL, IU, ABSTOL
+            dbls, dbls,  # D, E
+            int_ref, int_ref, dbls, ints, ints,  # M, NSPLIT, W, IBLOCK, ISPLIT
+            dbls, ints, int_ref,  # WORK, IWORK, INFO
+            ctypes.c_size_t, ctypes.c_size_t,  # hidden lengths of RANGE and ORDER
+        ]
+        fn.restype = None
+        return fn
+    searched = ", ".join(str(d) for d in dirs)
+    raise LapackNotFound(
+        f"LAPACK {_SYMBOL} not found: no {_LIBRARY}* library exporting it in {searched}"
+    )
 
 
 def _prepare(diag, off, k):
@@ -138,45 +78,28 @@ def _prepare(diag, off, k):
         raise ValueError("matrix entries must be finite")
     if not 1 <= k <= diag.size:
         raise ValueError(f"k must lie in [1, {diag.size}], got {k}")
-    off2 = off * off
-    pivmin = 2.3e-308 * max(1.0, float(np.max(off2, initial=0.0)))
-    radius = np.zeros_like(diag)
-    absoff = np.abs(off)
-    radius[:-1] += absoff
-    radius[1:] += absoff
-    lo0 = float(np.min(diag - radius))
-    hi0 = float(np.max(diag + radius))
-    pad = 1e-12 * max(1.0, abs(lo0), abs(hi0))
-    return diag, off2, pivmin, lo0 - pad, hi0 + pad, k
+    return diag, off, k
 
 
-def lowest_eigenvalues_batch(matrices, rel_tol: float = 1e-12) -> list:
-    """The k smallest eigenvalues of each (diag, off, k), ascending, each
-    bracketed to rel_tol (or ulp).  All matrices are solved in one lockstep
-    multisection, and each result equals that of the matrix solved alone."""
-    prepared = [_prepare(d, o, k) for d, o, k in matrices]
-    if not prepared:
-        return []
-    # largest first, so the shifts of every sweep come ordered by matrix size
-    order = sorted(range(len(prepared)), key=lambda i: -prepared[i][0].size)
-    diags, off2s, pivmin, lo0, hi0, ks = zip(*(prepared[i] for i in order))
-    sizes = np.array([d.size for d in diags])
-    top = max(hi0)
-    diag = np.full((sizes[0], len(order)), top + max(1.0, abs(top)))
-    coupling = np.zeros_like(diag)
-    for m, (d, off2) in enumerate(zip(diags, off2s)):
-        diag[: d.size, m] = d
-        coupling[1 : d.size, m] = off2
-    vals = _multisect(
-        diag, coupling, sizes, np.array(ks), float(rel_tol),
-        np.array(pivmin), np.array(lo0), np.array(hi0),
+def lowest_eigenvalues_tridiag(diag, off, k: int) -> np.ndarray:
+    """The k smallest eigenvalues, ascending, each to about 2 ulp."""
+    diag, off, k = _prepare(diag, off, k)
+    stebz = _dstebz()
+    n = diag.size
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(3 * n, np.int64)
+    m, nsplit, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
+    i64, dbl, ref = ctypes.c_int64, ctypes.c_double, ctypes.byref
+    stebz(
+        b"I", b"E", ref(i64(n)), ref(dbl(0.0)), ref(dbl(0.0)), ref(i64(1)), ref(i64(k)),
+        ref(dbl(_ABSTOL)), diag, off, ref(m), ref(nsplit), w, iblock, isplit, work, iwork,
+        ref(info), 1, 1,
     )
-    out = [None] * len(order)
-    for i, v in zip(order, vals):
-        out[i] = v
-    return out
+    if info.value != 0 or m.value != k:
+        raise RuntimeError(f"dstebz failed: INFO={info.value}, found {m.value} of {k} eigenvalues")
+    return w[:k].copy()
 
 
-def lowest_eigenvalues_tridiag(diag, off, k: int, rel_tol: float = 1e-12) -> np.ndarray:
-    """The k smallest eigenvalues, ascending, each bracketed to rel_tol (or ulp)."""
-    return lowest_eigenvalues_batch([(diag, off, k)], rel_tol)[0]
+def lowest_eigenvalues_batch(matrices) -> list:
+    """The k smallest eigenvalues of each (diag, off, k), ascending."""
+    return [lowest_eigenvalues_tridiag(d, o, k) for d, o, k in matrices]

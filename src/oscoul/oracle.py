@@ -3,10 +3,12 @@
 Every radial problem is cast as a Sturm-Liouville triple (p, w, V) with the
 operator (-1/w) d/dx (p w d/dx) + V, discretized on a half-cell-offset uniform
 grid in conservative (flux) form, symmetrized by the similarity transform
-W^(1/2) H W^(-1/2), and solved by lockstep Sturm-count multisection
-(``oscoul.kernels``): a convergence study discretizes each distinct domain on
-each grid and solves all of those matrices in one batch.  Eigenvalues are
-reported in the doubled convention (2E).  The coefficients come from the model
+W^(1/2) H W^(-1/2), and solved by LAPACK ``dstebz`` bisection from NumPy's
+bundled OpenBLAS (``oscoul.kernels``, bound on the first eigensolve, with a
+tiny absolute tolerance so each eigenvalue is resolved to about 2 ulp rather
+than to ulp * ||T||).  A convergence study discretizes each distinct domain on
+each grid and solves each matrix once.  Eigenvalues are reported in the
+doubled convention (2E).  The coefficients come from the model
 classes: ``weighted_coefficients``, the lam > 0 ``geodesic_coefficients`` and
 the PDM ``flat_coefficients``.
 
@@ -350,8 +352,7 @@ def convergence_study(
     if len(grids) < 3 or any(b <= a for a, b in zip(grids, grids[1:])):
         raise ValueError("need at least 3 strictly increasing grid sizes")
     # each target state gets its own truncation, so low states keep a fine grid;
-    # consecutive states on the same domain share one solve per grid, and every
-    # solve of the study runs in one batch
+    # consecutive states on the same domain share one solve per grid
     problems = [
         build_problem(model, ang, picture, ordering, n_states=j + 1, r_max=r_max)
         for j in range(k)

@@ -223,15 +223,59 @@ def test_verify_general_vonroos_fails_before_solving(model_flags, capsys, monkey
     assert "closed-form PDM energies exist only for the BD and MM orderings" in err
 
 
-def test_cli_import_loads_no_scipy_or_numba():
-    # scipy.linalg alone adds about 28 MB of resident memory to every run
+def run_python(*args):
     src = os.path.dirname(os.path.dirname(oscoul.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy_or_numba():
+    # scipy.linalg alone adds about 28 MB of resident memory to every run, and
+    # the LAPACK binding is made on the first eigensolve, not at import
     code = (
         "import oscoul.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba'))); "
+        "print(oscoul.kernels._dstebz.cache_info().currsize)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]", "0"]
+
+
+def test_repeated_main_calls_match_separate_runs(capsys):
+    # main reuses one parser, so no value of one call may leak into the next
+    calls = [
+        ["verify", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1",
+         "--l", "1", "--k", "2", "--grids", "64,128,256", "--tol-eig", "1e-3"],
+        ["spectrum", "--model", "clike", "--D", "3", "--lambda", "-0.1", "--Q", "1",
+         "--n-max", "3", "--format", "json"],
+        ["verify", "--model", "pdm-coulomb", "--D", "3", "--lambda", "-0.1", "--Q", "1",
+         "--ordering", "mm", "--k", "1", "--grids", "128,256,512"],
+    ]
+    for argv in calls:
+        code, out, err = run(argv, capsys)
+        alone = run_python("-m", "oscoul.cli", *argv)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
+
+
+@pytest.fixture
+def no_lapack(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernels, "_library_dirs", lambda: [tmp_path])
+    kernels._dstebz.cache_clear()
+    yield
+    kernels._dstebz.cache_clear()
+
+
+def test_missing_lapack_is_a_usage_error(no_lapack, capsys):
+    code, _, err = run(
+        ["verify", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1", "--k", "1"],
+        capsys,
     )
-    assert out.stdout.strip() == "[]"
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "libscipy_openblas64_" in lines[0]
+    code, out, _ = run(
+        ["spectrum", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1"], capsys
+    )
+    assert code == 0 and out.startswith("n_r,ang,n,energy,bound")

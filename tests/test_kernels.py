@@ -1,5 +1,5 @@
-"""Sturm-count eigenvalue kernel tests against closed forms and LAPACK, including
-the multisection bracket logic on clustered, repeated and nearly split spectra."""
+"""Tests of the dstebz eigenvalue kernel against closed forms and SciPy's LAPACK,
+on clustered, repeated and nearly split spectra and on the oracle's matrices."""
 
 import tracemalloc
 
@@ -50,7 +50,7 @@ def test_relative_precision_small_matrix():
     h = 1.0 / 3.0
     diag = np.full(3, 2.0 / h**2)
     off = np.full(2, -1.0 / h**2)
-    got = kernels.lowest_eigenvalues_tridiag(diag, off, 3, rel_tol=1e-12)
+    got = kernels.lowest_eigenvalues_tridiag(diag, off, 3)
     exact = np.sort(2.0 * (1.0 - np.cos(np.arange(1, 4) * np.pi / 4.0)) / h**2)
     assert np.all(np.abs(got - exact) <= 1e-11 * np.abs(exact))
 
@@ -100,8 +100,8 @@ def test_all_eigenvalues():
 
 
 def test_oracle_matrix_matches_lapack_bisection():
-    # nlo d=2 lam=-0.1 l=1 at N=2048: the kernel's 1e-12 stopping rule plus the
-    # eps*||T|| round-off floor of the Sturm count
+    # nlo d=2 lam=-0.1 l=1 at N=2048: a 1e-12 relative bound plus the eps*||T||
+    # round-off floor of the Sturm count
     model = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
     op = oracle.discretize(oracle.build_problem(model, 1.0, n_states=3), 2048)
     got = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3)
@@ -151,9 +151,9 @@ def test_batch_equals_each_matrix_alone():
 
 
 def test_zero_pivot_at_a_shift():
-    # zero diagonal, unit couplings: the Gershgorin bracket is symmetric about 0,
-    # so the first sweep counts at shift 0, where the leading pivot is exactly 0
-    # and the pivmin guard has to act
+    # zero diagonal, unit couplings: the Gershgorin interval is symmetric about 0,
+    # so bisection counts at shift 0, where the leading pivot is exactly 0 and
+    # the pivmin guard has to act
     assert_matches_lapack(np.zeros(9), np.ones(8), 9)
 
 
@@ -163,8 +163,8 @@ def test_empty_batch():
 
 def test_study_batch_memory(monkeypatch):
     # the 9 matrices of a lam > 0 study (each state truncated on its own) in one
-    # batch: the count's block buffers stay near 1 MB, where an N x shifts
-    # array would take about 28 MB
+    # batch: the solver's workspace is O(N) per matrix, where an N x shifts
+    # array of a lockstep count would take about 28 MB
     real = kernels.lowest_eigenvalues_batch
     batches = []
 
@@ -184,3 +184,25 @@ def test_study_batch_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+
+
+@pytest.mark.parametrize(
+    "model,ang",
+    [
+        (NonlinearOscillator(d=2, lam=-0.1, beta=1.0), 1.0),
+        (CoulombLike(D=3, lam=0.05, Q=1.0), 0.0),
+        (CoulombLike(D=3, lam=-0.1, Q=1.0), 0.0),
+    ],
+    ids=["nlo-lam-0.1-l1", "clike-lam0.05-L0", "clike-lam-0.1-L0"],
+)
+def test_oracle_matrices_at_full_precision(model, ang):
+    # the k=3 matrices at N=8192: LAPACK's default tolerance (ulp * ||T||) moves
+    # these eigenvalues by up to about 1e-9 relative, so a tolerance that falls
+    # back to it fails here
+    op = oracle.discretize(oracle.build_problem(model, ang, n_states=3), 8192)
+    got = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3)
+    ref = eigh_tridiagonal(
+        op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 2),
+        lapack_driver="stebz", tol=1e-300,
+    )
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
