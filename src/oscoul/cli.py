@@ -184,7 +184,9 @@ def cmd_wavefunction(args) -> int:
     lo, hi = model.domain
     x_max = args.x_max
     if x_max is None:
-        x_max = hi if math.isfinite(hi) else oracle.truncation_radius(model, ang, args.n_r)
+        # an infinite domain is sampled up to the state's cutoff in the flat
+        # picture's coordinate: the geodesic one for lam > 0, else the radius
+        x_max = hi if math.isfinite(hi) else oracle.truncation_radius(model, ang, args.n_r, "flat")
         x_max *= 0.999 if math.isfinite(hi) else 1.0
     if not lo < x_max <= (hi if math.isfinite(hi) else math.inf):
         raise ConfigError("sampling range exceeds the coordinate domain")

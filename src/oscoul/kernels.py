@@ -27,7 +27,7 @@ _LIBRARY = "libscipy_openblas64_"
 _SYMBOL = "scipy_dstebz_64_"
 _ABSTOL = 1e-300
 
-__all__ = ["LapackNotFound", "lowest_eigenvalues_batch", "lowest_eigenvalues_tridiag"]
+__all__ = ["LapackNotFound", "lowest_eigenvalues_tridiag"]
 
 
 class LapackNotFound(OSError):
@@ -99,7 +99,3 @@ def lowest_eigenvalues_tridiag(diag, off, k: int) -> np.ndarray:
         raise RuntimeError(f"dstebz failed: INFO={info.value}, found {m.value} of {k} eigenvalues")
     return w[:k].copy()
 
-
-def lowest_eigenvalues_batch(matrices) -> list:
-    """The k smallest eigenvalues of each (diag, off, k), ascending."""
-    return [lowest_eigenvalues_tridiag(d, o, k) for d, o, k in matrices]

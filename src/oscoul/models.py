@@ -5,11 +5,22 @@ Six models: the Euclidean oscillator and Coulomb problems, the nonlinear
 nonconstant-curvature space, and the PDM reinterpretations of the latter two.
 Each model class is the one home of its physics: its side of the duality, its
 energies and bound-state rule, its measure, its wavefunctions with their exact
-derivatives, and the Sturm-Liouville coefficients the oracle discretizes; the
-two curved classes add their geodesic-coordinate and PDM (flat-picture) forms,
-and the Euclidean classes are their lam = 0 limits.  Energies are exact;
-wavefunctions are returned unnormalized (numerical normalization lives in
-``oscoul.quadrature``).  Units hbar = m = 1.
+derivatives, the Sturm-Liouville coefficients the oracle discretizes (weighted
+and, for the curved classes, PDM flat-picture), and the coordinate in which
+the oracle solves each picture.  The Euclidean classes are the lam = 0 limits.
+
+Solved coordinates (``coordinate``), each a map y -> (r, t, dr/dy) with the
+stretch t formed directly:
+
+- ``CoulombLike``, weighted picture, either sign of lam: x = sqrt(s), where
+  s = log(1+lam R)/lam, so R = expm1(lam x^2)/lam and t = exp(lam x^2);
+- ``CoulombLike``, flat picture: s for lam > 0, R itself for lam < 0;
+- ``NonlinearOscillator``, both pictures: s = arcsinh(sqrt(lam) r)/sqrt(lam)
+  for lam > 0, r itself for lam < 0;
+- ``EuclideanOscillator`` and ``EuclideanCoulomb``: the radius itself.
+
+Energies are exact; wavefunctions are returned unnormalized (numerical
+normalization lives in ``oscoul.quadrature``).  Units hbar = m = 1.
 """
 
 from __future__ import annotations
@@ -201,16 +212,40 @@ def _jacobi3(n, a, b, z, dz, ddz):
 class _Side:
     """What both sides share.  The stretch t(x) is 1 + lam r^2 on the oscillator
     side and 1 + lam R on the Coulomb side; the PDM mass is a power of it, and
-    it is 1 in the Euclidean limit, where the model's lam is 0."""
+    it is 1 in the Euclidean limit, where the model's lam is 0.
+
+    Coefficients, the measure ``_weight`` and the state ``amplitude`` take t
+    next to r, so a solved coordinate supplies t where 1 + lam R(y) cancels.
+    """
 
     def is_bound(self, q: QuantumNumbers) -> bool:
         return True
+
+    def weight(self, x):
+        """The measure weight at x (see ``_weight``)."""
+        return self._weight(x, self.stretch(x))
+
+    def wavefunction(self, q: QuantumNumbers, x):
+        """The unnormalized closed-form radial function at x (see ``amplitude``)."""
+        xa = _check_coordinate(self, x)
+        return _like_input(self.amplitude(q, xa, self.stretch(xa)), x)
+
+    def coordinate(self, picture: str):
+        """The coordinate y in which the oracle solves ``picture``, as (map, end).
+
+        The map takes y to (r, t, dr/dy) and y runs over (0, end).  Here y is
+        the radius itself; the curved models map it where that pays.
+        """
+        return self._radial, self.domain[1]
+
+    def _radial(self, r):
+        return r, self.stretch(r), 1.0
 
     def _checked_stretch(self, x):
         xa = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(xa)) or not np.all(xa > 0):
             raise ValueError("coordinate must be finite and > 0")
-        t = self._stretch(xa)
+        t = self.stretch(xa)
         if not np.all(t > 0):
             raise ValueError("coordinate outside the domain")
         return xa, t
@@ -245,11 +280,11 @@ class _OscillatorSide(_Side):
     def dim(self) -> float:
         return float(self.d)
 
-    def _stretch(self, r):
+    def stretch(self, r):
         return 1.0 + self.lam * r * r
 
     def _stretch3(self, r):
-        return (self._stretch(r), 2.0 * self.lam * r, 2.0 * self.lam)
+        return (self.stretch(r), 2.0 * self.lam * r, 2.0 * self.lam)
 
     def pdm_mass(self, r):
         """Position-dependent mass (1+lam r^2)^-1."""
@@ -266,11 +301,11 @@ class _CoulombSide(_Side):
     def dim(self) -> float:
         return self.D
 
-    def _stretch(self, R):
+    def stretch(self, R):
         return 1.0 + self.lam * R
 
     def _stretch3(self, R):
-        return (self._stretch(R), self.lam, 0.0)
+        return (self.stretch(R), self.lam, 0.0)
 
     def pdm_mass(self, R):
         """Position-dependent mass (1+lam R)^-2."""
@@ -308,17 +343,15 @@ class EuclideanOscillator(_OscillatorSide):
         """E_n = omega (n + d/2), n = 2 n_r + l."""
         return self.omega * (q.n + self.d / 2.0)
 
-    def weight(self, r):
+    def _weight(self, r, t):
         """Measure weight r^(d-1)."""
         return r ** (self.d - 1.0)
 
-    def wavefunction(self, q: QuantumNumbers, r):
+    def amplitude(self, q: QuantumNumbers, r, t):
         """Unnormalized r^l exp(-omega r^2/2) L_{n_r}^(l+(d-2)/2)(omega r^2)."""
-        ra = _check_coordinate(self, r)
-        u = self.omega * ra * ra
+        u = self.omega * r * r
         alpha = q.ang + (self.d - 2.0) / 2.0
-        val = ra**q.ang * np.exp(-0.5 * u) * specfun.laguerre(q.n_r, alpha, u)
-        return _like_input(val, r)
+        return r**q.ang * np.exp(-0.5 * u) * specfun.laguerre(q.n_r, alpha, u)
 
     def derivatives(self, q: QuantumNumbers, r):
         """(psi, psi', psi'') of ``wavefunction``, exact in r > 0."""
@@ -333,10 +366,10 @@ class EuclideanOscillator(_OscillatorSide):
         """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
         d, om = self.d, self.omega
         return dict(
-            p=unit_weight,
-            w=self.weight,
-            V=lambda r: ang * (ang + d - 2.0) / (r * r) + om**2 * r * r,
-            c1=lambda r: (d - 1.0) / r,
+            p=lambda r, t: unit_weight(r),
+            w=self._weight,
+            V=lambda r, t: ang * (ang + d - 2.0) / (r * r) + om**2 * r * r,
+            c1=lambda r, t: (d - 1.0) / r,
         )
 
 
@@ -366,17 +399,15 @@ class EuclideanCoulomb(_CoulombSide):
         """E_nu = -Q^2 / (2 (2 nu + D - 1)^2); depends on (n_r, L) through nu only."""
         return -self.Q**2 / (2.0 * (2.0 * q.nu + self.D - 1.0) ** 2)
 
-    def weight(self, R):
+    def _weight(self, R, t):
         """Measure weight R^(D-1)."""
         return R ** (self.D - 1.0)
 
-    def wavefunction(self, q: QuantumNumbers, R):
+    def amplitude(self, q: QuantumNumbers, R, t):
         """Unnormalized R^L exp(-kappa R) L_{n_r}^(2L+D-2)(2 kappa R), kappa = sqrt(2|E_nu|)."""
-        Ra = _check_coordinate(self, R)
         kappa = math.sqrt(2.0 * abs(self.energy(q)))
         alpha = 2.0 * q.ang + self.D - 2.0
-        val = Ra**q.ang * np.exp(-kappa * Ra) * specfun.laguerre(q.n_r, alpha, 2.0 * kappa * Ra)
-        return _like_input(val, R)
+        return R**q.ang * np.exp(-kappa * R) * specfun.laguerre(q.n_r, alpha, 2.0 * kappa * R)
 
     def derivatives(self, q: QuantumNumbers, R):
         """(psi, psi', psi'') of ``wavefunction``, exact in R > 0."""
@@ -391,10 +422,10 @@ class EuclideanCoulomb(_CoulombSide):
         """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
         D, Q = self.D, self.Q
         return dict(
-            p=unit_weight,
-            w=self.weight,
-            V=lambda R: ang * (ang + D - 2.0) / (R * R) - Q / R,
-            c1=lambda R: (D - 1.0) / R,
+            p=lambda R, t: unit_weight(R),
+            w=self._weight,
+            V=lambda R, t: ang * (ang + D - 2.0) / (R * R) - Q / R,
+            c1=lambda R, t: (D - 1.0) / R,
         )
 
 
@@ -458,21 +489,18 @@ class NonlinearOscillator(_OscillatorSide):
         n_max = self.n_max
         return n_max is None or q.n <= n_max
 
-    def weight(self, r):
+    def _weight(self, r, t):
         """Measure weight (1+lam r^2)^(-1/2) r^(d-1)."""
-        return (1.0 + self.lam * r * r) ** (-0.5) * r ** (self.d - 1.0)
+        return t ** (-0.5) * r ** (self.d - 1.0)
 
-    def wavefunction(self, q: QuantumNumbers, r):
+    def amplitude(self, q: QuantumNumbers, r, t):
         """Unnormalized r^l (1+lam r^2)^(-beta/(2 lam)) P_{n_r}^(l+(d-2)/2, -beta/lam-1/2)(1+2 lam r^2)."""
-        ra = _check_coordinate(self, r)
         lam = self.lam
-        t = 1.0 + lam * ra * ra
         a = q.ang + (self.d - 2.0) / 2.0
         b = -self.beta / lam - 0.5
-        val = ra**q.ang * t ** (-self.beta / (2.0 * lam)) * specfun.jacobi(
-            q.n_r, a, b, 1.0 + 2.0 * lam * ra * ra
+        return r**q.ang * t ** (-self.beta / (2.0 * lam)) * specfun.jacobi(
+            q.n_r, a, b, 1.0 + 2.0 * lam * r * r
         )
-        return _like_input(val, r)
 
     def derivatives(self, q: QuantumNumbers, r):
         """(psi, psi', psi'') of ``wavefunction``, exact in r > 0."""
@@ -485,56 +513,45 @@ class NonlinearOscillator(_OscillatorSide):
         return _mul3(trip, _jacobi3(q.n_r, a, b, z, 4.0 * lam * ra, 4.0 * lam))
 
     def weighted_coefficients(self, ang: float) -> dict:
-        """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
+        """(p, w, V) of the radial equation plus c1 = p' + p w'/w, each f(r, t)."""
         d, lam, beta = self.d, self.lam, self.beta
         return dict(
-            p=self._stretch,
-            w=self.weight,
-            V=lambda r: ang * (ang + d - 2.0) / (r * r)
-            + beta * (beta + lam) * r * r / (1.0 + lam * r * r),
-            c1=lambda r: (d - 1.0 + d * lam * r * r) / r,
+            p=lambda r, t: t,
+            w=self._weight,
+            V=lambda r, t: ang * (ang + d - 2.0) / (r * r) + beta * (beta + lam) * r * r / t,
+            c1=lambda r, t: (d - 1.0 + d * lam * r * r) / r,
         )
 
-    def geodesic_coefficients(self, ang: float) -> dict:
-        """(p = 1, w, V) of the lam > 0 weighted problem in s = arcsinh(sqrt(lam) r)/sqrt(lam).
-
-        Bound states decay only as a power of r, so the radial truncation rule
-        is useless there; the arc-length coordinate keeps the spectrum and the
-        measure (w_s ds = w_r dr) while making the tails exponential.  The map
-        s -> r comes back as ``to_r``.
-        """
-        d, rt = self.d, math.sqrt(self.lam)
-        V = self.weighted_coefficients(ang)["V"]
+    def coordinate(self, picture: str):
+        """s = arcsinh(sqrt(lam) r)/sqrt(lam) for lam > 0, where bound states decay
+        exponentially (in r only as a power); the radius for lam < 0."""
+        if self.lam < 0:
+            return super().coordinate(picture)
+        rt = math.sqrt(self.lam)
 
         def to_r(s):
-            return np.sinh(rt * np.asarray(s, dtype=float)) / rt
+            c = np.cosh(rt * s)
+            return np.sinh(rt * s) / rt, c * c, c
 
-        return dict(
-            p=unit_weight,
-            w=lambda s: to_r(s) ** (d - 1.0),
-            V=lambda s: V(to_r(s)),
-            to_r=to_r,
-        )
+        return to_r, math.inf
 
-    def _bd_potential(self, ang: float, r):
+    def _bd_potential(self, ang: float, r, t):
         """V1, the BD potential."""
         lam, beta = self.lam, self.beta
-        return self._flat_centrifugal(ang, r) + (beta * (beta + lam) * r * r - 0.25 * lam) / (
-            1.0 + lam * r * r
-        )
+        return self._flat_centrifugal(ang, r) + (beta * (beta + lam) * r * r - 0.25 * lam) / t
 
     def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
-        """Reduced flat-picture (p, w = 1, V, c1 = p').
+        """Reduced flat-picture (p, w = 1, V, c1 = p'), each f(r, t).
 
         The paper's V2 plus the MM shift collapses to V1, so every ordering
         shares the BD potential here.
         """
         lam = self.lam
         return dict(
-            p=self._stretch,
-            w=unit_weight,
-            V=lambda r: self._bd_potential(ang, r),
-            c1=lambda r: 2.0 * lam * r,
+            p=lambda r, t: t,
+            w=lambda r, t: unit_weight(r),
+            V=lambda r, t: self._bd_potential(ang, r, t),
+            c1=lambda r, t: 2.0 * lam * r,
         )
 
     def pdm_potential(self, ordering: PdmOrdering, ang: float, r):
@@ -542,7 +559,7 @@ class NonlinearOscillator(_OscillatorSide):
         _require_closed_form(ordering, "potentials")
         ra = _check_coordinate(self, r)
         if ordering.is_bd:
-            return _like_input(self._bd_potential(ang, ra), r)
+            return _like_input(self._bd_potential(ang, ra, self.stretch(ra)), r)
         lam = self.lam
         val = self._flat_centrifugal(ang, ra) + (
             (self.beta + 0.5 * lam) ** 2 * ra * ra + 0.25 * lam
@@ -594,9 +611,9 @@ class CoulombLike(_CoulombSide):
         lhs = n_r**2 + (2 * L + D - 1) * n_r + L + (D - 1) * (2 * D - 3) / 4.0
         return lhs < self.Q / self.lam
 
-    def weight(self, R):
+    def _weight(self, R, t):
         """Measure weight (1+lam R)^(-3/2) R^(D-1)."""
-        return (1.0 + self.lam * R) ** (-1.5) * R ** (self.D - 1.0)
+        return t ** (-1.5) * R ** (self.D - 1.0)
 
     def wavefunction_params(self, q: QuantumNumbers) -> WavefunctionParams:
         """The (rho, sigma, tau) triple of the bound-state wavefunction."""
@@ -609,15 +626,11 @@ class CoulombLike(_CoulombSide):
         tau = -(Q + lam * (nu * (nu + D - 1.5) + ll)) / (lam * (2.0 * nu + D - 1.0))
         return WavefunctionParams(rho=rho, sigma=sigma, tau=tau)
 
-    def wavefunction(self, q: QuantumNumbers, R):
+    def amplitude(self, q: QuantumNumbers, R, t):
         """Unnormalized R^L (1+lam R)^tau P_{n_r}^(rho,sigma)(1+2 lam R)."""
-        Ra = _check_coordinate(self, R)
         wp = self.wavefunction_params(q)
-        t = 1.0 + self.lam * Ra
-        val = Ra**q.ang * t**wp.tau * specfun.jacobi(
-            q.n_r, wp.rho, wp.sigma, 1.0 + 2.0 * self.lam * Ra
-        )
-        return _like_input(val, R)
+        z = 1.0 + 2.0 * self.lam * R
+        return R**q.ang * t**wp.tau * specfun.jacobi(q.n_r, wp.rho, wp.sigma, z)
 
     def derivatives(self, q: QuantumNumbers, R):
         """(psi, psi', psi'') of ``wavefunction``, exact in R > 0."""
@@ -629,40 +642,37 @@ class CoulombLike(_CoulombSide):
         return _mul3(trip, _jacobi3(q.n_r, wp.rho, wp.sigma, z, 2.0 * lam, 0.0))
 
     def weighted_coefficients(self, ang: float) -> dict:
-        """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
+        """(p, w, V) of the radial equation plus c1 = p' + p w'/w, each f(R, t)."""
         D, lam, Q = self.D, self.lam, self.Q
+        c = (2.0 * D - 1.0) / (2.0 * D - 2.0)
         return dict(
-            p=self._inverse_mass,
-            w=self.weight,
-            V=lambda R: ang * (ang + D - 2.0) / (R * R) - Q / R,
-            c1=lambda R: (D - 1.0)
-            / R
-            * (1.0 + lam * R)
-            * (1.0 + (2.0 * D - 1.0) / (2.0 * D - 2.0) * lam * R),
+            p=lambda R, t: t**2,
+            w=self._weight,
+            V=lambda R, t: ang * (ang + D - 2.0) / (R * R) - Q / R,
+            c1=lambda R, t: (D - 1.0) / R * t * (1.0 + c * lam * R),
         )
 
-    def geodesic_coefficients(self, ang: float) -> dict:
-        """(p = 1, w, V) of the lam > 0 weighted problem in s = log(1+lam R)/lam.
+    def coordinate(self, picture: str):
+        """x = sqrt(s), s = log(1+lam R)/lam, for the weighted picture: R ~ x^2 near
+        the origin (the duality's r = sqrt(R)) and the density is Gaussian in x
+        at the far end.  s for the flat picture at lam > 0, R at lam < 0."""
+        lam = self.lam
+        if picture == "weighted":
 
-        As for the nonlinear oscillator, the arc-length coordinate keeps the
-        spectrum and the measure while making the tails exponential; the map
-        s -> R comes back as ``to_r``.
-        """
-        D, lam = self.D, self.lam
-        V = self.weighted_coefficients(ang)["V"]
+            def to_r(x):
+                u = lam * x * x
+                t = np.exp(u)
+                return np.expm1(u) / lam, t, 2.0 * x * t
 
-        def to_r(s):
-            return np.expm1(lam * np.asarray(s, dtype=float)) / lam
+            return to_r, math.inf
+        if lam > 0:
 
-        def w(s):
-            R = to_r(s)
-            return (1.0 + lam * R) ** (-0.5) * R ** (D - 1.0)
+            def to_r(s):
+                t = np.exp(lam * s)
+                return np.expm1(lam * s) / lam, t, t
 
-        return dict(p=unit_weight, w=w, V=lambda s: V(to_r(s)), to_r=to_r)
-
-    def _inverse_mass(self, R):
-        """(1+lam R)^2, the inverse PDM mass and the p of both pictures."""
-        return (1.0 + self.lam * R) ** 2
+            return to_r, math.inf
+        return super().coordinate(picture)
 
     def _bd_potential(self, ang: float, R):
         """U, the PDM potential of both the BD and the MM ordering."""
@@ -672,7 +682,7 @@ class CoulombLike(_CoulombSide):
         ) / R
 
     def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
-        """Reduced flat-picture (p, w = 1, V, c1 = p'): U plus the von Roos shift.
+        """Reduced flat-picture (p, w = 1, V, c1 = p'), each f(R, t): U plus the von Roos shift.
 
         The shift is the potential 2 U_vr = -K1/2 m'^2/m^3 - (xi+zeta)/2 m''/m^2,
         K1 = zeta(eta+zeta-1) + xi(eta+xi-1), that the ordering adds over BD.
@@ -684,10 +694,10 @@ class CoulombLike(_CoulombSide):
         k1 = zeta * (eta + zeta - 1.0) + xi * (eta + xi - 1.0)
         shift = -0.5 * k1 * (4.0 * lam**2) - 0.5 * (xi + zeta) * (6.0 * lam**2)
         return dict(
-            p=self._inverse_mass,
-            w=unit_weight,
-            V=lambda R: self._bd_potential(ang, R) + shift,
-            c1=lambda R: 2.0 * lam * (1.0 + lam * R),
+            p=lambda R, t: t**2,
+            w=lambda R, t: unit_weight(R),
+            V=lambda R, t: self._bd_potential(ang, R) + shift,
+            c1=lambda R, t: 2.0 * lam * t,
         )
 
     def pdm_potential(self, ordering: PdmOrdering, ang: float, R):

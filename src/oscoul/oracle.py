@@ -8,9 +8,15 @@ bundled OpenBLAS (``oscoul.kernels``, bound on the first eigensolve, with a
 tiny absolute tolerance so each eigenvalue is resolved to about 2 ulp rather
 than to ulp * ||T||).  A convergence study discretizes each distinct domain on
 each grid and solves each matrix once.  Eigenvalues are reported in the
-doubled convention (2E).  The coefficients come from the model
-classes: ``weighted_coefficients``, the lam > 0 ``geodesic_coefficients`` and
-the PDM ``flat_coefficients``.
+doubled convention (2E).
+
+The coefficients (``weighted_coefficients``, the PDM ``flat_coefficients``)
+are functions of the radius r and the stretch t, and each model names the
+coordinate y its pictures are solved in (``coordinate``; x = sqrt(s) for the
+weighted Coulomb-like problem, s for the curved problems' other lam > 0
+pictures, the radius otherwise).  ``build_problem`` maps any radial triple to
+y in one step, P = p/g'^2, W = w g', V(g) with r = g(y); ``truncation_radius``
+cuts every infinite y-domain where the density |u|^2 W falls to 1e-12 of its peak.
 
 The PDM flat pictures use w = 1: BD is -d/dx (1/m) d/dx + V1 (or U) directly;
 the MM quarter-power operator and any von Roos ordering are reduced exactly to
@@ -52,8 +58,7 @@ class SturmLiouvilleProblem:
     w: Callable
     potential: Callable
     domain: tuple[float, float]
-    bc_inner: str = "natural"  # "natural" (zero flux) | "dirichlet"
-    bc_outer: str = "dirichlet"
+    bc_inner: str = "natural"  # "natural" (zero flux) | "dirichlet" | "dirichlet-wall"
     label: str = ""
 
 
@@ -128,7 +133,7 @@ def _exp_cutoff(amp, hi0: float = 16.0) -> float:
     hi = hi0
     for _ in range(40):
         grid = np.linspace(hi * 1e-4, hi, 8192)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals = np.abs(np.asarray(amp(grid))) ** 2
         vals = np.nan_to_num(vals, nan=0.0, posinf=0.0)
         ipk = int(np.argmax(vals))
@@ -142,46 +147,27 @@ def _exp_cutoff(amp, hi0: float = 16.0) -> float:
     raise ValueError("state density does not decay below 1e-12 of its peak")
 
 
-def truncation_radius(
-    model, ang: float, n_r: int, picture: str = "weighted", ordering: PdmOrdering = BD
-) -> float:
-    """Domain cutoff for infinite-domain problems, in the solved coordinate.
+def truncation_radius(model, ang: float, n_r: int, picture: str = "weighted") -> float:
+    """Domain cutoff for the state (n_r, ang), in the coordinate y that solves ``picture``.
 
-    The target state must have decayed to 1e-12 of its peak by half the cutoff.
-    For lam > 0 weighted problems the coordinate is the geodesic one (where the
-    tails are exponential); for the flat PDM picture, which stays radial, the
-    cutoff is instead set where a boundary-flux estimate of the truncation
-    error drops below a tenth of the 1e-6 verification budget.
+    A finite y-domain is kept whole.  Otherwise the cutoff is where the
+    state's density |u|^2 W in y falls to 1e-12 of its peak.  That density is
+    psi^2 w dr/dy in both pictures (the flat u^2 is psi^2 times the weighted
+    measure), so only the coordinate depends on the picture.
     """
-    lo, hi = model.domain
-    if math.isfinite(hi):
-        return hi
+    to_r, end = model.coordinate(picture)
+    if math.isfinite(end):
+        return end
     q = QuantumNumbers(n_r, ang)
     if not model.is_bound(q):
         raise ValueError("truncation undefined: target state is not normalizable")
-    state = RadialState(model, q)
-    if picture == "weighted":
-        if model.lam > 0:
-            geo = model.geodesic_coefficients(ang)
-            return _exp_cutoff(lambda s: state(geo["to_r"](s)) * np.sqrt(geo["w"](s)))
-        return _exp_cutoff(lambda r: state(r) * np.sqrt(model.weight(r)))
-    # flat picture, radial coordinate; an infinite domain means lam > 0 here
-    coeff = model.flat_coefficients(ang, ordering)
-    grid = np.geomspace(1e-4, 1e9, 16384)
-    psi, dpsi, _ = state.derivatives(grid)
-    f, df, _ = model.flat_factor_derivatives(grid)
-    psi, dpsi = f * psi, df * psi + f * dpsi
-    amp_vals = np.abs(psi)
-    ipk = int(np.argmax(amp_vals))
-    peak = amp_vals[ipk]
-    dens = psi * psi
-    part = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))
-    est = np.asarray(coeff["p"](grid)) * np.abs(psi * dpsi) / np.maximum(part, 1e-300)
-    target = 1e-7 * max(abs(analytic_reference(model, ang, n_r, picture, ordering)), 1e-2)
-    ok = np.nonzero((est < target) & (np.arange(grid.size) > ipk) & (amp_vals < 1e-3 * peak))[0]
-    if not ok.size:
-        raise ValueError("no truncation radius meets the error budget")
-    return float(grid[ok[0]])
+    w = model.weighted_coefficients(ang)["w"]
+
+    def amp(y):
+        r, t, dr = to_r(y)
+        return model.amplitude(q, r, t) * np.sqrt(w(r, t) * dr)
+
+    return _exp_cutoff(amp)
 
 
 def build_problem(
@@ -192,47 +178,53 @@ def build_problem(
     n_states: int = 2,
     r_max: Optional[float] = None,
 ) -> SturmLiouvilleProblem:
-    """Sturm-Liouville form of one radial problem.
+    """Sturm-Liouville form of one radial problem in the model's solved coordinate.
 
     picture "weighted" solves the curved radial equation against its measure;
     "flat" solves the PDM picture (w = 1) for the given von Roos ordering.
-    The domain is truncated (if infinite) to cover the lowest ``n_states``
-    states of the channel; ``r_max`` overrides the automatic rule.
+    The radial (p, w, V) become P = p/g'^2, W = w g' and V(g) in the
+    coordinate y of ``model.coordinate(picture)``, r = g(y).  The domain is
+    truncated (if infinite) to cover the lowest ``n_states`` states of the
+    channel; ``r_max`` overrides the automatic rule, in y.
     """
     if picture == "weighted":
         if ordering is not None:
             raise ValueError("ordering applies to the flat picture only")
-        if model.lam > 0:
-            coeff = model.geodesic_coefficients(ang)
-            label = f"weighted-geodesic {type(model).__name__} ang={ang}"
-        else:
-            coeff = model.weighted_coefficients(ang)
-            label = f"weighted {type(model).__name__} ang={ang}"
+        coeff = model.weighted_coefficients(ang)
         bc_inner = "natural"
     elif picture == "flat":
         if model.lam == 0:
             raise ValueError("the PDM flat picture applies to the curved models only")
-        ordering = BD if ordering is None else ordering
-        coeff = model.flat_coefficients(ang, ordering)
-        label = f"flat {type(model).__name__} ang={ang}"
+        coeff = model.flat_coefficients(ang, BD if ordering is None else ordering)
         bc_inner = "dirichlet-wall"
     else:
         raise ValueError(f"unknown picture {picture!r}")
+    to_r, end = model.coordinate(picture)
     if r_max is None:
-        r_max = truncation_radius(
-            model, ang, n_states - 1, picture, ordering if ordering else BD
-        )
-    lo, hi = model.domain
-    if not lo < r_max <= (hi if math.isfinite(hi) else math.inf):
+        r_max = truncation_radius(model, ang, n_states - 1, picture)
+    if not 0.0 < r_max <= end:
         raise ValueError("r_max outside the model domain")
+    p, w, V = coeff["p"], coeff["w"], coeff["V"]
+
+    def P(y):
+        r, t, dr = to_r(y)
+        return p(r, t) / (dr * dr)
+
+    def W(y):
+        r, t, dr = to_r(y)
+        return w(r, t) * dr
+
+    def U(y):
+        r, t, _ = to_r(y)
+        return V(r, t)
+
     return SturmLiouvilleProblem(
-        p=coeff["p"],
-        w=coeff["w"],
-        potential=coeff["V"],
-        domain=(lo, float(r_max)),
+        p=P,
+        w=W,
+        potential=U,
+        domain=(0.0, float(r_max)),
         bc_inner=bc_inner,
-        bc_outer="dirichlet",
-        label=label,
+        label=f"{picture} {type(model).__name__} ang={ang}",
     )
 
 
@@ -247,7 +239,8 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     rows keep both flux terms on the diagonal but drop the outside coupling
     (the boundary one with the cell-center weight, since the measure may be
     singular at the endpoint itself); the natural row at the origin sets the
-    inner flux to zero.
+    inner flux to zero and never samples p there, where it may be infinite
+    (p = 1/(4x^2) in x).  The outer end is always a Dirichlet wall.
     """
     if not isinstance(N, (int, np.integer)) or N < 3:
         raise ValueError(f"need N >= 3 cells, got {N}")
@@ -255,9 +248,10 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     h = (b - a) / N
     x = a + (np.arange(1, N + 1) - 0.5) * h
     xh = a + np.arange(N + 1) * h
+    first = 1 if problem.bc_inner == "natural" else 0
     w = np.asarray(problem.w(x), dtype=float)
     v = np.asarray(problem.potential(x), dtype=float)
-    p_half = np.asarray(problem.p(xh), dtype=float)
+    p_half = np.asarray(problem.p(xh[first:]), dtype=float)
     w_half = np.asarray(problem.w(xh[1:-1]), dtype=float)
     if not (
         np.all(np.isfinite(w))
@@ -269,7 +263,7 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     if not (np.all(w > 0) and np.all(w_half > 0)):
         raise ValueError("weight must be positive on the open domain")
     h2 = h * h
-    g = p_half[1:-1] * w_half
+    g = p_half[1 - first : -1] * w_half
     diag = v.copy()
     diag[:-1] += g / (h2 * w[:-1])
     diag[1:] += g / (h2 * w[1:])
@@ -284,12 +278,7 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
         diag[0] += 2.0 * p_half[0] / h2
     elif problem.bc_inner != "natural":
         raise ValueError(f"unknown inner boundary {problem.bc_inner!r}")
-    if problem.bc_outer == "dirichlet":
-        diag[-1] += p_half[-1] / h2
-    elif problem.bc_outer == "dirichlet-wall":
-        diag[-1] += 2.0 * p_half[-1] / h2
-    elif problem.bc_outer != "natural":
-        raise ValueError(f"unknown outer boundary {problem.bc_outer!r}")
+    diag[-1] += p_half[-1] / h2
     return DiscreteOperator(diag=diag, off=off, h=h, nodes=x)
 
 
@@ -325,9 +314,10 @@ def residual_norm(
         lam2e = 2.0 * model.pdm_energy(ordering, q)
     else:
         raise ValueError(f"unknown picture {picture!r}")
-    kin2 = np.asarray(coeff["p"](x)) * d2psi
-    kin1 = np.asarray(coeff["c1"](x)) * dpsi
-    pot = np.asarray(coeff["V"](x)) * psi
+    t = model.stretch(x)
+    kin2 = np.asarray(coeff["p"](x, t)) * d2psi
+    kin1 = np.asarray(coeff["c1"](x, t)) * dpsi
+    pot = np.asarray(coeff["V"](x, t)) * psi
     # both pictures: p psi'' + c1 psi' - V psi + 2E psi = 0
     resid = np.abs(kin2 + kin1 - pot + lam2e * psi)
     scale = np.abs(lam2e * psi) + np.abs(kin2) + np.abs(kin1) + np.abs(pot)
@@ -361,17 +351,13 @@ def convergence_study(
     tops = [
         j for j in range(k) if j + 1 == k or problems[j + 1].domain != problems[j].domain
     ]
-    batch = []
-    for top in tops:
-        for N in grids:
-            op = discretize(problems[top], N)
-            batch.append((op.diag, op.off, top + 1))
-    vals = iter(kernels.lowest_eigenvalues_batch(batch))
     eig = np.empty((len(grids), k))
     first = 0
     for top in tops:
-        for i in range(len(grids)):
-            eig[i, first : top + 1] = next(vals)[first:]
+        for i, N in enumerate(grids):
+            op = discretize(problems[top], N)
+            vals = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, top + 1)
+            eig[i, first : top + 1] = vals[first:]
         first = top + 1
     hs = 1.0 / np.asarray(grids, dtype=float)
     orders, extrap, refs, errs, mono = [], [], [], [], []

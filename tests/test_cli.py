@@ -215,12 +215,23 @@ def test_verify_general_vonroos_fails_before_solving(model_flags, capsys, monkey
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve ran before the closed-form check")
 
-    monkeypatch.setattr(kernels, "lowest_eigenvalues_batch", no_solve)
+    monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", no_solve)
     code, _, err = run(
         ["verify", *model_flags, "--ordering", "vonroos:-0.5,0,-0.5", "--k", "1"], capsys
     )
     assert code == 2
     assert "closed-form PDM energies exist only for the BD and MM orderings" in err
+
+
+def test_verify_flat_half_integer_L_answers(capsys):
+    # a flat lam > 0 state that once had no admissible truncation radius (exit 2)
+    code, out, _ = run(
+        ["verify", "--model", "pdm-coulomb", "--D", "4", "--lambda", "0.05", "--Q", "1",
+         "--L", "0.5", "--k", "3"],
+        capsys,
+    )
+    assert code in (0, 1)
+    assert len(json.loads(out)["states"]) == 3
 
 
 def run_python(*args):

@@ -114,40 +114,26 @@ def test_oracle_matrix_matches_lapack_bisection():
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + np.finfo(float).eps * norm)
 
 
-def nlo_operators(grids):
-    model = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
-    problem = oracle.build_problem(model, 1.0, n_states=3)
-    return [oracle.discretize(problem, N) for N in grids]
+def random_tridiag(seed, n, shift=0.0):
+    rng = np.random.default_rng(seed)
+    return shift + rng.normal(size=n), rng.normal(size=n - 1)
 
 
-def test_batch_equals_each_matrix_alone():
-    rng = np.random.default_rng(21)
-    h = 1.0 / 3.0
-    ops = nlo_operators([512, 1024, 2048])
-    batch = [
-        (np.full(3, 2.0 / h**2), np.full(2, -1.0 / h**2), 3),  # k = N
-        (rng.normal(size=16), rng.normal(size=15), 4),
-        *[(op.diag, op.off, 3) for op in ops],
-        (ops[1].diag, ops[1].off, 3),  # the same matrix twice
-        (-1e3 + rng.normal(size=40), rng.normal(size=39), 5),  # wholly negative spectrum
-        (1e6 + rng.normal(size=40), rng.normal(size=39), 5),
-    ]
-    assert np.all(eigh_tridiagonal(batch[-2][0], batch[-2][1], eigvals_only=True) < 0.0)
-    got = kernels.lowest_eigenvalues_batch(batch)
-    assert len(got) == len(batch)
-    for (diag, off, k), vals in zip(batch, got):
-        alone = kernels.lowest_eigenvalues_tridiag(diag, off, k)
-        assert vals.shape == (k,)
-        assert vals.tobytes() == alone.tobytes()
-        assert np.all(np.diff(vals) > 0.0)
-    # the largest matrix of the batch against LAPACK bisection
-    op = ops[2]
-    ref = eigh_tridiagonal(
-        op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 2),
-        lapack_driver="stebz", tol=1e-300,
-    )
-    norm = np.max(np.abs(op.diag)) + np.max(np.abs(op.off))
-    assert np.all(np.abs(got[4] - ref) <= 1e-12 * np.abs(ref) + np.finfo(float).eps * norm)
+@pytest.mark.parametrize(
+    "diag,off,k",
+    [
+        (np.full(3, 18.0), np.full(2, -9.0), 3),
+        (*random_tridiag(21, 16), 4),
+        (*random_tridiag(23, 40, shift=-1e3), 5),
+        (*random_tridiag(25, 40, shift=1e6), 5),
+    ],
+    ids=["k-equals-N", "random-N16", "wholly-negative", "diagonal-near-1e6"],
+)
+def test_edge_matrices(diag, off, k):
+    if diag[0] < 0:
+        assert np.all(eigh_tridiagonal(diag, off, eigvals_only=True) < 0.0)
+    assert kernels.lowest_eigenvalues_tridiag(diag, off, k).shape == (k,)
+    assert_matches_lapack(diag, off, k)
 
 
 def test_zero_pivot_at_a_shift():
@@ -157,29 +143,25 @@ def test_zero_pivot_at_a_shift():
     assert_matches_lapack(np.zeros(9), np.ones(8), 9)
 
 
-def test_empty_batch():
-    assert kernels.lowest_eigenvalues_batch([]) == []
-
-
 def test_study_batch_memory(monkeypatch):
-    # the 9 matrices of a lam > 0 study (each state truncated on its own) in one
-    # batch: the solver's workspace is O(N) per matrix, where an N x shifts
-    # array of a lockstep count would take about 28 MB
-    real = kernels.lowest_eigenvalues_batch
-    batches = []
+    # the 9 matrices of a lam > 0 study (each state truncated on its own): the
+    # solver's workspace is O(N) per matrix, where an N x shifts array of a
+    # lockstep count would take about 28 MB
+    real = kernels.lowest_eigenvalues_tridiag
+    matrices = []
 
-    def capture(matrices, *args, **kwargs):
-        batches.append(matrices)
-        return real(matrices, *args, **kwargs)
+    def capture(diag, off, k):
+        matrices.append((diag, off, k))
+        return real(diag, off, k)
 
-    monkeypatch.setattr(kernels, "lowest_eigenvalues_batch", capture)
+    monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", capture)
     oracle.convergence_study(CoulombLike(D=3, lam=0.05, Q=1.0), 0.0, 3, [512, 1024, 2048])
     monkeypatch.undo()
-    (batch,) = batches
-    assert len(batch) == 9
+    assert len(matrices) == 9
     tracemalloc.start()
     try:
-        real(batch)
+        for diag, off, k in matrices:
+            real(diag, off, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -19,6 +19,8 @@ from oscoul.models import (
     RadialState,
 )
 
+GRIDS = [512, 1024, 2048]
+
 
 def free_particle(n=3):
     prob = oracle.SturmLiouvilleProblem(
@@ -27,7 +29,6 @@ def free_particle(n=3):
         potential=lambda x: np.zeros_like(x),
         domain=(0.0, 1.0),
         bc_inner="dirichlet",
-        bc_outer="dirichlet",
     )
     return oracle.discretize(prob, n)
 
@@ -75,36 +76,63 @@ class TestBuildProblem:
         # (1/w)(p w psi')' must expand to p psi'' + c1 psi' with the paper's c1,
         # checked via numerical differentiation of p and w at sample points
         coeff = model.weighted_coefficients(ang)
+
+        def at(key, x):
+            return coeff[key](x, model.stretch(x))
+
         hi = model.domain[1]
         x = np.linspace(0.3, 0.8 * (hi if math.isfinite(hi) else 5.0), 7)
         h = 1e-6
-        dp = (coeff["p"](x + h) - coeff["p"](x - h)) / (2 * h)
-        dw = (coeff["w"](x + h) - coeff["w"](x - h)) / (2 * h)
-        c1 = dp + coeff["p"](x) * dw / coeff["w"](x)
-        np.testing.assert_allclose(c1, coeff["c1"](x), rtol=1e-6, atol=1e-8)
+        dp = (at("p", x + h) - at("p", x - h)) / (2 * h)
+        dw = (at("w", x + h) - at("w", x - h)) / (2 * h)
+        c1 = dp + at("p", x) * dw / at("w", x)
+        np.testing.assert_allclose(c1, at("c1", x), rtol=1e-6, atol=1e-8)
 
     def test_geodesic_transform_keeps_measure_and_potential(self):
-        # w_s ds = w_r dr, V_s(s) = V_r(r(s)), p_s = p_r (ds/dr)^2 = 1
-        for model in [
-            NonlinearOscillator(d=2, lam=0.2, beta=1.0),
-            CoulombLike(D=3, lam=0.2, Q=1.0),
+        # every mapped coordinate y: W dy = w dr, V(y) = V(r(y)), P = p (dy/dr)^2
+        for model, picture in [
+            (NonlinearOscillator(d=2, lam=0.2, beta=1.0), "weighted"),  # s
+            (NonlinearOscillator(d=2, lam=0.2, beta=1.0), "flat"),  # s
+            (CoulombLike(D=3, lam=0.2, Q=1.0), "weighted"),  # x = sqrt(s)
+            (CoulombLike(D=3, lam=-0.1, Q=1.0), "weighted"),  # x = sqrt(s)
+            (CoulombLike(D=3, lam=0.2, Q=1.0), "flat"),  # s
         ]:
-            geo = model.geodesic_coefficients(1.0)
-            rad = model.weighted_coefficients(1.0)
-            s = np.linspace(0.2, 4.0, 9)
-            r = geo["to_r"](s)
+            to_r, _ = model.coordinate(picture)
+            problem = oracle.build_problem(model, 1.0, picture, n_states=1)
+            rad = (
+                model.weighted_coefficients(1.0)
+                if picture == "weighted"
+                else model.flat_coefficients(1.0, BD)
+            )
+            y = np.linspace(0.2, 4.0, 9)
+            r = to_r(y)[0]
+            t = model.stretch(r)
             h = 1e-6
-            dr_ds = (geo["to_r"](s + h) - geo["to_r"](s - h)) / (2 * h)
-            np.testing.assert_allclose(geo["w"](s), rad["w"](r) * dr_ds, rtol=1e-9)
-            np.testing.assert_allclose(geo["V"](s), rad["V"](r), rtol=1e-12)
-            np.testing.assert_allclose(geo["p"](s), rad["p"](r) / dr_ds**2, rtol=1e-9)
+            dr_dy = (to_r(y + h)[0] - to_r(y - h)[0]) / (2 * h)
+            np.testing.assert_allclose(problem.w(y), rad["w"](r, t) * dr_dy, rtol=1e-9)
+            np.testing.assert_allclose(problem.potential(y), rad["V"](r, t), rtol=1e-12)
+            np.testing.assert_allclose(problem.p(y), rad["p"](r, t) / dr_dy**2, rtol=1e-9)
+
+    def test_far_tail_coefficients_use_the_stretch_directly(self):
+        # at lam x^2 = -60, 1 + lam R(x) rounds to 0: a coefficient formed from
+        # it is infinite or NaN there, while t = exp(lam x^2) keeps it exact
+        model = CoulombLike(D=3, lam=-0.1, Q=1.0)
+        problem = oracle.build_problem(model, 0.0, n_states=1)
+        x = np.array([math.sqrt(600.0)])
+        R, t, _ = model.coordinate("weighted")[0](x)
+        assert 1.0 + model.lam * R[0] == 0.0 and t[0] > 0.0
+        P, V, W = problem.p(x)[0], problem.potential(x)[0], problem.w(x)[0]
+        assert np.isfinite([P, V, W]).all() and W > 0
+        # W = t^(-3/2) R^2 * 2 x t with t = e^-60 and R = 1/|lam|
+        assert W == pytest.approx(2.0 * x[0] * math.exp(30.0) * 100.0, rel=1e-12)
+        assert P == pytest.approx(1.0 / (4.0 * x[0] ** 2), rel=1e-12)
 
     def test_flat_picture_bd_potential_is_v1(self):
         m = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
         coeff = m.flat_coefficients(1.0, BD)
         r = np.linspace(0.3, 2.5, 7)
         v1 = (1.0 + 0.5) * (1.0 - 0.5) / r**2 + (0.9 * r**2 + 0.025) / (1.0 - 0.1 * r**2)
-        np.testing.assert_allclose(coeff["V"](r), v1, rtol=1e-13)
+        np.testing.assert_allclose(coeff["V"](r, m.stretch(r)), v1, rtol=1e-13)
 
     def test_von_roos_bd_triple_reproduces_bd_exactly(self):
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
@@ -251,24 +279,24 @@ class TestConvergenceStudy:
 
     @staticmethod
     def spy_solves(monkeypatch):
-        real = kernels.lowest_eigenvalues_batch
+        real = kernels.lowest_eigenvalues_tridiag
         calls = []
 
-        def spy(matrices, *args, **kwargs):
-            calls.append([k for _, _, k in matrices])
-            return real(matrices, *args, **kwargs)
+        def spy(diag, off, k):
+            calls.append(k)
+            return real(diag, off, k)
 
-        monkeypatch.setattr(kernels, "lowest_eigenvalues_batch", spy)
+        monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", spy)
         return calls
 
     def test_shared_domain_solves_once_per_grid(self, monkeypatch):
-        m = CoulombLike(D=3, lam=-0.1, Q=1.0)
+        m = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
         grids = [128, 256, 512]
         calls = self.spy_solves(monkeypatch)
-        rep = oracle.convergence_study(m, 0.0, 3, grids)
-        assert calls == [[3] * len(grids)]
+        rep = oracle.convergence_study(m, 1.0, 3, grids)
+        assert calls == [3] * len(grids)
         for j in range(3):
-            problem = oracle.build_problem(m, 0.0, n_states=j + 1)
+            problem = oracle.build_problem(m, 1.0, n_states=j + 1)
             for i, N in enumerate(grids):
                 alone = oracle.lowest_eigenvalues(oracle.discretize(problem, N), j + 1)[j]
                 assert rep.eigenvalues[i][j] == pytest.approx(alone, rel=1e-12, abs=0)
@@ -278,7 +306,50 @@ class TestConvergenceStudy:
         grids = [128, 256, 512]
         calls = self.spy_solves(monkeypatch)
         oracle.convergence_study(m, 0.0, 3, grids)
-        assert calls == [[j + 1 for j in range(3) for _ in grids]]
+        assert calls == [j + 1 for j in range(3) for _ in grids]
+
+    @pytest.mark.parametrize(
+        "D,lam,L,states",
+        [(3.0, -0.1, 0.0, [2]), (3.0, 0.05, 0.0, [2]), (2.5, -0.05, 0.5, [0, 1, 2])],
+        ids=["D3-lam-0.1-nr2", "D3-lam0.05-nr2", "D2.5-lam-0.05-L0.5"],
+    )
+    def test_states_the_radial_grid_missed(self, D, lam, L, states):
+        # near-threshold and half-integer-L states: on a uniform grid in R these
+        # erred by 4.0e-3 and 1.0e-6, or converged at order 0.95 or less
+        rep = oracle.convergence_study(CoulombLike(D=D, lam=lam, Q=1.0), L, max(states) + 1, GRIDS)
+        for j in states:
+            assert rep.rel_error[j] <= 1e-6, (j, rep.rel_error[j])
+            assert 1.5 <= rep.observed_order[j] <= 2.5, (j, rep.observed_order[j])
+
+
+def _weighted_channels():
+    """Every weighted channel of the sweep with its bound states n_r < 5."""
+    models = [
+        CoulombLike(D=D, lam=lam, Q=1.0)
+        for D in (2.0, 2.5, 3.0, 4.0)
+        for lam in (-0.1, -0.02, 0.02, 0.1)
+    ]
+    models += [
+        NonlinearOscillator(d=d, lam=lam, beta=1.0) for d in (2, 3, 4) for lam in (-0.1, 0.05)
+    ]
+    for m in models:
+        angs = (0.0, 0.5, 1.0, 1.5) if isinstance(m, CoulombLike) else (0.0, 1.0, 2.0)
+        for ang in angs:
+            k = 0
+            while k < 5 and m.is_bound(QuantumNumbers(k, ang)):
+                k += 1
+            if k:  # a channel with no bound state has nothing to check
+                yield pytest.param(m, ang, k, id=f"{m.kind}-dim{m.dim}-lam{m.lam}-ang{ang}")
+
+
+@pytest.mark.parametrize("model,ang,k", list(_weighted_channels()))
+def test_weighted_sweep(model, ang, k):
+    # every bound state n_r < 5 of the weighted curved problems: the oracle
+    # meets the closed form to 1e-6 with an observed order in [1.5, 2.5]
+    rep = oracle.convergence_study(model, ang, k, GRIDS)
+    for j in range(k):
+        assert rep.rel_error[j] <= 1e-6, (j, rep.rel_error[j])
+        assert 1.5 <= rep.observed_order[j] <= 2.5, (j, rep.observed_order[j])
 
 
 class TestVariationalMonotonicity:
