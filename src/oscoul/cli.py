@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import oracle
-from .duality import map_curved, map_euclidean, verify_pointwise
+from .duality import map_curved, verify_pointwise
 from .kernels import LapackNotFound
 from .models import (
     BD,
@@ -73,7 +73,8 @@ def _emit_json(obj: dict, path):
 def _need(args, name: str):
     value = getattr(args, name.strip("-").replace("-", "_"), None)
     if value is None:
-        raise ConfigError(f"--{name} is required for --model {args.model}")
+        what = f"--model {args.model}" if "model" in args else args.command
+        raise ConfigError(f"--{name} is required for {what}")
     return value
 
 
@@ -202,10 +203,7 @@ def cmd_duality(args) -> int:
     lam = getattr(args, "lambda") if getattr(args, "lambda") is not None else 0.0
     d = _need(args, "d")
     l = int(args.l) if args.l is not None else 0
-    if lam == 0:
-        pair = map_euclidean(d, l, _need(args, "omega"), args.n_r)
-    else:
-        pair = map_curved(d, l, lam, _need(args, "beta"), args.n_r)
+    pair = map_curved(d, l, lam, _need(args, "omega" if lam == 0 else "beta"), args.n_r)
     lo, hi = pair.coulomb.domain
     span = hi if math.isfinite(hi) else 4.0 * oracle.truncation_radius(
         pair.oscillator, float(l), args.n_r
@@ -237,9 +235,6 @@ def cmd_verify(args) -> int:
         picture = "flat"
     ordering = parse_ordering(args.ordering) if picture == "flat" else None
     grids = [int(g) for g in args.grids.split(",")]
-    # a state without a closed form is a usage error; report it before the eigensolves
-    for j in range(args.k):
-        oracle.analytic_reference(model, ang, j, picture, ordering or BD)
     report = oracle.convergence_study(
         model, ang, args.k, grids, picture=picture, ordering=ordering
     )

@@ -2,8 +2,10 @@
 
 Maps a d-dimensional oscillator state onto a D = (d+2)/2 dimensional Coulomb
 (or Coulomb-like) state with L = l/2, exchanging the roles of coupling
-constant and energy.  Only even l produces an integer Coulomb angular number;
-odd l is accepted and flagged.
+constant and energy.  ``map_curved`` covers every lam: lam = 0 is the
+Euclidean pair (oscillator frequency omega = beta, Coulomb problem in flat
+space), the same formulas with the curvature terms vanishing.  Only even l
+produces an integer Coulomb angular number; odd l is accepted and flagged.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "PointwiseReport",
     "beta_from_coupling",
     "map_curved",
-    "map_euclidean",
     "verify_pointwise",
 ]
 
@@ -58,36 +59,17 @@ def _consistency(expected: float, actual: float, what: str) -> None:
         raise RuntimeError(f"internal duality inconsistency in {what}: {expected} vs {actual}")
 
 
-def map_euclidean(d: int, l: int, omega: float, n_r: int = 0) -> DualPair:
-    """Euclidean oscillator (d, l, omega, n_r) -> Coulomb (D, L, Q, E) image."""
-    osc = EuclideanOscillator(d=d, omega=omega)
-    oq = QuantumNumbers(n_r, l)
-    e_osc = osc.energy(oq)
-    D = (d + 2) / 2.0
-    L = l / 2.0
-    Q = 0.5 * e_osc
-    cal_e = -0.125 * omega**2
-    cm = EuclideanCoulomb(D=D, Q=Q)
-    cq = QuantumNumbers(n_r, L)
-    _consistency(cal_e, cm.energy(cq), "map_euclidean")
-    return DualPair(
-        oscillator=osc,
-        osc_q=oq,
-        coulomb=cm,
-        coulomb_q=cq,
-        coulomb_energy=cal_e,
-        integer_L=(int(l) % 2 == 0),
-    )
-
-
 def map_curved(d: int, l: int, lam: float, beta: float, n_r: int = 0) -> DualPair:
-    """Nonlinear oscillator (d, l, lam, beta, n_r) -> Coulomb-like image.
+    """Oscillator (d, l, lam, beta, n_r) -> Coulomb-side (D, L, Q, E) image.
 
-    lam = 0 reduces exactly to ``map_euclidean`` with omega = beta.
+    lam != 0 maps the nonlinear oscillator onto the Coulomb-like problem;
+    lam = 0 maps the Euclidean oscillator with omega = beta onto the
+    Euclidean Coulomb problem, through the same formulas.
     """
     if lam == 0:
-        return map_euclidean(d, l, beta, n_r)
-    osc = NonlinearOscillator(d=d, lam=lam, beta=beta)
+        osc = EuclideanOscillator(d=d, omega=beta)
+    else:
+        osc = NonlinearOscillator(d=d, lam=lam, beta=beta)
     oq = QuantumNumbers(n_r, l)
     if not osc.is_bound(oq):
         raise ValueError(
@@ -98,7 +80,7 @@ def map_curved(d: int, l: int, lam: float, beta: float, n_r: int = 0) -> DualPai
     L = l / 2.0
     Q = 0.5 * (e_osc - 2.0 * lam * L * (L + D - 2.0))
     cal_e = -beta * (beta + lam) / 8.0 + 0.25 * lam * e_osc
-    cm = CoulombLike(D=D, lam=lam, Q=Q)
+    cm = EuclideanCoulomb(D=D, Q=Q) if lam == 0 else CoulombLike(D=D, lam=lam, Q=Q)
     cq = QuantumNumbers(n_r, L)
     _consistency(cal_e, cm.energy(cq), "map_curved")
     return DualPair(

@@ -7,7 +7,13 @@ Each model class is the one home of its physics: its side of the duality, its
 energies and bound-state rule, its measure, its wavefunctions with their exact
 derivatives, the Sturm-Liouville coefficients the oracle discretizes (weighted
 and, for the curved classes, PDM flat-picture), and the coordinate in which
-the oracle solves each picture.  The Euclidean classes are the lam = 0 limits.
+the oracle solves each picture.
+
+The Euclidean classes are the lam = 0 cases of their side of the duality:
+the side class holds the one domain, measure, radial coefficients and energy,
+written for the curved model, and at lam = 0 (stretch t = 1, beta = omega)
+they reduce to the textbook forms.  The Euclidean classes keep only their
+parameters and their Laguerre states.
 
 Solved coordinates (``coordinate``), each a map y -> (r, t, dr/dy) with the
 stretch t formed directly:
@@ -133,13 +139,12 @@ MM = PdmOrdering(-0.25, -0.5, -0.25)
 
 
 def _require_closed_form(ordering: PdmOrdering, what: str) -> None:
-    # a general von Roos triple is handled numerically by the oracle
     if not (ordering.is_bd or ordering.is_mm):
         raise ValueError(f"closed-form PDM {what} exist only for the BD and MM orderings")
 
 
 def unit_weight(x):
-    """The weight 1 of the flat measure (and the p = 1 of unit-mass operators)."""
+    """The weight w = 1 of the flat (PDM) picture."""
     return np.ones_like(np.asarray(x, dtype=float))
 
 
@@ -280,6 +285,36 @@ class _OscillatorSide(_Side):
     def dim(self) -> float:
         return float(self.d)
 
+    @property
+    def domain(self) -> tuple[float, float]:
+        if self.lam >= 0:
+            return (0.0, math.inf)
+        return (0.0, 1.0 / math.sqrt(-self.lam))
+
+    def energy(self, q: QuantumNumbers) -> float:
+        """E_n = beta (n + d/2) - (lam/2) n (n + d - 1), n = 2 n_r + l.
+
+        The formula is returned for every n; for lam > 0 states above
+        ``n_max`` it is a formal value of a non-normalizable state (see
+        ``is_bound``).
+        """
+        n = q.n
+        return self.beta * (n + self.d / 2.0) - 0.5 * self.lam * n * (n + self.d - 1.0)
+
+    def _weight(self, r, t):
+        """Measure weight (1+lam r^2)^(-1/2) r^(d-1)."""
+        return t ** (-0.5) * r ** (self.d - 1.0)
+
+    def weighted_coefficients(self, ang: float) -> dict:
+        """(p, w, V) of the radial equation plus c1 = p' + p w'/w, each f(r, t)."""
+        d, lam, beta = self.d, self.lam, self.beta
+        return dict(
+            p=lambda r, t: t,
+            w=self._weight,
+            V=lambda r, t: ang * (ang + d - 2.0) / (r * r) + beta * (beta + lam) * r * r / t,
+            c1=lambda r, t: (d - 1.0 + d * lam * r * r) / r,
+        )
+
     def stretch(self, r):
         return 1.0 + self.lam * r * r
 
@@ -300,6 +335,39 @@ class _CoulombSide(_Side):
     @property
     def dim(self) -> float:
         return self.D
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        if self.lam >= 0:
+            return (0.0, math.inf)
+        return (0.0, 1.0 / abs(self.lam))
+
+    def energy(self, q: QuantumNumbers) -> float:
+        """E = -f1 f2 / (2 (2 nu + D - 1)^2), with f1 and f2 equal to Q at lam = 0.
+
+        At lam = 0 the energy depends on (n_r, L) through nu only; lam breaks
+        that degeneracy.
+        """
+        nu = q.nu
+        ll = q.ang * (q.ang + self.D - 2.0)
+        f1 = self.Q + self.lam * (-nu * (nu + 0.5) + ll)
+        f2 = self.Q + self.lam * (-(nu + self.D - 1.0) * (nu + self.D - 1.5) + ll)
+        return -f1 * f2 / (2.0 * (2.0 * nu + self.D - 1.0) ** 2)
+
+    def _weight(self, R, t):
+        """Measure weight (1+lam R)^(-3/2) R^(D-1)."""
+        return t ** (-1.5) * R ** (self.D - 1.0)
+
+    def weighted_coefficients(self, ang: float) -> dict:
+        """(p, w, V) of the radial equation plus c1 = p' + p w'/w, each f(R, t)."""
+        D, lam, Q = self.D, self.lam, self.Q
+        c = (2.0 * D - 1.0) / (2.0 * D - 2.0)
+        return dict(
+            p=lambda R, t: t**2,
+            w=self._weight,
+            V=lambda R, t: ang * (ang + D - 2.0) / (R * R) - Q / R,
+            c1=lambda R, t: (D - 1.0) / R * t * (1.0 + c * lam * R),
+        )
 
     def stretch(self, R):
         return 1.0 + self.lam * R
@@ -324,7 +392,7 @@ class EuclideanOscillator(_OscillatorSide):
 
     d: int
     omega: float
-    lam = 0.0  # the Euclidean limit of the curved models
+    lam = 0.0  # the side's formulas at lam = 0 are the Euclidean ones
 
     def __post_init__(self):
         _require(
@@ -336,16 +404,9 @@ class EuclideanOscillator(_OscillatorSide):
         _require(_finite(self.omega) and self.omega > 0, "omega must be positive")
 
     @property
-    def domain(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
-    def energy(self, q: QuantumNumbers) -> float:
-        """E_n = omega (n + d/2), n = 2 n_r + l."""
-        return self.omega * (q.n + self.d / 2.0)
-
-    def _weight(self, r, t):
-        """Measure weight r^(d-1)."""
-        return r ** (self.d - 1.0)
+    def beta(self) -> float:
+        """The side's strength: beta is omega at lam = 0."""
+        return self.omega
 
     def amplitude(self, q: QuantumNumbers, r, t):
         """Unnormalized r^l exp(-omega r^2/2) L_{n_r}^(l+(d-2)/2)(omega r^2)."""
@@ -362,16 +423,6 @@ class EuclideanOscillator(_OscillatorSide):
         alpha = q.ang + (self.d - 2.0) / 2.0
         return _mul3(trip, _laguerre3(q.n_r, alpha, u, 2.0 * om * ra, 2.0 * om))
 
-    def weighted_coefficients(self, ang: float) -> dict:
-        """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
-        d, om = self.d, self.omega
-        return dict(
-            p=lambda r, t: unit_weight(r),
-            w=self._weight,
-            V=lambda r, t: ang * (ang + d - 2.0) / (r * r) + om**2 * r * r,
-            c1=lambda r, t: (d - 1.0) / r,
-        )
-
 
 @dataclass(frozen=True)
 class EuclideanCoulomb(_CoulombSide):
@@ -383,25 +434,13 @@ class EuclideanCoulomb(_CoulombSide):
 
     D: float
     Q: float
-    lam = 0.0  # the Euclidean limit of the curved models
+    lam = 0.0  # the side's formulas at lam = 0 are the Euclidean ones
 
     def __post_init__(self):
         object.__setattr__(self, "D", float(self.D))
         object.__setattr__(self, "Q", float(self.Q))
         _require(_finite(self.D) and self.D > 1, "dimension D must be > 1")
         _require(_finite(self.Q) and self.Q > 0, "coupling Q must be positive")
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
-    def energy(self, q: QuantumNumbers) -> float:
-        """E_nu = -Q^2 / (2 (2 nu + D - 1)^2); depends on (n_r, L) through nu only."""
-        return -self.Q**2 / (2.0 * (2.0 * q.nu + self.D - 1.0) ** 2)
-
-    def _weight(self, R, t):
-        """Measure weight R^(D-1)."""
-        return R ** (self.D - 1.0)
 
     def amplitude(self, q: QuantumNumbers, R, t):
         """Unnormalized R^L exp(-kappa R) L_{n_r}^(2L+D-2)(2 kappa R), kappa = sqrt(2|E_nu|)."""
@@ -417,16 +456,6 @@ class EuclideanCoulomb(_CoulombSide):
         trip = _mul3(_pow3(Ra, q.ang), _exp3(u, 2.0 * kappa, 0.0))
         alpha = 2.0 * q.ang + self.D - 2.0
         return _mul3(trip, _laguerre3(q.n_r, alpha, u, 2.0 * kappa, 0.0))
-
-    def weighted_coefficients(self, ang: float) -> dict:
-        """(p, w, V) of the radial equation plus c1 = p' + p w'/w."""
-        D, Q = self.D, self.Q
-        return dict(
-            p=lambda R, t: unit_weight(R),
-            w=self._weight,
-            V=lambda R, t: ang * (ang + D - 2.0) / (R * R) - Q / R,
-            c1=lambda R, t: (D - 1.0) / R,
-        )
 
 
 @dataclass(frozen=True)
@@ -455,16 +484,6 @@ class NonlinearOscillator(_OscillatorSide):
         _require(self.beta * (self.beta + self.lam) > 0, "need beta*(beta+lam) > 0")
 
     @property
-    def alpha2(self) -> float:
-        return self.beta * (self.beta + self.lam)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        if self.lam > 0:
-            return (0.0, math.inf)
-        return (0.0, 1.0 / math.sqrt(-self.lam))
-
-    @property
     def n_max(self):
         """Largest normalizable n for lam > 0; None marks the unbounded lam < 0 ladder.
 
@@ -475,23 +494,9 @@ class NonlinearOscillator(_OscillatorSide):
         x = self.beta / self.lam - (self.d + 1) / 2.0
         return math.ceil(x - 1e-12)
 
-    def energy(self, q: QuantumNumbers) -> float:
-        """E_n = beta (n + d/2) - (lam/2) n (n + d - 1).
-
-        The formula is returned for every n; for lam > 0 states above
-        ``n_max`` it is a formal value of a non-normalizable state (see
-        ``is_bound``).
-        """
-        n = q.n
-        return self.beta * (n + self.d / 2.0) - 0.5 * self.lam * n * (n + self.d - 1.0)
-
     def is_bound(self, q: QuantumNumbers) -> bool:
         n_max = self.n_max
         return n_max is None or q.n <= n_max
-
-    def _weight(self, r, t):
-        """Measure weight (1+lam r^2)^(-1/2) r^(d-1)."""
-        return t ** (-0.5) * r ** (self.d - 1.0)
 
     def amplitude(self, q: QuantumNumbers, r, t):
         """Unnormalized r^l (1+lam r^2)^(-beta/(2 lam)) P_{n_r}^(l+(d-2)/2, -beta/lam-1/2)(1+2 lam r^2)."""
@@ -511,16 +516,6 @@ class NonlinearOscillator(_OscillatorSide):
         b = -self.beta / lam - 0.5
         z = 1.0 + 2.0 * lam * ra * ra
         return _mul3(trip, _jacobi3(q.n_r, a, b, z, 4.0 * lam * ra, 4.0 * lam))
-
-    def weighted_coefficients(self, ang: float) -> dict:
-        """(p, w, V) of the radial equation plus c1 = p' + p w'/w, each f(r, t)."""
-        d, lam, beta = self.d, self.lam, self.beta
-        return dict(
-            p=lambda r, t: t,
-            w=self._weight,
-            V=lambda r, t: ang * (ang + d - 2.0) / (r * r) + beta * (beta + lam) * r * r / t,
-            c1=lambda r, t: (d - 1.0 + d * lam * r * r) / r,
-        )
 
     def coordinate(self, picture: str):
         """s = arcsinh(sqrt(lam) r)/sqrt(lam) for lam > 0, where bound states decay
@@ -588,20 +583,6 @@ class CoulombLike(_CoulombSide):
         _require(_finite(self.lam) and self.lam != 0, "lam must be nonzero")
         _require(_finite(self.Q) and self.Q > 0, "coupling Q must be positive")
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        if self.lam > 0:
-            return (0.0, math.inf)
-        return (0.0, 1.0 / abs(self.lam))
-
-    def energy(self, q: QuantumNumbers) -> float:
-        """Bound-state energy of the Coulomb-like problem; nu-degeneracy is broken."""
-        nu = q.nu
-        ll = q.ang * (q.ang + self.D - 2.0)
-        f1 = self.Q + self.lam * (-nu * (nu + 0.5) + ll)
-        f2 = self.Q + self.lam * (-(nu + self.D - 1.0) * (nu + self.D - 1.5) + ll)
-        return -f1 * f2 / (2.0 * (2.0 * nu + self.D - 1.0) ** 2)
-
     def is_bound(self, q: QuantumNumbers) -> bool:
         """Normalizability inequality for (n_r, L); strict on the boundary."""
         n_r, L, D = q.n_r, q.ang, self.D
@@ -610,10 +591,6 @@ class CoulombLike(_CoulombSide):
             return lhs < self.Q / abs(self.lam)
         lhs = n_r**2 + (2 * L + D - 1) * n_r + L + (D - 1) * (2 * D - 3) / 4.0
         return lhs < self.Q / self.lam
-
-    def _weight(self, R, t):
-        """Measure weight (1+lam R)^(-3/2) R^(D-1)."""
-        return t ** (-1.5) * R ** (self.D - 1.0)
 
     def wavefunction_params(self, q: QuantumNumbers) -> WavefunctionParams:
         """The (rho, sigma, tau) triple of the bound-state wavefunction."""
@@ -640,17 +617,6 @@ class CoulombLike(_CoulombSide):
         trip = _mul3(_pow3(Ra, q.ang), _cpow3(*self._stretch3(Ra), wp.tau))
         z = 1.0 + 2.0 * lam * Ra
         return _mul3(trip, _jacobi3(q.n_r, wp.rho, wp.sigma, z, 2.0 * lam, 0.0))
-
-    def weighted_coefficients(self, ang: float) -> dict:
-        """(p, w, V) of the radial equation plus c1 = p' + p w'/w, each f(R, t)."""
-        D, lam, Q = self.D, self.lam, self.Q
-        c = (2.0 * D - 1.0) / (2.0 * D - 2.0)
-        return dict(
-            p=lambda R, t: t**2,
-            w=self._weight,
-            V=lambda R, t: ang * (ang + D - 2.0) / (R * R) - Q / R,
-            c1=lambda R, t: (D - 1.0) / R * t * (1.0 + c * lam * R),
-        )
 
     def coordinate(self, picture: str):
         """x = sqrt(s), s = log(1+lam R)/lam, for the weighted picture: R ~ x^2 near
@@ -762,10 +728,6 @@ class RadialState:
         f, f1, f2 = self.model.derivatives(self.q, x)
         a = self.amplitude
         return (a * f, a * f1, a * f2)
-
-    @property
-    def energy(self) -> float:
-        return self.model.energy(self.q)
 
     def scaled(self, factor: float) -> "RadialState":
         return replace(self, amplitude=self.amplitude * factor)

@@ -59,7 +59,6 @@ class SturmLiouvilleProblem:
     potential: Callable
     domain: tuple[float, float]
     bc_inner: str = "natural"  # "natural" (zero flux) | "dirichlet" | "dirichlet-wall"
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -86,17 +85,6 @@ class ConvergenceReport:
     rel_error: tuple
     monotone: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "grids": list(self.grids),
-            "eigenvalues": [list(row) for row in self.eigenvalues],
-            "observed_order": list(self.observed_order),
-            "extrapolated": list(self.extrapolated),
-            "reference": list(self.reference),
-            "rel_error": list(self.rel_error),
-            "monotone": list(self.monotone),
-        }
-
 
 def analytic_reference(
     model, ang: float, n_r: int, picture: str = "weighted", ordering: PdmOrdering = BD
@@ -109,18 +97,16 @@ def analytic_reference(
 
 
 def _state_scale(model, ang: float, n_r: int) -> float:
-    """Radius by which the target state has decayed to 1e-3 of its peak."""
-    lo, hi = model.domain
-    probe_hi = hi if math.isfinite(hi) else 1e9
-    grid = np.geomspace(max(1e-9 * probe_hi, 1e-12), probe_hi * (1 - 1e-12), 8192)
+    """Radius past which the target state stays below 1e-3 of its peak, on an
+    infinite domain: the grid point after the last sample at or above that
+    level, so the nodes of an excited state do not end the scan early."""
+    grid = np.geomspace(1.0, 1e9 * (1 - 1e-12), 8192)
     state = RadialState(model, QuantumNumbers(n_r, ang))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         vals = np.abs(np.asarray(state(grid)))
-    vals = np.where(np.isfinite(vals), vals, np.inf)
-    ipk = int(np.argmax(np.where(np.isfinite(vals), vals, -np.inf)))
-    peak = vals[ipk]
-    tail = np.nonzero(vals[ipk:] < 1e-3 * peak)[0]
-    return float(grid[ipk + tail[0]]) if tail.size else float(probe_hi)
+    vals = np.where(np.isfinite(vals), vals, 0.0)
+    last = np.nonzero(vals >= 1e-3 * vals.max())[0][-1]
+    return float(grid[min(last + 1, grid.size - 1)])
 
 
 def _exp_cutoff(amp, hi0: float = 16.0) -> float:
@@ -224,7 +210,6 @@ def build_problem(
         potential=U,
         domain=(0.0, float(r_max)),
         bc_inner=bc_inner,
-        label=f"{picture} {type(model).__name__} ang={ang}",
     )
 
 
@@ -338,6 +323,9 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Eigenvalues of the k lowest states across grids, with observed order and
     Richardson extrapolation from the two finest grids."""
+    # a state without a closed form is a usage error: report it before any solve
+    eff = BD if ordering is None else ordering
+    refs = [float(analytic_reference(model, ang, j, picture, eff)) for j in range(k)]
     grids = [int(N) for N in grids]
     if len(grids) < 3 or any(b <= a for a, b in zip(grids, grids[1:])):
         raise ValueError("need at least 3 strictly increasing grid sizes")
@@ -360,8 +348,7 @@ def convergence_study(
             eig[i, first : top + 1] = vals[first:]
         first = top + 1
     hs = 1.0 / np.asarray(grids, dtype=float)
-    orders, extrap, refs, errs, mono = [], [], [], [], []
-    ordering_eff = ordering if ordering is not None else BD
+    orders, extrap, errs, mono = [], [], [], []
     for j in range(k):
         seq = eig[:, j]
         d1 = seq[-2] - seq[-3]
@@ -374,11 +361,9 @@ def convergence_study(
         else:
             order = math.nan
             rich = math.nan
-        ref = analytic_reference(model, ang, j, picture, ordering_eff)
         orders.append(float(order))
         extrap.append(float(rich))
-        refs.append(float(ref))
-        errs.append(float(abs(rich - ref) / abs(ref)) if math.isfinite(rich) else math.nan)
+        errs.append(float(abs(rich - refs[j]) / abs(refs[j])) if math.isfinite(rich) else math.nan)
     return ConvergenceReport(
         grids=tuple(grids),
         eigenvalues=tuple(tuple(row) for row in eig),

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .models import RadialState, unit_weight
+from .models import RadialState
 
 __all__ = [
     "DivergentIntegralError",
@@ -81,15 +81,9 @@ class Measure:
     singular_outer: bool = False
 
 
-def measure_for(model, picture: str = "weighted") -> Measure:
+def measure_for(model) -> Measure:
     """The L^2 measure the given model's radial functions are orthogonal under."""
-    if picture == "flat":
-        weight = unit_weight
-    elif picture == "weighted":
-        weight = model.weight
-    else:
-        raise ValueError(f"unknown picture {picture!r}")
-    return Measure(weight, model.domain, singular_outer=model.lam < 0)
+    return Measure(model.weight, model.domain, singular_outer=model.lam < 0)
 
 
 def _probe_grid(lo: float, hi: float):

@@ -147,6 +147,14 @@ def test_missing_parameter_exit_code(capsys):
     assert "required" in err
 
 
+@pytest.mark.parametrize("lam,flag", [("0", "--omega"), ("-0.1", "--beta")])
+def test_duality_missing_strength_exit_code(lam, flag, capsys):
+    # lam = 0 reads --omega and lam != 0 reads --beta; neither given is a usage error
+    code, _, err = run(["duality", "--d", "4", "--lambda", lam], capsys)
+    assert code == 2
+    assert f"{flag} is required for duality" in err
+
+
 def test_invalid_model_exit_code(capsys):
     code, _, err = run(
         ["spectrum", "--model", "nlo", "--d", "2", "--lambda", "0", "--beta", "1"],

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oscoul.duality import beta_from_coupling, map_curved, map_euclidean, verify_pointwise
+from oscoul.duality import DualPair, beta_from_coupling, map_curved, verify_pointwise
 from oscoul.models import (
     CoulombLike,
+    EuclideanCoulomb,
+    EuclideanOscillator,
     NonlinearOscillator,
     QuantumNumbers,
     clike_bound_states,
@@ -15,24 +17,28 @@ from oscoul.models import (
 
 
 def test_map_euclidean_values():
-    pair = map_euclidean(4, 2, 1.0, 0)
+    pair = map_curved(4, 2, 0.0, 1.0, 0)
     assert pair.coulomb.D == 3.0
     assert pair.coulomb_q.ang == 1.0
     assert pair.coulomb.Q == 2.0
     assert pair.coulomb_energy == -0.125
-    pair = map_euclidean(2, 0, 1.0, 0)
+    pair = map_curved(2, 0, 0.0, 1.0, 0)
     assert (pair.coulomb.D, pair.coulomb.Q) == (2.0, 0.5)
     assert pair.coulomb_energy == -0.125
 
 
 def test_map_euclidean_energy_independent_of_state():
-    vals = {map_euclidean(4, l, 1.0, n_r).coulomb_energy for l in (0, 2, 4) for n_r in (0, 1, 2)}
+    vals = {map_curved(4, l, 0.0, 1.0, n_r).coulomb_energy for l in (0, 2, 4) for n_r in (0, 1, 2)}
     assert vals == {-0.125}
 
 
 def test_map_euclidean_coupling_affine_in_n():
     omega, d = 1.3, 4
-    pairs = [(2 * n_r + l, map_euclidean(d, l, omega, n_r).coulomb.Q) for l in (0, 2) for n_r in (0, 1, 3)]
+    pairs = [
+        (2 * n_r + l, map_curved(d, l, 0.0, omega, n_r).coulomb.Q)
+        for l in (0, 2)
+        for n_r in (0, 1, 3)
+    ]
     for n, Q in pairs:
         assert math.isclose(Q, 0.5 * omega * (n + d / 2), rel_tol=1e-14)
 
@@ -51,7 +57,15 @@ def test_map_curved_values():
 
 def test_map_curved_lam_zero_reduces_to_euclidean():
     a = map_curved(4, 2, 0.0, 1.0, 1)
-    b = map_euclidean(4, 2, 1.0, 1)
+    # omega = 1, n = 4: E_osc = n + d/2 = 6, Q = E_osc/2 = 3 and E = -omega^2/8
+    b = DualPair(
+        oscillator=EuclideanOscillator(d=4, omega=1.0),
+        osc_q=QuantumNumbers(1, 2),
+        coulomb=EuclideanCoulomb(D=3.0, Q=3.0),
+        coulomb_q=QuantumNumbers(1, 1.0),
+        coulomb_energy=-0.125,
+        integer_L=True,
+    )
     assert a == b
 
 
@@ -62,13 +76,13 @@ def test_map_curved_rejects_unbound_state():
 
 
 def test_odd_l_flagged():
-    pair = map_euclidean(4, 1, 1.0, 0)
+    pair = map_curved(4, 1, 0.0, 1.0, 0)
     assert not pair.integer_L
     assert pair.coulomb_q.ang == 0.5
 
 
 def test_dimension_map():
-    assert [map_euclidean(d, 0, 1.0).coulomb.D for d in (2, 4, 6)] == [2.0, 3.0, 4.0]
+    assert [map_curved(d, 0, 0.0, 1.0).coulomb.D for d in (2, 4, 6)] == [2.0, 3.0, 4.0]
 
 
 def test_beta_from_coupling_values():
@@ -135,7 +149,7 @@ def test_two_route_energy_consistency():
 
 
 def test_pointwise_ground_state_pairs():
-    for pair in [map_curved(4, 0, -0.1, 1.0, 0), map_euclidean(3, 0, 1.0, 0)]:
+    for pair in [map_curved(4, 0, -0.1, 1.0, 0), map_curved(3, 0, 0.0, 1.0, 0)]:
         hi = pair.coulomb.domain[1]
         span = hi if math.isfinite(hi) else 20.0
         samples = np.linspace(0.05 * span, 0.9 * span, 60)

@@ -51,6 +51,54 @@ class TestCoulombEnergy:
             assert len(vals) == 1
 
 
+class TestEuclideanIsTheLamZeroCase:
+    """Each side's domain, measure, coefficients and energy are written once,
+    for the curved model; at lam = 0 they must give the textbook forms."""
+
+    x = np.linspace(0.05, 9.0, 37)
+
+    @staticmethod
+    def close(got, terms):
+        # relative to the size of the terms, so a cancelling sum is judged fairly
+        ref = sum(terms)
+        scale = sum(np.abs(t) for t in terms)
+        assert np.all(np.abs(np.asarray(got) - ref) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("d,omega,l", [(2, 1.0, 0), (3, 0.7, 1), (4, 2.3, 2), (5, 1.37, 3)])
+    def test_oscillator(self, d, omega, l):
+        m = EuclideanOscillator(d=d, omega=omega)
+        r = self.x
+        c = m.weighted_coefficients(float(l))
+        t = m.stretch(r)
+        self.close(c["p"](r, t), [np.ones_like(r)])
+        self.close(c["w"](r, t), [r ** (d - 1)])
+        self.close(m.weight(r), [r ** (d - 1)])
+        self.close(c["V"](r, t), [l * (l + d - 2) / r**2, omega**2 * r**2])
+        self.close(c["c1"](r, t), [(d - 1) / r])
+        assert m.domain == (0.0, math.inf)
+        assert m.beta == omega
+        for n_r in range(4):
+            assert m.energy(q(n_r, l)) == omega * (2 * n_r + l + d / 2)
+
+    @pytest.mark.parametrize(
+        "D,Q,L", [(2.0, 1.0, 0.0), (2.5, 0.7, 0.5), (3.0, 1.3, 1.0), (4.0, 2.9, 1.5)]
+    )
+    def test_coulomb(self, D, Q, L):
+        m = EuclideanCoulomb(D=D, Q=Q)
+        R = self.x
+        c = m.weighted_coefficients(L)
+        t = m.stretch(R)
+        self.close(c["p"](R, t), [np.ones_like(R)])
+        self.close(c["w"](R, t), [R ** (D - 1)])
+        self.close(m.weight(R), [R ** (D - 1)])
+        self.close(c["V"](R, t), [L * (L + D - 2) / R**2, -Q / R])
+        self.close(c["c1"](R, t), [(D - 1) / R])
+        assert m.domain == (0.0, math.inf)
+        for n_r in range(4):
+            nu = n_r + L
+            self.close(m.energy(q(n_r, L)), [-(Q**2) / (2 * (2 * nu + D - 1) ** 2)])
+
+
 class TestNonlinearOscillator:
     def test_energy_values(self):
         assert math.isclose(

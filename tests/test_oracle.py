@@ -322,6 +322,28 @@ class TestConvergenceStudy:
             assert 1.5 <= rep.observed_order[j] <= 2.5, (j, rep.observed_order[j])
 
 
+def test_default_samples_reach_past_the_last_node():
+    # Euclidean Coulomb D=3 Q=1 L=0 n_r=2 has nodes at R = 3(3 -+ sqrt 3) and
+    # its bulk runs to R of about 70; the first node must not end the scan
+    m = EuclideanCoulomb(D=3, Q=1.0)
+    samples = oracle.default_samples(m, QuantumNumbers(2, 0.0))
+    assert samples.max() > 3.0 * (3.0 + math.sqrt(3.0))
+
+
+@pytest.mark.parametrize(
+    "model", [CoulombLike(D=3, lam=-0.1, Q=1.0), NonlinearOscillator(d=2, lam=-0.1, beta=1.0)]
+)
+def test_study_without_closed_form_fails_before_solving(model, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve ran before the closed-form check")
+
+    monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", no_solve)
+    with pytest.raises(ValueError, match="closed-form PDM energies exist only"):
+        oracle.convergence_study(
+            model, 0.0, 2, GRIDS, picture="flat", ordering=PdmOrdering(-0.5, 0, -0.5)
+        )
+
+
 def _weighted_channels():
     """Every weighted channel of the sweep with its bound states n_r < 5."""
     models = [
