@@ -184,11 +184,13 @@ def cmd_wavefunction(args) -> int:
     q = QuantumNumbers(args.n_r, ang)
     lo, hi = model.domain
     x_max = args.x_max
-    if x_max is None:
-        # an infinite domain is sampled up to the state's cutoff in the flat
-        # picture's coordinate: the geodesic one for lam > 0, else the radius
-        x_max = hi if math.isfinite(hi) else oracle.truncation_radius(model, ang, args.n_r, "flat")
-        x_max *= 0.999 if math.isfinite(hi) else 1.0
+    if x_max is None and math.isfinite(hi):
+        x_max = 0.999 * hi
+    elif x_max is None:
+        # an infinite domain is sampled up to the state's cutoff, which is found
+        # in the flat picture's coordinate and mapped back to the radius
+        to_r, _ = model.coordinate("flat")
+        x_max = float(to_r(oracle.truncation_radius(model, ang, args.n_r, "flat"))[0])
     if not lo < x_max <= (hi if math.isfinite(hi) else math.inf):
         raise ConfigError("sampling range exceeds the coordinate domain")
     xs = np.linspace(x_max / args.points, x_max, args.points)

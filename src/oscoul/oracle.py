@@ -3,11 +3,16 @@
 Every radial problem is cast as a Sturm-Liouville triple (p, w, V) with the
 operator (-1/w) d/dx (p w d/dx) + V, discretized on a half-cell-offset uniform
 grid in conservative (flux) form, symmetrized by the similarity transform
-W^(1/2) H W^(-1/2), and solved by LAPACK ``dstebz`` bisection from NumPy's
-bundled OpenBLAS (``oscoul.kernels``, bound on the first eigensolve, with a
-tiny absolute tolerance so each eigenvalue is resolved to about 2 ulp rather
-than to ulp * ||T||).  A convergence study discretizes each distinct domain on
-each grid and solves each matrix once.  Eigenvalues are reported in the
+W^(1/2) H W^(-1/2), and solved by LAPACK Sturm-count bisection from NumPy's
+bundled OpenBLAS (``oscoul.kernels``, bound on the first eigensolve; each
+eigenvalue is resolved to about 2 ulp rather than to ulp * ||T||).  A
+convergence study discretizes each distinct domain on each grid, solves each
+matrix once, and computes only the eigenvalues it reports: on the coarsest
+grid ``dstebz`` finds those indices from the Gershgorin interval; each finer
+grid refines every index with ``dlarrk`` inside a bracket built from the
+coarser grids (lam +- 1e-3 |lam| on the second grid, then lam_prev +-
+|lam_prev - lam_prevprev|), and the kernel redoes with ``dstebz`` any index
+it cannot certify inside its bracket.  Eigenvalues are reported in the
 doubled convention (2E).
 
 The coefficients (``weighted_coefficients``, the PDM ``flat_coefficients``)
@@ -99,8 +104,9 @@ def analytic_reference(
 def _state_scale(model, ang: float, n_r: int) -> float:
     """Radius past which the target state stays below 1e-3 of its peak, on an
     infinite domain: the grid point after the last sample at or above that
-    level, so the nodes of an excited state do not end the scan early."""
-    grid = np.geomspace(1.0, 1e9 * (1 - 1e-12), 8192)
+    level, so the nodes of an excited state do not end the scan early.  The
+    scan runs over [1e-9, 1e9), so it finds narrow states inside r = 1 too."""
+    grid = np.geomspace(1e-9, 1e9 * (1 - 1e-12), 8192)
     state = RadialState(model, QuantumNumbers(n_r, ang))
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.abs(np.asarray(state(grid)))
@@ -342,10 +348,18 @@ def convergence_study(
     eig = np.empty((len(grids), k))
     first = 0
     for top in tops:
+        run = slice(first, top + 1)
+        brackets = None  # the coarsest grid bisects from the Gershgorin interval
         for i, N in enumerate(grids):
             op = discretize(problems[top], N)
-            vals = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, top + 1)
-            eig[i, first : top + 1] = vals[first:]
+            eig[i, run] = kernels.lowest_eigenvalues_tridiag(
+                op.diag, op.off, top + 1, first=first, brackets=brackets
+            )
+            # the next grid's guess: 1e-3 relative around the coarsest value,
+            # then the last step of the sequence around the latest one
+            prev = eig[i, run]
+            width = 1e-3 * np.abs(prev) if i == 0 else np.abs(prev - eig[i - 1, run])
+            brackets = np.column_stack((prev - width, prev + width))
         first = top + 1
     hs = 1.0 / np.asarray(grids, dtype=float)
     orders, extrap, errs, mono = [], [], [], []

@@ -1,10 +1,12 @@
 """CLI tests: table contents, exit codes, output determinism."""
 
+import _json
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import oscoul
 from oscoul import kernels
 from oscoul.cli import main
+from oscoul.models import CoulombLike, QuantumNumbers
 
 
 def run(argv, capsys):
@@ -80,6 +83,25 @@ def test_wavefunction_matches_gaussian(capsys):
         x = float(r["x"])
         assert abs(float(r["psi_weighted"]) - math.exp(-0.5 * x * x)) < 1e-14
         assert abs(float(r["psi_tilde"]) - x * math.exp(-0.5 * x * x)) < 1e-13
+
+
+@pytest.mark.parametrize("n_r", [0, 1, 2])
+def test_wavefunction_samples_reach_the_density_cutoff(n_r, capsys):
+    # clike lam > 0 is cut in the geodesic coordinate s; sampling up to that
+    # cutoff read as a radius stopped where the density was 1e-8 to 1e-3 of its peak
+    model = CoulombLike(D=2.5, lam=0.02, Q=1.0)
+    code, out, _ = run(
+        ["wavefunction", "--model", "clike", "--D", "2.5", "--lambda", "0.02", "--Q", "1",
+         "--L", "0.5", "--n-r", str(n_r)],
+        capsys,
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    x_max = float(rows[-1]["x"])
+    density = float(rows[-1]["psi_weighted"]) ** 2 * model.weight(x_max)
+    fine = np.geomspace(1e-6, x_max, 100_000)
+    peak = np.max(model.wavefunction(QuantumNumbers(n_r, 0.5), fine) ** 2 * model.weight(fine))
+    assert density <= 1e-11 * peak
 
 
 def test_wavefunction_tilde_vanishes_at_origin(capsys):
@@ -254,7 +276,7 @@ def test_cli_import_loads_no_scipy_or_numba():
     code = (
         "import oscoul.cli, sys; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba'))); "
-        "print(oscoul.kernels._dstebz.cache_info().currsize)"
+        "print(oscoul.kernels._lapack.cache_info().currsize)"
     )
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
@@ -280,12 +302,12 @@ def test_repeated_main_calls_match_separate_runs(capsys):
 @pytest.fixture
 def no_lapack(tmp_path, monkeypatch):
     monkeypatch.setattr(kernels, "_library_dirs", lambda: [tmp_path])
-    kernels._dstebz.cache_clear()
-    yield
-    kernels._dstebz.cache_clear()
+    kernels._lapack.cache_clear()
+    yield tmp_path
+    kernels._lapack.cache_clear()
 
 
-def test_missing_lapack_is_a_usage_error(no_lapack, capsys):
+def assert_verify_fails_but_spectrum_runs(capsys, *names):
     code, _, err = run(
         ["verify", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1", "--k", "1"],
         capsys,
@@ -293,8 +315,22 @@ def test_missing_lapack_is_a_usage_error(no_lapack, capsys):
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "libscipy_openblas64_" in lines[0]
+    for name in names:
+        assert name in lines[0]
     code, out, _ = run(
         ["spectrum", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1"], capsys
     )
     assert code == 0 and out.startswith("n_r,ang,n,energy,bound")
+
+
+def test_missing_lapack_is_a_usage_error(no_lapack, capsys):
+    assert_verify_fails_but_spectrum_runs(capsys, "libscipy_openblas64_")
+
+
+def test_library_without_the_routines_names_them(no_lapack, capsys):
+    # a loadable library under the expected name that exports neither routine
+    # (a copy of a C extension of the standard library)
+    (no_lapack / "libscipy_openblas64_-stub.so").write_bytes(Path(_json.__file__).read_bytes())
+    assert_verify_fails_but_spectrum_runs(
+        capsys, "libscipy_openblas64_", "scipy_dstebz_64_", "scipy_dlarrk_64_"
+    )

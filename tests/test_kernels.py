@@ -62,6 +62,10 @@ def test_input_validation():
         kernels.lowest_eigenvalues_tridiag(np.ones(4), np.ones(3), 5)
     with pytest.raises(ValueError):
         kernels.lowest_eigenvalues_tridiag(np.array([1.0, np.nan]), np.ones(1), 1)
+    with pytest.raises(ValueError):
+        kernels.lowest_eigenvalues_tridiag(np.zeros(5), np.ones(4), 3, 3)
+    with pytest.raises(ValueError):  # one bracket per returned index
+        kernels.lowest_eigenvalues_tridiag(np.zeros(5), np.ones(4), 3, 1, [(0.0, 1.0)])
 
 
 def assert_matches_lapack(diag, off, k):
@@ -136,6 +140,56 @@ def test_edge_matrices(diag, off, k):
     assert_matches_lapack(diag, off, k)
 
 
+BRACKET_MATRICES = [
+    pytest.param(-np.abs(np.arange(21) - 10.0), np.ones(20), 21, id="W21+"),
+    pytest.param(np.zeros(9), np.ones(8), 9, id="zero-diagonal"),
+    pytest.param(np.full(3, 18.0), np.full(2, -9.0), 3, id="k-equals-N"),
+]
+
+
+def bracket_cases(ref, gap):
+    """Named (lo, hi) guesses for index j, from dstebz's eigenvalues ``ref``."""
+    yield "around", lambda j: (ref[j] - gap, ref[j] + gap)
+    yield "below", lambda j: (ref[j] - 3 * gap, ref[j] - gap)
+    yield "above", lambda j: (ref[j] + gap, ref[j] + 3 * gap)
+    # the neighbouring index only (the last index takes its lower neighbour)
+    yield "neighbour", lambda j: (
+        ref[j + 1 if j + 1 < ref.size else j - 1] + np.array([-gap, gap])
+    )
+    yield "zero-width", lambda j: (ref[j], ref[j])
+
+
+@pytest.mark.parametrize("diag,off,k", BRACKET_MATRICES)
+def test_bracketed_indices_match_dstebz(diag, off, k):
+    # every guess, good or bad, gives dstebz's eigenvalue for its own index
+    ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k - 1))
+    scale = np.max(np.abs(diag)) + np.max(np.abs(off))
+    distinct = np.diff(ref)[np.diff(ref) > 1e-9 * scale]
+    gap = 0.25 * np.min(distinct)  # a quarter of the smallest distinct spacing
+    for name, guess in bracket_cases(ref, gap):
+        for first in (0, k // 2, k - 1):
+            brackets = [guess(j) for j in range(first, k)]
+            got = kernels.lowest_eigenvalues_tridiag(diag, off, k, first, brackets)
+            assert got.shape == (k - first,)
+            np.testing.assert_allclose(got, ref[first:], rtol=0, atol=1e-12 * scale, err_msg=name)
+
+
+def test_good_brackets_skip_dstebz(monkeypatch):
+    # the oracle's next-grid guesses: each index is certified inside its
+    # bracket, and dstebz runs for none of them
+    problem = oracle.build_problem(CoulombLike(D=3, lam=0.05, Q=1.0), 0.0, n_states=3)
+    op = oracle.discretize(problem, 2048)
+    ref = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3)
+    fallbacks = []
+    real = kernels._stebz
+    monkeypatch.setattr(kernels, "_stebz", lambda *a: fallbacks.append(a) or real(*a))
+    got = kernels.lowest_eigenvalues_tridiag(
+        op.diag, op.off, 3, 0, [(x - 1e-3 * abs(x), x + 1e-3 * abs(x)) for x in ref]
+    )
+    assert not fallbacks
+    np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=0)
+
+
 def test_zero_pivot_at_a_shift():
     # zero diagonal, unit couplings: the Gershgorin interval is symmetric about 0,
     # so bisection counts at shift 0, where the leading pivot is exactly 0 and
@@ -144,24 +198,25 @@ def test_zero_pivot_at_a_shift():
 
 
 def test_study_batch_memory(monkeypatch):
-    # the 9 matrices of a lam > 0 study (each state truncated on its own): the
-    # solver's workspace is O(N) per matrix, where an N x shifts array of a
-    # lockstep count would take about 28 MB
+    # the 9 matrices of a lam > 0 study (each state truncated on its own), one
+    # eigenvalue each: the solver's workspace is O(N) per matrix, where an
+    # N x shifts array of a lockstep count would take about 28 MB
     real = kernels.lowest_eigenvalues_tridiag
     matrices = []
 
-    def capture(diag, off, k):
-        matrices.append((diag, off, k))
-        return real(diag, off, k)
+    def capture(diag, off, k, first=0, brackets=None):
+        matrices.append((diag, off, k, first, brackets))
+        return real(diag, off, k, first, brackets)
 
     monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", capture)
     oracle.convergence_study(CoulombLike(D=3, lam=0.05, Q=1.0), 0.0, 3, [512, 1024, 2048])
     monkeypatch.undo()
     assert len(matrices) == 9
+    assert sum(k - first for _, _, k, first, _ in matrices) == 9
     tracemalloc.start()
     try:
-        for diag, off, k in matrices:
-            real(diag, off, k)
+        for diag, off, k, first, brackets in matrices:
+            real(diag, off, k, first, brackets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -279,22 +279,29 @@ class TestConvergenceStudy:
 
     @staticmethod
     def spy_solves(monkeypatch):
+        """Record (k, first, bracketed) of each kernel call."""
         real = kernels.lowest_eigenvalues_tridiag
         calls = []
 
-        def spy(diag, off, k):
-            calls.append(k)
-            return real(diag, off, k)
+        def spy(diag, off, k, first=0, brackets=None):
+            calls.append((k, first, brackets is not None))
+            return real(diag, off, k, first, brackets)
 
         monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", spy)
         return calls
+
+    @staticmethod
+    def eigenvalue_count(calls):
+        return sum(k - first for k, first, _ in calls)
 
     def test_shared_domain_solves_once_per_grid(self, monkeypatch):
         m = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
         grids = [128, 256, 512]
         calls = self.spy_solves(monkeypatch)
         rep = oracle.convergence_study(m, 1.0, 3, grids)
-        assert calls == [3] * len(grids)
+        # one solve per grid; every grid after the coarsest starts from brackets
+        assert calls == [(3, 0, False), (3, 0, True), (3, 0, True)]
+        assert self.eigenvalue_count(calls) == 9
         for j in range(3):
             problem = oracle.build_problem(m, 1.0, n_states=j + 1)
             for i, N in enumerate(grids):
@@ -305,8 +312,15 @@ class TestConvergenceStudy:
         m = CoulombLike(D=3, lam=0.05, Q=1.0)
         grids = [128, 256, 512]
         calls = self.spy_solves(monkeypatch)
-        oracle.convergence_study(m, 0.0, 3, grids)
-        assert calls == [j + 1 for j in range(3) for _ in grids]
+        rep = oracle.convergence_study(m, 0.0, 3, grids)
+        # state j alone on its domain: only index j is computed, on each grid
+        assert calls == [(j + 1, j, i > 0) for j in range(3) for i in range(len(grids))]
+        assert self.eigenvalue_count(calls) == 9
+        for j in range(3):
+            problem = oracle.build_problem(m, 0.0, n_states=j + 1)
+            for i, N in enumerate(grids):
+                alone = oracle.lowest_eigenvalues(oracle.discretize(problem, N), j + 1)[j]
+                assert rep.eigenvalues[i][j] == pytest.approx(alone, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "D,lam,L,states",
@@ -328,6 +342,17 @@ def test_default_samples_reach_past_the_last_node():
     m = EuclideanCoulomb(D=3, Q=1.0)
     samples = oracle.default_samples(m, QuantumNumbers(2, 0.0))
     assert samples.max() > 3.0 * (3.0 + math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("n_r", [0, 1])
+def test_default_samples_find_a_state_inside_unit_radius(n_r):
+    # osc d=3 omega=5000 lives within r of about 0.05; a scan that starts at
+    # r = 1 put every sample where the operator underflows
+    m = EuclideanOscillator(d=3, omega=5000.0)
+    q = QuantumNumbers(n_r, 0.0)
+    samples = oracle.default_samples(m, q)
+    assert samples.max() < 0.1
+    assert oracle.residual_norm(RadialState(m, q), samples) <= 1e-9
 
 
 @pytest.mark.parametrize(
