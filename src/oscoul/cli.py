@@ -2,7 +2,9 @@
 oracle verification, and bound-state enumeration, emitted as CSV or JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
-Output is byte-deterministic for a fixed flag set.
+Output is byte-deterministic for a fixed flag set.  The oracle, the duality
+map and the LAPACK binding are imported by the commands that use them, so
+``spectrum`` and ``bound-states`` load neither.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ import sys
 
 import numpy as np
 
-from . import oracle
-from .duality import map_curved, verify_pointwise
-from .kernels import LapackNotFound
 from .models import (
     BD,
     MM,
@@ -184,16 +183,21 @@ def cmd_wavefunction(args) -> int:
     q = QuantumNumbers(args.n_r, ang)
     lo, hi = model.domain
     x_max = args.x_max
-    if x_max is None and math.isfinite(hi):
-        x_max = 0.999 * hi
-    elif x_max is None:
-        # an infinite domain is sampled up to the state's cutoff, which is found
-        # in the flat picture's coordinate and mapped back to the radius
+    if x_max is None and math.isinf(hi):
+        # an infinite domain is sampled evenly in the flat picture's coordinate,
+        # up to the state's cutoff there, and mapped back to the radius: a state
+        # with a power-law tail then keeps samples where its density lies
+        from . import oracle
+
         to_r, _ = model.coordinate("flat")
-        x_max = float(to_r(oracle.truncation_radius(model, ang, args.n_r, "flat"))[0])
-    if not lo < x_max <= (hi if math.isfinite(hi) else math.inf):
-        raise ConfigError("sampling range exceeds the coordinate domain")
-    xs = np.linspace(x_max / args.points, x_max, args.points)
+        y_max = oracle.truncation_radius(model, ang, args.n_r, "flat")
+        xs = to_r(np.linspace(y_max / args.points, y_max, args.points))[0]
+    else:
+        if x_max is None:
+            x_max = 0.999 * hi
+        if not lo < x_max <= hi:
+            raise ConfigError("sampling range exceeds the coordinate domain")
+        xs = np.linspace(x_max / args.points, x_max, args.points)
     psi = np.asarray(model.wavefunction(q, xs))
     tilde = model.flat_factor(xs) * psi
     rows = [[x, p, t] for x, p, t in zip(xs, psi, tilde)]
@@ -202,6 +206,9 @@ def cmd_wavefunction(args) -> int:
 
 
 def cmd_duality(args) -> int:
+    from . import oracle
+    from .duality import map_curved, verify_pointwise
+
     lam = getattr(args, "lambda") if getattr(args, "lambda") is not None else 0.0
     d = _need(args, "d")
     l = int(args.l) if args.l is not None else 0
@@ -231,15 +238,21 @@ def cmd_duality(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+    from .kernels import LapackNotFound
+
     model, ang = build_model(args)
     picture = args.picture
     if args.model in _PDM and args.picture == "weighted":
         picture = "flat"
     ordering = parse_ordering(args.ordering) if picture == "flat" else None
     grids = [int(g) for g in args.grids.split(",")]
-    report = oracle.convergence_study(
-        model, ang, args.k, grids, picture=picture, ordering=ordering
-    )
+    try:
+        report = oracle.convergence_study(
+            model, ang, args.k, grids, picture=picture, ordering=ordering
+        )
+    except LapackNotFound as exc:
+        raise ConfigError(str(exc)) from exc
     states = []
     all_ok = True
     for j in range(args.k):
@@ -370,7 +383,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, LapackNotFound) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,10 +150,14 @@ def unit_weight(x):
 
 def _check_coordinate(model, x):
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if arr.size == 0:
+        return arr
+    # NaN propagates through min and max, and any infinity is an extreme
+    least, most = arr.min(), arr.max()
+    if not (math.isfinite(least) and math.isfinite(most)):
         raise ValueError("coordinate must be finite")
     lo, hi = model.domain
-    if not np.all((arr >= lo) & (arr < hi)):
+    if not (least >= lo and most < hi):
         raise ValueError(f"coordinate outside the domain [{lo}, {hi})")
     return arr
 

@@ -37,7 +37,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
 from .models import BD, PdmOrdering, QuantumNumbers, RadialState
 
 __all__ = [
@@ -275,6 +274,8 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
 
 def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     """The k smallest eigenvalues of the discretized operator (2E convention)."""
+    from . import kernels
+
     return kernels.lowest_eigenvalues_tridiag(op.diag, op.off, k)
 
 
@@ -345,6 +346,8 @@ def convergence_study(
     tops = [
         j for j in range(k) if j + 1 == k or problems[j + 1].domain != problems[j].domain
     ]
+    from . import kernels
+
     eig = np.empty((len(grids), k))
     first = 0
     for top in tops:

@@ -5,6 +5,17 @@ bound-state inequalities.
 Infinite domains are integrated to an analytic-tail-justified truncation with
 width-doubling panels; near a finite curvature endpoint the panels are graded
 geometrically into the (integrable) singularity of the measure.
+
+Each value is computed once: the Gauss-Legendre reference rule and the
+1024-point probe grid of the automatic truncation are cached as read-only
+arrays (the probe grid's right end only takes the values 16 * 4**j), each
+refinement level builds its panel edges in one array expression, and an
+inner product of a function with itself (a norm, a normalization, a step of
+the divergence scan, a Gram diagonal) evaluates it once per node.  The edges
+and products are formed in the floating-point order of a per-panel loop and a
+two-sided evaluation, so every result equals theirs to the bit
+(``tests/test_quadrature_golden.py`` pins them).  Nothing keyed on a caller's
+truncation is cached, and no state value is kept between calls.
 """
 
 from __future__ import annotations
@@ -86,11 +97,15 @@ def measure_for(model) -> Measure:
     return Measure(model.weight, model.domain, singular_outer=model.lam < 0)
 
 
+@functools.lru_cache(maxsize=128)
 def _probe_grid(lo: float, hi: float):
     # anchor the left edge near the origin regardless of hi, so slowly
-    # decaying tails are always compared against the true peak
+    # decaying tails are always compared against the true peak; read-only:
+    # the cache hands every caller the same array
     start = max(lo, min(1.0, hi) * 1e-8)
-    return np.geomspace(start, hi * (1.0 - 1e-12), 1024)
+    grid = np.geomspace(start, hi * (1.0 - 1e-12), 1024)
+    grid.flags.writeable = False
+    return grid
 
 
 def _auto_truncation(integrand, lo: float) -> float:
@@ -130,10 +145,10 @@ def _refine(edges: np.ndarray, level: int) -> np.ndarray:
     if level == 0:
         return edges
     parts = 2**level
-    out = [edges[0]]
-    for left, right in zip(edges[:-1], edges[1:]):
-        out.extend(left + (right - left) * np.arange(1, parts + 1) / parts)
-    return np.asarray(out)
+    left = edges[:-1, None]
+    right = edges[1:, None]
+    inner = left + (right - left) * np.arange(1, parts + 1) / parts
+    return np.concatenate((edges[:1], inner.ravel()))
 
 
 def _integrate(integrand, edges: np.ndarray, npoints: int):
@@ -163,7 +178,9 @@ def inner_product(
     singular = mu.singular_outer
 
     def integrand(x):
-        return np.asarray(f(x)) * np.asarray(g(x)) * np.asarray(mu.weight(x))
+        fx = np.asarray(f(x))
+        gx = fx if g is f else np.asarray(g(x))
+        return fx * gx * np.asarray(mu.weight(x))
 
     if truncation is not None:
         truncation = float(truncation)

@@ -14,7 +14,7 @@ import pytest
 import oscoul
 from oscoul import kernels
 from oscoul.cli import main
-from oscoul.models import CoulombLike, QuantumNumbers
+from oscoul.models import CoulombLike, NonlinearOscillator, QuantumNumbers
 
 
 def run(argv, capsys):
@@ -102,6 +102,24 @@ def test_wavefunction_samples_reach_the_density_cutoff(n_r, capsys):
     fine = np.geomspace(1e-6, x_max, 100_000)
     peak = np.max(model.wavefunction(QuantumNumbers(n_r, 0.5), fine) ** 2 * model.weight(fine))
     assert density <= 1e-11 * peak
+
+
+def test_wavefunction_default_samples_show_the_bulk(capsys):
+    # nlo lam > 0 decays only as a power of r: samples evenly spaced in r up to
+    # the density cutoff all fell in the far tail (r from 1506 to 75279)
+    model = NonlinearOscillator(d=2, lam=0.2, beta=1.0)
+    q = QuantumNumbers(1, 1.0)
+    code, out, _ = run(
+        ["wavefunction", "--model", "nlo", "--d", "2", "--lambda", "0.2", "--beta", "1",
+         "--l", "1", "--n-r", "1", "--points", "50"],
+        capsys,
+    )
+    assert code == 0
+    xs = np.array([float(r["x"]) for r in parse_csv(out)])
+    density = model.wavefunction(q, xs) ** 2 * model.weight(xs)
+    fine = np.geomspace(1e-6, xs[-1], 100_000)
+    peak = np.max(model.wavefunction(q, fine) ** 2 * model.weight(fine))
+    assert np.count_nonzero(density >= 1e-3 * peak) >= 10
 
 
 def test_wavefunction_tilde_vanishes_at_origin(capsys):
@@ -271,16 +289,18 @@ def run_python(*args):
 
 
 def test_cli_import_loads_no_scipy_or_numba():
-    # scipy.linalg alone adds about 28 MB of resident memory to every run, and
-    # the LAPACK binding is made on the first eigensolve, not at import
+    # scipy.linalg alone adds about 28 MB of resident memory to every run; the
+    # oracle, the duality map and the LAPACK binding are imported only by the
+    # commands that use them
     code = (
         "import oscoul.cli, sys; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba'))); "
-        "print(oscoul.kernels._lapack.cache_info().currsize)"
+        "print(sorted(m for m in ('oscoul.kernels', 'oscoul.oracle', 'oscoul.duality') "
+        "if m in sys.modules))"
     )
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[]", "0"]
+    assert out.stdout.split() == ["[]", "[]"]
 
 
 def test_repeated_main_calls_match_separate_runs(capsys):

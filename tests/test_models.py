@@ -15,6 +15,7 @@ from oscoul.models import (
     PdmOrdering,
     QuantumNumbers,
     RadialState,
+    _check_coordinate,
     clike_bound_states,
     wavefunction_derivatives,
 )
@@ -376,3 +377,26 @@ class TestValidation:
             QuantumNumbers(0, -0.5)
         qq = QuantumNumbers(2, 1)
         assert qq.n == 5 and qq.nu == 3
+
+
+class TestCheckCoordinate:
+    model = NonlinearOscillator(d=2, lam=-0.25, beta=1.0)  # domain [0, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, bad):
+        for x in (bad, [0.5, bad, 1.0]):
+            with pytest.raises(ValueError, match="coordinate must be finite"):
+                _check_coordinate(self.model, x)
+
+    @pytest.mark.parametrize("bad", [-1e-300, 2.0, 3.0])
+    def test_outside_domain(self, bad):
+        # the domain is closed at lo and open at hi
+        for x in (bad, [0.5, bad, 1.0]):
+            with pytest.raises(ValueError, match="outside the domain"):
+                _check_coordinate(self.model, x)
+
+    def test_accepts_inside_and_empty(self):
+        got = _check_coordinate(self.model, [0.0, 1.0, 1.9999])
+        assert got.tolist() == [0.0, 1.0, 1.9999]
+        assert _check_coordinate(self.model, np.array([])).size == 0
+        assert _check_coordinate(EuclideanOscillator(d=3, omega=1.0), 1e300) == 1e300

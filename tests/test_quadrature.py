@@ -13,7 +13,11 @@ from oscoul.models import (
 )
 from oscoul.quadrature import (
     DivergentIntegralError,
+    Measure,
     Verdict,
+    _base_edges,
+    _probe_grid,
+    _refine,
     gauss_legendre,
     inner_product,
     measure_for,
@@ -147,3 +151,55 @@ class TestDivergenceScan:
         mu = measure_for(m)
         with pytest.raises(ValueError):
             norm_divergence_scan(RadialState(m, QuantumNumbers(0, 0)), mu, truncations=[5.0, 10.0])
+
+
+class TestInternals:
+    @staticmethod
+    def refine_per_panel(edges, level):
+        # the reference: one arange per panel, in the same floating-point order
+        parts = 2**level
+        out = [edges[0]]
+        for left, right in zip(edges[:-1], edges[1:]):
+            out.extend(left + (right - left) * np.arange(1, parts + 1) / parts)
+        return np.asarray(out)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [_base_edges(0.0, 64.0, False), _base_edges(0.0, 1.0 / np.sqrt(0.1), True)],
+        ids=["log-spaced", "graded"],
+    )
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_refine_matches_per_panel_formula(self, edges, level):
+        got = _refine(edges, level)
+        want = self.refine_per_panel(edges, level)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def counting(fn, counts, key):
+        def spy(x):
+            counts[key] += 1
+            return fn(x)
+
+        return spy
+
+    def test_each_factor_evaluated_once_per_integrand_call(self):
+        m = NonlinearOscillator(d=2, lam=0.2, beta=1.0)
+        counts = {"f": 0, "g": 0, "weight": 0}
+        mu = Measure(self.counting(m.weight, counts, "weight"), m.domain)
+        f = self.counting(RadialState(m, QuantumNumbers(0, 0)), counts, "f")
+        g = self.counting(RadialState(m, QuantumNumbers(1, 0)), counts, "g")
+        norm(f, mu)
+        assert counts["weight"] > 0
+        assert counts["f"] == counts["weight"] and counts["g"] == 0
+        counts.update(f=0, weight=0)
+        inner_product(f, g, mu)
+        assert counts["weight"] > 0
+        assert counts["f"] == counts["g"] == counts["weight"]
+
+    def test_probe_grid_is_shared_and_read_only(self):
+        grid = _probe_grid(0.0, 64.0)
+        assert _probe_grid(0.0, 64.0) is grid
+        assert grid.size == 1024
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
