@@ -32,7 +32,6 @@ from .models import (
 
 SCHEMA = 1
 
-_OSC_SIDE = ("osc", "nlo", "pdm-osc")
 _PDM = ("pdm-osc", "pdm-coulomb")
 
 
@@ -79,25 +78,25 @@ def _need(args, name: str):
 
 def build_model(args):
     """Model instance plus its angular quantum number from CLI flags."""
-    kind = args.model
+    name = args.model
     try:
-        if kind == "osc":
+        if name == "osc":
             model = EuclideanOscillator(d=_need(args, "d"), omega=_need(args, "omega"))
-        elif kind == "coulomb":
+        elif name == "coulomb":
             model = EuclideanCoulomb(D=_need(args, "D"), Q=_need(args, "Q"))
-        elif kind in ("nlo", "pdm-osc"):
+        elif name in ("nlo", "pdm-osc"):
             model = NonlinearOscillator(
                 d=_need(args, "d"), lam=_need(args, "lambda"), beta=_need(args, "beta")
             )
-        elif kind in ("clike", "pdm-coulomb"):
+        elif name in ("clike", "pdm-coulomb"):
             model = CoulombLike(
                 D=_need(args, "D"), lam=_need(args, "lambda"), Q=_need(args, "Q")
             )
         else:
-            raise ConfigError(f"unknown model {kind!r}")
+            raise ConfigError(f"unknown model {name!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if kind in _OSC_SIDE:
+    if model.kind == "oscillator":
         ang = args.l if args.l is not None else 0.0
         if ang != int(ang):
             raise ConfigError("oscillator-side l must be an integer")
@@ -129,7 +128,7 @@ def _ang_fixed(args) -> bool:
 def cmd_spectrum(args) -> int:
     model, ang0 = build_model(args)
     n_cap = args.n_max if args.n_max is not None else 6
-    osc_side = args.model in _OSC_SIDE
+    osc_side = model.kind == "oscillator"
     pdm = args.model in _PDM
     rows = []
     angs = [ang0] if _ang_fixed(args) else [float(a) for a in range(int(n_cap) + 1)]
@@ -184,14 +183,12 @@ def cmd_wavefunction(args) -> int:
     lo, hi = model.domain
     x_max = args.x_max
     if x_max is None and math.isinf(hi):
-        # an infinite domain is sampled evenly in the flat picture's coordinate,
-        # up to the state's cutoff there, and mapped back to the radius: a state
-        # with a power-law tail then keeps samples where its density lies
+        # sampled evenly in the flat picture's coordinate up to the state's
+        # cutoff there: a state with a power-law tail keeps samples in its bulk
         from . import oracle
 
-        to_r, _ = model.coordinate("flat")
-        y_max = oracle.truncation_radius(model, ang, args.n_r, "flat")
-        xs = to_r(np.linspace(y_max / args.points, y_max, args.points))[0]
+        cutoff = oracle.truncation_radius(model, ang, args.n_r, "flat")
+        xs = oracle.default_samples(model, q, cutoff, "flat", args.points)
     else:
         if x_max is None:
             x_max = 0.999 * hi
@@ -257,7 +254,7 @@ def cmd_verify(args) -> int:
     all_ok = True
     for j in range(args.k):
         q = QuantumNumbers(j, ang)
-        samples = oracle.default_samples(model, q)
+        samples = oracle.default_samples(model, q, report.cutoffs[j], picture)
         resid = oracle.residual_norm(
             RadialState(model, q), samples, picture=picture, ordering=ordering or BD
         )

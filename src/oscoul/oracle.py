@@ -23,6 +23,12 @@ pictures, the radius otherwise).  ``build_problem`` maps any radial triple to
 y in one step, P = p/g'^2, W = w g', V(g) with r = g(y); ``truncation_radius``
 cuts every infinite y-domain where the density |u|^2 W falls to 1e-12 of its peak.
 
+That cutoff is the only rule for where a state ends.  A convergence study
+reports the one it solved each state on (``ConvergenceReport.cutoffs``), and
+``default_samples`` places residual and wavefunction samples evenly in y up to
+it, mapped back to the radius; a finite radial domain is sampled on its inner
+2-95 % instead.
+
 The PDM flat pictures use w = 1: BD is -d/dx (1/m) d/dx + V1 (or U) directly;
 the MM quarter-power operator and any von Roos ordering are reduced exactly to
 that BD form by the substitution psi = m^(1/4) u, which turns the ordering
@@ -62,7 +68,7 @@ class SturmLiouvilleProblem:
     w: Callable
     potential: Callable
     domain: tuple[float, float]
-    bc_inner: str = "natural"  # "natural" (zero flux) | "dirichlet" | "dirichlet-wall"
+    bc_inner: str = "natural"  # "natural" (zero flux) | "dirichlet-wall"
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class DiscreteOperator:
 class ConvergenceReport:
     """Grid study of one (model, ang) channel: eigenvalues per grid plus
     observed order, Richardson extrapolation from the two finest grids, and
-    the analytic reference."""
+    the analytic reference; cutoffs[j] ends state j's solved y-domain."""
 
     grids: tuple
     eigenvalues: tuple  # eigenvalues[i][j]: grid i, state j
@@ -88,6 +94,7 @@ class ConvergenceReport:
     reference: tuple
     rel_error: tuple
     monotone: tuple
+    cutoffs: tuple
 
 
 def analytic_reference(
@@ -100,28 +107,14 @@ def analytic_reference(
     return 2.0 * model.pdm_energy(ordering, q)
 
 
-def _state_scale(model, ang: float, n_r: int) -> float:
-    """Radius past which the target state stays below 1e-3 of its peak, on an
-    infinite domain: the grid point after the last sample at or above that
-    level, so the nodes of an excited state do not end the scan early.  The
-    scan runs over [1e-9, 1e9), so it finds narrow states inside r = 1 too."""
-    grid = np.geomspace(1e-9, 1e9 * (1 - 1e-12), 8192)
-    state = RadialState(model, QuantumNumbers(n_r, ang))
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.abs(np.asarray(state(grid)))
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    last = np.nonzero(vals >= 1e-3 * vals.max())[0][-1]
-    return float(grid[min(last + 1, grid.size - 1)])
-
-
-def _exp_cutoff(amp, hi0: float = 16.0) -> float:
+def _exp_cutoff(amp) -> float:
     """Smallest coordinate where the state's density amp^2 falls to 1e-12 of its peak.
 
     The eigenvalue perturbation from a Dirichlet cutoff scales with the density
     left outside, so thresholding amp^2 (not amp) keeps the truncation error at
     the 1e-12 level without inflating the grid spacing.
     """
-    hi = hi0
+    hi = 16.0
     for _ in range(40):
         grid = np.linspace(hi * 1e-4, hi, 8192)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -167,7 +160,6 @@ def build_problem(
     picture: str = "weighted",
     ordering: Optional[PdmOrdering] = None,
     n_states: int = 2,
-    r_max: Optional[float] = None,
 ) -> SturmLiouvilleProblem:
     """Sturm-Liouville form of one radial problem in the model's solved coordinate.
 
@@ -176,7 +168,7 @@ def build_problem(
     The radial (p, w, V) become P = p/g'^2, W = w g' and V(g) in the
     coordinate y of ``model.coordinate(picture)``, r = g(y).  The domain is
     truncated (if infinite) to cover the lowest ``n_states`` states of the
-    channel; ``r_max`` overrides the automatic rule, in y.
+    channel, by ``truncation_radius``.
     """
     if picture == "weighted":
         if ordering is not None:
@@ -190,11 +182,7 @@ def build_problem(
         bc_inner = "dirichlet-wall"
     else:
         raise ValueError(f"unknown picture {picture!r}")
-    to_r, end = model.coordinate(picture)
-    if r_max is None:
-        r_max = truncation_radius(model, ang, n_states - 1, picture)
-    if not 0.0 < r_max <= end:
-        raise ValueError("r_max outside the model domain")
+    to_r, _ = model.coordinate(picture)
     p, w, V = coeff["p"], coeff["w"], coeff["V"]
 
     def P(y):
@@ -213,7 +201,7 @@ def build_problem(
         p=P,
         w=W,
         potential=U,
-        domain=(0.0, float(r_max)),
+        domain=(0.0, truncation_radius(model, ang, n_states - 1, picture)),
         bc_inner=bc_inner,
     )
 
@@ -258,13 +246,10 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     diag[:-1] += g / (h2 * w[:-1])
     diag[1:] += g / (h2 * w[1:])
     off = -g / (h2 * np.sqrt(w[:-1] * w[1:]))
-    # "dirichlet" zeroes the ghost cell center (wall at a - h/2, the spec form);
-    # "dirichlet-wall" reflects it (ghost = -u_1, wall at the endpoint itself),
-    # needed at the origin of the flat picture where the eigenfunction has a
-    # nonzero slope and the half-cell wall shift would cost O(h).
-    if problem.bc_inner == "dirichlet":
-        diag[0] += p_half[0] / h2
-    elif problem.bc_inner == "dirichlet-wall":
+    # "dirichlet-wall" reflects the ghost cell center (ghost = -u_1, wall at
+    # the endpoint itself), needed at the origin of the flat picture where the
+    # eigenfunction has a nonzero slope and a half-cell wall shift would cost O(h)
+    if problem.bc_inner == "dirichlet-wall":
         diag[0] += 2.0 * p_half[0] / h2
     elif problem.bc_inner != "natural":
         raise ValueError(f"unknown inner boundary {problem.bc_inner!r}")
@@ -326,7 +311,6 @@ def convergence_study(
     grids,
     picture: str = "weighted",
     ordering: Optional[PdmOrdering] = None,
-    r_max: Optional[float] = None,
 ) -> ConvergenceReport:
     """Eigenvalues of the k lowest states across grids, with observed order and
     Richardson extrapolation from the two finest grids."""
@@ -338,10 +322,7 @@ def convergence_study(
         raise ValueError("need at least 3 strictly increasing grid sizes")
     # each target state gets its own truncation, so low states keep a fine grid;
     # consecutive states on the same domain share one solve per grid
-    problems = [
-        build_problem(model, ang, picture, ordering, n_states=j + 1, r_max=r_max)
-        for j in range(k)
-    ]
+    problems = [build_problem(model, ang, picture, ordering, n_states=j + 1) for j in range(k)]
     # the top state of each run of consecutive states on one domain
     tops = [
         j for j in range(k) if j + 1 == k or problems[j + 1].domain != problems[j].domain
@@ -389,13 +370,23 @@ def convergence_study(
         reference=tuple(refs),
         rel_error=tuple(errs),
         monotone=tuple(mono),
+        cutoffs=tuple(prob.domain[1] for prob in problems),
     )
 
 
-def default_samples(model, q: QuantumNumbers, n: int = 50) -> np.ndarray:
-    """Deterministic interior sample points covering the bulk of the state."""
+def default_samples(
+    model, q: QuantumNumbers, cutoff: float, picture: str = "weighted", n: int = 50
+) -> np.ndarray:
+    """n deterministic radii covering the state q, whose y-domain in ``picture``
+    ends at ``cutoff`` (``truncation_radius``, or a study's ``cutoffs``).
+
+    On an infinite radial domain the samples are evenly spaced in the
+    coordinate y of ``model.coordinate(picture)``, from cutoff/n to cutoff,
+    and mapped back to the radius; no scan of the state is made here.  A
+    finite radial domain is sampled evenly on its inner 2-95 %.
+    """
     lo, hi = model.domain
     if math.isfinite(hi):
         return np.linspace(lo + 0.02 * (hi - lo), hi - 0.05 * (hi - lo), n)
-    scale = _state_scale(model, q.ang, q.n_r)
-    return np.linspace(0.02 * scale, scale, n)
+    to_r, _ = model.coordinate(picture)
+    return to_r(np.linspace(cutoff / n, cutoff, n))[0]

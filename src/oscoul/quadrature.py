@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _GRADE_DEPTH_REL = 1e-12  # deepest graded panel, relative to the domain length
+_NPOINTS = 24  # Gauss-Legendre nodes per panel
+_REL_TOL = 1e-12  # panel-doubling change that ends the refinement
 
 
 class DivergentIntegralError(ArithmeticError):
@@ -151,8 +153,8 @@ def _refine(edges: np.ndarray, level: int) -> np.ndarray:
     return np.concatenate((edges[:1], inner.ravel()))
 
 
-def _integrate(integrand, edges: np.ndarray, npoints: int):
-    ref_nodes, ref_weights = gauss_legendre(npoints, -1.0, 1.0)
+def _integrate(integrand, edges: np.ndarray):
+    ref_nodes, ref_weights = gauss_legendre(_NPOINTS, -1.0, 1.0)
     left = edges[:-1]
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (left + half)[:, None] + half[:, None] * ref_nodes[None, :]
@@ -161,14 +163,7 @@ def _integrate(integrand, edges: np.ndarray, npoints: int):
     return float(np.sum(vals)), float(np.sum(np.abs(vals)))
 
 
-def inner_product(
-    f,
-    g,
-    mu: Measure,
-    npoints: int = 24,
-    truncation: float | None = None,
-    rel_tol: float = 1e-12,
-) -> float:
+def inner_product(f, g, mu: Measure, truncation: float | None = None) -> float:
     """Integral of f*g against the measure, refined until panel-doubling is quiet.
 
     Raises DivergentIntegralError when the improper integral has no decaying
@@ -193,24 +188,24 @@ def inner_product(
     elif math.isinf(hi):
         hi = _auto_truncation(integrand, lo)
     edges = _base_edges(lo, hi, singular)
-    prev = _integrate(integrand, edges, npoints)[0]
+    prev = _integrate(integrand, edges)[0]
     for level in range(1, 9):
-        cur, cur_abs = _integrate(integrand, _refine(edges, level), npoints)
+        cur, cur_abs = _integrate(integrand, _refine(edges, level))
         # cur_abs guards the criterion for near-zero (orthogonality) integrals
-        if abs(cur - prev) <= rel_tol * (abs(cur) + cur_abs):
+        if abs(cur - prev) <= _REL_TOL * (abs(cur) + cur_abs):
             return cur
         prev = cur
     raise DivergentIntegralError("panel refinement did not converge")
 
 
-def norm(f, mu: Measure, **kwargs) -> float:
-    """L^2(mu) norm squared of f."""
-    return inner_product(f, f, mu, **kwargs)
+def norm(f, mu: Measure, truncation: float | None = None) -> float:
+    """L^2(mu) norm squared of f, up to ``truncation`` when one is given."""
+    return inner_product(f, f, mu, truncation=truncation)
 
 
-def normalized(state: RadialState, mu: Measure, **kwargs) -> RadialState:
+def normalized(state: RadialState, mu: Measure) -> RadialState:
     """The state rescaled to unit L^2(mu) norm."""
-    n2 = norm(state, mu, **kwargs)
+    n2 = norm(state, mu)
     return state.scaled(1.0 / math.sqrt(n2))
 
 
@@ -226,9 +221,7 @@ def _default_truncations(state, mu: Measure):
     return [hi - span * 10.0 ** (-j) for j in range(1, 7)]
 
 
-def norm_divergence_scan(
-    state, mu: Measure, truncations=None, npoints: int = 24
-) -> Verdict:
+def norm_divergence_scan(state, mu: Measure, truncations=None) -> Verdict:
     """Classify the norm integral as convergent or divergent from a truncation sweep.
 
     Fits the growth exponent of the norm against the truncation parameter; a
@@ -243,9 +236,7 @@ def norm_divergence_scan(
         raise ValueError("need at least 3 truncations")
     if not all(lo < t < hi or (t == hi and math.isfinite(hi)) for t in truncations):
         raise ValueError("truncations must lie inside the domain")
-    norms = np.array(
-        [norm(state, mu, npoints=npoints, truncation=t) for t in truncations]
-    )
+    norms = np.array([norm(state, mu, truncation=t) for t in truncations])
     if math.isinf(hi):
         xs = np.array(truncations)
     else:

@@ -1,0 +1,149 @@
+"""Oracle parity check: digest the ``oscoul verify`` answers of the benchmark's
+oracle_sweep cases, or compare two digests.
+
+    PYTHONPATH=src python tests/oracle_parity.py DIGEST.json
+    python tests/oracle_parity.py --compare BEFORE.json AFTER.json
+
+The first form runs, in process, every distinct ``verify`` argument list that
+``perfbench/cases.py`` generates for oracle_sweep at seeds 1-20 (built by
+``perfbench/operations.verify_argv``) and writes one record per case: the
+exit code, the error message of a usage error, every pass/eig_ok/order_ok/
+residual_ok flag, and ``float.hex`` of each state's reference, eigenvalues,
+extrapolation, relative error, observed order and residual.  The package is
+imported from ``PYTHONPATH`` (``src`` of this checkout when it is not set),
+so pointing ``PYTHONPATH`` at another checkout's ``src`` digests that code
+against the same cases.
+
+``--compare`` exits 0 when both digests hold the same cases and agree on
+every field but ``residual`` bit for bit, and every residual of both stays at
+or below 1e-9; it prints each disagreement and a residual summary otherwise.
+Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = range(1, 21)
+RESIDUAL_BOUND = 1e-9
+STATE_VALUES = ("reference", "extrapolated", "rel_error", "observed_order", "residual")
+STATE_FLAGS = ("eig_ok", "order_ok", "residual_ok", "pass")
+
+
+def _hex(value) -> str:
+    return float(value).hex()
+
+
+def _cases():
+    """The distinct verify argument lists, without the output path, in first-seen order."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    sys.path.append(os.path.join(ROOT, "src"))
+    import cases
+    import operations
+
+    seen = {}
+    for seed in SEEDS:
+        for case in cases.generate("oracle_sweep", seed)[0]:
+            argv = operations.verify_argv(case, "OUT")
+            i = argv.index("--out")
+            seen.setdefault(tuple(argv[:i] + argv[i + 2 :]), None)
+    return list(seen)
+
+
+def _digest_one(argv, path) -> dict:
+    from oscoul import cli
+
+    if os.path.exists(path):
+        os.remove(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--out", path])
+    record = {"argv": " ".join(argv), "exit": code}
+    if code == 2:
+        record["error"] = err.getvalue().strip()
+        return record
+    with open(path) as fh:
+        report = json.load(fh)
+    record["pass"] = report["pass"]
+    record["states"] = [
+        {
+            **{flag: st[flag] for flag in STATE_FLAGS},
+            **{key: _hex(st[key]) for key in STATE_VALUES},
+            "eigenvalues": [_hex(v) for v in st["eigenvalues"]],
+        }
+        for st in report["states"]
+    ]
+    return record
+
+
+def digest(out_path: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "verify.json")
+        records = [_digest_one(argv, path) for argv in _cases()]
+    with open(out_path, "w") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")
+    codes = {}
+    for rec in records:
+        codes[rec["exit"]] = codes.get(rec["exit"], 0) + 1
+    print(f"{len(records)} cases, exit codes {dict(sorted(codes.items()))} -> {out_path}")
+    return 0
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with open(path_a) as fh:
+        a = {rec["argv"]: rec for rec in json.load(fh)}
+    with open(path_b) as fh:
+        b = {rec["argv"]: rec for rec in json.load(fh)}
+    res_a, res_b = (
+        [float.fromhex(st["residual"]) for rec in d.values() for st in rec.get("states", [])]
+        for d in (a, b)
+    )
+    problems = [f"only in {path_a}: {argv}" for argv in a if argv not in b]
+    problems += [f"only in {path_b}: {argv}" for argv in b if argv not in a]
+    moved = 0
+    for argv in (argv for argv in a if argv in b):
+        ra, rb = a[argv], b[argv]
+        sa, sb = ra.pop("states", []), rb.pop("states", [])
+        if ra != rb or len(sa) != len(sb):
+            problems.append(f"{argv}: {ra} with {len(sa)} states vs {rb} with {len(sb)}")
+            continue
+        for j, (xa, xb) in enumerate(zip(sa, sb)):
+            for key in xa:
+                if key == "residual":
+                    moved += xa[key] != xb[key]
+                elif xa[key] != xb[key]:
+                    problems.append(f"{argv}: n_r={j} {key} {xa[key]} vs {xb[key]}")
+    for path, residuals in ((path_a, res_a), (path_b, res_b)):
+        worst = max(residuals, default=0.0)
+        print(f"{path}: {len(residuals)} states, largest residual {worst:.2e}")
+        if worst > RESIDUAL_BOUND:
+            problems.append(f"{path}: a residual exceeds {RESIDUAL_BOUND:g}")
+    print(f"residual differs in {moved} states")
+    for line in problems:
+        print(line)
+    print("agree" if not problems else f"{len(problems)} disagreements")
+    return 1 if problems else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("digest", nargs="?", help="write the digest of this checkout here")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two digests")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.digest:
+        parser.error("give a digest path or --compare A B")
+    return digest(args.digest)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

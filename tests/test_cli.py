@@ -162,6 +162,47 @@ def test_verify_passes(capsys, tmp_path):
     assert rep["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "model_flags,model,picture",
+    [
+        (["--model", "clike"], CoulombLike(D=3, lam=0.05, Q=1.0), "weighted"),
+        (["--model", "pdm-coulomb"], CoulombLike(D=3, lam=0.05, Q=1.0), "flat"),
+    ],
+    ids=["weighted", "flat"],
+)
+def test_verify_residual_samples_end_at_the_studied_cutoff(
+    model_flags, model, picture, capsys, monkeypatch
+):
+    # on an infinite domain the residual samples run up to the cutoff each
+    # state was solved on, in the coordinate of the verified picture
+    from oscoul import oracle
+
+    reports, seen = [], []
+    study, residual = oracle.convergence_study, oracle.residual_norm
+
+    def study_spy(*args, **kwargs):
+        reports.append(study(*args, **kwargs))
+        return reports[-1]
+
+    def residual_spy(state, samples, *args, **kwargs):
+        seen.append((state.q, np.array(samples)))
+        return residual(state, samples, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "convergence_study", study_spy)
+    monkeypatch.setattr(oracle, "residual_norm", residual_spy)
+    code, _, _ = run(
+        ["verify", *model_flags, "--D", "3", "--lambda", "0.05", "--Q", "1", "--k", "2",
+         "--grids", "128,256,512", "--format", "json"],
+        capsys,
+    )
+    assert code in (0, 1)
+    assert math.isinf(model.domain[1]) and len(reports) == 1 and len(seen) == 2
+    for j, (q, samples) in enumerate(seen):
+        assert q == QuantumNumbers(j, 0.0)
+        expected = oracle.default_samples(model, q, reports[0].cutoffs[j], picture)
+        np.testing.assert_array_equal(samples, expected)
+
+
 def test_verify_failure_exit_code(capsys, tmp_path):
     out_file = tmp_path / "verify.json"
     code, _, err = run(

@@ -1,6 +1,7 @@
 """Oracle tests: problem assembly against the radial equations, discretization
 structure, eigenvalue extraction, residuals, and convergence behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,23 +29,26 @@ def free_particle(n=3):
         w=lambda x: np.ones_like(x),
         potential=lambda x: np.zeros_like(x),
         domain=(0.0, 1.0),
-        bc_inner="dirichlet",
+        bc_inner="dirichlet-wall",
     )
     return oracle.discretize(prob, n)
 
 
 class TestDiscretize:
     def test_free_particle_matrix_entries(self):
+        # the reflected ghost cell puts the wall at x = 0: 3/h^2 on the first row
         op = free_particle(3)
         h2 = (1.0 / 3.0) ** 2
-        np.testing.assert_allclose(op.diag, 2.0 / h2, rtol=0)
+        np.testing.assert_allclose(op.diag, [3.0 / h2, 2.0 / h2, 2.0 / h2], rtol=0)
         np.testing.assert_allclose(op.off, -1.0 / h2, rtol=0)
 
     def test_free_particle_spectrum(self):
-        op = free_particle(3)
-        h = 1.0 / 3.0
-        expected = np.sort(2.0 * (1.0 - np.cos(np.arange(1, 4) * np.pi / 4.0)) / h**2)
-        np.testing.assert_allclose(oracle.lowest_eigenvalues(op, 3), expected, rtol=1e-12)
+        # [3, 2, ..., 2]/h^2 with -1/h^2 couplings: 2 (1 - cos(2 k pi / (2n + 1))) / h^2
+        for n in (3, 5, 8):
+            op = free_particle(n)
+            k = np.arange(1, n + 1)
+            expected = 2.0 * (1.0 - np.cos(2.0 * k * np.pi / (2 * n + 1))) * n**2
+            np.testing.assert_allclose(oracle.lowest_eigenvalues(op, n), expected, rtol=1e-12)
 
     def test_oscillator_eigenvalue_at_2048(self):
         m = EuclideanOscillator(d=3, omega=1.0)
@@ -338,21 +342,34 @@ class TestConvergenceStudy:
 
 def test_default_samples_reach_past_the_last_node():
     # Euclidean Coulomb D=3 Q=1 L=0 n_r=2 has nodes at R = 3(3 -+ sqrt 3) and
-    # its bulk runs to R of about 70; the first node must not end the scan
+    # its bulk runs to R of about 70; the samples must reach past the last node
     m = EuclideanCoulomb(D=3, Q=1.0)
-    samples = oracle.default_samples(m, QuantumNumbers(2, 0.0))
+    cutoff = oracle.truncation_radius(m, 0.0, 2)
+    samples = oracle.default_samples(m, QuantumNumbers(2, 0.0), cutoff)
     assert samples.max() > 3.0 * (3.0 + math.sqrt(3.0))
 
 
 @pytest.mark.parametrize("n_r", [0, 1])
 def test_default_samples_find_a_state_inside_unit_radius(n_r):
-    # osc d=3 omega=5000 lives within r of about 0.05; a scan that starts at
-    # r = 1 put every sample where the operator underflows
+    # osc d=3 omega=5000 lives within r of about 0.05; samples placed from
+    # r = 1 outward would all sit where the operator underflows
     m = EuclideanOscillator(d=3, omega=5000.0)
     q = QuantumNumbers(n_r, 0.0)
-    samples = oracle.default_samples(m, q)
+    samples = oracle.default_samples(m, q, oracle.truncation_radius(m, 0.0, n_r))
     assert samples.max() < 0.1
     assert oracle.residual_norm(RadialState(m, q), samples) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "model,picture",
+    [(NonlinearOscillator(d=3, lam=0.05, beta=1.0), "weighted"),
+     (CoulombLike(D=3, lam=0.05, Q=1.0), "flat")],
+    ids=["nlo-weighted", "clike-flat"],
+)
+def test_study_reports_each_states_cutoff(model, picture):
+    # the y-domain each state was solved on ends where truncation_radius cuts it
+    rep = oracle.convergence_study(model, 0.0, 2, [128, 256, 512], picture=picture)
+    assert rep.cutoffs == tuple(oracle.truncation_radius(model, 0.0, j, picture) for j in range(2))
 
 
 @pytest.mark.parametrize(
@@ -405,9 +422,10 @@ class TestVariationalMonotonicity:
         # interlacing makes the lowest eigenvalue exactly non-increasing
         m = NonlinearOscillator(d=2, lam=0.2, beta=1.0)
         h = 20.0 / 512.0
+        problem = oracle.build_problem(m, 1.0, n_states=1)
         values = []
         for cells in (512, 640, 768, 1024):
-            prob = oracle.build_problem(m, 1.0, n_states=1, r_max=cells * h)
+            prob = dataclasses.replace(problem, domain=(0.0, cells * h))
             op = oracle.discretize(prob, cells)
             values.append(oracle.lowest_eigenvalues(op, 1)[0])
         diffs = np.diff(values)
