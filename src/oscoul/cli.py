@@ -157,24 +157,24 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bound_states(args) -> int:
     model, _ = build_model(args)
-    if args.model in ("clike", "pdm-coulomb"):
+    if model.lam == 0:
+        raise ConfigError("bound-state enumeration applies to nlo/clike/pdm-* models")
+    if model.kind == "coulomb":
         states = clike_bound_states(model)
         rows = [[q.n_r, q.ang, q.nu, model.energy(q)] for q in states]
         _emit_rows(["n_r", "L", "nu", "energy"], rows, args.format, args.out)
         return 0
-    if args.model in ("nlo", "pdm-osc"):
-        n_max = model.n_max
-        _emit_json(
-            {
-                "command": "bound-states",
-                "model": args.model,
-                "n_max": n_max if n_max is None else int(n_max),
-                "unbounded": n_max is None,
-            },
-            args.out,
-        )
-        return 0
-    raise ConfigError("bound-state enumeration applies to nlo/clike/pdm-* models")
+    n_max = model.n_max
+    _emit_json(
+        {
+            "command": "bound-states",
+            "model": args.model,
+            "n_max": n_max if n_max is None else int(n_max),
+            "unbounded": n_max is None,
+        },
+        args.out,
+    )
+    return 0
 
 
 def cmd_wavefunction(args) -> int:
@@ -183,12 +183,12 @@ def cmd_wavefunction(args) -> int:
     lo, hi = model.domain
     x_max = args.x_max
     if x_max is None and math.isinf(hi):
-        # sampled evenly in the flat picture's coordinate up to the state's
-        # cutoff there: a state with a power-law tail keeps samples in its bulk
+        # sampled evenly in the solved coordinate up to the state's cutoff
+        # there: a state with a power-law tail keeps samples in its bulk
         from . import oracle
 
-        cutoff = oracle.truncation_radius(model, ang, args.n_r, "flat")
-        xs = oracle.default_samples(model, q, cutoff, "flat", args.points)
+        cutoff = oracle.truncation_radius(model, ang, args.n_r)
+        xs = oracle.default_samples(model, cutoff, args.points)
     else:
         if x_max is None:
             x_max = 0.999 * hi
@@ -254,7 +254,7 @@ def cmd_verify(args) -> int:
     all_ok = True
     for j in range(args.k):
         q = QuantumNumbers(j, ang)
-        samples = oracle.default_samples(model, q, report.cutoffs[j], picture)
+        samples = oracle.default_samples(model, report.cutoffs[j])
         resid = oracle.residual_norm(
             RadialState(model, q), samples, picture=picture, ordering=ordering or BD
         )

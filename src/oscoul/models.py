@@ -7,7 +7,7 @@ Each model class is the one home of its physics: its side of the duality, its
 energies and bound-state rule, its measure, its wavefunctions with their exact
 derivatives, the Sturm-Liouville coefficients the oracle discretizes (weighted
 and, for the curved classes, PDM flat-picture), and the coordinate in which
-the oracle solves each picture.
+the oracle solves them.
 
 The Euclidean classes are the lam = 0 cases of their side of the duality:
 the side class holds the one domain, measure, radial coefficients and energy,
@@ -15,15 +15,12 @@ written for the curved model, and at lam = 0 (stretch t = 1, beta = omega)
 they reduce to the textbook forms.  The Euclidean classes keep only their
 parameters and their Laguerre states.
 
-Solved coordinates (``coordinate``), each a map y -> (r, t, dr/dy) with the
-stretch t formed directly:
-
-- ``CoulombLike``, weighted picture, either sign of lam: x = sqrt(s), where
-  s = log(1+lam R)/lam, so R = expm1(lam x^2)/lam and t = exp(lam x^2);
-- ``CoulombLike``, flat picture: s for lam > 0, R itself for lam < 0;
-- ``NonlinearOscillator``, both pictures: s = arcsinh(sqrt(lam) r)/sqrt(lam)
-  for lam > 0, r itself for lam < 0;
-- ``EuclideanOscillator`` and ``EuclideanCoulomb``: the radius itself.
+Solved coordinate (``coordinate``), one per side for both pictures, a map
+y -> (r, t, dr/dy) with the stretch t formed directly.  Coulomb side: x =
+sqrt(s), s = log(1+lam R)/lam, so R = expm1(lam x^2)/lam and t = exp(lam x^2);
+at lam = 0, R = x^2 and t = 1 (the duality's r = sqrt(R)).  Oscillator side:
+s = arcsinh(sqrt(lam) r)/sqrt(lam) for lam > 0, the radius otherwise.  The
+flat centrifugal term is a(a-1)/r^2, with a = ``flat_exponent``.
 
 Energies are exact; wavefunctions are returned unnormalized (numerical
 normalization lives in ``oscoul.quadrature``).  Units hbar = m = 1.
@@ -239,17 +236,6 @@ class _Side:
         xa = _check_coordinate(self, x)
         return _like_input(self.amplitude(q, xa, self.stretch(xa)), x)
 
-    def coordinate(self, picture: str):
-        """The coordinate y in which the oracle solves ``picture``, as (map, end).
-
-        The map takes y to (r, t, dr/dy) and y runs over (0, end).  Here y is
-        the radius itself; the curved models map it where that pays.
-        """
-        return self._radial, self.domain[1]
-
-    def _radial(self, r):
-        return r, self.stretch(r), 1.0
-
     def _checked_stretch(self, x):
         xa = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(xa)) or not np.all(xa > 0):
@@ -275,8 +261,13 @@ class _Side:
             _pow3(xa, (self.dim - 1.0) / 2.0), _cpow3(*self._stretch3(xa), self._FLAT_POWER)
         )
 
+    def flat_exponent(self, ang: float) -> float:
+        """a = ang + (dim-1)/2, the larger Frobenius exponent of the flat state."""
+        return ang + (self.dim - 1.0) / 2.0
+
     def _flat_centrifugal(self, ang: float, x):
-        return (ang + (self.dim - 1.0) / 2.0) * (ang + (self.dim - 3.0) / 2.0) / (x * x)
+        a = self.flat_exponent(ang)
+        return a * (a - 1.0) / (x * x)
 
 
 class _OscillatorSide(_Side):
@@ -328,6 +319,19 @@ class _OscillatorSide(_Side):
     def pdm_mass(self, r):
         """Position-dependent mass (1+lam r^2)^-1."""
         return _like_input(1.0 / self._checked_stretch(r)[1], r)
+
+    def coordinate(self):
+        """(y -> (r, t, dr/dy), end of y) for y = s at lam > 0, where bound states
+        decay exponentially (in r only as a power), and y = r otherwise."""
+        if self.lam <= 0:
+            return (lambda r: (r, self.stretch(r), 1.0)), self.domain[1]
+        rt = math.sqrt(self.lam)
+
+        def to_r(s):
+            c = np.cosh(rt * s)
+            return np.sinh(rt * s) / rt, c * c, c
+
+        return to_r, math.inf
 
 
 class _CoulombSide(_Side):
@@ -383,6 +387,20 @@ class _CoulombSide(_Side):
         """Position-dependent mass (1+lam R)^-2."""
         t = self._checked_stretch(R)[1]
         return _like_input(1.0 / (t * t), R)
+
+    def coordinate(self):
+        """(x -> (R, t, dR/dx), end of x) for x = sqrt(s): R ~ x^2 near the origin
+        and the density is Gaussian in x at the far end."""
+        lam = self.lam
+        if lam == 0:
+            return (lambda x: (x * x, 1.0, 2.0 * x)), math.inf
+
+        def to_r(x):
+            u = lam * x * x
+            t = np.exp(u)
+            return np.expm1(u) / lam, t, 2.0 * x * t
+
+        return to_r, math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -521,19 +539,6 @@ class NonlinearOscillator(_OscillatorSide):
         z = 1.0 + 2.0 * lam * ra * ra
         return _mul3(trip, _jacobi3(q.n_r, a, b, z, 4.0 * lam * ra, 4.0 * lam))
 
-    def coordinate(self, picture: str):
-        """s = arcsinh(sqrt(lam) r)/sqrt(lam) for lam > 0, where bound states decay
-        exponentially (in r only as a power); the radius for lam < 0."""
-        if self.lam < 0:
-            return super().coordinate(picture)
-        rt = math.sqrt(self.lam)
-
-        def to_r(s):
-            c = np.cosh(rt * s)
-            return np.sinh(rt * s) / rt, c * c, c
-
-        return to_r, math.inf
-
     def _bd_potential(self, ang: float, r, t):
         """V1, the BD potential."""
         lam, beta = self.lam, self.beta
@@ -621,28 +626,6 @@ class CoulombLike(_CoulombSide):
         trip = _mul3(_pow3(Ra, q.ang), _cpow3(*self._stretch3(Ra), wp.tau))
         z = 1.0 + 2.0 * lam * Ra
         return _mul3(trip, _jacobi3(q.n_r, wp.rho, wp.sigma, z, 2.0 * lam, 0.0))
-
-    def coordinate(self, picture: str):
-        """x = sqrt(s), s = log(1+lam R)/lam, for the weighted picture: R ~ x^2 near
-        the origin (the duality's r = sqrt(R)) and the density is Gaussian in x
-        at the far end.  s for the flat picture at lam > 0, R at lam < 0."""
-        lam = self.lam
-        if picture == "weighted":
-
-            def to_r(x):
-                u = lam * x * x
-                t = np.exp(u)
-                return np.expm1(u) / lam, t, 2.0 * x * t
-
-            return to_r, math.inf
-        if lam > 0:
-
-            def to_r(s):
-                t = np.exp(lam * s)
-                return np.expm1(lam * s) / lam, t, t
-
-            return to_r, math.inf
-        return super().coordinate(picture)
 
     def _bd_potential(self, ang: float, R):
         """U, the PDM potential of both the BD and the MM ordering."""

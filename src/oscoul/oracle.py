@@ -16,12 +16,18 @@ it cannot certify inside its bracket.  Eigenvalues are reported in the
 doubled convention (2E).
 
 The coefficients (``weighted_coefficients``, the PDM ``flat_coefficients``)
-are functions of the radius r and the stretch t, and each model names the
-coordinate y its pictures are solved in (``coordinate``; x = sqrt(s) for the
-weighted Coulomb-like problem, s for the curved problems' other lam > 0
-pictures, the radius otherwise).  ``build_problem`` maps any radial triple to
-y in one step, P = p/g'^2, W = w g', V(g) with r = g(y); ``truncation_radius``
-cuts every infinite y-domain where the density |u|^2 W falls to 1e-12 of its peak.
+are functions of the radius r and the stretch t, and each side of the duality
+names the one coordinate y both pictures are solved in (``coordinate``; x =
+sqrt(s) on the Coulomb side, s on the oscillator side for lam > 0, the radius
+otherwise).  ``build_problem`` maps any radial triple to y in one step,
+P = p/g'^2, W = w g', V(g) with r = g(y); ``truncation_radius`` cuts every
+infinite y-domain where the density |u|^2 W falls to 1e-12 of its peak.
+
+Every problem has the natural (zero-flux) row at the origin.  The flat
+picture's u goes as r^a there, a the larger Frobenius exponent of its
+centrifugal term a(a-1)/r^2 (``flat_exponent``; A. Zettl, Sturm-Liouville
+Theory, AMS 2005), so it is solved for v = u/r^a: weight w r^(2a), potential
+V - a c1/r - a(a-1) p/r^2 with c1 = (p w)'/w.  The weighted picture is a = 0.
 
 That cutoff is the only rule for where a state ends.  A convergence study
 reports the one it solved each state on (``ConvergenceReport.cutoffs``), and
@@ -68,7 +74,6 @@ class SturmLiouvilleProblem:
     w: Callable
     potential: Callable
     domain: tuple[float, float]
-    bc_inner: str = "natural"  # "natural" (zero flux) | "dirichlet-wall"
 
 
 @dataclass(frozen=True)
@@ -131,15 +136,15 @@ def _exp_cutoff(amp) -> float:
     raise ValueError("state density does not decay below 1e-12 of its peak")
 
 
-def truncation_radius(model, ang: float, n_r: int, picture: str = "weighted") -> float:
-    """Domain cutoff for the state (n_r, ang), in the coordinate y that solves ``picture``.
+def truncation_radius(model, ang: float, n_r: int) -> float:
+    """Domain cutoff for the state (n_r, ang), in the model's solved coordinate y.
 
     A finite y-domain is kept whole.  Otherwise the cutoff is where the
     state's density |u|^2 W in y falls to 1e-12 of its peak.  That density is
     psi^2 w dr/dy in both pictures (the flat u^2 is psi^2 times the weighted
-    measure), so only the coordinate depends on the picture.
+    measure, and the gauge cancels in |v|^2 W), so one cutoff serves both.
     """
-    to_r, end = model.coordinate(picture)
+    to_r, end = model.coordinate()
     if math.isfinite(end):
         return end
     q = QuantumNumbers(n_r, ang)
@@ -164,9 +169,9 @@ def build_problem(
     """Sturm-Liouville form of one radial problem in the model's solved coordinate.
 
     picture "weighted" solves the curved radial equation against its measure;
-    "flat" solves the PDM picture (w = 1) for the given von Roos ordering.
-    The radial (p, w, V) become P = p/g'^2, W = w g' and V(g) in the
-    coordinate y of ``model.coordinate(picture)``, r = g(y).  The domain is
+    "flat" solves the PDM picture (w = 1) for the given von Roos ordering,
+    gauged by r^a.  The radial (p, w, V) become P = p/g'^2, W = w g' and V(g)
+    in the coordinate y of ``model.coordinate()``, r = g(y).  The domain is
     truncated (if infinite) to cover the lowest ``n_states`` states of the
     channel, by ``truncation_radius``.
     """
@@ -174,15 +179,20 @@ def build_problem(
         if ordering is not None:
             raise ValueError("ordering applies to the flat picture only")
         coeff = model.weighted_coefficients(ang)
-        bc_inner = "natural"
     elif picture == "flat":
         if model.lam == 0:
             raise ValueError("the PDM flat picture applies to the curved models only")
-        coeff = model.flat_coefficients(ang, BD if ordering is None else ordering)
-        bc_inner = "dirichlet-wall"
+        flat = model.flat_coefficients(ang, BD if ordering is None else ordering)
+        a = model.flat_exponent(ang)
+        p, c1 = flat["p"], flat["c1"]
+        coeff = dict(
+            p=p,
+            w=lambda r, t: flat["w"](r, t) * r ** (2.0 * a),
+            V=lambda r, t: flat["V"](r, t) - a * c1(r, t) / r - a * (a - 1.0) * p(r, t) / (r * r),
+        )
     else:
         raise ValueError(f"unknown picture {picture!r}")
-    to_r, _ = model.coordinate(picture)
+    to_r, _ = model.coordinate()
     p, w, V = coeff["p"], coeff["w"], coeff["V"]
 
     def P(y):
@@ -201,8 +211,7 @@ def build_problem(
         p=P,
         w=W,
         potential=U,
-        domain=(0.0, truncation_radius(model, ang, n_states - 1, picture)),
-        bc_inner=bc_inner,
+        domain=(0.0, truncation_radius(model, ang, n_states - 1)),
     )
 
 
@@ -213,12 +222,11 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     W^(1/2) similarity transform row i couples its neighbours with
     -(p w)(x_(i+-1/2)) / (h^2 sqrt(w_i w_(i+-1))).  Sampling w at the interface
     (rather than the geometric mean of the cell centers) keeps the eigenvalue
-    error a clean h^2 series even for half-integer-power weights.  Dirichlet
-    rows keep both flux terms on the diagonal but drop the outside coupling
-    (the boundary one with the cell-center weight, since the measure may be
-    singular at the endpoint itself); the natural row at the origin sets the
-    inner flux to zero and never samples p there, where it may be infinite
-    (p = 1/(4x^2) in x).  The outer end is always a Dirichlet wall.
+    error a clean h^2 series even for half-integer-power weights.  The inner
+    row is natural: zero flux at the origin, where p is never sampled (it may
+    be infinite there, p = 1/(4x^2) in x).  The outer Dirichlet row keeps the
+    wall flux on the diagonal with the cell-center weight.  sqrt(w) is taken
+    per cell, since a gauged w_i w_(i+1) can overflow.
     """
     if not isinstance(N, (int, np.integer)) or N < 3:
         raise ValueError(f"need N >= 3 cells, got {N}")
@@ -226,10 +234,9 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     h = (b - a) / N
     x = a + (np.arange(1, N + 1) - 0.5) * h
     xh = a + np.arange(N + 1) * h
-    first = 1 if problem.bc_inner == "natural" else 0
     w = np.asarray(problem.w(x), dtype=float)
     v = np.asarray(problem.potential(x), dtype=float)
-    p_half = np.asarray(problem.p(xh[first:]), dtype=float)
+    p_half = np.asarray(problem.p(xh[1:]), dtype=float)
     w_half = np.asarray(problem.w(xh[1:-1]), dtype=float)
     if not (
         np.all(np.isfinite(w))
@@ -241,18 +248,12 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     if not (np.all(w > 0) and np.all(w_half > 0)):
         raise ValueError("weight must be positive on the open domain")
     h2 = h * h
-    g = p_half[1 - first : -1] * w_half
+    g = p_half[:-1] * w_half
     diag = v.copy()
     diag[:-1] += g / (h2 * w[:-1])
     diag[1:] += g / (h2 * w[1:])
-    off = -g / (h2 * np.sqrt(w[:-1] * w[1:]))
-    # "dirichlet-wall" reflects the ghost cell center (ghost = -u_1, wall at
-    # the endpoint itself), needed at the origin of the flat picture where the
-    # eigenfunction has a nonzero slope and a half-cell wall shift would cost O(h)
-    if problem.bc_inner == "dirichlet-wall":
-        diag[0] += 2.0 * p_half[0] / h2
-    elif problem.bc_inner != "natural":
-        raise ValueError(f"unknown inner boundary {problem.bc_inner!r}")
+    sw = np.sqrt(w)
+    off = -g / (h2 * sw[:-1] * sw[1:])
     diag[-1] += p_half[-1] / h2
     return DiscreteOperator(diag=diag, off=off, h=h, nodes=x)
 
@@ -374,19 +375,17 @@ def convergence_study(
     )
 
 
-def default_samples(
-    model, q: QuantumNumbers, cutoff: float, picture: str = "weighted", n: int = 50
-) -> np.ndarray:
-    """n deterministic radii covering the state q, whose y-domain in ``picture``
-    ends at ``cutoff`` (``truncation_radius``, or a study's ``cutoffs``).
+def default_samples(model, cutoff: float, n: int = 50) -> np.ndarray:
+    """n deterministic radii covering a state whose y-domain ends at ``cutoff``
+    (``truncation_radius``, or a study's ``cutoffs``).
 
     On an infinite radial domain the samples are evenly spaced in the
-    coordinate y of ``model.coordinate(picture)``, from cutoff/n to cutoff,
+    coordinate y of ``model.coordinate()``, from cutoff/n to cutoff,
     and mapped back to the radius; no scan of the state is made here.  A
     finite radial domain is sampled evenly on its inner 2-95 %.
     """
     lo, hi = model.domain
     if math.isfinite(hi):
         return np.linspace(lo + 0.02 * (hi - lo), hi - 0.05 * (hi - lo), n)
-    to_r, _ = model.coordinate(picture)
+    to_r, _ = model.coordinate()
     return to_r(np.linspace(cutoff / n, cutoff, n))[0]

@@ -17,7 +17,10 @@ against the same cases.
 ``--compare`` exits 0 when both digests hold the same cases and agree on
 every field but ``residual`` bit for bit, and every residual of both stays at
 or below 1e-9; it prints each disagreement and a residual summary otherwise.
-Pytest does not collect this file.
+It also prints, for each class of case (weighted: nlo and clike; flat: the
+pdm models and ``--picture flat``; Euclidean: osc and coulomb), the passing
+states of each digest, the number of flipped pass flags and the largest
+relative eigenvalue move.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -97,6 +100,37 @@ def digest(out_path: str) -> int:
     return 0
 
 
+def _class(argv: str) -> str:
+    model = argv.split()[2]
+    if model in ("osc", "coulomb"):
+        return "euclidean"
+    return "flat" if model.startswith("pdm-") or "--picture flat" in argv else "weighted"
+
+
+def class_summary(a: dict, b: dict) -> list:
+    """One line per class of the cases in both digests with the same state count."""
+    stats = {}
+    for argv in (argv for argv in a if argv in b):
+        sa, sb = a[argv].get("states", []), b[argv].get("states", [])
+        if len(sa) != len(sb):
+            continue
+        st = stats.setdefault(_class(argv), dict(cases=0, states=0, pa=0, pb=0, flips=0, move=0.0))
+        st["cases"] += 1
+        for xa, xb in zip(sa, sb):
+            st["states"] += 1
+            st["pa"] += xa["pass"]
+            st["pb"] += xb["pass"]
+            st["flips"] += xa["pass"] != xb["pass"]
+            for ea, eb in zip(xa["eigenvalues"], xb["eigenvalues"]):
+                ea, eb = float.fromhex(ea), float.fromhex(eb)
+                st["move"] = max(st["move"], abs(eb - ea) / abs(ea))
+    return [
+        f"{cls}: {st['cases']} cases, {st['pa']} -> {st['pb']} of {st['states']} states pass, "
+        f"{st['flips']} pass flags flipped, largest relative eigenvalue move {st['move']:.1e}"
+        for cls, st in sorted(stats.items())
+    ]
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as fh:
         a = {rec["argv"]: rec for rec in json.load(fh)}
@@ -106,6 +140,7 @@ def compare(path_a: str, path_b: str) -> int:
         [float.fromhex(st["residual"]) for rec in d.values() for st in rec.get("states", [])]
         for d in (a, b)
     )
+    summary = class_summary(a, b)
     problems = [f"only in {path_a}: {argv}" for argv in a if argv not in b]
     problems += [f"only in {path_b}: {argv}" for argv in b if argv not in a]
     moved = 0
@@ -127,7 +162,7 @@ def compare(path_a: str, path_b: str) -> int:
         if worst > RESIDUAL_BOUND:
             problems.append(f"{path}: a residual exceeds {RESIDUAL_BOUND:g}")
     print(f"residual differs in {moved} states")
-    for line in problems:
+    for line in problems + summary:
         print(line)
     print("agree" if not problems else f"{len(problems)} disagreements")
     return 1 if problems else 0

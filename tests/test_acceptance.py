@@ -112,7 +112,7 @@ def test_criterion_4_ode_residuals():
     worst = 0.0
     for model, q in _residual_matrix():
         cutoff = oracle.truncation_radius(model, q.ang, q.n_r)
-        samples = oracle.default_samples(model, q, cutoff, n=50)
+        samples = oracle.default_samples(model, cutoff, n=50)
         res = oracle.residual_norm(RadialState(model, q), samples)
         assert res <= 1e-9, (model, q, res)
         worst = max(worst, res)

@@ -70,6 +70,17 @@ def test_bound_states_counts(capsys):
     assert len(parse_csv(out)) == 4
 
 
+@pytest.mark.parametrize(
+    "model_flags",
+    [["--model", "osc", "--d", "3", "--omega", "1"], ["--model", "coulomb", "--D", "3", "--Q", "1"]],
+    ids=["osc", "coulomb"],
+)
+def test_bound_states_rejects_euclidean_models(model_flags, capsys):
+    code, out, err = run(["bound-states", *model_flags], capsys)
+    assert code == 2 and out == ""
+    assert "bound-state enumeration applies to nlo/clike/pdm-* models" in err
+
+
 def test_wavefunction_matches_gaussian(capsys):
     code, out, _ = run(
         ["wavefunction", "--model", "osc", "--d", "3", "--omega", "1", "--l", "0",
@@ -163,18 +174,11 @@ def test_verify_passes(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "model_flags,model,picture",
-    [
-        (["--model", "clike"], CoulombLike(D=3, lam=0.05, Q=1.0), "weighted"),
-        (["--model", "pdm-coulomb"], CoulombLike(D=3, lam=0.05, Q=1.0), "flat"),
-    ],
-    ids=["weighted", "flat"],
+    "model_flags", [["--model", "clike"], ["--model", "pdm-coulomb"]], ids=["weighted", "flat"]
 )
-def test_verify_residual_samples_end_at_the_studied_cutoff(
-    model_flags, model, picture, capsys, monkeypatch
-):
+def test_verify_residual_samples_end_at_the_studied_cutoff(model_flags, capsys, monkeypatch):
     # on an infinite domain the residual samples run up to the cutoff each
-    # state was solved on, in the coordinate of the verified picture
+    # state was solved on, in the model's solved coordinate
     from oscoul import oracle
 
     reports, seen = [], []
@@ -196,10 +200,11 @@ def test_verify_residual_samples_end_at_the_studied_cutoff(
         capsys,
     )
     assert code in (0, 1)
+    model = CoulombLike(D=3, lam=0.05, Q=1.0)
     assert math.isinf(model.domain[1]) and len(reports) == 1 and len(seen) == 2
     for j, (q, samples) in enumerate(seen):
         assert q == QuantumNumbers(j, 0.0)
-        expected = oracle.default_samples(model, q, reports[0].cutoffs[j], picture)
+        expected = oracle.default_samples(model, reports[0].cutoffs[j])
         np.testing.assert_array_equal(samples, expected)
 
 

@@ -2,6 +2,7 @@
 structure, eigenvalue extraction, residuals, and convergence behavior."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -29,25 +30,26 @@ def free_particle(n=3):
         w=lambda x: np.ones_like(x),
         potential=lambda x: np.zeros_like(x),
         domain=(0.0, 1.0),
-        bc_inner="dirichlet-wall",
     )
     return oracle.discretize(prob, n)
 
 
 class TestDiscretize:
     def test_free_particle_matrix_entries(self):
-        # the reflected ghost cell puts the wall at x = 0: 3/h^2 on the first row
-        op = free_particle(3)
-        h2 = (1.0 / 3.0) ** 2
-        np.testing.assert_allclose(op.diag, [3.0 / h2, 2.0 / h2, 2.0 / h2], rtol=0)
-        np.testing.assert_allclose(op.off, -1.0 / h2, rtol=0)
+        # the natural row carries only the flux to its neighbour: 1/h^2 on the
+        # first row; the outer Dirichlet row keeps the wall flux, 2/h^2
+        for n in (3, 5):
+            op = free_particle(n)
+            h2 = (1.0 / n) ** 2
+            np.testing.assert_allclose(op.diag, np.r_[1.0, np.full(n - 1, 2.0)] / h2, rtol=0)
+            np.testing.assert_allclose(op.off, -1.0 / h2, rtol=0)
 
     def test_free_particle_spectrum(self):
-        # [3, 2, ..., 2]/h^2 with -1/h^2 couplings: 2 (1 - cos(2 k pi / (2n + 1))) / h^2
+        # [1, 2, ..., 2]/h^2 with -1/h^2 couplings: 2 (1 - cos((2k - 1) pi / (2n + 1))) / h^2
         for n in (3, 5, 8):
             op = free_particle(n)
             k = np.arange(1, n + 1)
-            expected = 2.0 * (1.0 - np.cos(2.0 * k * np.pi / (2 * n + 1))) * n**2
+            expected = 2.0 * (1.0 - np.cos((2.0 * k - 1.0) * np.pi / (2 * n + 1))) * n**2
             np.testing.assert_allclose(oracle.lowest_eigenvalues(op, n), expected, rtol=1e-12)
 
     def test_oscillator_eigenvalue_at_2048(self):
@@ -93,28 +95,37 @@ class TestBuildProblem:
         np.testing.assert_allclose(c1, at("c1", x), rtol=1e-6, atol=1e-8)
 
     def test_geodesic_transform_keeps_measure_and_potential(self):
-        # every mapped coordinate y: W dy = w dr, V(y) = V(r(y)), P = p (dy/dr)^2
+        # every mapped coordinate y: W dy = w dr, V(y) = V(r(y)), P = p (dy/dr)^2;
+        # the flat picture first gauged by r^a: w r^(2a), V - a c1/r - a(a-1) p/r^2
         for model, picture in [
             (NonlinearOscillator(d=2, lam=0.2, beta=1.0), "weighted"),  # s
             (NonlinearOscillator(d=2, lam=0.2, beta=1.0), "flat"),  # s
+            (NonlinearOscillator(d=3, lam=-0.1, beta=1.0), "flat"),  # r
             (CoulombLike(D=3, lam=0.2, Q=1.0), "weighted"),  # x = sqrt(s)
             (CoulombLike(D=3, lam=-0.1, Q=1.0), "weighted"),  # x = sqrt(s)
-            (CoulombLike(D=3, lam=0.2, Q=1.0), "flat"),  # s
+            (CoulombLike(D=3, lam=0.2, Q=1.0), "flat"),  # x = sqrt(s)
+            (CoulombLike(D=2.5, lam=-0.1, Q=1.0), "flat"),  # x = sqrt(s)
+            (EuclideanCoulomb(D=3, Q=1.0), "weighted"),  # x = sqrt(R)
         ]:
-            to_r, _ = model.coordinate(picture)
+            to_r, _ = model.coordinate()
             problem = oracle.build_problem(model, 1.0, picture, n_states=1)
-            rad = (
-                model.weighted_coefficients(1.0)
-                if picture == "weighted"
-                else model.flat_coefficients(1.0, BD)
-            )
             y = np.linspace(0.2, 4.0, 9)
             r = to_r(y)[0]
             t = model.stretch(r)
+            if picture == "weighted":
+                rad = model.weighted_coefficients(1.0)
+                w, V = rad["w"](r, t), rad["V"](r, t)
+            else:
+                rad = model.flat_coefficients(1.0, BD)
+                a = model.flat_exponent(1.0)
+                assert a == 1.0 + (model.dim - 1.0) / 2.0
+                w = rad["w"](r, t) * r ** (2.0 * a)
+                gauge = a * rad["c1"](r, t) / r + a * (a - 1.0) * rad["p"](r, t) / r**2
+                V = rad["V"](r, t) - gauge
             h = 1e-6
             dr_dy = (to_r(y + h)[0] - to_r(y - h)[0]) / (2 * h)
-            np.testing.assert_allclose(problem.w(y), rad["w"](r, t) * dr_dy, rtol=1e-9)
-            np.testing.assert_allclose(problem.potential(y), rad["V"](r, t), rtol=1e-12)
+            np.testing.assert_allclose(problem.w(y), w * dr_dy, rtol=1e-9)
+            np.testing.assert_allclose(problem.potential(y), V, rtol=1e-12)
             np.testing.assert_allclose(problem.p(y), rad["p"](r, t) / dr_dy**2, rtol=1e-9)
 
     def test_far_tail_coefficients_use_the_stretch_directly(self):
@@ -123,7 +134,7 @@ class TestBuildProblem:
         model = CoulombLike(D=3, lam=-0.1, Q=1.0)
         problem = oracle.build_problem(model, 0.0, n_states=1)
         x = np.array([math.sqrt(600.0)])
-        R, t, _ = model.coordinate("weighted")[0](x)
+        R, t, _ = model.coordinate()[0](x)
         assert 1.0 + model.lam * R[0] == 0.0 and t[0] > 0.0
         P, V, W = problem.p(x)[0], problem.potential(x)[0], problem.w(x)[0]
         assert np.isfinite([P, V, W]).all() and W > 0
@@ -345,7 +356,7 @@ def test_default_samples_reach_past_the_last_node():
     # its bulk runs to R of about 70; the samples must reach past the last node
     m = EuclideanCoulomb(D=3, Q=1.0)
     cutoff = oracle.truncation_radius(m, 0.0, 2)
-    samples = oracle.default_samples(m, QuantumNumbers(2, 0.0), cutoff)
+    samples = oracle.default_samples(m, cutoff)
     assert samples.max() > 3.0 * (3.0 + math.sqrt(3.0))
 
 
@@ -355,7 +366,7 @@ def test_default_samples_find_a_state_inside_unit_radius(n_r):
     # r = 1 outward would all sit where the operator underflows
     m = EuclideanOscillator(d=3, omega=5000.0)
     q = QuantumNumbers(n_r, 0.0)
-    samples = oracle.default_samples(m, q, oracle.truncation_radius(m, 0.0, n_r))
+    samples = oracle.default_samples(m, oracle.truncation_radius(m, 0.0, n_r))
     assert samples.max() < 0.1
     assert oracle.residual_norm(RadialState(m, q), samples) <= 1e-9
 
@@ -367,9 +378,10 @@ def test_default_samples_find_a_state_inside_unit_radius(n_r):
     ids=["nlo-weighted", "clike-flat"],
 )
 def test_study_reports_each_states_cutoff(model, picture):
-    # the y-domain each state was solved on ends where truncation_radius cuts it
+    # the y-domain each state was solved on ends where truncation_radius cuts
+    # it, in either picture
     rep = oracle.convergence_study(model, 0.0, 2, [128, 256, 512], picture=picture)
-    assert rep.cutoffs == tuple(oracle.truncation_radius(model, 0.0, j, picture) for j in range(2))
+    assert rep.cutoffs == tuple(oracle.truncation_radius(model, 0.0, j) for j in range(2))
 
 
 @pytest.mark.parametrize(
@@ -386,34 +398,122 @@ def test_study_without_closed_form_fails_before_solving(model, monkeypatch):
         )
 
 
+# The sweep: every bound state n_r < 5 of these channels, in the weighted
+# picture and (curved models) the flat picture with BD and MM, 1061 checks.
+# A check passes when the oracle meets the closed form to 1e-6 with an
+# observed order in [1.5, 2.5].
+SWEEP_CURVED = [
+    CoulombLike(D=D, lam=lam, Q=1.0)
+    for D in (2.0, 2.5, 3.0, 4.0)
+    for lam in (-0.1, -0.02, 0.02, 0.1)
+] + [NonlinearOscillator(d=d, lam=lam, beta=1.0) for d in (2, 3, 4) for lam in (-0.1, 0.05)]
+SWEEP_EUCLIDEAN = [EuclideanCoulomb(D=D, Q=1.0) for D in (2.0, 2.5, 3.0, 4.0)] + [
+    EuclideanOscillator(d=d, omega=1.0) for d in (2, 3, 4)
+]
+
+ITEM2 = "ROADMAP item 2: flat Coulomb-like state near threshold at lam > 0 (larger h^2 constant)"
+ITEM3 = "ROADMAP item 3: accurate answer (error < 5e-12) that reads order about 4"
+# each known miss: (D, lam, L, n_r, ordering) in the flat picture and
+# (kind, dim, ang, n_r) for the Euclidean models
+KNOWN_MISSES = {
+    **{
+        (D, lam, L, n_r, o): ITEM2
+        for D, lam, L, n_r, orderings in [
+            (2.0, 0.02, 1.5, 3, "bd mm"),
+            (2.0, 0.1, 0.5, 2, "bd mm"),
+            (2.5, 0.1, 1.5, 1, "bd mm"),
+            (3.0, 0.1, 0.0, 2, "bd mm"),
+            (3.0, 0.1, 1.0, 1, "bd"),
+            (3.0, 0.1, 1.5, 1, "bd mm"),
+            (4.0, 0.02, 1.5, 4, "bd mm"),
+            (4.0, 0.1, 0.5, 1, "bd mm"),
+        ]
+        for o in orderings.split()
+    },
+    ("coulomb", 3.0, 0.0, 0): ITEM3,
+    ("coulomb", 4.0, 0.5, 0): ITEM3,
+    ("oscillator", 4.0, 0.0, 0): ITEM3,
+}
+
+
+def _bound_count(model, ang):
+    k = 0
+    while k < 5 and model.is_bound(QuantumNumbers(k, ang)):
+        k += 1
+    return k
+
+
+def _angs(model):
+    return (0.0, 0.5, 1.0, 1.5) if model.kind == "coulomb" else (0.0, 1.0, 2.0)
+
+
+@functools.cache
+def _study(model, ang, k, picture="weighted", ordering=None):
+    return oracle.convergence_study(model, ang, k, GRIDS, picture=picture, ordering=ordering)
+
+
+def _assert_check(rep, j):
+    assert rep.rel_error[j] <= 1e-6, (j, rep.rel_error[j])
+    assert 1.5 <= rep.observed_order[j] <= 2.5, (j, rep.observed_order[j])
+
+
 def _weighted_channels():
-    """Every weighted channel of the sweep with its bound states n_r < 5."""
-    models = [
-        CoulombLike(D=D, lam=lam, Q=1.0)
-        for D in (2.0, 2.5, 3.0, 4.0)
-        for lam in (-0.1, -0.02, 0.02, 0.1)
-    ]
-    models += [
-        NonlinearOscillator(d=d, lam=lam, beta=1.0) for d in (2, 3, 4) for lam in (-0.1, 0.05)
-    ]
-    for m in models:
-        angs = (0.0, 0.5, 1.0, 1.5) if isinstance(m, CoulombLike) else (0.0, 1.0, 2.0)
-        for ang in angs:
-            k = 0
-            while k < 5 and m.is_bound(QuantumNumbers(k, ang)):
-                k += 1
-            if k:  # a channel with no bound state has nothing to check
+    """Every weighted curved channel of the sweep with a bound state."""
+    for m in SWEEP_CURVED:
+        for ang in _angs(m):
+            if k := _bound_count(m, ang):
                 yield pytest.param(m, ang, k, id=f"{m.kind}-dim{m.dim}-lam{m.lam}-ang{ang}")
+
+
+def _state_checks(models, orderings):
+    """One param per (channel, ordering, n_r); a known miss is a strict xfail."""
+    for m in models:
+        for ang in _angs(m):
+            k = _bound_count(m, ang)
+            for name, ordering in orderings:
+                for j in range(k):
+                    key = (m.dim, m.lam, ang, j, name) if name else (m.kind, m.dim, ang, j)
+                    reason = KNOWN_MISSES.get(key)
+                    suffix = f"-{name}-nr{j}" if name else f"-nr{j}"
+                    yield pytest.param(
+                        m, ang, k, ordering, j,
+                        id=f"{m.kind}-dim{m.dim}-lam{m.lam}-ang{ang}{suffix}",
+                        marks=[pytest.mark.xfail(strict=True, reason=reason)] if reason else [],
+                    )
 
 
 @pytest.mark.parametrize("model,ang,k", list(_weighted_channels()))
 def test_weighted_sweep(model, ang, k):
-    # every bound state n_r < 5 of the weighted curved problems: the oracle
-    # meets the closed form to 1e-6 with an observed order in [1.5, 2.5]
-    rep = oracle.convergence_study(model, ang, k, GRIDS)
+    # the weighted curved pictures have no known miss: a channel per test
+    rep = _study(model, ang, k)
     for j in range(k):
-        assert rep.rel_error[j] <= 1e-6, (j, rep.rel_error[j])
-        assert 1.5 <= rep.observed_order[j] <= 2.5, (j, rep.observed_order[j])
+        _assert_check(rep, j)
+
+
+FLAT_ORDERINGS = [("bd", BD), ("mm", MM)]
+
+
+@pytest.mark.parametrize(
+    "model,ang,k,ordering,n_r", list(_state_checks(SWEEP_CURVED, FLAT_ORDERINGS))
+)
+def test_flat_sweep(model, ang, k, ordering, n_r):
+    # the PDM flat picture, gauged by r^a and solved in the weighted coordinate
+    _assert_check(_study(model, ang, k, "flat", ordering), n_r)
+
+
+@pytest.mark.parametrize(
+    "model,ang,k,ordering,n_r", list(_state_checks(SWEEP_EUCLIDEAN, [("", None)]))
+)
+def test_euclidean_sweep(model, ang, k, ordering, n_r):
+    # the weighted picture at lam = 0; Euclidean Coulomb is solved in x = sqrt(R)
+    _assert_check(_study(model, ang, k), n_r)
+
+
+def test_sweep_holds_1061_checks():
+    weighted = sum(p.values[2] for p in _weighted_channels())
+    flat = len(list(_state_checks(SWEEP_CURVED, FLAT_ORDERINGS)))
+    euclidean = len(list(_state_checks(SWEEP_EUCLIDEAN, [("", None)])))
+    assert (weighted, flat, euclidean) == (312, 624, 125)
 
 
 class TestVariationalMonotonicity:
