@@ -239,15 +239,11 @@ def cmd_verify(args) -> int:
     from .kernels import LapackNotFound
 
     model, ang = build_model(args)
-    picture = args.picture
-    if args.model in _PDM and args.picture == "weighted":
-        picture = "flat"
-    ordering = parse_ordering(args.ordering) if picture == "flat" else None
+    flat = args.model in _PDM or args.picture == "flat"
+    ordering = parse_ordering(args.ordering) if flat else None
     grids = [int(g) for g in args.grids.split(",")]
     try:
-        report = oracle.convergence_study(
-            model, ang, args.k, grids, picture=picture, ordering=ordering
-        )
+        report = oracle.convergence_study(model, ang, args.k, grids, ordering)
     except LapackNotFound as exc:
         raise ConfigError(str(exc)) from exc
     states = []
@@ -255,9 +251,7 @@ def cmd_verify(args) -> int:
     for j in range(args.k):
         q = QuantumNumbers(j, ang)
         samples = oracle.default_samples(model, report.cutoffs[j])
-        resid = oracle.residual_norm(
-            RadialState(model, q), samples, picture=picture, ordering=ordering or BD
-        )
+        resid = oracle.residual_norm(RadialState(model, q), samples, ordering)
         order = report.observed_order[j]
         eig_ok = report.rel_error[j] <= args.tol_eig
         order_ok = math.isfinite(order) and 1.5 <= order <= 2.5
@@ -283,8 +277,8 @@ def cmd_verify(args) -> int:
         {
             "command": "verify",
             "model": args.model,
-            "picture": picture,
-            "ordering": args.ordering if picture == "flat" else None,
+            "picture": "flat" if flat else "weighted",
+            "ordering": args.ordering if flat else None,
             "ang": ang,
             "k": args.k,
             "grids": grids,

@@ -7,7 +7,9 @@ Each model class is the one home of its physics: its side of the duality, its
 energies and bound-state rule, its measure, its wavefunctions with their exact
 derivatives, the Sturm-Liouville coefficients the oracle discretizes (weighted
 and, for the curved classes, PDM flat-picture), and the coordinate in which
-the oracle solves them.
+the oracle solves them.  The PDM forms take one of the paper's two orderings,
+``BD`` or ``MM`` (``PdmOrdering`` accepts no other von Roos triple); the
+Euclidean classes have none and raise ValueError when asked for one.
 
 The Euclidean classes are the lam = 0 cases of their side of the duality:
 the side class holds the one domain, measure, radial coefficients and energy,
@@ -16,7 +18,8 @@ they reduce to the textbook forms.  The Euclidean classes keep only their
 parameters and their Laguerre states.
 
 Solved coordinate (``coordinate``), one per side for both pictures, a map
-y -> (r, t, dr/dy) with the stretch t formed directly.  Coulomb side: x =
+y -> (r, t, dr/dy, P) with the stretch t and the kinetic coefficient
+P = p/(dr/dy)^2 in y formed directly.  Coulomb side: x =
 sqrt(s), s = log(1+lam R)/lam, so R = expm1(lam x^2)/lam and t = exp(lam x^2);
 at lam = 0, R = x^2 and t = 1 (the duality's r = sqrt(R)).  Oscillator side:
 s = arcsinh(sqrt(lam) r)/sqrt(lam) for lam > 0, the radius otherwise.  The
@@ -103,7 +106,14 @@ class WavefunctionParams:
 
 @dataclass(frozen=True)
 class PdmOrdering:
-    """von Roos kinetic-operator ordering (xi, eta, zeta), with xi+eta+zeta = -1."""
+    """von Roos ordering (xi, eta, zeta), xi+eta+zeta = -1, of the PDM kinetic
+    operator (O. von Roos, Phys. Rev. B 27, 7547 (1983)).
+
+    Only the paper's two orderings exist here: BD (0, -1, 0) and MM (-1/4,
+    -1/2, -1/4).  The paper pairs each with its own potential on the
+    oscillator side (V1 and V2) but keeps the one potential U on the Coulomb
+    side, so no rule names the problem another triple would pose.
+    """
 
     xi: float
     eta: float
@@ -114,35 +124,13 @@ class PdmOrdering:
         object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "zeta", float(self.zeta))
         _require(
-            all(_finite(v) for v in (self.xi, self.eta, self.zeta)),
-            "ordering parameters must be finite",
+            (self.xi, self.eta, self.zeta) in ((0.0, -1.0, 0.0), (-0.25, -0.5, -0.25)),
+            "PDM orderings are BD (0,-1,0) and MM (-0.25,-0.5,-0.25) only",
         )
-        _require(
-            abs(self.xi + self.eta + self.zeta + 1.0) <= 1e-12,
-            "von Roos parameters must satisfy xi + eta + zeta = -1",
-        )
-
-    @property
-    def is_bd(self) -> bool:
-        return (self.xi, self.eta, self.zeta) == (0.0, -1.0, 0.0)
-
-    @property
-    def is_mm(self) -> bool:
-        return (self.xi, self.eta, self.zeta) == (-0.25, -0.5, -0.25)
 
 
 BD = PdmOrdering(0.0, -1.0, 0.0)
 MM = PdmOrdering(-0.25, -0.5, -0.25)
-
-
-def _require_closed_form(ordering: PdmOrdering, what: str) -> None:
-    if not (ordering.is_bd or ordering.is_mm):
-        raise ValueError(f"closed-form PDM {what} exist only for the BD and MM orderings")
-
-
-def unit_weight(x):
-    """The weight w = 1 of the flat (PDM) picture."""
-    return np.ones_like(np.asarray(x, dtype=float))
 
 
 def _check_coordinate(model, x):
@@ -236,22 +224,14 @@ class _Side:
         xa = _check_coordinate(self, x)
         return _like_input(self.amplitude(q, xa, self.stretch(xa)), x)
 
-    def _checked_stretch(self, x):
-        xa = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(xa)) or not np.all(xa > 0):
-            raise ValueError("coordinate must be finite and > 0")
-        t = self.stretch(xa)
-        if not np.all(t > 0):
-            raise ValueError("coordinate outside the domain")
-        return xa, t
-
     def flat_factor(self, x):
         """Multiplier turning a weighted-measure eigenfunction into the flat-measure one.
 
         oscillator side: r^((d-1)/2) (1+lam r^2)^(-1/4);
         coulomb side: R^((D-1)/2) (1+lam R)^(-3/4).
         """
-        xa, t = self._checked_stretch(x)
+        xa = _check_coordinate(self, x)
+        t = self.stretch(xa)
         return _like_input(xa ** ((self.dim - 1.0) / 2.0) * t**self._FLAT_POWER, x)
 
     def flat_factor_derivatives(self, x):
@@ -260,6 +240,14 @@ class _Side:
         return _mul3(
             _pow3(xa, (self.dim - 1.0) / 2.0), _cpow3(*self._stretch3(xa), self._FLAT_POWER)
         )
+
+    def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
+        """The PDM flat picture: the curved models override this; lam = 0 has none."""
+        raise ValueError("the PDM flat picture applies to the curved models only")
+
+    def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
+        """The PDM energy: the curved models override this; lam = 0 has none."""
+        raise ValueError("the PDM flat picture applies to the curved models only")
 
     def flat_exponent(self, ang: float) -> float:
         """a = ang + (dim-1)/2, the larger Frobenius exponent of the flat state."""
@@ -318,18 +306,26 @@ class _OscillatorSide(_Side):
 
     def pdm_mass(self, r):
         """Position-dependent mass (1+lam r^2)^-1."""
-        return _like_input(1.0 / self._checked_stretch(r)[1], r)
+        return _like_input(1.0 / self.stretch(_check_coordinate(self, r)), r)
 
     def coordinate(self):
-        """(y -> (r, t, dr/dy), end of y) for y = s at lam > 0, where bound states
-        decay exponentially (in r only as a power), and y = r otherwise."""
+        """(y -> (r, t, dr/dy, P), end of y) for y = s at lam > 0, where bound states
+        decay exponentially (in r only as a power), and y = r otherwise.
+
+        P = t/(dr/dy)^2 is the kinetic coefficient p = 1/m = t of both
+        pictures in y: t at y = r, and 1 at y = s."""
         if self.lam <= 0:
-            return (lambda r: (r, self.stretch(r), 1.0)), self.domain[1]
+
+            def to_r(r):
+                t = self.stretch(r)
+                return r, t, 1.0, t
+
+            return to_r, self.domain[1]
         rt = math.sqrt(self.lam)
 
         def to_r(s):
             c = np.cosh(rt * s)
-            return np.sinh(rt * s) / rt, c * c, c
+            return np.sinh(rt * s) / rt, c * c, c, np.ones_like(c)
 
         return to_r, math.inf
 
@@ -385,20 +381,25 @@ class _CoulombSide(_Side):
 
     def pdm_mass(self, R):
         """Position-dependent mass (1+lam R)^-2."""
-        t = self._checked_stretch(R)[1]
+        t = self.stretch(_check_coordinate(self, R))
         return _like_input(1.0 / (t * t), R)
 
     def coordinate(self):
-        """(x -> (R, t, dR/dx), end of x) for x = sqrt(s): R ~ x^2 near the origin
-        and the density is Gaussian in x at the far end."""
+        """(x -> (R, t, dR/dx, P), end of x) for x = sqrt(s): R ~ x^2 near the origin
+        and the density is Gaussian in x at the far end.
+
+        P = t^2/(dR/dx)^2 is the kinetic coefficient p = 1/m = t^2 of both
+        pictures in x.  dR/dx = 2 x t, so P is 1/(2x)^2 exactly, formed
+        without t: t underflows in the far tail at lam < 0."""
         lam = self.lam
-        if lam == 0:
-            return (lambda x: (x * x, 1.0, 2.0 * x)), math.inf
 
         def to_r(x):
+            g = 2.0 * x
+            if lam == 0:
+                return x * x, 1.0, g, 1.0 / (g * g)
             u = lam * x * x
             t = np.exp(u)
-            return np.expm1(u) / lam, t, 2.0 * x * t
+            return np.expm1(u) / lam, t, g * t, 1.0 / (g * g)
 
         return to_r, math.inf
 
@@ -545,24 +546,22 @@ class NonlinearOscillator(_OscillatorSide):
         return self._flat_centrifugal(ang, r) + (beta * (beta + lam) * r * r - 0.25 * lam) / t
 
     def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
-        """Reduced flat-picture (p, w = 1, V, c1 = p'), each f(r, t).
+        """Reduced flat-picture (p, V, c1 = p') of the weight-1 equation, each f(r, t).
 
-        The paper's V2 plus the MM shift collapses to V1, so every ordering
-        shares the BD potential here.
+        The paper's V2 plus the MM shift collapses to V1, so both orderings
+        share the BD potential here.
         """
         lam = self.lam
         return dict(
             p=lambda r, t: t,
-            w=lambda r, t: unit_weight(r),
             V=lambda r, t: self._bd_potential(ang, r, t),
             c1=lambda r, t: 2.0 * lam * r,
         )
 
     def pdm_potential(self, ordering: PdmOrdering, ang: float, r):
         """Closed-form PDM potential: V1 for BD, V2 for MM."""
-        _require_closed_form(ordering, "potentials")
         ra = _check_coordinate(self, r)
-        if ordering.is_bd:
+        if ordering == BD:
             return _like_input(self._bd_potential(ang, ra, self.stretch(ra)), r)
         lam = self.lam
         val = self._flat_centrifugal(ang, ra) + (
@@ -572,7 +571,6 @@ class NonlinearOscillator(_OscillatorSide):
 
     def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
         """PDM energy: the curved energy plus the ordering shift (BD and MM coincide here)."""
-        _require_closed_form(ordering, "energies")
         return self.energy(q) - self.d * (self.d - 2.0) * self.lam / 8.0
 
 
@@ -635,36 +633,32 @@ class CoulombLike(_CoulombSide):
         ) / R
 
     def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
-        """Reduced flat-picture (p, w = 1, V, c1 = p'), each f(R, t): U plus the von Roos shift.
+        """Reduced flat-picture (p, V, c1 = p') of the weight-1 equation, each f(R, t):
+        U plus the von Roos shift.
 
         The shift is the potential 2 U_vr = -K1/2 m'^2/m^3 - (xi+zeta)/2 m''/m^2,
         K1 = zeta(eta+zeta-1) + xi(eta+xi-1), that the ordering adds over BD.
         For the mass (1+lam R)^-2 both ratios are constants, 4 lam^2 and
-        6 lam^2, so the shift is zero for BD and -lam^2/4 for MM.
+        6 lam^2, so the shift is zero for BD and -lam^2/4 for MM (K1 = 7/8).
         """
         lam = self.lam
-        xi, eta, zeta = ordering.xi, ordering.eta, ordering.zeta
-        k1 = zeta * (eta + zeta - 1.0) + xi * (eta + xi - 1.0)
-        shift = -0.5 * k1 * (4.0 * lam**2) - 0.5 * (xi + zeta) * (6.0 * lam**2)
+        shift = 0.0 if ordering == BD else -0.25 * lam**2
         return dict(
             p=lambda R, t: t**2,
-            w=lambda R, t: unit_weight(R),
             V=lambda R, t: self._bd_potential(ang, R) + shift,
             c1=lambda R, t: 2.0 * lam * t,
         )
 
     def pdm_potential(self, ordering: PdmOrdering, ang: float, R):
         """Closed-form PDM potential U, the same for BD and MM."""
-        _require_closed_form(ordering, "potentials")
         Ra = _check_coordinate(self, R)
         return _like_input(self._bd_potential(ang, Ra), R)
 
     def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
         """PDM energy: the curved energy plus the ordering-dependent shift."""
-        _require_closed_form(ordering, "energies")
         D, lam = self.D, self.lam
         base = self.energy(q)
-        if ordering.is_bd:
+        if ordering == BD:
             return base - (2.0 * D - 1.0) * (2.0 * D - 5.0) * lam**2 / 32.0
         return base - (2.0 * D - 3.0) ** 2 * lam**2 / 32.0
 

@@ -20,8 +20,9 @@ are functions of the radius r and the stretch t, and each side of the duality
 names the one coordinate y both pictures are solved in (``coordinate``; x =
 sqrt(s) on the Coulomb side, s on the oscillator side for lam > 0, the radius
 otherwise).  ``build_problem`` maps any radial triple to y in one step,
-P = p/g'^2, W = w g', V(g) with r = g(y); ``truncation_radius`` cuts every
-infinite y-domain where the density |u|^2 W falls to 1e-12 of its peak.
+P = p/g'^2, W = w g', V(g) with r = g(y); the coordinate map forms P, the
+same p = 1/m in both pictures, with t cancelled.  ``truncation_radius`` cuts
+every infinite y-domain where the density |u|^2 W falls to 1e-12 of its peak.
 
 Every problem has the natural (zero-flux) row at the origin.  The flat
 picture's u goes as r^a there, a the larger Frobenius exponent of its
@@ -35,10 +36,16 @@ reports the one it solved each state on (``ConvergenceReport.cutoffs``), and
 it, mapped back to the radius; a finite radial domain is sampled on its inner
 2-95 % instead.
 
-The PDM flat pictures use w = 1: BD is -d/dx (1/m) d/dx + V1 (or U) directly;
-the MM quarter-power operator and any von Roos ordering are reduced exactly to
-that BD form by the substitution psi = m^(1/4) u, which turns the ordering
-ambiguity into a closed-form potential term of the model's flat coefficients.
+An ordering selects the picture: ``None`` solves the weighted equation, BD
+or MM the PDM flat picture of a curved model (w = 1).  BD is -d/dx (1/m)
+d/dx + V1 (or U) directly.  The MM operator is reduced exactly to that BD
+form by the substitution psi = m^(1/4) u, which turns the ordering into a
+potential term of the model's flat coefficients: the constant -lam^2/4 on
+the Coulomb side, and on the oscillator side the term that takes the
+paper's V2 back to V1.  These are the paper's two orderings and the only von
+Roos triples (O. von Roos, Phys. Rev. B 27, 7547 (1983)) that
+``PdmOrdering`` accepts: the paper pairs each with its own oscillator-side
+potential, so it defines no problem for a third.
 """
 
 from __future__ import annotations
@@ -49,13 +56,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .models import BD, PdmOrdering, QuantumNumbers, RadialState
+from .models import PdmOrdering, QuantumNumbers, RadialState
 
 __all__ = [
     "ConvergenceReport",
     "DiscreteOperator",
     "SturmLiouvilleProblem",
-    "analytic_reference",
     "build_problem",
     "convergence_study",
     "default_samples",
@@ -102,16 +108,6 @@ class ConvergenceReport:
     cutoffs: tuple
 
 
-def analytic_reference(
-    model, ang: float, n_r: int, picture: str = "weighted", ordering: PdmOrdering = BD
-) -> float:
-    """Closed-form eigenvalue in the oracle's 2E convention."""
-    q = QuantumNumbers(n_r, ang)
-    if picture == "weighted":
-        return 2.0 * model.energy(q)
-    return 2.0 * model.pdm_energy(ordering, q)
-
-
 def _exp_cutoff(amp) -> float:
     """Smallest coordinate where the state's density amp^2 falls to 1e-12 of its peak.
 
@@ -153,7 +149,7 @@ def truncation_radius(model, ang: float, n_r: int) -> float:
     w = model.weighted_coefficients(ang)["w"]
 
     def amp(y):
-        r, t, dr = to_r(y)
+        r, t, dr, _ = to_r(y)
         return model.amplitude(q, r, t) * np.sqrt(w(r, t) * dr)
 
     return _exp_cutoff(amp)
@@ -162,49 +158,43 @@ def truncation_radius(model, ang: float, n_r: int) -> float:
 def build_problem(
     model,
     ang: float,
-    picture: str = "weighted",
     ordering: Optional[PdmOrdering] = None,
     n_states: int = 2,
 ) -> SturmLiouvilleProblem:
     """Sturm-Liouville form of one radial problem in the model's solved coordinate.
 
-    picture "weighted" solves the curved radial equation against its measure;
-    "flat" solves the PDM picture (w = 1) for the given von Roos ordering,
-    gauged by r^a.  The radial (p, w, V) become P = p/g'^2, W = w g' and V(g)
-    in the coordinate y of ``model.coordinate()``, r = g(y).  The domain is
-    truncated (if infinite) to cover the lowest ``n_states`` states of the
-    channel, by ``truncation_radius``.
+    ordering None solves the curved radial equation against its measure; BD
+    or MM solves the PDM picture (w = 1) of that ordering, gauged by r^a:
+    weight r^(2a).  The radial (w, V) become W = w g' and V(g) in the
+    coordinate y of ``model.coordinate()``, r = g(y), which also gives P.  The
+    domain is truncated (if infinite) to cover the lowest ``n_states`` states
+    of the channel, by ``truncation_radius``.
     """
-    if picture == "weighted":
-        if ordering is not None:
-            raise ValueError("ordering applies to the flat picture only")
+    if ordering is None:
         coeff = model.weighted_coefficients(ang)
-    elif picture == "flat":
-        if model.lam == 0:
-            raise ValueError("the PDM flat picture applies to the curved models only")
-        flat = model.flat_coefficients(ang, BD if ordering is None else ordering)
-        a = model.flat_exponent(ang)
-        p, c1 = flat["p"], flat["c1"]
-        coeff = dict(
-            p=p,
-            w=lambda r, t: flat["w"](r, t) * r ** (2.0 * a),
-            V=lambda r, t: flat["V"](r, t) - a * c1(r, t) / r - a * (a - 1.0) * p(r, t) / (r * r),
-        )
+        w, V = coeff["w"], coeff["V"]
     else:
-        raise ValueError(f"unknown picture {picture!r}")
+        flat = model.flat_coefficients(ang, ordering)
+        a = model.flat_exponent(ang)
+        p, c1, v = flat["p"], flat["c1"], flat["V"]
+
+        def w(r, t):
+            return r ** (2.0 * a)
+
+        def V(r, t):
+            return v(r, t) - a * c1(r, t) / r - a * (a - 1.0) * p(r, t) / (r * r)
+
     to_r, _ = model.coordinate()
-    p, w, V = coeff["p"], coeff["w"], coeff["V"]
 
     def P(y):
-        r, t, dr = to_r(y)
-        return p(r, t) / (dr * dr)
+        return to_r(y)[3]
 
     def W(y):
-        r, t, dr = to_r(y)
+        r, t, dr, _ = to_r(y)
         return w(r, t) * dr
 
     def U(y):
-        r, t, _ = to_r(y)
+        r, t = to_r(y)[:2]
         return V(r, t)
 
     return SturmLiouvilleProblem(
@@ -266,23 +256,21 @@ def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
 
 
 def residual_norm(
-    state: RadialState,
-    samples,
-    picture: str = "weighted",
-    ordering: PdmOrdering = BD,
+    state: RadialState, samples, ordering: Optional[PdmOrdering] = None
 ) -> float:
-    """Max scaled residual |L[psi] - 2E psi| / (|2E psi| + local operator scale).
+    """Max scaled residual |L[psi] - 2E psi| / (|2E psi| + local operator scale)
+    of the weighted equation (ordering None) or the ordering's PDM picture.
 
     Uses exact analytic derivatives only.  Samples where every term underflows
     are skipped; if all are skipped a ValueError is raised.
     """
     model, q = state.model, state.q
     x = np.atleast_1d(np.asarray(samples, dtype=float))
-    if picture == "weighted":
+    if ordering is None:
         coeff = model.weighted_coefficients(q.ang)
         psi, dpsi, d2psi = state.derivatives(x)
         lam2e = 2.0 * model.energy(q)
-    elif picture == "flat":  # -(p psi')' + V psi = 2E psi, c1 = p'
+    else:  # -(p psi')' + V psi = 2E psi, c1 = p'
         coeff = model.flat_coefficients(q.ang, ordering)
         f, df, d2f = model.flat_factor_derivatives(x)
         psi0, dpsi0, d2psi0 = state.derivatives(x)
@@ -290,8 +278,6 @@ def residual_norm(
         dpsi = df * psi0 + f * dpsi0
         d2psi = d2f * psi0 + 2.0 * df * dpsi0 + f * d2psi0
         lam2e = 2.0 * model.pdm_energy(ordering, q)
-    else:
-        raise ValueError(f"unknown picture {picture!r}")
     t = model.stretch(x)
     kin2 = np.asarray(coeff["p"](x, t)) * d2psi
     kin1 = np.asarray(coeff["c1"](x, t)) * dpsi
@@ -310,20 +296,23 @@ def convergence_study(
     ang: float,
     k: int,
     grids,
-    picture: str = "weighted",
     ordering: Optional[PdmOrdering] = None,
 ) -> ConvergenceReport:
-    """Eigenvalues of the k lowest states across grids, with observed order and
-    Richardson extrapolation from the two finest grids."""
-    # a state without a closed form is a usage error: report it before any solve
-    eff = BD if ordering is None else ordering
-    refs = [float(analytic_reference(model, ang, j, picture, eff)) for j in range(k)]
+    """Eigenvalues of the k lowest states across grids, with observed order,
+    Richardson extrapolation from the two finest grids, and the closed-form
+    2E of the weighted equation (ordering None) or the ordering's PDM picture."""
+    # a model without the asked picture is a usage error: report it before any solve
+    states = [QuantumNumbers(j, ang) for j in range(k)]
+    if ordering is None:
+        refs = [2.0 * model.energy(q) for q in states]
+    else:
+        refs = [2.0 * model.pdm_energy(ordering, q) for q in states]
     grids = [int(N) for N in grids]
     if len(grids) < 3 or any(b <= a for a, b in zip(grids, grids[1:])):
         raise ValueError("need at least 3 strictly increasing grid sizes")
     # each target state gets its own truncation, so low states keep a fine grid;
     # consecutive states on the same domain share one solve per grid
-    problems = [build_problem(model, ang, picture, ordering, n_states=j + 1) for j in range(k)]
+    problems = [build_problem(model, ang, ordering, n_states=j + 1) for j in range(k)]
     # the top state of each run of consecutive states on one domain
     tops = [
         j for j in range(k) if j + 1 == k or problems[j + 1].domain != problems[j].domain

@@ -224,9 +224,13 @@ def _default_truncations(state, mu: Measure):
 def norm_divergence_scan(state, mu: Measure, truncations=None) -> Verdict:
     """Classify the norm integral as convergent or divergent from a truncation sweep.
 
-    Fits the growth exponent of the norm against the truncation parameter; a
-    stable positive exponent (> 0.05) is divergence, a vanishing or clearly
-    decaying exponent is convergence, anything in between is inconclusive.
+    Compares the last two increments of the norm along the sweep: shrinking
+    increments (ratio < 1) converge, and so does a last growth exponent in
+    the truncation parameter below 0.01; increments that do not shrink
+    (ratio >= 1) diverge.  Without a finite ratio (two equal norms before
+    the last, or a non-finite norm) the sweep is inconclusive.  The ratio
+    reads a slow power-law tail, whose exponent stays large while its
+    increments shrink.
     """
     lo, hi = mu.domain
     if truncations is None:
@@ -241,11 +245,12 @@ def norm_divergence_scan(state, mu: Measure, truncations=None) -> Verdict:
         xs = np.array(truncations)
     else:
         xs = 1.0 / (hi - np.array(truncations))
-    slopes = np.diff(np.log(norms)) / np.diff(np.log(xs))
-    s_last = float(slopes[-1])
-    s_first = float(slopes[0])
-    if s_last > 0.05:
-        return Verdict.DIVERGES
-    if s_last < 0.01 or (s_first > 0 and s_last <= 0.5 * s_first):
+    slope = np.diff(np.log(norms))[-1] / np.diff(np.log(xs))[-1]
+    before, last = np.diff(norms)[-2:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = last / before
+    if slope < 0.01:
         return Verdict.CONVERGES
-    return Verdict.INCONCLUSIVE
+    if not math.isfinite(ratio):
+        return Verdict.INCONCLUSIVE
+    return Verdict.CONVERGES if ratio < 1 else Verdict.DIVERGES

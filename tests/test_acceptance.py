@@ -75,7 +75,7 @@ def test_criterion_3_pdm_shifts():
     rep_w = oracle.convergence_study(mo, 1.0, 1, GRIDS)
     errs = []
     for ordering in (BD, MM):
-        rep_f = oracle.convergence_study(mo, 1.0, 1, GRIDS, picture="flat", ordering=ordering)
+        rep_f = oracle.convergence_study(mo, 1.0, 1, GRIDS, ordering)
         assert abs(rep_f.reference[0] - 6.6) < 1e-14
         assert rep_f.rel_error[0] <= 1e-6
         shift = 4.0 * 2.0 * (-0.1) / 4.0  # d(d-2)lam/4 in the 2E convention
@@ -84,7 +84,7 @@ def test_criterion_3_pdm_shifts():
     # coulomb: 2E_1 = -0.328125 (BD), 2E_2 = -0.330625 (MM)
     mc = CoulombLike(D=3, lam=-0.1, Q=1.0)
     for ordering, ref in ((BD, -0.328125), (MM, -0.330625)):
-        rep = oracle.convergence_study(mc, 0.0, 1, GRIDS, picture="flat", ordering=ordering)
+        rep = oracle.convergence_study(mc, 0.0, 1, GRIDS, ordering)
         assert abs(rep.reference[0] - ref) < 1e-14
         assert rep.rel_error[0] <= 1e-6, (ordering, rep.rel_error[0])
         errs.append(rep.rel_error[0])

@@ -314,7 +314,74 @@ def test_verify_general_vonroos_fails_before_solving(model_flags, capsys, monkey
         ["verify", *model_flags, "--ordering", "vonroos:-0.5,0,-0.5", "--k", "1"], capsys
     )
     assert code == 2
-    assert "closed-form PDM energies exist only for the BD and MM orderings" in err
+    assert "PDM orderings are BD (0,-1,0) and MM (-0.25,-0.5,-0.25) only" in err
+
+
+PDM_COULOMB = ["--model", "pdm-coulomb", "--D", "3", "--lambda", "-0.1", "--Q", "1"]
+
+
+def assert_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", *PDM_COULOMB, "--ordering", "vonroos:-0.5,0,-0.5"], "PDM orderings are BD"),
+        (["verify", *PDM_COULOMB, "--ordering", "vonroos:1,2"], "bad ordering 'vonroos:1,2'"),
+        (["verify", *PDM_COULOMB, "--ordering", "xyz"], "unknown ordering 'xyz'"),
+        (["verify", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1",
+          "--l", "1.5"], "oscillator-side l must be an integer"),
+        (["verify", "--model", "clike", "--D", "3", "--lambda", "-0.1", "--Q", "1",
+          "--L", "-0.5"], "angular quantum number must be >= 0"),
+        (["wavefunction", "--model", "nlo", "--d", "2", "--lambda", "-0.25", "--beta", "1",
+          "--x-max", "3"], "sampling range exceeds the coordinate domain"),
+    ],
+    ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
+         "negative-L", "x-max-outside-domain"],
+)
+def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve ran before the usage check")
+
+    monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", no_solve)
+    assert message in assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "model_flags",
+    [["--model", "osc", "--d", "3", "--omega", "1"], ["--model", "coulomb", "--D", "3", "--Q", "1"]],
+    ids=["osc", "coulomb"],
+)
+def test_verify_flat_picture_of_a_euclidean_model_is_a_usage_error(model_flags, capsys):
+    line = assert_usage_error(["verify", *model_flags, "--picture", "flat", "--k", "1"], capsys)
+    assert line == "error: the PDM flat picture applies to the curved models only"
+
+
+@pytest.mark.parametrize("name,triple", [("bd", "0,-1,0"), ("mm", "-0.25,-0.5,-0.25")])
+def test_vonroos_spelling_of_bd_and_mm_gives_the_same_report(name, triple, capsys):
+    argv = ["verify", *PDM_COULOMB, "--k", "1", "--grids", "128,256,512", "--ordering"]
+    named = json.loads(run([*argv, name], capsys)[1])
+    spelled = json.loads(run([*argv, f"vonroos:{triple}"], capsys)[1])
+    assert (named.pop("ordering"), spelled.pop("ordering")) == (name, f"vonroos:{triple}")
+    assert named == spelled
+
+
+@pytest.mark.parametrize("model", ["clike", "pdm-coulomb"])
+def test_verify_far_tail_where_the_stretch_underflows(model, capsys):
+    # the cutoff of n_r = 1 falls at x = 38.9, where t = exp(lam x^2) is 2e-197
+    # and t^2 underflows: P = t^2/(2 x t)^2 must be formed without t
+    code, out, err = run(
+        ["verify", "--model", model, "--D", "3", "--lambda", "-0.3", "--Q", "2", "--L", "0.5",
+         "--k", "2"],
+        capsys,
+    )
+    assert code == 0, err
+    assert all(state["pass"] for state in json.loads(out)["states"])
 
 
 def test_verify_flat_half_integer_L_answers(capsys):

@@ -291,12 +291,22 @@ class TestPdm:
         )
 
     def test_general_von_roos_rejected(self):
-        vr = PdmOrdering(-0.5, 0.0, -0.5)
-        m = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
+        # a triple other than BD and MM is refused when it is made
+        with pytest.raises(ValueError, match="PDM orderings are BD .* and MM .* only"):
+            PdmOrdering(-0.5, 0.0, -0.5)
         with pytest.raises(ValueError):
-            m.pdm_potential(vr, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            m.pdm_energy(vr, q(0, 0))
+            PdmOrdering(math.nan, -1.0, 0.0)
+        assert PdmOrdering(0, -1, 0) == BD
+        assert PdmOrdering(-0.25, -0.5, -0.25) == MM
+
+    @pytest.mark.parametrize(
+        "model", [EuclideanOscillator(d=3, omega=1.0), EuclideanCoulomb(D=3, Q=1.0)]
+    )
+    def test_euclidean_models_have_no_pdm_form(self, model):
+        with pytest.raises(ValueError, match="curved models only"):
+            model.pdm_energy(BD, q(0, 0))
+        with pytest.raises(ValueError, match="curved models only"):
+            model.flat_coefficients(0.0, MM)
 
     def test_energies(self):
         m2 = NonlinearOscillator(d=2, lam=-0.3, beta=1.0)

@@ -96,30 +96,30 @@ class TestBuildProblem:
 
     def test_geodesic_transform_keeps_measure_and_potential(self):
         # every mapped coordinate y: W dy = w dr, V(y) = V(r(y)), P = p (dy/dr)^2;
-        # the flat picture first gauged by r^a: w r^(2a), V - a c1/r - a(a-1) p/r^2
-        for model, picture in [
-            (NonlinearOscillator(d=2, lam=0.2, beta=1.0), "weighted"),  # s
-            (NonlinearOscillator(d=2, lam=0.2, beta=1.0), "flat"),  # s
-            (NonlinearOscillator(d=3, lam=-0.1, beta=1.0), "flat"),  # r
-            (CoulombLike(D=3, lam=0.2, Q=1.0), "weighted"),  # x = sqrt(s)
-            (CoulombLike(D=3, lam=-0.1, Q=1.0), "weighted"),  # x = sqrt(s)
-            (CoulombLike(D=3, lam=0.2, Q=1.0), "flat"),  # x = sqrt(s)
-            (CoulombLike(D=2.5, lam=-0.1, Q=1.0), "flat"),  # x = sqrt(s)
-            (EuclideanCoulomb(D=3, Q=1.0), "weighted"),  # x = sqrt(R)
+        # the flat picture (weight 1) first gauged by r^a: r^(2a), V - a c1/r - a(a-1) p/r^2
+        for model, ordering in [
+            (NonlinearOscillator(d=2, lam=0.2, beta=1.0), None),  # s
+            (NonlinearOscillator(d=2, lam=0.2, beta=1.0), BD),  # s
+            (NonlinearOscillator(d=3, lam=-0.1, beta=1.0), BD),  # r
+            (CoulombLike(D=3, lam=0.2, Q=1.0), None),  # x = sqrt(s)
+            (CoulombLike(D=3, lam=-0.1, Q=1.0), None),  # x = sqrt(s)
+            (CoulombLike(D=3, lam=0.2, Q=1.0), BD),  # x = sqrt(s)
+            (CoulombLike(D=2.5, lam=-0.1, Q=1.0), MM),  # x = sqrt(s)
+            (EuclideanCoulomb(D=3, Q=1.0), None),  # x = sqrt(R)
         ]:
             to_r, _ = model.coordinate()
-            problem = oracle.build_problem(model, 1.0, picture, n_states=1)
+            problem = oracle.build_problem(model, 1.0, ordering, n_states=1)
             y = np.linspace(0.2, 4.0, 9)
             r = to_r(y)[0]
             t = model.stretch(r)
-            if picture == "weighted":
+            if ordering is None:
                 rad = model.weighted_coefficients(1.0)
                 w, V = rad["w"](r, t), rad["V"](r, t)
             else:
-                rad = model.flat_coefficients(1.0, BD)
+                rad = model.flat_coefficients(1.0, ordering)
                 a = model.flat_exponent(1.0)
                 assert a == 1.0 + (model.dim - 1.0) / 2.0
-                w = rad["w"](r, t) * r ** (2.0 * a)
+                w = r ** (2.0 * a)
                 gauge = a * rad["c1"](r, t) / r + a * (a - 1.0) * rad["p"](r, t) / r**2
                 V = rad["V"](r, t) - gauge
             h = 1e-6
@@ -134,7 +134,7 @@ class TestBuildProblem:
         model = CoulombLike(D=3, lam=-0.1, Q=1.0)
         problem = oracle.build_problem(model, 0.0, n_states=1)
         x = np.array([math.sqrt(600.0)])
-        R, t, _ = model.coordinate()[0](x)
+        R, t = model.coordinate()[0](x)[:2]
         assert 1.0 + model.lam * R[0] == 0.0 and t[0] > 0.0
         P, V, W = problem.p(x)[0], problem.potential(x)[0], problem.w(x)[0]
         assert np.isfinite([P, V, W]).all() and W > 0
@@ -151,9 +151,9 @@ class TestBuildProblem:
 
     def test_von_roos_bd_triple_reproduces_bd_exactly(self):
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        bd = oracle.discretize(oracle.build_problem(m, 0.0, "flat", BD, n_states=1), 128)
+        bd = oracle.discretize(oracle.build_problem(m, 0.0, BD, n_states=1), 128)
         vr = oracle.discretize(
-            oracle.build_problem(m, 0.0, "flat", PdmOrdering(0.0, -1.0, 0.0), n_states=1),
+            oracle.build_problem(m, 0.0, PdmOrdering(0.0, -1.0, 0.0), n_states=1),
             128,
         )
         assert np.array_equal(bd.diag, vr.diag)
@@ -161,9 +161,9 @@ class TestBuildProblem:
 
     def test_von_roos_mm_triple_reproduces_mm_spectra(self):
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        mm = oracle.discretize(oracle.build_problem(m, 0.0, "flat", MM, n_states=1), 512)
+        mm = oracle.discretize(oracle.build_problem(m, 0.0, MM, n_states=1), 512)
         vr = oracle.discretize(
-            oracle.build_problem(m, 0.0, "flat", PdmOrdering(-0.25, -0.5, -0.25), n_states=1),
+            oracle.build_problem(m, 0.0, PdmOrdering(-0.25, -0.5, -0.25), n_states=1),
             512,
         )
         e_mm = oracle.lowest_eigenvalues(mm, 2)
@@ -173,8 +173,8 @@ class TestBuildProblem:
     def test_mm_equals_bd_for_oscillator(self):
         # 2E_2 = 2E_1: the reduced MM problem coincides with the BD one
         m = NonlinearOscillator(d=4, lam=-0.1, beta=1.0)
-        bd = oracle.discretize(oracle.build_problem(m, 0.0, "flat", BD, n_states=1), 2048)
-        mm = oracle.discretize(oracle.build_problem(m, 0.0, "flat", MM, n_states=1), 2048)
+        bd = oracle.discretize(oracle.build_problem(m, 0.0, BD, n_states=1), 2048)
+        mm = oracle.discretize(oracle.build_problem(m, 0.0, MM, n_states=1), 2048)
         np.testing.assert_allclose(
             oracle.lowest_eigenvalues(bd, 2), oracle.lowest_eigenvalues(mm, 2), rtol=1e-12
         )
@@ -182,8 +182,8 @@ class TestBuildProblem:
     def test_pdm_ordering_energy_split(self):
         # Eq-(29) vs Eq-(30) spectra differ by the constant 2(E2 - E1) = -lam^2/4
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        bd = oracle.discretize(oracle.build_problem(m, 0.0, "flat", BD, n_states=1), 1024)
-        mm = oracle.discretize(oracle.build_problem(m, 0.0, "flat", MM, n_states=1), 1024)
+        bd = oracle.discretize(oracle.build_problem(m, 0.0, BD, n_states=1), 1024)
+        mm = oracle.discretize(oracle.build_problem(m, 0.0, MM, n_states=1), 1024)
         diff = oracle.lowest_eigenvalues(mm, 1)[0] - oracle.lowest_eigenvalues(bd, 1)[0]
         assert abs(diff - (-0.01 / 4.0)) < 1e-10
 
@@ -191,16 +191,17 @@ class TestBuildProblem:
         # flat eigenvalue = weighted eigenvalue - d(d-2) lam / 4 in the 2E convention
         m = NonlinearOscillator(d=4, lam=-0.1, beta=1.0)
         rep_w = oracle.convergence_study(m, 1.0, 1, [256, 512, 1024])
-        rep_f = oracle.convergence_study(m, 1.0, 1, [256, 512, 1024], picture="flat", ordering=BD)
+        rep_f = oracle.convergence_study(m, 1.0, 1, [256, 512, 1024], ordering=BD)
         shift = 4.0 * 2.0 * (-0.1) / 4.0
         assert abs(rep_f.extrapolated[0] - (rep_w.extrapolated[0] - shift)) < 1e-7
 
     def test_rejects_bad_combinations(self):
-        with pytest.raises(ValueError):
-            oracle.build_problem(EuclideanOscillator(d=3, omega=1.0), 0.0, picture="flat")
-        with pytest.raises(ValueError):
-            oracle.build_problem(
-                NonlinearOscillator(d=2, lam=-0.1, beta=1.0), 0.0, ordering=BD
+        # the Euclidean models have no PDM picture; BD and MM are the only orderings
+        with pytest.raises(ValueError, match="curved models only"):
+            oracle.build_problem(EuclideanOscillator(d=3, omega=1.0), 0.0, BD)
+        with pytest.raises(ValueError, match="curved models only"):
+            oracle.residual_norm(
+                RadialState(EuclideanCoulomb(D=3, Q=1.0), QuantumNumbers(0, 0)), [1.0], MM
             )
         with pytest.raises(ValueError):
             PdmOrdering(1.0, 1.0, 1.0)
@@ -254,8 +255,8 @@ class TestResiduals:
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
         st = RadialState(m, QuantumNumbers(0, 0))
         samples = np.linspace(0.3, 8.0, 50)
-        assert oracle.residual_norm(st, samples, picture="flat", ordering=BD) <= 1e-12
-        assert oracle.residual_norm(st, samples, picture="flat", ordering=MM) <= 1e-12
+        assert oracle.residual_norm(st, samples, BD) <= 1e-12
+        assert oracle.residual_norm(st, samples, MM) <= 1e-12
 
     def test_wrong_energy_gives_large_residual(self):
         m = EuclideanOscillator(d=3, omega=1.0)
@@ -278,7 +279,7 @@ class TestConvergenceStudy:
 
     def test_pdm_coulomb_reference_case(self):
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        rep = oracle.convergence_study(m, 0.0, 1, [512, 1024, 2048], picture="flat", ordering=BD)
+        rep = oracle.convergence_study(m, 0.0, 1, [512, 1024, 2048], ordering=BD)
         assert abs(rep.extrapolated[0] - (-0.328125)) <= 1e-6 * 0.328125
 
     def test_euclid_coulomb_case(self):
@@ -372,15 +373,15 @@ def test_default_samples_find_a_state_inside_unit_radius(n_r):
 
 
 @pytest.mark.parametrize(
-    "model,picture",
-    [(NonlinearOscillator(d=3, lam=0.05, beta=1.0), "weighted"),
-     (CoulombLike(D=3, lam=0.05, Q=1.0), "flat")],
+    "model,ordering",
+    [(NonlinearOscillator(d=3, lam=0.05, beta=1.0), None),
+     (CoulombLike(D=3, lam=0.05, Q=1.0), BD)],
     ids=["nlo-weighted", "clike-flat"],
 )
-def test_study_reports_each_states_cutoff(model, picture):
+def test_study_reports_each_states_cutoff(model, ordering):
     # the y-domain each state was solved on ends where truncation_radius cuts
     # it, in either picture
-    rep = oracle.convergence_study(model, 0.0, 2, [128, 256, 512], picture=picture)
+    rep = oracle.convergence_study(model, 0.0, 2, [128, 256, 512], ordering)
     assert rep.cutoffs == tuple(oracle.truncation_radius(model, 0.0, j) for j in range(2))
 
 
@@ -392,10 +393,8 @@ def test_study_without_closed_form_fails_before_solving(model, monkeypatch):
         raise AssertionError("eigensolve ran before the closed-form check")
 
     monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", no_solve)
-    with pytest.raises(ValueError, match="closed-form PDM energies exist only"):
-        oracle.convergence_study(
-            model, 0.0, 2, GRIDS, picture="flat", ordering=PdmOrdering(-0.5, 0, -0.5)
-        )
+    with pytest.raises(ValueError, match="PDM orderings are BD .* and MM .* only"):
+        oracle.convergence_study(model, 0.0, 2, GRIDS, PdmOrdering(-0.5, 0, -0.5))
 
 
 # The sweep: every bound state n_r < 5 of these channels, in the weighted
@@ -448,8 +447,8 @@ def _angs(model):
 
 
 @functools.cache
-def _study(model, ang, k, picture="weighted", ordering=None):
-    return oracle.convergence_study(model, ang, k, GRIDS, picture=picture, ordering=ordering)
+def _study(model, ang, k, ordering=None):
+    return oracle.convergence_study(model, ang, k, GRIDS, ordering)
 
 
 def _assert_check(rep, j):
@@ -498,7 +497,7 @@ FLAT_ORDERINGS = [("bd", BD), ("mm", MM)]
 )
 def test_flat_sweep(model, ang, k, ordering, n_r):
     # the PDM flat picture, gauged by r^a and solved in the weighted coordinate
-    _assert_check(_study(model, ang, k, "flat", ordering), n_r)
+    _assert_check(_study(model, ang, k, ordering), n_r)
 
 
 @pytest.mark.parametrize(

@@ -146,6 +146,15 @@ class TestDivergenceScan:
         assert norm_divergence_scan(RadialState(m, QuantumNumbers(2, 0)), mu) is Verdict.CONVERGES
         assert norm_divergence_scan(RadialState(m, QuantumNumbers(3, 0)), mu) is Verdict.DIVERGES
 
+    def test_slow_power_law_tail_converges(self):
+        # bound with a 10 % margin (4.5 < Q/lam = 5): the norm's last log-slope
+        # over the default truncations is 0.079, but each increment is smaller
+        # than the one before
+        m = CoulombLike(D=3, lam=0.2, Q=1.0)
+        state = RadialState(m, QuantumNumbers(1, 0))
+        assert m.is_bound(state.q)
+        assert norm_divergence_scan(state, measure_for(m)) is Verdict.CONVERGES
+
     def test_requires_enough_truncations(self):
         m = NonlinearOscillator(d=2, lam=0.2, beta=1.0)
         mu = measure_for(m)

@@ -9,9 +9,10 @@
   verdict.
 
 A change that keeps the quadrature's nodes, weights and floating-point order
-keeps every bit.  The file pins output as it is, not as it should be: the
-scan calls clike D=3 lam=0.2 L=0 n_r=1 divergent although the bound-state
-inequality admits it.  Regenerate the file only for an intended change, with
+keeps every bit.  The verdict of clike D=3 lam=0.2 L=0 n_r=1, a bound state
+whose norm converges as a slow power law, was regenerated when the scan came
+to read the ratio of successive norm increments.  Regenerate the file only
+for an intended change, with
 
     PYTHONPATH=src python tests/test_quadrature_golden.py
 """
