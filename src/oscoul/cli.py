@@ -147,7 +147,6 @@ def cmd_spectrum(args) -> int:
                 row += [model.pdm_energy(BD, q), model.pdm_energy(MM, q)]
             rows.append(row)
             n_r += 1
-    rows.sort(key=lambda r: (r[1], r[0]))
     header = ["n_r", "ang", "n" if osc_side else "nu", "energy", "bound"]
     if pdm:
         header += ["energy_bd", "energy_mm"]
@@ -239,8 +238,12 @@ def cmd_verify(args) -> int:
     from .kernels import LapackNotFound
 
     model, ang = build_model(args)
+    if args.model in _PDM and args.picture == "weighted":
+        raise ConfigError(f"--model {args.model} is solved in the flat picture only")
     flat = args.model in _PDM or args.picture == "flat"
-    ordering = parse_ordering(args.ordering) if flat else None
+    ordering = parse_ordering(args.ordering)
+    if not flat:
+        ordering = None
     grids = [int(g) for g in args.grids.split(",")]
     try:
         report = oracle.convergence_study(model, ang, args.k, grids, ordering)
@@ -362,7 +365,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     sp.add_argument("--k", type=int, default=2, help="number of lowest states")
     sp.add_argument("--grids", default="512,1024,2048")
-    sp.add_argument("--picture", choices=["weighted", "flat"], default="weighted")
+    sp.add_argument("--picture", choices=["weighted", "flat"], default=None,
+                    help="default: flat for pdm-* models, weighted otherwise")
     sp.add_argument("--ordering", default="bd", help="bd | mm | vonroos:xi,eta,zeta")
     sp.add_argument("--tol-eig", type=float, default=1e-6)
     sp.add_argument("--tol-residual", type=float, default=1e-9)

@@ -1,30 +1,32 @@
-"""Eigenvalues of a symmetric tridiagonal matrix by LAPACK ``dstebz`` and ``dlarrk``.
+"""Eigenvalues of a symmetric tridiagonal matrix by LAPACK ``dlarrk``.
 
-Both routines are Sturm-count bisection (Barth, Martin & Wilkinson 1967),
-with the floating-point safeguards that make the count reliable (Demmel,
-Dhillon & Ren 1995).  They come from the OpenBLAS that every NumPy 2 wheel
-bundles and loads (``libscipy_openblas64_``, 64-bit integers, symbols
-prefixed ``scipy_``), bound here with ``ctypes``: no SciPy import and no
-build step.  The library is located and both routines bound on the first
-eigensolve and cached, so importing this module, or running anything that
-needs no eigenvalue, never touches it.
+``dlarrk`` finds one eigenvalue, by its index, with Sturm-count bisection
+(Barth, Martin & Wilkinson 1967) inside an interval the caller supplies, with
+the floating-point safeguards that make the count reliable (Demmel, Dhillon &
+Ren 1995).  It comes from the OpenBLAS that every NumPy 2 wheel bundles and
+loads (``libscipy_openblas64_``, 64-bit integers, symbols prefixed
+``scipy_``), bound here with ``ctypes``: no build step.  The library is
+located and the routine bound on the first eigensolve and cached, so
+importing this module, or running anything that needs no eigenvalue, never
+touches it.  SciPy is not used: it exposes no ``dlarrk``, and importing
+``scipy.linalg.lapack`` alone takes about 0.3 s and doubles the memory of a
+small process.
 
-``dstebz`` (RANGE='I') finds a run of eigenvalues by index from the
-Gershgorin interval.  Its ABSTOL is a tiny positive number, so each
-eigenvalue is bracketed to about 2 ulp of itself; ABSTOL <= 0 would make
-LAPACK stop at ulp * ||T||, which on the oracle's matrices moves the lowest
-eigenvalues by up to about 1e-9 relative.
-
-``dlarrk`` refines one index inside an interval the caller supplies, which
-saves most of the bisection when a good guess is at hand (a coarser grid's
-eigenvalue).  It first widens that interval by about 2N ulp and never counts
-at its ends, so its answer is certified only when the final interval
-[W - WERR, W + WERR] lies strictly inside the caller's one: then both ends
-were evaluated shifts, and their counts enclose the index.  Any other
-outcome (the eigenvalue outside the guess, a neighbour's index, an empty or
-zero-width guess) is redone by ``dstebz`` for that one index.  RELTOL is
-2 eps, the relative stopping rule ``dstebz`` itself applies, so the two
-routines agree to about 2 ulp.
+Each index is bisected inside the caller's bracket when one is given (a
+coarser grid's eigenvalue, which saves most of the bisection), and otherwise
+inside the Gershgorin interval, widened as ``dstebz`` widens it, by
+2.1 (N eps ||T|| + 2 pivmin), so that rounding cannot put an eigenvalue
+outside it.  ``dlarrk`` widens the interval it is given by about 2N ulp more
+and never counts at its ends, so an answer is certified only when its final
+interval [W - WERR, W + WERR] lies strictly inside the interval given: then
+both ends were evaluated shifts, and their counts enclose the index.  An
+index not certified inside its bracket (the eigenvalue outside the guess, a
+neighbour's index, an empty or zero-width guess) is bisected again from the
+Gershgorin interval, and one not certified there either raises
+RuntimeError.  RELTOL is 2 eps and PIVMIN is the pivot floor of ``dstebz``,
+so each eigenvalue is resolved to about 2 ulp of itself; LAPACK's default
+absolute tolerance, ulp * ||T||, would move the oracle's lowest eigenvalues
+by up to about 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -37,16 +39,15 @@ from pathlib import Path
 import numpy as np
 
 _LIBRARY = "libscipy_openblas64_"
-_SYMBOLS = ("scipy_dstebz_64_", "scipy_dlarrk_64_")
-_ABSTOL = 1e-300
-_RELTOL = 2.0 * np.finfo(float).eps
+_SYMBOL = "scipy_dlarrk_64_"
+_EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
 
 __all__ = ["LapackNotFound", "lowest_eigenvalues_tridiag"]
 
 
 class LapackNotFound(OSError):
-    """NumPy's bundled OpenBLAS, which provides ``dstebz`` and ``dlarrk``, cannot be loaded."""
+    """NumPy's bundled OpenBLAS, which provides ``dlarrk``, cannot be loaded."""
 
 
 def _library_dirs() -> list:
@@ -57,40 +58,26 @@ def _library_dirs() -> list:
 
 @functools.cache
 def _lapack():
-    """The bound ``(dstebz, dlarrk)``; NumPy has already mapped the library,
-    so this only takes another handle on it."""
+    """The bound ``dlarrk``; NumPy has already mapped the library, so this
+    only takes another handle on it."""
     dirs = _library_dirs()
-    missing = _SYMBOLS
     for path in sorted(p for d in dirs for p in d.glob(_LIBRARY + "*")):
         try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
+            larrk = getattr(ctypes.CDLL(str(path)), _SYMBOL)
+        except (OSError, AttributeError):
             continue
-        missing = tuple(s for s in _SYMBOLS if not hasattr(lib, s))
-        if missing:
-            continue
-        stebz, larrk = (getattr(lib, s) for s in _SYMBOLS)
         int_ref, dbl_ref = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
-        ints, dbls = (np.ctypeslib.ndpointer(t, ndim=1, flags="C") for t in (np.int64, np.float64))
-        stebz.argtypes = [
-            ctypes.c_char_p, ctypes.c_char_p,  # RANGE, ORDER
-            int_ref, dbl_ref, dbl_ref, int_ref, int_ref, dbl_ref,  # N, VL, VU, IL, IU, ABSTOL
-            dbls, dbls,  # D, E
-            int_ref, int_ref, dbls, ints, ints,  # M, NSPLIT, W, IBLOCK, ISPLIT
-            dbls, ints, int_ref,  # WORK, IWORK, INFO
-            ctypes.c_size_t, ctypes.c_size_t,  # hidden lengths of RANGE and ORDER
-        ]
+        dbls = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C")
         larrk.argtypes = [
             int_ref, int_ref, dbl_ref, dbl_ref,  # N, IW, GL, GU
             dbls, dbls, dbl_ref, dbl_ref,  # D, E2, PIVMIN, RELTOL
             dbl_ref, dbl_ref, int_ref,  # W, WERR, INFO
         ]
-        stebz.restype = larrk.restype = None
-        return stebz, larrk
+        larrk.restype = None
+        return larrk
     searched = ", ".join(str(d) for d in dirs)
     raise LapackNotFound(
-        f"LAPACK {' and '.join(missing)} not found: "
-        f"no {_LIBRARY}* library in {searched} exports {'it' if len(missing) == 1 else 'them'}"
+        f"LAPACK {_SYMBOL} not found: no {_LIBRARY}* library in {searched} exports it"
     )
 
 
@@ -109,55 +96,45 @@ def _prepare(diag, off, k, first):
     return diag, off, k, first
 
 
-def _stebz(stebz, diag, off, il, iu):
-    """Eigenvalues il..iu (1-based) by ``dstebz`` RANGE='I'."""
-    n = diag.size
-    w, work = np.empty(n), np.empty(4 * n)
-    iblock, isplit, iwork = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(3 * n, np.int64)
-    m, nsplit, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
-    i64, dbl, ref = ctypes.c_int64, ctypes.c_double, ctypes.byref
-    stebz(
-        b"I", b"E", ref(i64(n)), ref(dbl(0.0)), ref(dbl(0.0)), ref(i64(il)), ref(i64(iu)),
-        ref(dbl(_ABSTOL)), diag, off, ref(m), ref(nsplit), w, iblock, isplit, work, iwork,
-        ref(info), 1, 1,
-    )
-    count = iu - il + 1
-    if info.value != 0 or m.value != count:
-        raise RuntimeError(
-            f"dstebz failed: INFO={info.value}, found {m.value} of {count} eigenvalues"
-        )
-    return w[:count].copy()
-
-
 def lowest_eigenvalues_tridiag(diag, off, k: int, first: int = 0, brackets=None) -> np.ndarray:
     """Eigenvalues first .. k-1 (0-based, so the k smallest when first = 0),
     ascending, each to about 2 ulp.
 
-    ``brackets``, if given, holds one (lo, hi) guess per returned index; each
-    index is then refined by ``dlarrk`` inside its guess and redone by
-    ``dstebz`` when that answer cannot be certified.
+    ``brackets``, if given, holds one (lo, hi) guess per returned index; an
+    index that cannot be certified inside its guess is bisected from the
+    Gershgorin interval instead.
     """
     diag, off, k, first = _prepare(diag, off, k, first)
-    stebz, larrk = _lapack()
-    if brackets is None:
-        return _stebz(stebz, diag, off, first + 1, k)
-    brackets = np.asarray(brackets, dtype=float).tolist()
-    if len(brackets) != k - first:
-        raise ValueError(f"need {k - first} brackets, got {len(brackets)}")
+    larrk = _lapack()
     e2 = off * off
-    # dstebz's own pivot floor, so the two routines count alike
+    # dstebz's pivot floor and widened Gershgorin interval
     pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
+    radius = np.zeros(diag.size)
+    radius[:-1] = np.abs(off)
+    radius[1:] += np.abs(off)
+    gl, gu = float(np.min(diag - radius)), float(np.max(diag + radius))
+    pad = 2.1 * (diag.size * _EPS * max(abs(gl), abs(gu)) + 2.0 * pivmin)
+    gershgorin = (gl - pad, gu + pad)
+    if brackets is None:
+        tries = [[gershgorin]] * (k - first)
+    else:
+        tries = [[b, gershgorin] for b in np.asarray(brackets, dtype=float).tolist()]
+        if len(tries) != k - first:
+            raise ValueError(f"need {k - first} brackets, got {len(tries)}")
     i64, dbl, ref = ctypes.c_int64, ctypes.c_double, ctypes.byref
     w, werr, info = dbl(), dbl(), i64()
-    n, piv, rtol = ref(i64(diag.size)), ref(dbl(pivmin)), ref(dbl(_RELTOL))
+    n, piv, rtol = ref(i64(diag.size)), ref(dbl(pivmin)), ref(dbl(2.0 * _EPS))
     out = np.empty(k - first)
-    for j, (lo, hi) in enumerate(brackets):
+    for j, intervals in enumerate(tries):
         index = first + j + 1
-        if math.isfinite(lo) and math.isfinite(hi) and lo < hi:
+        for lo, hi in intervals:
+            if not -math.inf < lo < hi < math.inf:  # dlarrk needs a finite, non-empty interval
+                continue
             larrk(n, ref(i64(index)), ref(dbl(lo)), ref(dbl(hi)), diag, e2, piv, rtol,
                   ref(w), ref(werr), ref(info))
             if info.value == 0 and lo < w.value - werr.value and w.value + werr.value < hi:
                 out[j] = w.value
-                continue
-        out[j] = _stebz(stebz, diag, off, index, index)[0]
+                break
+        else:
+            raise RuntimeError(f"dlarrk could not certify eigenvalue {index} of {diag.size}")
     return out

@@ -3,17 +3,17 @@
 Every radial problem is cast as a Sturm-Liouville triple (p, w, V) with the
 operator (-1/w) d/dx (p w d/dx) + V, discretized on a half-cell-offset uniform
 grid in conservative (flux) form, symmetrized by the similarity transform
-W^(1/2) H W^(-1/2), and solved by LAPACK Sturm-count bisection from NumPy's
-bundled OpenBLAS (``oscoul.kernels``, bound on the first eigensolve; each
-eigenvalue is resolved to about 2 ulp rather than to ulp * ||T||).  A
-convergence study discretizes each distinct domain on each grid, solves each
-matrix once, and computes only the eigenvalues it reports: on the coarsest
-grid ``dstebz`` finds those indices from the Gershgorin interval; each finer
-grid refines every index with ``dlarrk`` inside a bracket built from the
-coarser grids (lam +- 1e-3 |lam| on the second grid, then lam_prev +-
-|lam_prev - lam_prevprev|), and the kernel redoes with ``dstebz`` any index
-it cannot certify inside its bracket.  Eigenvalues are reported in the
-doubled convention (2E).
+W^(1/2) H W^(-1/2), and solved by LAPACK ``dlarrk`` Sturm-count bisection
+from NumPy's bundled OpenBLAS (``oscoul.kernels``, bound on the first
+eigensolve; each eigenvalue is resolved to about 2 ulp rather than to
+ulp * ||T||).  A convergence study discretizes each distinct domain on each
+grid, solves each matrix once, and computes only the eigenvalues it reports:
+on the coarsest grid each index is bisected from the Gershgorin interval;
+each finer grid bisects every index inside a bracket built from the coarser
+grids (lam +- 1e-3 |lam| on the second grid, then lam_prev +-
+|lam_prev - lam_prevprev|), and the kernel bisects again from the Gershgorin
+interval any index it cannot certify inside its bracket.  Eigenvalues are
+reported in the doubled convention (2E).
 
 The coefficients (``weighted_coefficients``, the PDM ``flat_coefficients``)
 are functions of the radius r and the stretch t, and each side of the duality
@@ -300,7 +300,11 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Eigenvalues of the k lowest states across grids, with observed order,
     Richardson extrapolation from the two finest grids, and the closed-form
-    2E of the weighted equation (ordering None) or the ordering's PDM picture."""
+    2E of the weighted equation (ordering None) or the ordering's PDM picture.
+
+    ``rel_error`` is |extrapolated - reference| / |reference|; when the
+    reference is exactly 0 it is the absolute error |extrapolated| (units
+    hbar = m = 1), since no relative error exists there."""
     # a model without the asked picture is a usage error: report it before any solve
     states = [QuantumNumbers(j, ang) for j in range(k)]
     if ordering is None:
@@ -351,7 +355,8 @@ def convergence_study(
             rich = math.nan
         orders.append(float(order))
         extrap.append(float(rich))
-        errs.append(float(abs(rich - refs[j]) / abs(refs[j])) if math.isfinite(rich) else math.nan)
+        # a zero reference has no relative error: its absolute error stands in
+        errs.append(float(abs(rich - refs[j]) / (abs(refs[j]) or 1.0)))
     return ConvergenceReport(
         grids=tuple(grids),
         eigenvalues=tuple(tuple(row) for row in eig),

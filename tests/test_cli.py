@@ -340,9 +340,14 @@ def assert_usage_error(argv, capsys):
           "--L", "-0.5"], "angular quantum number must be >= 0"),
         (["wavefunction", "--model", "nlo", "--d", "2", "--lambda", "-0.25", "--beta", "1",
           "--x-max", "3"], "sampling range exceeds the coordinate domain"),
+        (["verify", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1", "--k", "1",
+          "--ordering", "xyz"], "unknown ordering 'xyz'"),
+        (["verify", "--model", "pdm-osc", "--d", "2", "--lambda", "-0.1", "--beta", "1",
+          "--k", "1", "--picture", "weighted"], "pdm-osc is solved in the flat picture only"),
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
-         "negative-L", "x-max-outside-domain"],
+         "negative-L", "x-max-outside-domain", "unknown-ordering-weighted-model",
+         "weighted-picture-of-a-pdm-model"],
 )
 def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
@@ -382,6 +387,20 @@ def test_verify_far_tail_where_the_stretch_underflows(model, capsys):
     )
     assert code == 0, err
     assert all(state["pass"] for state in json.loads(out)["states"])
+
+
+def test_verify_zero_reference_is_judged_by_its_absolute_error(capsys):
+    # clike D=2.5 L=0 has 2E = 0 exactly at n_r = 1 (extrapolation 4.3e-12)
+    code, out, err = run(
+        ["verify", "--model", "clike", "--D", "2.5", "--lambda", "0.1", "--Q", "0.5", "--L", "0",
+         "--k", "2"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert "Infinity" not in out and "NaN" not in out
+    state = json.loads(out)["states"][1]
+    assert state["reference"] == 0.0
+    assert state["rel_error"] == abs(state["extrapolated"]) < 1e-10
 
 
 def test_verify_flat_half_integer_L_answers(capsys):
@@ -461,9 +480,7 @@ def test_missing_lapack_is_a_usage_error(no_lapack, capsys):
 
 
 def test_library_without_the_routines_names_them(no_lapack, capsys):
-    # a loadable library under the expected name that exports neither routine
-    # (a copy of a C extension of the standard library)
+    # a loadable library under the expected name that does not export the
+    # routine (a copy of a C extension of the standard library)
     (no_lapack / "libscipy_openblas64_-stub.so").write_bytes(Path(_json.__file__).read_bytes())
-    assert_verify_fails_but_spectrum_runs(
-        capsys, "libscipy_openblas64_", "scipy_dstebz_64_", "scipy_dlarrk_64_"
-    )
+    assert_verify_fails_but_spectrum_runs(capsys, "libscipy_openblas64_", "scipy_dlarrk_64_")

@@ -1,5 +1,7 @@
-"""Tests of the dstebz eigenvalue kernel against closed forms and SciPy's LAPACK,
-on clustered, repeated and nearly split spectra and on the oracle's matrices."""
+"""Tests of the dlarrk eigenvalue kernel against closed forms and SciPy's LAPACK
+``dstebz``, on clustered, repeated and nearly split spectra and on the oracle's
+matrices, and of the intervals it bisects: one Gershgorin interval per index
+without brackets, the bracket alone when it certifies the index."""
 
 import tracemalloc
 
@@ -85,17 +87,26 @@ def test_wilkinson_close_pairs():
     assert_matches_lapack(diag, off, 21)
 
 
-def test_exactly_repeated_eigenvalues():
+def repeated_blocks():
+    """Three copies of one 5x5 block: every eigenvalue exactly threefold."""
     rng = np.random.default_rng(11)
     block_diag, block_off = rng.normal(size=5), rng.normal(size=4)
     diag = np.tile(block_diag, 3)
     off = np.concatenate([block_off, [0.0], block_off, [0.0], block_off])
-    assert_matches_lapack(diag, off, 15)
+    return diag, off, 15
+
+
+def tiny_off_diagonals():
+    rng = np.random.default_rng(12)
+    return rng.normal(size=50), 1e-8 * rng.normal(size=49), 10
+
+
+def test_exactly_repeated_eigenvalues():
+    assert_matches_lapack(*repeated_blocks())
 
 
 def test_tiny_off_diagonals():
-    rng = np.random.default_rng(12)
-    assert_matches_lapack(rng.normal(size=50), 1e-8 * rng.normal(size=49), 10)
+    assert_matches_lapack(*tiny_off_diagonals())
 
 
 def test_all_eigenvalues():
@@ -123,16 +134,15 @@ def random_tridiag(seed, n, shift=0.0):
     return shift + rng.normal(size=n), rng.normal(size=n - 1)
 
 
-@pytest.mark.parametrize(
-    "diag,off,k",
-    [
-        (np.full(3, 18.0), np.full(2, -9.0), 3),
-        (*random_tridiag(21, 16), 4),
-        (*random_tridiag(23, 40, shift=-1e3), 5),
-        (*random_tridiag(25, 40, shift=1e6), 5),
-    ],
-    ids=["k-equals-N", "random-N16", "wholly-negative", "diagonal-near-1e6"],
-)
+EDGE_MATRICES = [
+    pytest.param(np.full(3, 18.0), np.full(2, -9.0), 3, id="k-equals-N"),
+    pytest.param(*random_tridiag(21, 16), 4, id="random-N16"),
+    pytest.param(*random_tridiag(23, 40, shift=-1e3), 5, id="wholly-negative"),
+    pytest.param(*random_tridiag(25, 40, shift=1e6), 5, id="diagonal-near-1e6"),
+]
+
+
+@pytest.mark.parametrize("diag,off,k", EDGE_MATRICES)
 def test_edge_matrices(diag, off, k):
     if diag[0] < 0:
         assert np.all(eigh_tridiagonal(diag, off, eigvals_only=True) < 0.0)
@@ -159,35 +169,94 @@ def bracket_cases(ref, gap):
     yield "zero-width", lambda j: (ref[j], ref[j])
 
 
+@pytest.fixture
+def larrk_calls(monkeypatch):
+    """(index, lo, hi) of every call of the bound ``dlarrk``, in call order."""
+    real = kernels._lapack()
+    calls = []
+
+    def spy(n, index, lo, hi, *rest):
+        calls.append((index._obj.value, lo._obj.value, hi._obj.value))
+        return real(n, index, lo, hi, *rest)
+
+    monkeypatch.setattr(kernels, "_lapack", lambda: spy)
+    return calls
+
+
+def widened_gershgorin(diag, off):
+    """The Gershgorin interval widened by 2.1 (N eps ||T|| + 2 pivmin), as dstebz widens it."""
+    radius = np.concatenate([[0.0], np.abs(off)]) + np.concatenate([np.abs(off), [0.0]])
+    lo, hi = np.min(diag - radius), np.max(diag + radius)
+    pivmin = np.finfo(float).tiny * max(1.0, np.max(off * off, initial=0.0))
+    pad = 2.1 * (diag.size * np.finfo(float).eps * max(abs(lo), abs(hi)) + 2.0 * pivmin)
+    return lo - pad, hi + pad
+
+
 @pytest.mark.parametrize("diag,off,k", BRACKET_MATRICES)
-def test_bracketed_indices_match_dstebz(diag, off, k):
-    # every guess, good or bad, gives dstebz's eigenvalue for its own index
+def test_bracketed_indices_match_dstebz(diag, off, k, larrk_calls):
+    # every guess, good or bad, gives dstebz's eigenvalue for its own index,
+    # in one call when the guess certifies it and else in two, the second
+    # from the Gershgorin interval
     ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k - 1))
     scale = np.max(np.abs(diag)) + np.max(np.abs(off))
     distinct = np.diff(ref)[np.diff(ref) > 1e-9 * scale]
     gap = 0.25 * np.min(distinct)  # a quarter of the smallest distinct spacing
+    gershgorin = widened_gershgorin(diag, off)
     for name, guess in bracket_cases(ref, gap):
         for first in (0, k // 2, k - 1):
             brackets = [guess(j) for j in range(first, k)]
+            larrk_calls.clear()
             got = kernels.lowest_eigenvalues_tridiag(diag, off, k, first, brackets)
             assert got.shape == (k - first,)
             np.testing.assert_allclose(got, ref[first:], rtol=0, atol=1e-12 * scale, err_msg=name)
+            tries = {}
+            for index, lo, hi in larrk_calls:
+                tries.setdefault(index, []).append((lo, hi))
+            assert list(tries) == list(range(first + 1, k + 1)), name
+            for intervals in tries.values():
+                assert len(intervals) <= (1 if name == "around" else 2), name
+                if len(intervals) == 2:
+                    np.testing.assert_allclose(intervals[1], gershgorin, rtol=1e-15, err_msg=name)
 
 
-def test_good_brackets_skip_dstebz(monkeypatch):
+def test_good_brackets_take_one_call_per_index(larrk_calls):
     # the oracle's next-grid guesses: each index is certified inside its
-    # bracket, and dstebz runs for none of them
+    # bracket, so dlarrk runs once per index, on that bracket alone
     problem = oracle.build_problem(CoulombLike(D=3, lam=0.05, Q=1.0), 0.0, n_states=3)
     op = oracle.discretize(problem, 2048)
     ref = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3)
-    fallbacks = []
-    real = kernels._stebz
-    monkeypatch.setattr(kernels, "_stebz", lambda *a: fallbacks.append(a) or real(*a))
-    got = kernels.lowest_eigenvalues_tridiag(
-        op.diag, op.off, 3, 0, [(x - 1e-3 * abs(x), x + 1e-3 * abs(x)) for x in ref]
-    )
-    assert not fallbacks
+    brackets = [(x - 1e-3 * abs(x), x + 1e-3 * abs(x)) for x in ref]
+    larrk_calls.clear()
+    got = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3, 0, brackets)
+    assert larrk_calls == [(j + 1, lo, hi) for j, (lo, hi) in enumerate(brackets)]
     np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+def assert_one_gershgorin_call_per_index(diag, off, k, calls):
+    calls.clear()
+    got = kernels.lowest_eigenvalues_tridiag(diag, off, k)
+    lo, hi = widened_gershgorin(diag, off)
+    assert [c[0] for c in calls] == list(range(1, k + 1))
+    for _, gl, gu in calls:
+        np.testing.assert_allclose((gl, gu), (lo, hi), rtol=1e-15, atol=0)
+    spectrum = eigh_tridiagonal(diag, off, eigvals_only=True)
+    assert lo < spectrum[0] and spectrum[-1] < hi
+    assert np.all((lo < got) & (got < hi))
+
+
+GERSHGORIN_MATRICES = [
+    *EDGE_MATRICES,
+    *(p for p in BRACKET_MATRICES if p.id != "k-equals-N"),  # that one is an edge matrix
+    pytest.param(*repeated_blocks(), id="repeated-blocks"),
+    pytest.param(*tiny_off_diagonals(), id="tiny-off-diagonals"),
+]
+
+
+@pytest.mark.parametrize("diag,off,k", GERSHGORIN_MATRICES)
+def test_one_gershgorin_call_per_index(diag, off, k, larrk_calls):
+    # without brackets every index is certified by one dlarrk call from the
+    # widened Gershgorin interval: the call that raises if it is not
+    assert_one_gershgorin_call_per_index(diag, off, k, larrk_calls)
 
 
 def test_zero_pivot_at_a_shift():
@@ -223,7 +292,7 @@ def test_study_batch_memory(monkeypatch):
     assert peak < 3e6
 
 
-@pytest.mark.parametrize(
+ORACLE_MATRICES = pytest.mark.parametrize(
     "model,ang",
     [
         (NonlinearOscillator(d=2, lam=-0.1, beta=1.0), 1.0),
@@ -232,11 +301,25 @@ def test_study_batch_memory(monkeypatch):
     ],
     ids=["nlo-lam-0.1-l1", "clike-lam0.05-L0", "clike-lam-0.1-L0"],
 )
+
+
+def oracle_matrix(model, ang):
+    """The k=3 matrix of the channel at N=8192."""
+    return oracle.discretize(oracle.build_problem(model, ang, n_states=3), 8192)
+
+
+@ORACLE_MATRICES
+def test_oracle_matrices_take_one_gershgorin_call_per_index(model, ang, larrk_calls):
+    op = oracle_matrix(model, ang)
+    assert_one_gershgorin_call_per_index(op.diag, op.off, 3, larrk_calls)
+
+
+@ORACLE_MATRICES
 def test_oracle_matrices_at_full_precision(model, ang):
     # the k=3 matrices at N=8192: LAPACK's default tolerance (ulp * ||T||) moves
     # these eigenvalues by up to about 1e-9 relative, so a tolerance that falls
     # back to it fails here
-    op = oracle.discretize(oracle.build_problem(model, ang, n_states=3), 8192)
+    op = oracle_matrix(model, ang)
     got = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3)
     ref = eigh_tridiagonal(
         op.diag, op.off, eigvals_only=True, select="i", select_range=(0, 2),

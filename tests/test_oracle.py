@@ -258,15 +258,16 @@ class TestResiduals:
         assert oracle.residual_norm(st, samples, BD) <= 1e-12
         assert oracle.residual_norm(st, samples, MM) <= 1e-12
 
-    def test_wrong_energy_gives_large_residual(self):
-        m = EuclideanOscillator(d=3, omega=1.0)
-        st = RadialState(m, QuantumNumbers(1, 0))
-        good = oracle.residual_norm(st, np.linspace(0.2, 5.0, 30))
-        bad_state = RadialState(EuclideanOscillator(d=3, omega=1.05), QuantumNumbers(1, 0))
-        bad = oracle.residual_norm(bad_state, np.linspace(0.2, 5.0, 30))
-        # the residual is computed against the *stated* model, so mixing a
-        # different omega into the wavefunction is caught; sanity contrast
-        assert good < 1e-12 < 1e-3
+    def test_wrong_energy_gives_large_residual(self, monkeypatch):
+        st = RadialState(EuclideanOscillator(d=3, omega=1.0), QuantumNumbers(1, 0))
+        samples = np.linspace(0.2, 5.0, 30)
+        good = oracle.residual_norm(st, samples)
+        # the same state checked against an energy 5 % too high
+        energy = EuclideanOscillator.energy
+        monkeypatch.setattr(EuclideanOscillator, "energy", lambda self, q: 1.05 * energy(self, q))
+        bad = oracle.residual_norm(st, samples)
+        assert good <= 1e-12
+        assert bad > 1e-3
 
 
 class TestConvergenceStudy:
