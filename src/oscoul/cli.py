@@ -3,8 +3,8 @@ oracle verification, and bound-state enumeration, emitted as CSV or JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
 Output is byte-deterministic for a fixed flag set.  The oracle, the duality
-map and the LAPACK binding are imported by the commands that use them, so
-``spectrum`` and ``bound-states`` load neither.
+map, the LAPACK binding and NumPy are imported by the commands that use them,
+so ``spectrum`` and ``bound-states`` load none of them.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
-
-import numpy as np
 
 from .models import (
     BD,
@@ -40,7 +39,7 @@ class ConfigError(Exception):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return format(float(value), ".16e")
 
@@ -98,7 +97,7 @@ def build_model(args):
         raise ConfigError(str(exc)) from exc
     if model.kind == "oscillator":
         ang = args.l if args.l is not None else 0.0
-        if ang != int(ang):
+        if not ang.is_integer():
             raise ConfigError("oscillator-side l must be an integer")
     else:
         ang = args.L if args.L is not None else 0.0
@@ -176,8 +175,18 @@ def cmd_bound_states(args) -> int:
     return 0
 
 
+def _sample_count(args, name: str) -> int:
+    value = getattr(args, name)
+    if value < 1:
+        raise ConfigError(f"--{name} must be >= 1, got {value}")
+    return value
+
+
 def cmd_wavefunction(args) -> int:
+    import numpy as np
+
     model, ang = build_model(args)
+    points = _sample_count(args, "points")
     q = QuantumNumbers(args.n_r, ang)
     lo, hi = model.domain
     x_max = args.x_max
@@ -187,13 +196,13 @@ def cmd_wavefunction(args) -> int:
         from . import oracle
 
         cutoff = oracle.truncation_radius(model, ang, args.n_r)
-        xs = oracle.default_samples(model, cutoff, args.points)
+        xs = oracle.default_samples(model, cutoff, points)
     else:
         if x_max is None:
             x_max = 0.999 * hi
         if not lo < x_max <= hi:
             raise ConfigError("sampling range exceeds the coordinate domain")
-        xs = np.linspace(x_max / args.points, x_max, args.points)
+        xs = np.linspace(x_max / points, x_max, points)
     psi = np.asarray(model.wavefunction(q, xs))
     tilde = model.flat_factor(xs) * psi
     rows = [[x, p, t] for x, p, t in zip(xs, psi, tilde)]
@@ -202,18 +211,23 @@ def cmd_wavefunction(args) -> int:
 
 
 def cmd_duality(args) -> int:
+    import numpy as np
+
     from . import oracle
     from .duality import map_curved, verify_pointwise
 
     lam = getattr(args, "lambda") if getattr(args, "lambda") is not None else 0.0
     d = _need(args, "d")
-    l = int(args.l) if args.l is not None else 0
+    if not args.l.is_integer():
+        raise ConfigError("oscillator-side l must be an integer")
+    l = int(args.l)
+    n_samples = _sample_count(args, "samples")
     pair = map_curved(d, l, lam, _need(args, "omega" if lam == 0 else "beta"), args.n_r)
     lo, hi = pair.coulomb.domain
     span = hi if math.isfinite(hi) else 4.0 * oracle.truncation_radius(
         pair.oscillator, float(l), args.n_r
     ) ** 2 / 16.0
-    samples = np.linspace(0.05 * span, 0.95 * span, args.samples)
+    samples = np.linspace(0.05 * span, 0.95 * span, n_samples)
     report = verify_pointwise(pair, samples)
     _emit_json(
         {

@@ -42,6 +42,7 @@ _LIBRARY = "libscipy_openblas64_"
 _SYMBOL = "scipy_dlarrk_64_"
 _EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
+_LIMIT = 2.0**1022  # dlarrk bisects at (left + right) / 2, which must not overflow
 
 __all__ = ["LapackNotFound", "lowest_eigenvalues_tridiag"]
 
@@ -102,19 +103,28 @@ def lowest_eigenvalues_tridiag(diag, off, k: int, first: int = 0, brackets=None)
 
     ``brackets``, if given, holds one (lo, hi) guess per returned index; an
     index that cannot be certified inside its guess is bisected from the
-    Gershgorin interval instead.
+    Gershgorin interval instead.  A matrix whose widened Gershgorin interval
+    does not fit inside ±2^1022 (|off| above about 1.3e154 among them) raises
+    ValueError before any LAPACK call.
     """
     diag, off, k, first = _prepare(diag, off, k, first)
+    with np.errstate(over="ignore"):
+        e2 = off * off
+        # dstebz's pivot floor and widened Gershgorin interval
+        pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
+        radius = np.zeros(diag.size)
+        radius[:-1] = np.abs(off)
+        radius[1:] += np.abs(off)
+        gl, gu = float(np.min(diag - radius)), float(np.max(diag + radius))
+        pad = 2.1 * (diag.size * _EPS * max(abs(gl), abs(gu)) + 2.0 * pivmin)
+        gershgorin = (gl - pad, gu + pad)
+    # an off-diagonal square that overflows makes pivmin, and so the interval, infinite
+    if not -_LIMIT < gershgorin[0] < gershgorin[1] < _LIMIT:
+        raise ValueError(
+            "matrix entries out of range: the widened Gershgorin interval "
+            f"[{gershgorin[0]:.3e}, {gershgorin[1]:.3e}] must lie inside ±{_LIMIT:.3e}"
+        )
     larrk = _lapack()
-    e2 = off * off
-    # dstebz's pivot floor and widened Gershgorin interval
-    pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
-    radius = np.zeros(diag.size)
-    radius[:-1] = np.abs(off)
-    radius[1:] += np.abs(off)
-    gl, gu = float(np.min(diag - radius)), float(np.max(diag + radius))
-    pad = 2.1 * (diag.size * _EPS * max(abs(gl), abs(gu)) + 2.0 * pivmin)
-    gershgorin = (gl - pad, gu + pad)
     if brackets is None:
         tries = [[gershgorin]] * (k - first)
     else:

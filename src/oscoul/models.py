@@ -32,12 +32,19 @@ normalization lives in ``oscoul.quadrature``).  Units hbar = m = 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Union
 
-import numpy as np
-
 from . import specfun
+from ._lazy import load
+
+# loaded on first attribute use: the scalar closed forms (energies, bound-state
+# rules, PDM shifts) touch no np attribute, so they run without NumPy
+np = load("numpy")
+# NumPy registers np.integer as numbers.Integral; int first, because the ABC
+# check alone costs about 0.5 us a call and states are built in tight loops
+_INTEGER = (int, numbers.Integral)
 
 __all__ = [
     "BD",
@@ -79,7 +86,7 @@ class QuantumNumbers:
 
     def __post_init__(self):
         _require(
-            isinstance(self.n_r, (int, np.integer)) and self.n_r >= 0,
+            isinstance(self.n_r, _INTEGER) and self.n_r >= 0,
             "n_r must be an integer >= 0",
         )
         object.__setattr__(self, "n_r", int(self.n_r))
@@ -419,7 +426,7 @@ class EuclideanOscillator(_OscillatorSide):
 
     def __post_init__(self):
         _require(
-            isinstance(self.d, (int, np.integer)) and self.d >= 2,
+            isinstance(self.d, _INTEGER) and self.d >= 2,
             "dimension d must be an integer >= 2",
         )
         object.__setattr__(self, "d", int(self.d))
@@ -496,7 +503,7 @@ class NonlinearOscillator(_OscillatorSide):
 
     def __post_init__(self):
         _require(
-            isinstance(self.d, (int, np.integer)) and self.d >= 2,
+            isinstance(self.d, _INTEGER) and self.d >= 2,
             "dimension d must be an integer >= 2",
         )
         object.__setattr__(self, "d", int(self.d))

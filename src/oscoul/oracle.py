@@ -305,6 +305,8 @@ def convergence_study(
     ``rel_error`` is |extrapolated - reference| / |reference|; when the
     reference is exactly 0 it is the absolute error |extrapolated| (units
     hbar = m = 1), since no relative error exists there."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     # a model without the asked picture is a usage error: report it before any solve
     states = [QuantumNumbers(j, ang) for j in range(k)]
     if ordering is None:

@@ -15,6 +15,7 @@ import oscoul
 from oscoul import kernels
 from oscoul.cli import main
 from oscoul.models import CoulombLike, NonlinearOscillator, QuantumNumbers
+from test_cli_golden import CASES, GOLDEN
 
 
 def run(argv, capsys):
@@ -344,10 +345,21 @@ def assert_usage_error(argv, capsys):
           "--ordering", "xyz"], "unknown ordering 'xyz'"),
         (["verify", "--model", "pdm-osc", "--d", "2", "--lambda", "-0.1", "--beta", "1",
           "--k", "1", "--picture", "weighted"], "pdm-osc is solved in the flat picture only"),
+        (["verify", "--model", "osc", "--d", "3", "--omega", "1", "--k", "0"],
+         "k must be >= 1"),
+        (["wavefunction", "--model", "osc", "--d", "3", "--omega", "1", "--points", "0"],
+         "--points must be >= 1"),
+        (["duality", "--d", "2", "--lambda", "0.1", "--beta", "1", "--samples", "0"],
+         "--samples must be >= 1"),
+        (["duality", "--d", "2", "--l", "1.5", "--lambda", "0.1", "--beta", "1"],
+         "oscillator-side l must be an integer"),
+        (["spectrum", "--model", "nlo", "--d", "2", "--lambda", "0.1", "--beta", "1",
+          "--l", "inf"], "oscillator-side l must be an integer"),
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
          "negative-L", "x-max-outside-domain", "unknown-ordering-weighted-model",
-         "weighted-picture-of-a-pdm-model"],
+         "weighted-picture-of-a-pdm-model", "no-states", "no-points", "no-samples",
+         "fractional-l-duality", "infinite-l"],
 )
 def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
@@ -414,10 +426,12 @@ def test_verify_flat_half_integer_L_answers(capsys):
     assert len(json.loads(out)["states"]) == 3
 
 
-def run_python(*args):
+def run_python(*args, stdin=None):
     src = os.path.dirname(os.path.dirname(oscoul.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, *args], env=env, input=stdin, capture_output=True, text=True
+    )
 
 
 def test_cli_import_loads_no_scipy_or_numba():
@@ -433,6 +447,39 @@ def test_cli_import_loads_no_scipy_or_numba():
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["[]", "[]"]
+
+
+# runs golden cases, read as (name, argv, out path) from stdin, in one fresh
+# process and prints the NumPy modules loaded after them
+GOLDEN_RUNNER = """
+import json, sys
+import oscoul, oscoul.cli
+for name, argv, out in json.load(sys.stdin):
+    assert oscoul.cli.main([*argv, "--out", out]) == 0, name
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")))
+"""
+
+
+def run_golden_cases_fresh(names, tmp_path):
+    cases = [(name, CASES[name], str(tmp_path / name)) for name in names]
+    out = run_python("-c", GOLDEN_RUNNER, stdin=json.dumps(cases))
+    assert out.returncode == 0, out.stderr
+    mismatched = [n for n in names if (tmp_path / n).read_bytes() != (GOLDEN / n).read_bytes()]
+    assert not mismatched, mismatched
+    return json.loads(out.stdout)
+
+
+def test_closed_form_commands_run_without_numpy(tmp_path):
+    # spectrum and bound-states evaluate scalar closed forms: NumPy is
+    # registered to load on first use and never executes
+    names = [n for n in CASES if n.startswith(("spectrum-", "bound-states-"))]
+    assert len(names) == 24
+    assert "numpy._core" not in run_golden_cases_fresh(names, tmp_path)
+
+
+def test_array_commands_load_numpy_on_first_use(tmp_path):
+    names = ["wavefunction-nlo-pos.csv", "duality-nlo-pos.json"]
+    assert "numpy._core" in run_golden_cases_fresh(names, tmp_path)
 
 
 def test_repeated_main_calls_match_separate_runs(capsys):

@@ -70,6 +70,26 @@ def test_input_validation():
         kernels.lowest_eigenvalues_tridiag(np.zeros(5), np.ones(4), 3, 1, [(0.0, 1.0)])
 
 
+@pytest.mark.filterwarnings("error")
+def test_entries_out_of_range_raise_before_lapack(monkeypatch):
+    # off * off overflows at 1e300; 1e200 squares to a finite 1e200
+    def no_lapack():
+        raise AssertionError("LAPACK bound before the range check")
+
+    monkeypatch.setattr(kernels, "_lapack", no_lapack)
+    with pytest.raises(ValueError, match="Gershgorin interval .* must lie inside"):
+        kernels.lowest_eigenvalues_tridiag([1e300, 1e300], [1e300], 2)
+    with pytest.raises(ValueError, match="must lie inside"):  # the bisection midpoint overflows
+        kernels.lowest_eigenvalues_tridiag([1.7e308, 1.7e308], [1.0], 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_entries_in_range_solve():
+    # 1e200 -+ 1e100 round to 1e200; each eigenvalue is resolved to about 2 ulp
+    got = kernels.lowest_eigenvalues_tridiag([1e200, 1e200], [1e100], 2)
+    np.testing.assert_allclose(got, [1e200, 1e200], rtol=2 * np.finfo(float).eps)
+
+
 def assert_matches_lapack(diag, off, k):
     got = kernels.lowest_eigenvalues_tridiag(diag, off, k)
     ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, k - 1))

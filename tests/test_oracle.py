@@ -294,6 +294,11 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             oracle.convergence_study(m, 0.0, 1, [512, 512, 1024])
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_no_states_is_an_error(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            oracle.convergence_study(EuclideanOscillator(d=3, omega=1.0), 0.0, k, [512, 1024, 2048])
+
     @staticmethod
     def spy_solves(monkeypatch):
         """Record (k, first, bracketed) of each kernel call."""
