@@ -13,8 +13,9 @@ touches it.  SciPy is not used: it exposes no ``dlarrk``, and importing
 small process.
 
 Each index is bisected inside the caller's bracket when one is given (a
-coarser grid's eigenvalue, which saves most of the bisection), and otherwise
-inside the Gershgorin interval, widened as ``dstebz`` widens it, by
+predicted eigenvalue, such as the oracle's closed form or Richardson value,
+which saves most of the bisection), and otherwise inside the Gershgorin
+interval, widened as ``dstebz`` widens it, by
 2.1 (N eps ||T|| + 2 pivmin), so that rounding cannot put an eigenvalue
 outside it.  ``dlarrk`` widens the interval it is given by about 2N ulp more
 and never counts at its ends, so an answer is certified only when its final

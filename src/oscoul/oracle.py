@@ -7,13 +7,18 @@ W^(1/2) H W^(-1/2), and solved by LAPACK ``dlarrk`` Sturm-count bisection
 from NumPy's bundled OpenBLAS (``oscoul.kernels``, bound on the first
 eigensolve; each eigenvalue is resolved to about 2 ulp rather than to
 ulp * ||T||).  A convergence study discretizes each distinct domain on each
-grid, solves each matrix once, and computes only the eigenvalues it reports:
-on the coarsest grid each index is bisected from the Gershgorin interval;
-each finer grid bisects every index inside a bracket built from the coarser
-grids (lam +- 1e-3 |lam| on the second grid, then lam_prev +-
-|lam_prev - lam_prevprev|), and the kernel bisects again from the Gershgorin
-interval any index it cannot certify inside its bracket.  Eigenvalues are
-reported in the doubled convention (2E).
+grid, solves each matrix once, and computes only the eigenvalues it reports,
+each bisected inside a bracket that the h^2 law predicts: on the coarsest
+grid the closed-form reference +- 1e-3 |ref|; on the second its h^2 image
+lam_0 + (ref - lam_0)(1 - h_1^2/h_0^2) +- 2e-3 |ref - lam_0|; on each later
+grid the Richardson value lam_(i-1) + (lam_(i-1) - lam_(i-2))(h_(i-1)^2 -
+h_i^2)/(h_(i-2)^2 - h_(i-1)^2) +- 2e-3 |lam_(i-1) - lam_(i-2)|, for any
+increasing ladder.  The guess only saves time: the kernel accepts an
+eigenvalue only when the Sturm counts certify its index strictly inside the
+bracket, and otherwise bisects again from the Gershgorin interval, so a wrong
+closed form, an error that is not O(h^2) or a zero-width bracket (ref = 0)
+costs a second bisection, never the answer.  Eigenvalues are reported in the
+doubled convention (2E).
 
 The coefficients (``weighted_coefficients``, the PDM ``flat_coefficients``)
 are functions of the radius r and the stretch t, and each side of the duality
@@ -70,6 +75,12 @@ __all__ = [
     "residual_norm",
     "truncation_radius",
 ]
+
+# half-widths of the predicted brackets of ``convergence_study``: the coarsest
+# grid's, relative to the closed form, and each finer grid's, relative to the
+# last step of the h^2 line it extrapolates
+_REF_WIDTH = 1e-3
+_STEP_WIDTH = 2e-3
 
 
 @dataclass(frozen=True)
@@ -291,6 +302,44 @@ def residual_norm(
     return float(np.max(resid[usable] / (np.abs(lam2e * psi[usable]) + scale[usable])))
 
 
+def _observed_order(grids, ratio: float) -> float:
+    """The order p with (h1^p - h2^p) / (h2^p - h3^p) = ratio, the ratio d1/d2 of
+    successive eigenvalue changes on grids N1 < N2 < N3 (h = 1/N).
+
+    On a geometric ladder that is log(ratio) / log(h1/h2).  Otherwise, with
+    u = log(h1/h2) and v = log(h2/h3), the left side is
+    expm1(p u) / -expm1(-p v), which rises from 0 to infinity over the whole
+    line (u/v at p = 0), so p is found by bisection on its logarithm.
+    """
+    n1, n2, n3 = grids
+    h1, h2, h3 = 1.0 / n1, 1.0 / n2, 1.0 / n3
+    target = math.log(ratio)
+    u = math.log(h1 / h2)
+    if n2 * n2 == n1 * n3:
+        return target / u
+    v = math.log(h2 / h3)
+
+    def log_abs_expm1(x):
+        return x + math.log(-math.expm1(-x)) if x > 0 else math.log(-math.expm1(x))
+
+    def log_side(p):
+        if p * u == 0 or p * v == 0:
+            return math.log(u / v)
+        return log_abs_expm1(p * u) - log_abs_expm1(-p * v)
+
+    lo, hi = -1.0, 1.0
+    while log_side(hi) < target:
+        hi *= 2.0
+    while log_side(lo) > target:
+        lo *= 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if log_side(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def convergence_study(
     model,
     ang: float,
@@ -325,23 +374,30 @@ def convergence_study(
     ]
     from . import kernels
 
+    hs = 1.0 / np.asarray(grids, dtype=float)
+    hh = hs * hs
     eig = np.empty((len(grids), k))
     first = 0
     for top in tops:
         run = slice(first, top + 1)
-        brackets = None  # the coarsest grid bisects from the Gershgorin interval
+        # the h^2 law E(h) = E(0) + c h^2 predicts each grid's eigenvalue on the
+        # line through the last two points (h^2, E), the closed form being the
+        # point at h = 0: the coarsest grid is bracketed around the reference,
+        # the second around its h^2 image, each later one around Richardson
+        x0, y0 = 0.0, np.asarray(refs[run])
+        guess, width = y0, _REF_WIDTH * np.abs(y0)
         for i, N in enumerate(grids):
             op = discretize(problems[top], N)
             eig[i, run] = kernels.lowest_eigenvalues_tridiag(
-                op.diag, op.off, top + 1, first=first, brackets=brackets
+                op.diag, op.off, top + 1, first=first,
+                brackets=np.column_stack((guess - width, guess + width)),
             )
-            # the next grid's guess: 1e-3 relative around the coarsest value,
-            # then the last step of the sequence around the latest one
-            prev = eig[i, run]
-            width = 1e-3 * np.abs(prev) if i == 0 else np.abs(prev - eig[i - 1, run])
-            brackets = np.column_stack((prev - width, prev + width))
+            step = eig[i, run] - y0
+            if i + 1 < len(grids):
+                guess = eig[i, run] + step * (hh[i + 1] - hh[i]) / (hh[i] - x0)
+                width = _STEP_WIDTH * np.abs(step)
+            x0, y0 = hh[i], eig[i, run]
         first = top + 1
-    hs = 1.0 / np.asarray(grids, dtype=float)
     orders, extrap, errs, mono = [], [], [], []
     for j in range(k):
         seq = eig[:, j]
@@ -350,7 +406,7 @@ def convergence_study(
         monotone = d1 * d2 > 0 and abs(d2) < abs(d1)
         mono.append(bool(monotone))
         if monotone:
-            order = math.log(abs(d1 / d2)) / math.log(hs[-3] / hs[-2])
+            order = _observed_order(grids[-3:], d1 / d2)
             rich = seq[-1] + (seq[-1] - seq[-2]) / ((hs[-2] / hs[-1]) ** 2 - 1.0)
         else:
             order = math.nan

@@ -321,8 +321,8 @@ class TestConvergenceStudy:
         grids = [128, 256, 512]
         calls = self.spy_solves(monkeypatch)
         rep = oracle.convergence_study(m, 1.0, 3, grids)
-        # one solve per grid; every grid after the coarsest starts from brackets
-        assert calls == [(3, 0, False), (3, 0, True), (3, 0, True)]
+        # one solve per grid, each started from predicted brackets
+        assert calls == [(3, 0, True)] * 3
         assert self.eigenvalue_count(calls) == 9
         for j in range(3):
             problem = oracle.build_problem(m, 1.0, n_states=j + 1)
@@ -336,13 +336,67 @@ class TestConvergenceStudy:
         calls = self.spy_solves(monkeypatch)
         rep = oracle.convergence_study(m, 0.0, 3, grids)
         # state j alone on its domain: only index j is computed, on each grid
-        assert calls == [(j + 1, j, i > 0) for j in range(3) for i in range(len(grids))]
+        assert calls == [(j + 1, j, True) for j in range(3) for i in range(len(grids))]
         assert self.eigenvalue_count(calls) == 9
         for j in range(3):
             problem = oracle.build_problem(m, 0.0, n_states=j + 1)
             for i, N in enumerate(grids):
                 alone = oracle.lowest_eigenvalues(oracle.discretize(problem, N), j + 1)[j]
                 assert rep.eigenvalues[i][j] == pytest.approx(alone, rel=1e-12, abs=0)
+
+    @staticmethod
+    def spy_dlarrk(monkeypatch):
+        """Record the (lo, hi) interval of each dlarrk call."""
+        real = kernels._lapack()
+        intervals = []
+
+        def spy(n, index, lo, hi, *args):
+            intervals.append((lo._obj.value, hi._obj.value))
+            return real(n, index, lo, hi, *args)
+
+        monkeypatch.setattr(kernels, "_lapack", lambda: spy)
+        return intervals
+
+    def test_wrong_reference_cannot_move_the_eigenvalues(self, monkeypatch):
+        # the closed form centres the coarsest bracket; a 5 % wrong one costs a
+        # bisection from Gershgorin there and on the second grid, not the answer
+        m = CoulombLike(D=3, lam=-0.1, Q=1.0)
+        true = oracle.convergence_study(m, 0.0, 2, GRIDS)
+        energy = CoulombLike.energy
+        monkeypatch.setattr(CoulombLike, "energy", lambda self, q: 1.05 * energy(self, q))
+        intervals = self.spy_dlarrk(monkeypatch)
+        wrong = oracle.convergence_study(m, 0.0, 2, GRIDS)
+        # each state has its own domain; only its finest grid is certified first time
+        assert len(intervals) == 2 * (len(GRIDS) + 2)
+        for got, want in zip(wrong.eigenvalues, true.eigenvalues):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        for j in range(2):
+            assert wrong.reference[j] == pytest.approx(1.05 * true.reference[j], rel=1e-15)
+            assert wrong.rel_error[j] == pytest.approx(0.05 / 1.05, rel=1e-5)
+
+    def test_missed_prediction_falls_back_to_gershgorin(self, monkeypatch):
+        # osc d=4 l=0 converges as O(h^4) (ROADMAP item 3), so the h^2 image and
+        # the Richardson value miss: those grids bisect twice, the second time
+        # from the Gershgorin interval, and still match a solve of that grid alone
+        m = EuclideanOscillator(d=4, omega=1.0)
+        intervals = self.spy_dlarrk(monkeypatch)
+        rep = oracle.convergence_study(m, 0.0, 1, GRIDS)
+        guesses = [(lo, hi) for lo, hi in intervals if hi - lo < 1.0]
+        assert len(guesses) == len(GRIDS)
+        assert len(intervals) == len(GRIDS) + 2  # the two finer grids fall back
+        problem = oracle.build_problem(m, 0.0, n_states=1)
+        for i, N in enumerate(GRIDS):
+            alone = oracle.lowest_eigenvalues(oracle.discretize(problem, N), 1)[0]
+            assert rep.eigenvalues[i][0] == pytest.approx(alone, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("grids", [[512, 1024, 4096], [256, 1024, 2048]])
+    def test_observed_order_on_a_non_geometric_ladder(self, grids):
+        # log|d1/d2| / log(h1/h2) holds only for a constant grid ratio: on these
+        # ladders it read 1.678 and 2.161 for this h^2 state
+        m = NonlinearOscillator(d=3, lam=-0.1, beta=1.0)
+        rep = oracle.convergence_study(m, 1.0, 1, grids)
+        assert rep.observed_order[0] == pytest.approx(2.0, abs=0.01)
+        assert rep.rel_error[0] <= 1e-10
 
     @pytest.mark.parametrize(
         "D,lam,L,states",
