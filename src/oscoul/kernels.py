@@ -12,19 +12,21 @@ touches it.  SciPy is not used: it exposes no ``dlarrk``, and importing
 ``scipy.linalg.lapack`` alone takes about 0.3 s and doubles the memory of a
 small process.
 
-Each index is bisected inside the caller's bracket when one is given (a
-predicted eigenvalue, such as the oracle's closed form or Richardson value,
-which saves most of the bisection), and otherwise inside the Gershgorin
-interval, widened as ``dstebz`` widens it, by
+Each index is bisected inside the caller's guesses when they are given,
+tried in order (intervals around a predicted eigenvalue, such as the
+oracle's closed form or its h^2 extrapolations, narrowest first: each
+halving the guess saves is one Sturm count of N rows), and otherwise, or
+when none certifies it, inside the Gershgorin interval, widened as
+``dstebz`` widens it, by
 2.1 (N eps ||T|| + 2 pivmin), so that rounding cannot put an eigenvalue
 outside it.  ``dlarrk`` widens the interval it is given by about 2N ulp more
 and never counts at its ends, so an answer is certified only when its final
 interval [W - WERR, W + WERR] lies strictly inside the interval given: then
 both ends were evaluated shifts, and their counts enclose the index.  An
-index not certified inside its bracket (the eigenvalue outside the guess, a
+index not certified inside a guess (the eigenvalue outside it, a
 neighbour's index, an empty or zero-width guess) is bisected again from the
-Gershgorin interval, and one not certified there either raises
-RuntimeError.  RELTOL is 2 eps and PIVMIN is the pivot floor of ``dstebz``,
+next guess and then from the Gershgorin interval, so a guess can cost time
+but never the answer; one not certified there either raises RuntimeError.  RELTOL is 2 eps and PIVMIN is the pivot floor of ``dstebz``,
 so each eigenvalue is resolved to about 2 ulp of itself; LAPACK's default
 absolute tolerance, ulp * ||T||, would move the oracle's lowest eigenvalues
 by up to about 1e-9 relative.
@@ -102,9 +104,11 @@ def lowest_eigenvalues_tridiag(diag, off, k: int, first: int = 0, brackets=None)
     """Eigenvalues first .. k-1 (0-based, so the k smallest when first = 0),
     ascending, each to about 2 ulp.
 
-    ``brackets``, if given, holds one (lo, hi) guess per returned index; an
-    index that cannot be certified inside its guess is bisected from the
-    Gershgorin interval instead.  A matrix whose widened Gershgorin interval
+    ``brackets``, if given, holds the (lo, hi) guesses of each returned
+    index, shape (k - first, 2) for one guess each or (k - first, g, 2) for g
+    each.  An index's guesses are tried in order, narrowest first as the
+    oracle grades them, and an index certified inside none of them is
+    bisected from the Gershgorin interval.  A matrix whose widened Gershgorin interval
     does not fit inside ±2^1022 (|off| above about 1.3e154 among them) raises
     ValueError before any LAPACK call.
     """
@@ -129,9 +133,12 @@ def lowest_eigenvalues_tridiag(diag, off, k: int, first: int = 0, brackets=None)
     if brackets is None:
         tries = [[gershgorin]] * (k - first)
     else:
-        tries = [[b, gershgorin] for b in np.asarray(brackets, dtype=float).tolist()]
-        if len(tries) != k - first:
-            raise ValueError(f"need {k - first} brackets, got {len(tries)}")
+        guesses = np.asarray(brackets, dtype=float)
+        if guesses.ndim not in (2, 3) or len(guesses) != k - first or guesses.shape[-1] != 2:
+            raise ValueError(
+                f"need {k - first} brackets of (lo, hi) guesses, got shape {guesses.shape}"
+            )
+        tries = [[*g, gershgorin] for g in guesses.reshape(k - first, -1, 2).tolist()]
     i64, dbl, ref = ctypes.c_int64, ctypes.c_double, ctypes.byref
     w, werr, info = dbl(), dbl(), i64()
     n, piv, rtol = ref(i64(diag.size)), ref(dbl(pivmin)), ref(dbl(2.0 * _EPS))

@@ -6,19 +6,26 @@ grid in conservative (flux) form, symmetrized by the similarity transform
 W^(1/2) H W^(-1/2), and solved by LAPACK ``dlarrk`` Sturm-count bisection
 from NumPy's bundled OpenBLAS (``oscoul.kernels``, bound on the first
 eigensolve; each eigenvalue is resolved to about 2 ulp rather than to
-ulp * ||T||).  A convergence study discretizes each distinct domain on each
-grid, solves each matrix once, and computes only the eigenvalues it reports,
-each bisected inside a bracket that the h^2 law predicts: on the coarsest
-grid the closed-form reference +- 1e-3 |ref|; on the second its h^2 image
-lam_0 + (ref - lam_0)(1 - h_1^2/h_0^2) +- 2e-3 |ref - lam_0|; on each later
-grid the Richardson value lam_(i-1) + (lam_(i-1) - lam_(i-2))(h_(i-1)^2 -
-h_i^2)/(h_(i-2)^2 - h_(i-1)^2) +- 2e-3 |lam_(i-1) - lam_(i-2)|, for any
-increasing ladder.  The guess only saves time: the kernel accepts an
-eigenvalue only when the Sturm counts certify its index strictly inside the
-bracket, and otherwise bisects again from the Gershgorin interval, so a wrong
-closed form, an error that is not O(h^2) or a zero-width bracket (ref = 0)
-costs a second bisection, never the answer.  Eigenvalues are reported in the
-doubled convention (2E).
+ulp * ||T||).  A convergence study discretizes each distinct domain on every
+grid of its ladder at once (``discretize_ladder``: p, w and V are sampled
+once each over all the grids' points), solves each matrix once, and computes
+only the eigenvalues it reports.  Each is bisected inside guesses that the
+h^2 law predicts from the points (h^2, lam) of the ladder so far, the closed
+form being the point at h = 0, for any increasing ladder: on the coarsest
+grid the reference +- 1e-3 |ref|; on the second the line through the first
+two points, lam_0 + (ref - lam_0)(1 - h_1^2/h_0^2) +- 2e-3 |ref - lam_0|; on
+each later grid first the quadratic in h^2 through the last three points,
++- 1e-6 and then +- 3e-5 of the last step |lam_(i-1) - lam_(i-2)|, and then
+the line through the last two (Richardson) +- 2e-3 of it.  Sturm bisection
+pays one count of N rows per halving, and the narrow guesses, which hold
+nearly every state, take the finest grid from about 26 halvings to 17.  No
+half-width is below 32 N eps |guess|, the spread of a computed eigenvalue
+about the h^2 law once the law converges to round-off.  A guess only saves
+time: the kernel accepts an eigenvalue only when the Sturm counts certify its
+index strictly inside it, and otherwise tries the next guess and at last the
+Gershgorin interval, so a wrong closed form, an error that is not O(h^2) or a
+zero-width guess (ref = 0) costs more bisection, never the answer.
+Eigenvalues are reported in the doubled convention (2E).
 
 The coefficients (``weighted_coefficients``, the PDM ``flat_coefficients``)
 are functions of the radius r and the stretch t, and each side of the duality
@@ -28,6 +35,11 @@ otherwise).  ``build_problem`` maps any radial triple to y in one step,
 P = p/g'^2, W = w g', V(g) with r = g(y); the coordinate map forms P, the
 same p = 1/m in both pictures, with t cancelled.  ``truncation_radius`` cuts
 every infinite y-domain where the density |u|^2 W falls to 1e-12 of its peak.
+It applies that rule to the 8192 points of a window [hi/1e4, hi] doubled
+from hi = 16, but evaluates the state at every 8th point and then only in
+the cells that can hold the peak, a node or the crossing: the same cutoff
+from about an eighth of the points.  A state whose coordinate map overflows
+before its density has decayed raises ValueError.
 
 Every problem has the natural (zero-flux) row at the origin.  The flat
 picture's u goes as r^a there, a the larger Frobenius exponent of its
@@ -71,16 +83,25 @@ __all__ = [
     "convergence_study",
     "default_samples",
     "discretize",
+    "discretize_ladder",
     "lowest_eigenvalues",
     "residual_norm",
     "truncation_radius",
 ]
 
 # half-widths of the predicted brackets of ``convergence_study``: the coarsest
-# grid's, relative to the closed form, and each finer grid's, relative to the
-# last step of the h^2 line it extrapolates
+# grid's, relative to the closed form; each finer grid's, relative to the last
+# step of the h^2 line it extrapolates; the narrower ones tried first around
+# the quadratic in h^2 from the third grid on; and the floor of them all, in
+# units of N eps |guess| on N cells
 _REF_WIDTH = 1e-3
 _STEP_WIDTH = 2e-3
+_CURVE_WIDTHS = (1e-6, 3e-5)
+_FLOOR = 32
+_EPS = np.finfo(float).eps
+# the cutoff scan: points per window, and the stride of its coarse pass
+_SCAN = 8192
+_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -119,28 +140,95 @@ class ConvergenceReport:
     cutoffs: tuple
 
 
-def _exp_cutoff(amp) -> float:
+class _Unevaluable(Exception):
+    """amp raised ValueError inside a scan window: its coordinate map overflows there."""
+
+
+def _exp_cutoff(amp, state: str) -> float:
     """Smallest coordinate where the state's density amp^2 falls to 1e-12 of its peak.
 
     The eigenvalue perturbation from a Dirichlet cutoff scales with the density
     left outside, so thresholding amp^2 (not amp) keeps the truncation error at
     the 1e-12 level without inflating the grid spacing.
+
+    The rule is applied to the 8192 evenly spaced points of a window
+    [hi 1e-4, hi], doubled from hi = 16 to 8192: the first point at or after
+    the density's largest value (its first one) that lies below 1e-12 of it.
+    A density that overflows or is undefined counts as 0.  Each window is
+    scanned coarse to fine (``_window_cutoff``).  A state that has not decayed
+    by the last window, or by the last one before its coordinate map
+    overflows (amp raises ValueError there), raises ValueError naming
+    ``state`` and the coordinate the scan reached.
     """
-    hi = 16.0
-    for _ in range(40):
-        grid = np.linspace(hi * 1e-4, hi, 8192)
+    hi, reached = 16.0, 16e-4
+    while hi < 1e4:
+        try:
+            cut = _window_cutoff(amp, np.linspace(hi * 1e-4, hi, _SCAN))
+        except _Unevaluable as exc:
+            raise ValueError(
+                f"{state}: density does not decay below 1e-12 of its peak by "
+                f"y = {reached:g}, and its coordinate map overflows before y = {hi:g}"
+            ) from exc
+        if cut is not None:
+            return cut
+        hi, reached = 2.0 * hi, hi
+    raise ValueError(f"{state}: density does not decay below 1e-12 of its peak by y = {reached:g}")
+
+
+def _window_cutoff(amp, grid):
+    """``_exp_cutoff``'s rule on one window, or None when it finds no cutoff there.
+
+    amp is evaluated at every ``_STRIDE``-th point and the last, then at the
+    points of the coarse cells that can hold the rule's answer: the two next
+    to each coarse local maximum (one of them holds the peak) and the one
+    where the density first falls below the threshold after the peak.  A
+    smooth state's density rises to at most one maximum inside a cell, so
+    this finds the point that evaluating every one would, unless a point
+    between two coarse ones lands within about 1e-6 of a lobe's width of a
+    node, where the density dips below 1e-12 of its peak (no state of a
+    15000-state random sweep of the models does); no point is evaluated twice.
+    """
+    n = grid.size
+    dens = np.empty(n)
+    done = np.zeros(n, dtype=bool)
+
+    def evaluate(idx):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = np.abs(np.asarray(amp(grid))) ** 2
-        vals = np.nan_to_num(vals, nan=0.0, posinf=0.0)
-        ipk = int(np.argmax(vals))
-        peak = vals[ipk]
-        tail = np.nonzero(vals[ipk:] < 1e-12 * peak)[0]
-        if peak > 0 and tail.size:
-            return float(grid[ipk + tail[0]])
-        hi *= 2.0
-        if hi > 1e4:
-            break
-    raise ValueError("state density does not decay below 1e-12 of its peak")
+            try:
+                a = np.asarray(amp(grid[idx]))
+            except ValueError as exc:
+                raise _Unevaluable from exc
+            vals = np.abs(a) ** 2
+        dens[idx] = np.where(vals < np.inf, vals, 0.0)  # overflow and NaN count as 0
+        done[idx] = True
+
+    coarse = np.r_[0 : n - 1 : _STRIDE, n - 1]
+    evaluate(coarse)
+    c = dens[coarse]
+    top = (c > 0) & np.r_[True, c[1:] >= c[:-1]] & np.r_[c[:-1] >= c[1:], True]
+    cells = top[:-1] | top[1:]
+    k = int(np.argmax(c))
+    below = np.flatnonzero(c[k:] < 1e-12 * c[k])
+    if below.size:
+        cells[k + below[0] - 1] = True
+    fill = np.repeat(cells, np.diff(coarse)) & ~done[:-1]
+    evaluate(np.flatnonzero(fill))
+    seen = np.flatnonzero(done)
+    ipk = seen[np.argmax(dens[seen])]
+    peak = dens[ipk]
+    if not peak > 0:
+        return None
+    while True:
+        after = seen[seen >= ipk]
+        below = np.flatnonzero(dens[after] < 1e-12 * peak)
+        if not below.size:
+            return None
+        j = below[0]
+        if after[j - 1] + 1 == after[j]:
+            return float(grid[after[j]])
+        # the fine peak moved the threshold past the coarse crossing: fill that cell too
+        evaluate(np.arange(after[j - 1] + 1, after[j]))
+        seen = np.flatnonzero(done)
 
 
 def truncation_radius(model, ang: float, n_r: int) -> float:
@@ -163,7 +251,7 @@ def truncation_radius(model, ang: float, n_r: int) -> float:
         r, t, dr, _ = to_r(y)
         return model.amplitude(q, r, t) * np.sqrt(w(r, t) * dr)
 
-    return _exp_cutoff(amp)
+    return _exp_cutoff(amp, f"state n_r={n_r} ang={ang:g}")
 
 
 def build_problem(
@@ -229,34 +317,46 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     wall flux on the diagonal with the cell-center weight.  sqrt(w) is taken
     per cell, since a gauged w_i w_(i+1) can overflow.
     """
-    if not isinstance(N, (int, np.integer)) or N < 3:
-        raise ValueError(f"need N >= 3 cells, got {N}")
+    return discretize_ladder(problem, [N])[0]
+
+
+def _sample(f, parts):
+    """f at the points of every array in ``parts`` in one call: all the values,
+    and their split back into the parts."""
+    vals = np.asarray(f(np.concatenate(parts)), dtype=float)
+    return vals, np.split(vals, np.cumsum([part.size for part in parts])[:-1])
+
+
+def discretize_ladder(problem: SturmLiouvilleProblem, grids) -> list:
+    """``discretize(problem, N)`` for each N of ``grids``, bit for bit, sampling
+    p, w and V once each over the points of all the grids."""
+    for N in grids:
+        if not isinstance(N, (int, np.integer)) or N < 3:
+            raise ValueError(f"need N >= 3 cells, got {N}")
     a, b = problem.domain
-    h = (b - a) / N
-    x = a + (np.arange(1, N + 1) - 0.5) * h
-    xh = a + np.arange(N + 1) * h
-    w = np.asarray(problem.w(x), dtype=float)
-    v = np.asarray(problem.potential(x), dtype=float)
-    p_half = np.asarray(problem.p(xh[1:]), dtype=float)
-    w_half = np.asarray(problem.w(xh[1:-1]), dtype=float)
-    if not (
-        np.all(np.isfinite(w))
-        and np.all(np.isfinite(v))
-        and np.all(np.isfinite(p_half))
-        and np.all(np.isfinite(w_half))
-    ):
+    hs = [(b - a) / N for N in grids]
+    xs = [a + (np.arange(1, N + 1) - 0.5) * h for N, h in zip(grids, hs)]
+    xhs = [a + np.arange(N + 1) * h for N, h in zip(grids, hs)]
+    w_all, ws = _sample(problem.w, xs + [xh[1:-1] for xh in xhs])
+    v_all, vs = _sample(problem.potential, xs)
+    p_all, ps = _sample(problem.p, [xh[1:] for xh in xhs])
+    if not (np.all(np.isfinite(w_all)) and np.all(np.isfinite(v_all)) and np.all(np.isfinite(p_all))):
         raise ValueError("non-finite coefficient sampled on the grid")
-    if not (np.all(w > 0) and np.all(w_half > 0)):
+    if not np.all(w_all > 0):
         raise ValueError("weight must be positive on the open domain")
-    h2 = h * h
-    g = p_half[:-1] * w_half
-    diag = v.copy()
-    diag[:-1] += g / (h2 * w[:-1])
-    diag[1:] += g / (h2 * w[1:])
-    sw = np.sqrt(w)
-    off = -g / (h2 * sw[:-1] * sw[1:])
-    diag[-1] += p_half[-1] / h2
-    return DiscreteOperator(diag=diag, off=off, h=h, nodes=x)
+    m = len(grids)
+    ops = []
+    for h, x, w, w_half, v, p_half in zip(hs, xs, ws[:m], ws[m:], vs, ps):
+        h2 = h * h
+        g = p_half[:-1] * w_half
+        diag = v.copy()
+        diag[:-1] += g / (h2 * w[:-1])
+        diag[1:] += g / (h2 * w[1:])
+        sw = np.sqrt(w)
+        off = -g / (h2 * sw[:-1] * sw[1:])
+        diag[-1] += p_half[-1] / h2
+        ops.append(DiscreteOperator(diag=diag, off=off, h=h, nodes=x))
+    return ops
 
 
 def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
@@ -340,6 +440,34 @@ def _observed_order(grids, ratio: float) -> float:
     return mid
 
 
+def _brackets(x, xs, ys, N):
+    """Graded guesses (states, guesses, 2) for the eigenvalues at h^2 = x on N
+    cells, from the h^2 law E(h) = E(0) + c h^2 + ... through the ladder's
+    last points (xs, ys): one point (the closed form) gives it +- 1e-3 |ref|;
+    two the line through them, +- 2e-3 of their step; three first the
+    quadratic through them, +- 1e-6 and then 3e-5 of the last step, and then
+    that line.  No half-width is below 32 N eps |guess|: computed eigenvalues
+    of N rows stray from the h^2 law by up to about 31 N eps |lam| once it has
+    converged to round-off."""
+    y1 = ys[-1]
+    if len(ys) == 1:
+        guesses = [(y1, _REF_WIDTH * np.abs(y1))]
+    else:
+        x0, x1, y0 = xs[-2], xs[-1], ys[-2]
+        step = y1 - y0
+        line = y1 + step * (x - x1) / (x1 - x0)
+        guesses = [(line, _STEP_WIDTH * np.abs(step))]
+        if len(ys) == 3:
+            curve = (step / (x1 - x0) - (y0 - ys[0]) / (x0 - xs[0])) / (x1 - xs[0])
+            quad = line + curve * (x - x1) * (x - x0)
+            guesses = [(quad, width * np.abs(step)) for width in _CURVE_WIDTHS] + guesses
+    out = []
+    for guess, width in guesses:
+        width = np.maximum(width, _FLOOR * N * _EPS * np.abs(guess))
+        out.append(np.stack((guess - width, guess + width), axis=-1))
+    return np.stack(out, axis=1)
+
+
 def convergence_study(
     model,
     ang: float,
@@ -380,23 +508,15 @@ def convergence_study(
     first = 0
     for top in tops:
         run = slice(first, top + 1)
-        # the h^2 law E(h) = E(0) + c h^2 predicts each grid's eigenvalue on the
-        # line through the last two points (h^2, E), the closed form being the
-        # point at h = 0: the coarsest grid is bracketed around the reference,
-        # the second around its h^2 image, each later one around Richardson
-        x0, y0 = 0.0, np.asarray(refs[run])
-        guess, width = y0, _REF_WIDTH * np.abs(y0)
-        for i, N in enumerate(grids):
-            op = discretize(problems[top], N)
+        # the points (h^2, E) of the ladder so far, the closed form being the one at h = 0
+        xs, ys = [0.0], [np.asarray(refs[run])]
+        for i, op in enumerate(discretize_ladder(problems[top], grids)):
             eig[i, run] = kernels.lowest_eigenvalues_tridiag(
                 op.diag, op.off, top + 1, first=first,
-                brackets=np.column_stack((guess - width, guess + width)),
+                brackets=_brackets(hh[i], xs[-3:], ys[-3:], grids[i]),
             )
-            step = eig[i, run] - y0
-            if i + 1 < len(grids):
-                guess = eig[i, run] + step * (hh[i + 1] - hh[i]) / (hh[i] - x0)
-                width = _STEP_WIDTH * np.abs(step)
-            x0, y0 = hh[i], eig[i, run]
+            xs.append(hh[i])
+            ys.append(eig[i, run])
         first = top + 1
     orders, extrap, errs, mono = [], [], [], []
     for j in range(k):

@@ -9,7 +9,10 @@ The first form runs, in process, every distinct ``verify`` argument list that
 ``perfbench/operations.verify_argv``) and writes one record per case: the
 exit code, the error message of a usage error, every pass/eig_ok/order_ok/
 residual_ok flag, and ``float.hex`` of each state's reference, eigenvalues,
-extrapolation, relative error, observed order and residual.  The package is
+extrapolation, relative error, observed order and residual, and the case's
+``dlarrk`` work: its number of calls and its N * halvings, the Sturm counts
+of N rows that each call makes, replayed from the call's interval and
+answer with ``dlarrk``'s stopping rule.  The package is
 imported from ``PYTHONPATH`` (``src`` of this checkout when it is not set),
 so pointing ``PYTHONPATH`` at another checkout's ``src`` digests that code
 against the same cases.
@@ -20,7 +23,9 @@ or below 1e-9; it prints each disagreement and a residual summary otherwise.
 It also prints, for each class of case (weighted: nlo and clike; flat: the
 pdm models and ``--picture flat``; Euclidean: osc and coulomb), the passing
 states of each digest, the number of flipped pass flags and the largest
-relative eigenvalue move.  Pytest does not collect this file.
+relative eigenvalue move, the ``dlarrk`` calls and the N * halvings of
+each digest; those two are work counts, never disagreements.  Pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -38,6 +44,62 @@ SEEDS = range(1, 21)
 RESIDUAL_BOUND = 1e-9
 STATE_VALUES = ("reference", "extrapolated", "rel_error", "observed_order", "residual")
 STATE_FLAGS = ("eig_ok", "order_ok", "residual_ok", "pass")
+WORK = ("dlarrk_calls", "n_halvings")
+_EPS = 2.0**-52  # LAPACK's dlamch('P')
+
+
+def halvings(n: int, lo: float, hi: float, pivmin: float, reltol: float, w: float) -> int:
+    """The bisection steps ``dlarrk`` takes from (lo, hi) to its answer w.
+
+    It widens the interval by 2 (N eps max(|lo|, |hi|) + 2 pivmin) on each
+    side, then halves it, keeping the half that holds w, until its width is
+    below max(4 pivmin, pivmin, reltol * max(|left|, |right|)) or the step
+    count passes log2(||T|| / pivmin) + 2.  The replay keeps the half that
+    holds the answer where ``dlarrk`` keeps the one its Sturm count picks, so
+    the two can differ in the last halving, a few ulp from w.
+    """
+    tnorm = max(abs(lo), abs(hi))
+    atoli = 4.0 * pivmin
+    left = lo - 2.0 * tnorm * _EPS * n - atoli
+    right = hi + 2.0 * tnorm * _EPS * n + atoli
+    itmax = int((math.log(tnorm + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+    steps = 0
+    while steps <= itmax and abs(right - left) >= max(
+        atoli, pivmin, reltol * max(abs(left), abs(right))
+    ):
+        steps += 1
+        mid = 0.5 * (left + right)
+        if w < mid:
+            right = mid
+        else:
+            left = mid
+    return steps
+
+
+@contextlib.contextmanager
+def count_dlarrk():
+    """Count the ``dlarrk`` calls made inside the block and their N * halvings,
+    in the dict this yields, by wrapping the kernel's bound routine."""
+    from oscoul import kernels
+
+    work = dict.fromkeys(WORK, 0)
+    bound = kernels._lapack
+    real = bound()
+
+    def spy(n, index, lo, hi, diag, e2, pivmin, reltol, w, werr, info):
+        real(n, index, lo, hi, diag, e2, pivmin, reltol, w, werr, info)
+        size = n._obj.value
+        work["dlarrk_calls"] += 1
+        work["n_halvings"] += size * halvings(
+            size, lo._obj.value, hi._obj.value, pivmin._obj.value, reltol._obj.value,
+            w._obj.value,
+        )
+
+    kernels._lapack = lambda: spy
+    try:
+        yield work
+    finally:
+        kernels._lapack = bound
 
 
 def _hex(value) -> str:
@@ -66,9 +128,9 @@ def _digest_one(argv, path) -> dict:
     if os.path.exists(path):
         os.remove(path)
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), count_dlarrk() as work:
         code = cli.main([*argv, "--out", path])
-    record = {"argv": " ".join(argv), "exit": code}
+    record = {"argv": " ".join(argv), "exit": code, **work}
     if code == 2:
         record["error"] = err.getvalue().strip()
         return record
@@ -96,7 +158,11 @@ def digest(out_path: str) -> int:
     codes = {}
     for rec in records:
         codes[rec["exit"]] = codes.get(rec["exit"], 0) + 1
-    print(f"{len(records)} cases, exit codes {dict(sorted(codes.items()))} -> {out_path}")
+    total = {key: sum(rec[key] for rec in records) for key in WORK}
+    print(
+        f"{len(records)} cases, exit codes {dict(sorted(codes.items()))}, "
+        f"{total['dlarrk_calls']} dlarrk calls, {total['n_halvings']} N*halvings -> {out_path}"
+    )
     return 0
 
 
@@ -114,8 +180,15 @@ def class_summary(a: dict, b: dict) -> list:
         sa, sb = a[argv].get("states", []), b[argv].get("states", [])
         if len(sa) != len(sb):
             continue
-        st = stats.setdefault(_class(argv), dict(cases=0, states=0, pa=0, pb=0, flips=0, move=0.0))
+        st = stats.setdefault(
+            _class(argv),
+            dict(cases=0, states=0, pa=0, pb=0, flips=0, move=0.0, ca=0, cb=0, wa=0, wb=0),
+        )
         st["cases"] += 1
+        st["ca"] += a[argv].get("dlarrk_calls", 0)
+        st["cb"] += b[argv].get("dlarrk_calls", 0)
+        st["wa"] += a[argv].get("n_halvings", 0)
+        st["wb"] += b[argv].get("n_halvings", 0)
         for xa, xb in zip(sa, sb):
             st["states"] += 1
             st["pa"] += xa["pass"]
@@ -126,9 +199,15 @@ def class_summary(a: dict, b: dict) -> list:
                 st["move"] = max(st["move"], abs(eb - ea) / abs(ea))
     return [
         f"{cls}: {st['cases']} cases, {st['pa']} -> {st['pb']} of {st['states']} states pass, "
-        f"{st['flips']} pass flags flipped, largest relative eigenvalue move {st['move']:.1e}"
+        f"{st['flips']} pass flags flipped, largest relative eigenvalue move {st['move']:.1e}, "
+        f"dlarrk calls {st['ca']} -> {st['cb']} ({_change(st['ca'], st['cb'])}), "
+        f"N*halvings {st['wa']} -> {st['wb']} ({_change(st['wa'], st['wb'])})"
         for cls, st in sorted(stats.items())
     ]
+
+
+def _change(before: int, after: int) -> str:
+    return f"{100.0 * (after - before) / before:+.1f} %" if before else "n/a"
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -145,7 +224,7 @@ def compare(path_a: str, path_b: str) -> int:
     problems += [f"only in {path_b}: {argv}" for argv in b if argv not in a]
     moved = 0
     for argv in (argv for argv in a if argv in b):
-        ra, rb = a[argv], b[argv]
+        ra, rb = ({k: v for k, v in rec.items() if k not in WORK} for rec in (a[argv], b[argv]))
         sa, sb = ra.pop("states", []), rb.pop("states", [])
         if ra != rb or len(sa) != len(sb):
             problems.append(f"{argv}: {ra} with {len(sa)} states vs {rb} with {len(sb)}")
@@ -162,6 +241,10 @@ def compare(path_a: str, path_b: str) -> int:
         if worst > RESIDUAL_BOUND:
             problems.append(f"{path}: a residual exceeds {RESIDUAL_BOUND:g}")
     print(f"residual differs in {moved} states")
+    for key in WORK:
+        before = sum(rec.get(key, 0) for rec in a.values())
+        after = sum(rec.get(key, 0) for rec in b.values())
+        print(f"{key}: {before} -> {after} ({_change(before, after)})")
     for line in problems + summary:
         print(line)
     print("agree" if not problems else f"{len(problems)} disagreements")

@@ -401,6 +401,23 @@ def test_verify_far_tail_where_the_stretch_underflows(model, capsys):
     assert all(state["pass"] for state in json.loads(out)["states"])
 
 
+@pytest.mark.parametrize("command", [["verify", "--k", "2"], ["wavefunction", "--n-r", "1"]])
+def test_cutoff_scan_stops_where_the_coordinate_overflows(command, capsys):
+    # n_r=1 still holds 4e-6 of its peak density at x = 32, and R = expm1(lam
+    # x^2)/lam overflows before x = 64: that window raised "polynomial
+    # argument must be finite" from deep inside the Jacobi recurrence
+    code, out, err = run(
+        [command[0], "--model", "clike", "--D", "2.5", "--lambda", "0.3", "--Q", "1", "--L", "0",
+         *command[1:]],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: state n_r=1 ang=0: density does not decay below 1e-12 of its peak by y = 32, "
+        "and its coordinate map overflows before y = 64\n"
+    )
+
+
 def test_verify_zero_reference_is_judged_by_its_absolute_error(capsys):
     # clike D=2.5 L=0 has 2E = 0 exactly at n_r = 1 (extrapolation 4.3e-12)
     code, out, err = run(

@@ -252,6 +252,24 @@ def test_good_brackets_take_one_call_per_index(larrk_calls):
     np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=0)
 
 
+def test_graded_guesses_are_tried_in_order(larrk_calls):
+    # each index's first guess lies beside its eigenvalue and misses, its second
+    # certifies it: two dlarrk calls per index, on those two intervals, and
+    # none from Gershgorin
+    problem = oracle.build_problem(CoulombLike(D=3, lam=0.05, Q=1.0), 0.0, n_states=3)
+    op = oracle.discretize(problem, 2048)
+    ref = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3)
+    gap = 1e-6 * np.abs(ref)
+    brackets = np.stack(
+        [np.column_stack((ref + gap, ref + 3 * gap)), np.column_stack((ref - gap, ref + gap))],
+        axis=1,
+    )
+    larrk_calls.clear()
+    got = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3, 0, brackets)
+    assert larrk_calls == [(j + 1, lo, hi) for j in range(3) for lo, hi in brackets[j].tolist()]
+    np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=0)
+
+
 def assert_one_gershgorin_call_per_index(diag, off, k, calls):
     calls.clear()
     got = kernels.lowest_eigenvalues_tridiag(diag, off, k)

@@ -67,6 +67,43 @@ class TestDiscretize:
         op = oracle.discretize(oracle.build_problem(m, 1.0, n_states=2), 64)
         assert np.all(op.off < 0)
 
+    @pytest.mark.parametrize("grids", [GRIDS, [300, 512, 1000]], ids=["default", "non-nested"])
+    @pytest.mark.parametrize(
+        "model,ang,ordering",
+        [
+            (NonlinearOscillator(d=2, lam=-0.1, beta=1.0), 1.0, None),
+            (NonlinearOscillator(d=3, lam=0.05, beta=1.0), 0.0, MM),
+            (CoulombLike(D=3, lam=-0.3, Q=2.0), 0.5, None),
+            (CoulombLike(D=2.5, lam=0.1, Q=1.0), 1.5, BD),
+            (EuclideanCoulomb(D=3, Q=1.0), 0.0, None),
+            (EuclideanOscillator(d=4, omega=1.0), 2.0, None),
+        ],
+        ids=["nlo-r", "nlo-s-mm", "clike-far-tail", "clike-bd", "coulomb", "osc"],
+    )
+    def test_ladder_matches_each_grid_alone(self, model, ang, ordering, grids):
+        # one sampling of p, w and V over all the grids' points gives each grid
+        # the operator it gets alone, bit for bit
+        problem = oracle.build_problem(model, ang, ordering, n_states=2)
+        calls = []
+
+        def counted(f):
+            def g(x):
+                calls.append(x.size)
+                return f(x)
+
+            return g
+
+        once = dataclasses.replace(
+            problem, p=counted(problem.p), w=counted(problem.w), potential=counted(problem.potential)
+        )
+        ladder = oracle.discretize_ladder(once, grids)
+        assert len(calls) == 3
+        for N, op in zip(grids, ladder):
+            alone = oracle.discretize(problem, N)
+            assert op.h == alone.h
+            for field in ("diag", "off", "nodes"):
+                assert getattr(op, field).tobytes() == getattr(alone, field).tobytes(), field
+
 
 class TestBuildProblem:
     @pytest.mark.parametrize(
@@ -359,15 +396,21 @@ class TestConvergenceStudy:
 
     def test_wrong_reference_cannot_move_the_eigenvalues(self, monkeypatch):
         # the closed form centres the coarsest bracket; a 5 % wrong one costs a
-        # bisection from Gershgorin there and on the second grid, not the answer
+        # bisection from Gershgorin there and on the second grid, and on the
+        # third the two guesses around the quadratic through it, not the answer
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
         true = oracle.convergence_study(m, 0.0, 2, GRIDS)
         energy = CoulombLike.energy
         monkeypatch.setattr(CoulombLike, "energy", lambda self, q: 1.05 * energy(self, q))
         intervals = self.spy_dlarrk(monkeypatch)
         wrong = oracle.convergence_study(m, 0.0, 2, GRIDS)
-        # each state has its own domain; only its finest grid is certified first time
-        assert len(intervals) == 2 * (len(GRIDS) + 2)
+        # each state has its own domain: two calls on each of the two coarser
+        # grids, and three on the finest, whose line through them certifies
+        assert len(intervals) == 2 * (2 + 2 + 3)
+        widths = [hi - lo for lo, hi in intervals]
+        for state in (widths[:7], widths[7:]):
+            assert min(state[1], state[3]) > 1.0  # Gershgorin
+            assert state[4] < state[5] < state[6] < 1.0  # the graded guesses
         for got, want in zip(wrong.eigenvalues, true.eigenvalues):
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
         for j in range(2):
@@ -375,15 +418,17 @@ class TestConvergenceStudy:
             assert wrong.rel_error[j] == pytest.approx(0.05 / 1.05, rel=1e-5)
 
     def test_missed_prediction_falls_back_to_gershgorin(self, monkeypatch):
-        # osc d=4 l=0 converges as O(h^4) (ROADMAP item 3), so the h^2 image and
-        # the Richardson value miss: those grids bisect twice, the second time
-        # from the Gershgorin interval, and still match a solve of that grid alone
+        # osc d=4 l=0 converges as O(h^4) (ROADMAP item 3), so the h^2 image
+        # misses: the second grid bisects twice, the second time from the
+        # Gershgorin interval.  The quadratic in h^2 through the closed form and
+        # the two coarser grids holds an h^4 law, so the finest grid's
+        # narrowest guess certifies.  Every grid matches a solve of it alone.
         m = EuclideanOscillator(d=4, omega=1.0)
         intervals = self.spy_dlarrk(monkeypatch)
         rep = oracle.convergence_study(m, 0.0, 1, GRIDS)
-        guesses = [(lo, hi) for lo, hi in intervals if hi - lo < 1.0]
-        assert len(guesses) == len(GRIDS)
-        assert len(intervals) == len(GRIDS) + 2  # the two finer grids fall back
+        widths = [hi - lo for lo, hi in intervals]
+        assert len(widths) == len(GRIDS) + 1
+        assert widths[2] > 1.0 > max(widths[:2] + widths[3:])
         problem = oracle.build_problem(m, 0.0, n_states=1)
         for i, N in enumerate(GRIDS):
             alone = oracle.lowest_eigenvalues(oracle.discretize(problem, N), 1)[0]
@@ -410,6 +455,75 @@ class TestConvergenceStudy:
         for j in states:
             assert rep.rel_error[j] <= 1e-6, (j, rep.rel_error[j])
             assert 1.5 <= rep.observed_order[j] <= 2.5, (j, rep.observed_order[j])
+
+
+def full_scan_cutoff(amp):
+    """The cutoff rule of ``oracle._exp_cutoff`` evaluated at all 8192 points of
+    each window, as the scan was before it went coarse to fine."""
+    hi = 16.0
+    for _ in range(40):
+        grid = np.linspace(hi * 1e-4, hi, 8192)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = np.abs(np.asarray(amp(grid))) ** 2
+        vals = np.nan_to_num(vals, nan=0.0, posinf=0.0)
+        ipk = int(np.argmax(vals))
+        peak = vals[ipk]
+        tail = np.nonzero(vals[ipk:] < 1e-12 * peak)[0]
+        if peak > 0 and tail.size:
+            return float(grid[ipk + tail[0]])
+        hi *= 2.0
+        if hi > 1e4:
+            break
+    raise ValueError("state density does not decay below 1e-12 of its peak")
+
+
+def state_density_amplitude(model, q):
+    """u W^(1/2) in the solved coordinate, the amplitude ``truncation_radius`` scans."""
+    to_r, _ = model.coordinate()
+    w = model.weighted_coefficients(q.ang)["w"]
+
+    def amp(y):
+        r, t, dr, _ = to_r(y)
+        return model.amplitude(q, r, t) * np.sqrt(w(r, t) * dr)
+
+    return amp
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        NonlinearOscillator(d=2, lam=0.05, beta=1.0),
+        NonlinearOscillator(d=3, lam=0.3, beta=2.0),
+        CoulombLike(D=3, lam=-0.1, Q=1.0),
+        CoulombLike(D=3, lam=-0.3, Q=2.0),
+        CoulombLike(D=2.5, lam=0.02, Q=1.0),
+        CoulombLike(D=4, lam=0.1, Q=1.0),
+        EuclideanCoulomb(D=3, Q=1.0),
+        EuclideanOscillator(d=3, omega=1.0),
+        EuclideanOscillator(d=4, omega=5000.0),
+    ],
+    ids=["nlo-lam0.05", "nlo-lam0.3", "clike-lam-0.1", "clike-lam-0.3-far-tail", "clike-lam0.02",
+         "clike-lam0.1", "coulomb", "osc", "osc-narrow"],
+)
+def test_cutoff_scan_matches_the_full_scan(model):
+    # the coarse-to-fine scan returns the full scan's cutoff bit for bit, for
+    # n_r 0-4 and integer and half-integer L, in both pictures
+    angs = (0.0, 0.5, 1.5) if model.kind == "coulomb" else (0.0, 1.0, 2.0)
+    orderings = (None, BD, MM) if model.lam else (None,)
+    windows = set()
+    for ang in angs:
+        for n_r in range(5):
+            q = QuantumNumbers(n_r, ang)
+            if not model.is_bound(q):
+                continue
+            want = full_scan_cutoff(state_density_amplitude(model, q))
+            windows.add(want > 16.0)
+            assert oracle.truncation_radius(model, ang, n_r) == want, (ang, n_r)
+            for ordering in orderings:
+                problem = oracle.build_problem(model, ang, ordering, n_states=n_r + 1)
+                assert problem.domain == (0.0, want), (ang, n_r, ordering)
+    if model == CoulombLike(D=3, lam=-0.1, Q=1.0):
+        assert windows == {False, True}  # L=0 n_r=2 and L=3/2 n_r=0 need a second window
 
 
 def test_default_samples_reach_past_the_last_node():
