@@ -28,17 +28,18 @@ flat centrifugal term is a(a-1)/r^2, with a = ``flat_exponent``.
 Energies are exact; wavefunctions are returned unnormalized (numerical
 normalization lives in ``oscoul.quadrature``).  Units hbar = m = 1.
 
-Array evaluators (wavefunctions, derivative triples, the flat factor and the
-PDM mass and potential) check the whole coordinate array once and then run
-on contiguous blocks of ``_BLOCK`` = 2^14 points, writing into preallocated
-outputs.  A block's float temporaries take 128 KiB each, and a derivative
-triple keeps 15-20 of them alive, about the 2 MiB L2 cache of one core; on
-a 10^5-point grid unblocked temporaries are 800 KB each and page-fault and
-spill the cache.  On a 2-CPU VM, 2^13 timed within 10 % of 2^14 either way,
-2^15 up to 20 % slower, and 2^16 lost most of the gain.  Every step is
-elementwise, so a point's value does not depend on its block: outputs are
-bit-identical to one unblocked call.  Inputs of at most one block (every
-oracle call, nearly every quadrature call) are passed through uncopied.
+Array evaluators (wavefunctions, derivative triples, the measure weight, the
+flat factor and the PDM mass and potential) check the whole coordinate array
+once and then run on contiguous blocks of ``_BLOCK`` = 2^14 points, writing
+into preallocated outputs.  A block's float temporaries take 128 KiB each,
+and a derivative triple keeps 15-20 of them alive, about the 2 MiB L2 cache
+of one core; on a 10^5-point grid unblocked temporaries are 800 KB each and
+page-fault and spill the cache.  On a 2-CPU VM, 2^13 timed within 10 % of
+2^14 either way, 2^15 up to 20 % slower, and 2^16 lost most of the gain.
+Every step is elementwise, so a point's value does not depend on its block:
+outputs are bit-identical to one unblocked call.  Inputs of at most one
+block (every oracle call, nearly every quadrature call) are passed through
+uncopied.
 """
 
 from __future__ import annotations
@@ -275,6 +276,7 @@ class _Side:
     def is_bound(self, q: QuantumNumbers) -> bool:
         return True
 
+    @_pointwise
     def weight(self, x):
         """The measure weight at x (see ``_weight``)."""
         return self._weight(x, self.stretch(x))

@@ -14,8 +14,18 @@ inner product of a function with itself (a norm, a normalization, a step of
 the divergence scan, a Gram diagonal) evaluates it once per node.  The edges
 and products are formed in the floating-point order of a per-panel loop and a
 two-sided evaluation, so every result equals theirs to the bit
-(``tests/test_quadrature_golden.py`` pins them).  Nothing keyed on a caller's
-truncation is cached, and no state value is kept between calls.
+(``tests/test_quadrature_golden.py`` pins them).
+
+Values live as long as their model.  An integral without a caller's
+truncation runs on node sets fixed by (lo, hi, singular, level), or by the
+probe window (lo, hi), so when its first operand is a ``RadialState``, the
+state's model keeps (in ``_MEMO``, weakly keyed by the model) each such
+read-only rule and the raw ``model.wavefunction`` of each of its states on
+it, and, for the model's own ``weight`` (a ``measure_for`` measure), the
+weights there.  A state's amplitude multiplies its raw values afterwards, as
+``RadialState.__call__`` does, so a Gram matrix evaluates each state once per
+node set and every bit stays the same.  An explicit truncation, an
+arbitrary callable and any other weight are evaluated afresh on every call.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,13 +122,13 @@ def _probe_grid(lo: float, hi: float):
 
 
 def _auto_truncation(integrand, lo: float) -> float:
-    # expand until the integrand has decayed to 1e-16 of its running peak
+    # expand until the integrand has decayed to 1e-16 of its running peak, or
+    # stop at a window where it is 0 at every probe point
     hi = 16.0
     for _ in range(40):
-        grid = _probe_grid(lo, hi)
-        vals = np.abs(integrand(grid))
+        vals = np.abs(integrand(_probe_grid(lo, hi), ("probe", lo, hi)))
         peak = float(np.max(vals))
-        if peak > 0 and vals[-1] < 1e-16 * peak:
+        if peak == 0 or vals[-1] < 1e-16 * peak:
             return hi
         hi *= 4.0
         if hi > 1e30:
@@ -153,14 +164,41 @@ def _refine(edges: np.ndarray, level: int) -> np.ndarray:
     return np.concatenate((edges[:1], inner.ravel()))
 
 
-def _integrate(integrand, edges: np.ndarray):
+def _rule(edges: np.ndarray):
+    """The Gauss-Legendre nodes and weights of the panels between edges, flat."""
     ref_nodes, ref_weights = gauss_legendre(_NPOINTS, -1.0, 1.0)
     left = edges[:-1]
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (left + half)[:, None] + half[:, None] * ref_nodes[None, :]
     weights = half[:, None] * ref_weights[None, :]
-    vals = integrand(nodes.ravel()) * weights.ravel()
-    return float(np.sum(vals)), float(np.sum(np.abs(vals)))
+    return nodes.ravel(), weights.ravel()
+
+
+# model -> {key: read-only array or pair}; see the module docstring
+_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kept(memo, key, build):
+    """memo[key], built on first use and made read-only; build() without a memo."""
+    if memo is None:
+        return build()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
+    return value
+
+
+def _factor(fn, model, memo):
+    """fn as (x, key) -> fn(x), where key names the node set x.  The memo keeps
+    the raw values of the model's states and its own weight there."""
+    if type(fn) is RadialState and fn.model is model:
+        q = fn.q
+        return lambda x, key: fn.amplitude * _kept(memo, (q, key), lambda: model.wavefunction(q, x))
+    if model is not None and fn == model.weight:
+        return lambda x, key: _kept(memo, ("weight", key), lambda: model.weight(x))
+    return lambda x, key: np.asarray(fn(x))
 
 
 def inner_product(f, g, mu: Measure, truncation: float | None = None) -> float:
@@ -171,12 +209,7 @@ def inner_product(f, g, mu: Measure, truncation: float | None = None) -> float:
     """
     lo, hi = mu.domain
     singular = mu.singular_outer
-
-    def integrand(x):
-        fx = np.asarray(f(x))
-        gx = fx if g is f else np.asarray(g(x))
-        return fx * gx * np.asarray(mu.weight(x))
-
+    model = memo = None
     if truncation is not None:
         truncation = float(truncation)
         if not lo < truncation <= hi:
@@ -185,12 +218,31 @@ def inner_product(f, g, mu: Measure, truncation: float | None = None) -> float:
         # still rise steeply toward a nearby singular endpoint
         singular = singular and truncation > lo + 0.5 * (hi - lo)
         hi = truncation
-    elif math.isinf(hi):
+    elif type(f) is RadialState:
+        model = f.model
+        memo = _MEMO.setdefault(model, {})
+    f_at = _factor(f, model, memo)
+    g_at = f_at if g is f else _factor(g, model, memo)
+    w_at = _factor(mu.weight, model, memo)
+
+    def integrand(x, key):
+        fx = f_at(x, key)
+        gx = fx if g is f else g_at(x, key)
+        return fx * gx * w_at(x, key)
+
+    if math.isinf(hi):
         hi = _auto_truncation(integrand, lo)
-    edges = _base_edges(lo, hi, singular)
-    prev = _integrate(integrand, edges)[0]
+    edges = _kept(memo, ("edges", lo, hi, singular), lambda: _base_edges(lo, hi, singular))
+
+    def integral(level):
+        key = (lo, hi, singular, level)
+        nodes, weights = _kept(memo, ("rule", key), lambda: _rule(_refine(edges, level)))
+        vals = integrand(nodes, key) * weights
+        return float(np.sum(vals)), float(np.sum(np.abs(vals)))
+
+    prev = integral(0)[0]
     for level in range(1, 9):
-        cur, cur_abs = _integrate(integrand, _refine(edges, level))
+        cur, cur_abs = integral(level)
         # cur_abs guards the criterion for near-zero (orthogonality) integrals
         if abs(cur - prev) <= _REL_TOL * (abs(cur) + cur_abs):
             return cur
@@ -206,6 +258,9 @@ def norm(f, mu: Measure, truncation: float | None = None) -> float:
 def normalized(state: RadialState, mu: Measure) -> RadialState:
     """The state rescaled to unit L^2(mu) norm."""
     n2 = norm(state, mu)
+    if n2 == 0:
+        q = state.q
+        raise ValueError(f"state n_r={q.n_r} ang={q.ang} has zero norm and cannot be normalized")
     return state.scaled(1.0 / math.sqrt(n2))
 
 
@@ -238,6 +293,8 @@ def norm_divergence_scan(state, mu: Measure, truncations=None) -> Verdict:
     truncations = sorted(float(t) for t in truncations)
     if len(truncations) < 3:
         raise ValueError("need at least 3 truncations")
+    if len(set(truncations)) < len(truncations):
+        raise ValueError("truncations must be distinct")
     if not all(lo < t < hi or (t == hi and math.isfinite(hi)) for t in truncations):
         raise ValueError("truncations must lie inside the domain")
     norms = np.array([norm(state, mu, truncation=t) for t in truncations])

@@ -280,6 +280,18 @@ class TestPdm:
             with pytest.raises(ValueError, match="outside the domain"):
                 m.flat_factor_derivatives(x)
 
+    def test_weight_domain(self):
+        # the domains end at 1/0.1 = 10 and 1/sqrt(0.1) = 3.16; past them the
+        # stretch is negative and its fractional power complex
+        clike = CoulombLike(D=3, lam=-0.1, Q=1.0)
+        nlo = NonlinearOscillator(d=3, lam=-0.1, beta=1.0)
+        for m, bad in ((clike, 20.0), (nlo, 5.0), (nlo, -1.0), (nlo, [0.5, 5.0])):
+            with pytest.raises(ValueError, match="outside the domain"):
+                m.weight(bad)
+        r = np.linspace(0.0, 3.0, 7)
+        assert nlo.weight(r).tobytes() == nlo._weight(r, nlo.stretch(r)).tobytes()
+        assert clike.weight(2.0) == clike._weight(2.0, clike.stretch(2.0))
+
     def test_potential_lam_to_zero(self):
         # V1 -> -1/(4 r^2) + beta^2 r^2 for d=2, l=0
         r = np.linspace(0.5, 2.0, 5)
@@ -420,6 +432,7 @@ def _evaluators(model, qq):
         "wavefunction": lambda x: model.wavefunction(qq, x),
         "derivatives": lambda x: model.derivatives(qq, x),
         "flat_factor": model.flat_factor,
+        "weight": model.weight,
     }
 
 
@@ -440,14 +453,14 @@ class TestBlockedEvaluation:
     CUT = _BLOCK + 7  # not a multiple of the block size
 
     @pytest.mark.parametrize("model,qq", BLOCK_CASES)
-    @pytest.mark.parametrize("name", ["wavefunction", "derivatives", "flat_factor"])
+    @pytest.mark.parametrize("name", ["wavefunction", "derivatives", "flat_factor", "weight"])
     def test_split_equals_whole(self, model, qq, name):
         f = _evaluators(model, qq)[name]
         xs = _grid(model, self.N)
         whole = _outputs(f(xs))
         halves = zip(_outputs(f(xs[: self.CUT])), _outputs(f(xs[self.CUT :])))
         unblocked = getattr(type(model), name).__wrapped__
-        args = (model, xs) if name == "flat_factor" else (model, qq, xs)
+        args = (model, xs) if name in ("flat_factor", "weight") else (model, qq, xs)
         for got, (a, b), want in zip(whole, halves, _outputs(unblocked(*args))):
             assert got.shape == (self.N,)
             assert got.tobytes() == np.concatenate([a, b]).tobytes()
