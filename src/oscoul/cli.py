@@ -258,6 +258,10 @@ def cmd_verify(args) -> int:
     ordering = parse_ordering(args.ordering)
     if not flat:
         ordering = None
+    for name in ("tol-eig", "tol-residual"):
+        tol = getattr(args, name.replace("-", "_"))
+        if not tol >= 0:
+            raise ConfigError(f"--{name} must be >= 0, got {tol}")
     grids = [int(g) for g in args.grids.split(",")]
     try:
         report = oracle.convergence_study(model, ang, args.k, grids, ordering)

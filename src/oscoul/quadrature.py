@@ -16,16 +16,15 @@ and products are formed in the floating-point order of a per-panel loop and a
 two-sided evaluation, so every result equals theirs to the bit
 (``tests/test_quadrature_golden.py`` pins them).
 
-Values live as long as their model.  An integral without a caller's
+Values live as long as their measure.  An integral without a caller's
 truncation runs on node sets fixed by (lo, hi, singular, level), or by the
-probe window (lo, hi), so when its first operand is a ``RadialState``, the
-state's model keeps (in ``_MEMO``, weakly keyed by the model) each such
-read-only rule and the raw ``model.wavefunction`` of each of its states on
-it, and, for the model's own ``weight`` (a ``measure_for`` measure), the
-weights there.  A state's amplitude multiplies its raw values afterwards, as
-``RadialState.__call__`` does, so a Gram matrix evaluates each state once per
-node set and every bit stays the same.  An explicit truncation, an
-arbitrary callable and any other weight are evaluated afresh on every call.
+probe window (lo, hi), so the measure keeps (in its private ``_memo``) each
+such read-only rule, its own weight there, and, per model, the raw
+``model.wavefunction`` of each ``RadialState`` operand there.  A state's
+amplitude multiplies its raw values afterwards, as ``RadialState.__call__``
+does, so a Gram matrix evaluates each state once per node set and every bit
+stays the same.  With an explicit truncation everything is evaluated afresh
+on every call, and so is any operand that is not a ``RadialState``.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -98,11 +96,18 @@ def gauss_legendre(npoints: int, a: float, b: float):
 
 @dataclass(frozen=True)
 class Measure:
-    """Integration weight and domain for one model and picture."""
+    """Integration weight and domain for one model and picture.  The domain's
+    lower end is finite and below its upper end, which may be +inf."""
 
     weight: Callable
     domain: tuple[float, float]
     singular_outer: bool = False
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lo, hi = self.domain
+        if not (math.isfinite(lo) and lo < hi):
+            raise ValueError(f"a measure's domain needs a finite lo < hi, got {self.domain}")
 
 
 def measure_for(model) -> Measure:
@@ -174,10 +179,6 @@ def _rule(edges: np.ndarray):
     return nodes.ravel(), weights.ravel()
 
 
-# model -> {key: read-only array or pair}; see the module docstring
-_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _kept(memo, key, build):
     """memo[key], built on first use and made read-only; build() without a memo."""
     if memo is None:
@@ -190,15 +191,14 @@ def _kept(memo, key, build):
     return value
 
 
-def _factor(fn, model, memo):
+def _factor(fn, memo):
     """fn as (x, key) -> fn(x), where key names the node set x.  The memo keeps
-    the raw values of the model's states and its own weight there."""
-    if type(fn) is RadialState and fn.model is model:
-        q = fn.q
-        return lambda x, key: fn.amplitude * _kept(memo, (q, key), lambda: model.wavefunction(q, x))
-    if model is not None and fn == model.weight:
-        return lambda x, key: _kept(memo, ("weight", key), lambda: model.weight(x))
-    return lambda x, key: np.asarray(fn(x))
+    the raw values of each RadialState there, in one dict per model."""
+    if memo is None or type(fn) is not RadialState:
+        return lambda x, key: np.asarray(fn(x))
+    model, q = fn.model, fn.q
+    raw = memo.setdefault(model, {})
+    return lambda x, key: fn.amplitude * _kept(raw, (q, key), lambda: model.wavefunction(q, x))
 
 
 def inner_product(f, g, mu: Measure, truncation: float | None = None) -> float:
@@ -209,7 +209,7 @@ def inner_product(f, g, mu: Measure, truncation: float | None = None) -> float:
     """
     lo, hi = mu.domain
     singular = mu.singular_outer
-    model = memo = None
+    memo = mu._memo
     if truncation is not None:
         truncation = float(truncation)
         if not lo < truncation <= hi:
@@ -218,17 +218,14 @@ def inner_product(f, g, mu: Measure, truncation: float | None = None) -> float:
         # still rise steeply toward a nearby singular endpoint
         singular = singular and truncation > lo + 0.5 * (hi - lo)
         hi = truncation
-    elif type(f) is RadialState:
-        model = f.model
-        memo = _MEMO.setdefault(model, {})
-    f_at = _factor(f, model, memo)
-    g_at = f_at if g is f else _factor(g, model, memo)
-    w_at = _factor(mu.weight, model, memo)
+        memo = None
+    f_at = _factor(f, memo)
+    g_at = f_at if g is f else _factor(g, memo)
 
     def integrand(x, key):
         fx = f_at(x, key)
         gx = fx if g is f else g_at(x, key)
-        return fx * gx * w_at(x, key)
+        return fx * gx * _kept(memo, ("weight", key), lambda: np.asarray(mu.weight(x)))
 
     if math.isinf(hi):
         hi = _auto_truncation(integrand, lo)
@@ -295,8 +292,8 @@ def norm_divergence_scan(state, mu: Measure, truncations=None) -> Verdict:
         raise ValueError("need at least 3 truncations")
     if len(set(truncations)) < len(truncations):
         raise ValueError("truncations must be distinct")
-    if not all(lo < t < hi or (t == hi and math.isfinite(hi)) for t in truncations):
-        raise ValueError("truncations must lie inside the domain")
+    if not all(lo < t < hi for t in truncations):
+        raise ValueError("truncations must lie strictly inside the domain")
     norms = np.array([norm(state, mu, truncation=t) for t in truncations])
     if math.isinf(hi):
         xs = np.array(truncations)

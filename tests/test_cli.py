@@ -319,6 +319,7 @@ def test_verify_general_vonroos_fails_before_solving(model_flags, capsys, monkey
 
 
 PDM_COULOMB = ["--model", "pdm-coulomb", "--D", "3", "--lambda", "-0.1", "--Q", "1"]
+OSC = ["--model", "osc", "--d", "3", "--omega", "1", "--k", "1"]
 
 
 def assert_usage_error(argv, capsys):
@@ -355,11 +356,16 @@ def assert_usage_error(argv, capsys):
          "oscillator-side l must be an integer"),
         (["spectrum", "--model", "nlo", "--d", "2", "--lambda", "0.1", "--beta", "1",
           "--l", "inf"], "oscillator-side l must be an integer"),
+        (["verify", *OSC, "--tol-eig", "nan"], "--tol-eig must be >= 0, got nan"),
+        (["verify", *OSC, "--tol-eig", "-0.5"], "--tol-eig must be >= 0, got -0.5"),
+        (["verify", *OSC, "--tol-residual", "nan"], "--tol-residual must be >= 0, got nan"),
+        (["verify", *OSC, "--tol-residual", "-1"], "--tol-residual must be >= 0, got -1.0"),
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
          "negative-L", "x-max-outside-domain", "unknown-ordering-weighted-model",
          "weighted-picture-of-a-pdm-model", "no-states", "no-points", "no-samples",
-         "fractional-l-duality", "infinite-l"],
+         "fractional-l-duality", "infinite-l", "nan-tol-eig", "negative-tol-eig",
+         "nan-tol-residual", "negative-tol-residual"],
 )
 def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
     def no_solve(*args, **kwargs):

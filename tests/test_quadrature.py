@@ -1,5 +1,5 @@
 """Quadrature tests: Gauss-Legendre exactness, weighted inner products,
-orthogonality, the norm-divergence classifier, and the per-model memo."""
+orthogonality, the norm-divergence classifier, and the measure's memo."""
 
 import collections
 import gc
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oscoul import quadrature
 from oscoul.models import (
     CoulombLike,
     EuclideanCoulomb,
@@ -26,7 +27,6 @@ from oscoul.quadrature import (
     DivergentIntegralError,
     Measure,
     Verdict,
-    _MEMO,
     _base_edges,
     _probe_grid,
     _refine,
@@ -134,6 +134,17 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             inner_product(s, s, mu, truncation=50.0)  # beyond 1/sqrt(0.1)
 
+    @pytest.mark.parametrize(
+        "domain",
+        [(1.0 / np.sqrt(0.1), 0.0), (0.5, 0.5), (np.nan, 1.0), (0.0, np.nan),
+         (-np.inf, 1.0), (0.0, -np.inf), (np.inf, np.inf)],
+        ids=["reversed", "empty", "nan-lo", "nan-hi", "lo-minus-inf", "hi-minus-inf", "lo-inf"],
+    )
+    def test_measure_rejects_a_bad_domain(self, domain):
+        m = NonlinearOscillator(d=3, lam=-0.1, beta=1.0)
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            Measure(m.weight, domain)
+
 
 class TestGramMatrices:
     @pytest.mark.parametrize(
@@ -152,6 +163,9 @@ class TestGramMatrices:
         ]
         gram = np.array([[inner_product(a, b, mu) for b in states] for a in states])
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
+
+
+_HI = 1.0 / np.sqrt(0.1)  # the domain end of the nlo model at lam = -0.1
 
 
 class TestDivergenceScan:
@@ -189,13 +203,19 @@ class TestDivergenceScan:
             norm_divergence_scan(RadialState(m, QuantumNumbers(0, 0)), mu, truncations=[5.0, 10.0])
 
     @pytest.mark.parametrize(
-        "truncations", [[1.0, 2.0, 2.0], [2.0, 2.0, 5.0], [5.0, 2.0, 5.0, 9.0]]
+        "truncations",
+        [[1.0, 2.0, 2.0], [2.0, 2.0, 5.0], [5.0, 2.0, 5.0, 9.0], [0.5 * _HI, 0.9 * _HI, _HI]],
     )
     def test_rejects_repeated_truncations_before_any_integral(self, truncations):
-        m = NonlinearOscillator(d=2, lam=0.2, beta=1.0)
+        # the last case cuts at the finite domain end, where the scan's
+        # 1 / (hi - t) divides by zero
+        m = NonlinearOscillator(d=3, lam=-0.1, beta=1.0)
+        assert m.domain[1] == _HI
         calls = []
         state = lambda x: calls.append(x) or np.exp(-x)  # noqa: E731
-        with pytest.raises(ValueError, match="distinct"):
+        repeated = len(set(truncations)) < len(truncations)
+        match = "distinct" if repeated else "strictly inside the domain"
+        with pytest.raises(ValueError, match=match):
             norm_divergence_scan(state, measure_for(m), truncations=truncations)
         assert not calls
 
@@ -240,7 +260,7 @@ class TestInternals:
         assert counts["weight"] > 0
         assert counts["f"] == counts["weight"] and counts["g"] == 0
         counts.update(f=0, weight=0)
-        inner_product(f, g, mu)
+        inner_product(f, g, Measure(mu.weight, m.domain))  # a fresh, cold memo
         assert counts["weight"] > 0
         assert counts["f"] == counts["g"] == counts["weight"]
 
@@ -252,33 +272,65 @@ class TestInternals:
             grid[0] = 1.0
 
 
-def gram(model, ang, k=4):
-    mu = measure_for(model)
-    states = [normalized(RadialState(model, QuantumNumbers(j, ang)), mu) for j in range(k)]
-    return [[inner_product(a, b, mu) for b in states] for a in states]
+def gram(model, ang, mu=None):
+    # through the module, so that a test can wrap quadrature.inner_product
+    mu = measure_for(model) if mu is None else mu
+    states = [
+        quadrature.normalized(RadialState(model, QuantumNumbers(j, ang)), mu) for j in range(4)
+    ]
+    return [[quadrature.inner_product(a, b, mu) for b in states] for a in states]
 
 
 def hex_matrix(matrix):
     return [[value.hex() for value in row] for row in matrix]
 
 
+class Wrapped:
+    """Stands in for an operand, as a tracer's point counter does."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, x):
+        return self.fn(x)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts each model's wavefunction and weight evaluations by node set."""
+    seen = collections.Counter()
+    wavefunction, weight = _Side.wavefunction, _Side.weight
+
+    def wavefunction_spy(self, q, x):
+        seen[q, x.tobytes()] += 1
+        return wavefunction(self, q, x)
+
+    def weight_spy(self, x):
+        seen["weight", x.tobytes()] += 1
+        return weight(self, x)
+
+    monkeypatch.setattr(_Side, "wavefunction", wavefunction_spy)
+    monkeypatch.setattr(_Side, "weight", weight_spy)
+    return seen
+
+
 class TestModelMemo:
-    """Auto-truncated integrals keep each state's values, the model's weight
-    and the rules in a memo that lives as long as the model.  The models here
-    have strengths no other test uses, so that each starts cold."""
+    """Auto-truncated integrals keep the rules, the measure's weight and, per
+    model, each state's values in a memo that lives as long as the measure."""
 
     CHANNELS = [
-        (CoulombLike(D=2.5, lam=0.0201, Q=1.0), 0.5),  # each state ends in its own window
-        (NonlinearOscillator(d=3, lam=-0.1003, beta=1.0), 1.0),  # finite, graded domain
-        (EuclideanOscillator(d=3, omega=1.07), 1.0),
+        (CoulombLike(D=2.5, lam=0.02, Q=1.0), 0.5),  # each state ends in its own window
+        (NonlinearOscillator(d=3, lam=-0.1, beta=1.0), 1.0),  # finite, graded domain
+        (EuclideanOscillator(d=3, omega=1.0), 1.0),
     ]
 
     @pytest.mark.parametrize("model,ang", CHANNELS, ids=["clike", "nlo", "osc"])
     def test_gram_bits_equal_cold_warm_and_in_a_fresh_process(self, model, ang):
-        assert model not in _MEMO
-        cold = hex_matrix(gram(model, ang))
-        assert model in _MEMO
-        warm = hex_matrix(gram(model, ang))
+        mu = measure_for(model)
+        assert not mu._memo
+        cold = hex_matrix(gram(model, ang, mu))
+        assert model in mu._memo
+        warm = hex_matrix(gram(model, ang, mu))
         code = (
             "from oscoul.models import *\n"
             "from oscoul.quadrature import inner_product, measure_for, normalized\n"
@@ -300,75 +352,83 @@ class TestModelMemo:
 
     @pytest.mark.parametrize("model,ang", CHANNELS, ids=["clike", "nlo", "osc"])
     def test_each_state_and_the_weight_evaluated_once_per_node_set(
-        self, model, ang, monkeypatch
+        self, model, ang, evaluations
     ):
-        seen = collections.Counter()
-        wavefunction, weight = _Side.wavefunction, _Side.weight
-
-        def wavefunction_spy(self, q, x):
-            seen[q, x.tobytes()] += 1
-            return wavefunction(self, q, x)
-
-        def weight_spy(self, x):
-            seen["weight", x.tobytes()] += 1
-            return weight(self, x)
-
-        monkeypatch.setattr(_Side, "wavefunction", wavefunction_spy)
-        monkeypatch.setattr(_Side, "weight", weight_spy)
-        _MEMO.pop(model, None)  # start cold
         gram(model, ang)
-        assert max(seen.values()) == 1
-        node_sets = {x for _, x in seen}
-        assert {x for what, x in seen if what == "weight"} == node_sets
+        assert max(evaluations.values()) == 1
+        node_sets = {x for _, x in evaluations}
+        assert {x for what, x in evaluations if what == "weight"} == node_sets
 
-    def test_entry_dies_with_its_model(self):
-        model = CoulombLike(D=2.5, lam=0.0202, Q=1.0)
-        gram(model, 0.5)
-        assert model in _MEMO
-        entries = len(_MEMO)
-        ref = weakref.ref(model)
-        del model
+    def test_two_measures_of_one_model_share_nothing(self, evaluations):
+        model, ang = self.CHANNELS[1]
+        first, second = measure_for(model), measure_for(model)
+        assert first == second and hash(first) == hash(second)
+        gram(model, ang, first)
+        cold = evaluations.copy()
+        assert first._memo and not second._memo
+        gram(model, ang, first)
+        assert evaluations == cold
+        gram(model, ang, second)
+        assert evaluations == cold + cold
+
+    def test_memo_dies_with_its_measure(self):
+        model, ang = self.CHANNELS[0]
+        mu = measure_for(model)
+        gram(model, ang, mu)
+        assert mu._memo
+        ref = weakref.ref(mu)
+        del mu
         gc.collect()
         assert ref() is None
-        assert len(_MEMO) == entries - 1
 
     def test_explicit_truncations_and_other_integrands_add_no_entries(self):
-        model = NonlinearOscillator(d=2, lam=0.2003, beta=1.0)
+        model = NonlinearOscillator(d=2, lam=0.2, beta=1.0)
         mu = measure_for(model)
         state = RadialState(model, QuantumNumbers(1, 0))
         norm(state, mu, truncation=30.0)
         inner_product(state, state.scaled(2.0), mu, truncation=30.0)
         norm_divergence_scan(state, mu)
+        assert not mu._memo
+        # an arbitrary callable is evaluated afresh; the rules and weights stay
         norm(lambda x: state(x), mu)
-        inner_product(lambda x: state(x), state, mu)
-        assert model not in _MEMO
-        # a weight other than the model's own is evaluated afresh every time
-        norm(state, Measure(lambda x: model.weight(x), mu.domain))
-        assert model in _MEMO
-        assert not any(key[0] == "weight" for key in _MEMO[model])
+        assert mu._memo and model not in mu._memo
+
+    @pytest.mark.parametrize("model,ang", CHANNELS, ids=["clike", "nlo", "osc"])
+    def test_a_wrapped_first_operand_adds_no_weight_calls(
+        self, model, ang, evaluations, monkeypatch
+    ):
+        def weight_calls():
+            return sum(n for (what, _), n in evaluations.items() if what == "weight")
+
+        plain = hex_matrix(gram(model, ang))
+        unwrapped = weight_calls()
+        inner = quadrature.inner_product
+        monkeypatch.setattr(
+            quadrature, "inner_product", lambda f, *args, **kw: inner(Wrapped(f), *args, **kw)
+        )
+        evaluations.clear()
+        assert hex_matrix(gram(model, ang)) == plain
+        assert weight_calls() == unwrapped > 0
 
 
 class TestGramMemory:
     """One 4x4 Gram matrix of clike D=2.5 lam=0.02 L=1/2, the channel with
     the most node sets (each state decays at its own power-law rate), holds
-    its memo only while its model lives.  tracemalloc counts NumPy's buffers,
-    so the peak is deterministic, unlike the process RSS: 1.70 MiB with the
-    memo, 0.38 MiB without it."""
+    its memo only while its measure lives.  tracemalloc counts NumPy's
+    buffers, so the peak is deterministic, unlike the process RSS: 1.66 MiB,
+    with 4.4 KiB held afterwards."""
 
     def test_peak_and_release(self):
-        def channel():
-            return CoulombLike(D=2.5, lam=0.02, Q=1.02)
-
-        gram(channel(), 0.5)  # fills the shared reference rule and probe grids
+        model = CoulombLike(D=2.5, lam=0.02, Q=1.0)
+        gram(model, 0.5)  # fills the shared reference rule and probe grids
         gc.collect()
-        assert channel() not in _MEMO
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            gram(channel(), 0.5)
+            gram(model, 0.5)
             gc.collect()
             held, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:
