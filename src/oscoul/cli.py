@@ -1,6 +1,10 @@
 """Command-line front end: spectra, wavefunction sampling, duality checks,
 oracle verification, and bound-state enumeration, emitted as CSV or JSON.
 
+The model name selects the picture ``verify`` solves: ``pdm-osc`` and
+``pdm-coulomb`` are the flat (PDM) pictures of ``nlo`` and ``clike``, solved
+with ``--ordering``; every other model is solved in its weighted picture.
+
 Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
 Output is byte-deterministic for a fixed flag set.  The oracle, the duality
 map, the LAPACK binding and NumPy are imported by the commands that use them,
@@ -14,6 +18,7 @@ import functools
 import json
 import math
 import numbers
+import re
 import sys
 
 from .models import (
@@ -31,7 +36,15 @@ from .models import (
 
 SCHEMA = 1
 
-_PDM = ("pdm-osc", "pdm-coulomb")
+# model name -> (class, the flags of its parameters in field order, picture)
+_MODELS = {
+    "osc": (EuclideanOscillator, ("d", "omega"), "weighted"),
+    "coulomb": (EuclideanCoulomb, ("D", "Q"), "weighted"),
+    "nlo": (NonlinearOscillator, ("d", "lambda", "beta"), "weighted"),
+    "clike": (CoulombLike, ("D", "lambda", "Q"), "weighted"),
+    "pdm-osc": (NonlinearOscillator, ("d", "lambda", "beta"), "flat"),
+    "pdm-coulomb": (CoulombLike, ("D", "lambda", "Q"), "flat"),
+}
 
 
 class ConfigError(Exception):
@@ -77,22 +90,9 @@ def _need(args, name: str):
 
 def build_model(args):
     """Model instance plus its angular quantum number from CLI flags."""
-    name = args.model
+    cls, flags, _ = _MODELS[args.model]
     try:
-        if name == "osc":
-            model = EuclideanOscillator(d=_need(args, "d"), omega=_need(args, "omega"))
-        elif name == "coulomb":
-            model = EuclideanCoulomb(D=_need(args, "D"), Q=_need(args, "Q"))
-        elif name in ("nlo", "pdm-osc"):
-            model = NonlinearOscillator(
-                d=_need(args, "d"), lam=_need(args, "lambda"), beta=_need(args, "beta")
-            )
-        elif name in ("clike", "pdm-coulomb"):
-            model = CoulombLike(
-                D=_need(args, "D"), lam=_need(args, "lambda"), Q=_need(args, "Q")
-            )
-        else:
-            raise ConfigError(f"unknown model {name!r}")
+        model = cls(*(_need(args, flag) for flag in flags))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if model.kind == "oscillator":
@@ -128,7 +128,7 @@ def cmd_spectrum(args) -> int:
     model, ang0 = build_model(args)
     n_cap = args.n_max if args.n_max is not None else 6
     osc_side = model.kind == "oscillator"
-    pdm = args.model in _PDM
+    pdm = _MODELS[args.model][2] == "flat"
     rows = []
     angs = [ang0] if _ang_fixed(args) else [float(a) for a in range(int(n_cap) + 1)]
     for ang in angs:
@@ -252,11 +252,9 @@ def cmd_verify(args) -> int:
     from .kernels import LapackNotFound
 
     model, ang = build_model(args)
-    if args.model in _PDM and args.picture == "weighted":
-        raise ConfigError(f"--model {args.model} is solved in the flat picture only")
-    flat = args.model in _PDM or args.picture == "flat"
+    picture = _MODELS[args.model][2]
     ordering = parse_ordering(args.ordering)
-    if not flat:
+    if picture == "weighted":
         ordering = None
     for name in ("tol-eig", "tol-residual"):
         tol = getattr(args, name.replace("-", "_"))
@@ -298,8 +296,8 @@ def cmd_verify(args) -> int:
         {
             "command": "verify",
             "model": args.model,
-            "picture": "flat" if flat else "weighted",
-            "ordering": args.ordering if flat else None,
+            "picture": picture,
+            "ordering": None if ordering is None else args.ordering,
             "ang": ang,
             "k": args.k,
             "grids": grids,
@@ -326,8 +324,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_model_flags(sp):
-    sp.add_argument("--model", required=True,
-                    choices=["osc", "coulomb", "nlo", "clike", "pdm-osc", "pdm-coulomb"])
+    sp.add_argument("--model", required=True, choices=list(_MODELS))
     sp.add_argument("--d", type=int, help="oscillator-side dimension")
     sp.add_argument("--D", type=float, help="Coulomb-side dimension")
     sp.add_argument("--lambda", type=float, default=None, help="curvature parameter")
@@ -340,11 +337,21 @@ def _add_model_flags(sp):
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts "-digit" or "-.digit" as a value, so that
+    ``--lambda -1e-3`` parses as ``--lambda=-1e-3`` does (argparse alone reads
+    it as an unknown option).  No flag of this CLI starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args fills a fresh
     namespace on every call, so calls share no state through it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscoul",
         description="Exactly solvable oscillator/Coulomb dual spectra with an "
         "independent Sturm-Liouville oracle",
@@ -383,8 +390,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     sp.add_argument("--k", type=int, default=2, help="number of lowest states")
     sp.add_argument("--grids", default="512,1024,2048")
-    sp.add_argument("--picture", choices=["weighted", "flat"], default=None,
-                    help="default: flat for pdm-* models, weighted otherwise")
     sp.add_argument("--ordering", default="bd", help="bd | mm | vonroos:xi,eta,zeta")
     sp.add_argument("--tol-eig", type=float, default=1e-6)
     sp.add_argument("--tol-residual", type=float, default=1e-9)

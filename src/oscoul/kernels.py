@@ -13,6 +13,7 @@ touches it.  SciPy is not used: it exposes no ``dlarrk``, and importing
 small process.
 
 Each index is bisected inside the caller's guesses when they are given,
+as brackets of shape (k - first, g, 2), g (lo, hi) guesses per index,
 tried in order (intervals around a predicted eigenvalue, such as the
 oracle's closed form or its h^2 extrapolations, narrowest first: each
 halving the guess saves is one Sturm count of N rows), and otherwise, or
@@ -104,11 +105,10 @@ def lowest_eigenvalues_tridiag(diag, off, k: int, first: int = 0, brackets=None)
     """Eigenvalues first .. k-1 (0-based, so the k smallest when first = 0),
     ascending, each to about 2 ulp.
 
-    ``brackets``, if given, holds the (lo, hi) guesses of each returned
-    index, shape (k - first, 2) for one guess each or (k - first, g, 2) for g
-    each.  An index's guesses are tried in order, narrowest first as the
-    oracle grades them, and an index certified inside none of them is
-    bisected from the Gershgorin interval.  A matrix whose widened Gershgorin interval
+    ``brackets``, if given, holds g (lo, hi) guesses for each returned index,
+    shape (k - first, g, 2).  An index's guesses are tried in order,
+    narrowest first as the oracle grades them, and an index certified inside
+    none of them is bisected from the Gershgorin interval.  A matrix whose widened Gershgorin interval
     does not fit inside ±2^1022 (|off| above about 1.3e154 among them) raises
     ValueError before any LAPACK call.
     """
@@ -134,11 +134,11 @@ def lowest_eigenvalues_tridiag(diag, off, k: int, first: int = 0, brackets=None)
         tries = [[gershgorin]] * (k - first)
     else:
         guesses = np.asarray(brackets, dtype=float)
-        if guesses.ndim not in (2, 3) or len(guesses) != k - first or guesses.shape[-1] != 2:
+        if guesses.ndim != 3 or len(guesses) != k - first or guesses.shape[-1] != 2:
             raise ValueError(
                 f"need {k - first} brackets of (lo, hi) guesses, got shape {guesses.shape}"
             )
-        tries = [[*g, gershgorin] for g in guesses.reshape(k - first, -1, 2).tolist()]
+        tries = [[*g, gershgorin] for g in guesses.tolist()]
     i64, dbl, ref = ctypes.c_int64, ctypes.c_double, ctypes.byref
     w, werr, info = dbl(), dbl(), i64()
     n, piv, rtol = ref(i64(diag.size)), ref(dbl(pivmin)), ref(dbl(2.0 * _EPS))

@@ -73,7 +73,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .models import PdmOrdering, QuantumNumbers, RadialState
+from .models import PdmOrdering, QuantumNumbers, RadialState, _mul3
 
 __all__ = [
     "ConvergenceReport",
@@ -140,10 +140,6 @@ class ConvergenceReport:
     cutoffs: tuple
 
 
-class _Unevaluable(Exception):
-    """amp raised ValueError inside a scan window: its coordinate map overflows there."""
-
-
 def _exp_cutoff(amp, state: str) -> float:
     """Smallest coordinate where the state's density amp^2 falls to 1e-12 of its peak.
 
@@ -164,7 +160,7 @@ def _exp_cutoff(amp, state: str) -> float:
     while hi < 1e4:
         try:
             cut = _window_cutoff(amp, np.linspace(hi * 1e-4, hi, _SCAN))
-        except _Unevaluable as exc:
+        except ValueError as exc:  # amp's coordinate map overflows in this window
             raise ValueError(
                 f"{state}: density does not decay below 1e-12 of its peak by "
                 f"y = {reached:g}, and its coordinate map overflows before y = {hi:g}"
@@ -194,11 +190,7 @@ def _window_cutoff(amp, grid):
 
     def evaluate(idx):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                a = np.asarray(amp(grid[idx]))
-            except ValueError as exc:
-                raise _Unevaluable from exc
-            vals = np.abs(a) ** 2
+            vals = np.abs(np.asarray(amp(grid[idx]))) ** 2
         dens[idx] = np.where(vals < np.inf, vals, 0.0)  # overflow and NaN count as 0
         done[idx] = True
 
@@ -383,11 +375,7 @@ def residual_norm(
         lam2e = 2.0 * model.energy(q)
     else:  # -(p psi')' + V psi = 2E psi, c1 = p'
         coeff = model.flat_coefficients(q.ang, ordering)
-        f, df, d2f = model.flat_factor_derivatives(x)
-        psi0, dpsi0, d2psi0 = state.derivatives(x)
-        psi = f * psi0
-        dpsi = df * psi0 + f * dpsi0
-        d2psi = d2f * psi0 + 2.0 * df * dpsi0 + f * d2psi0
+        psi, dpsi, d2psi = _mul3(model.flat_factor_derivatives(x), state.derivatives(x))
         lam2e = 2.0 * model.pdm_energy(ordering, q)
     t = model.stretch(x)
     kin2 = np.asarray(coeff["p"](x, t)) * d2psi

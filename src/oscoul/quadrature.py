@@ -3,8 +3,9 @@ numerical normalization, and the norm-divergence scan that operationalizes the
 bound-state inequalities.
 
 Infinite domains are integrated to an analytic-tail-justified truncation with
-width-doubling panels; near a finite curvature endpoint the panels are graded
-geometrically into the (integrable) singularity of the measure.
+width-doubling panels.  A finite upper end of a measure's domain (the
+curvature endpoint at lam < 0) is graded as singular: the panels are graded
+geometrically into the (integrable) singularity of the measure there.
 
 Each value is computed once: the Gauss-Legendre reference rule and the
 1024-point probe grid of the automatic truncation are cached as read-only
@@ -88,8 +89,6 @@ def gauss_legendre(npoints: int, a: float, b: float):
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError("need finite bounds with a < b")
-    if npoints == 1:
-        return np.array([0.5 * (a + b)]), np.array([b - a])
     x, w = _legendre_rule(int(npoints))
     return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
 
@@ -97,11 +96,11 @@ def gauss_legendre(npoints: int, a: float, b: float):
 @dataclass(frozen=True)
 class Measure:
     """Integration weight and domain for one model and picture.  The domain's
-    lower end is finite and below its upper end, which may be +inf."""
+    lower end is finite and below its upper end, which may be +inf; a finite
+    upper end is graded as a singular endpoint of the weight."""
 
     weight: Callable
     domain: tuple[float, float]
-    singular_outer: bool = False
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -112,7 +111,7 @@ class Measure:
 
 def measure_for(model) -> Measure:
     """The L^2 measure the given model's radial functions are orthogonal under."""
-    return Measure(model.weight, model.domain, singular_outer=model.lam < 0)
+    return Measure(model.weight, model.domain)
 
 
 @functools.lru_cache(maxsize=128)
@@ -141,17 +140,17 @@ def _auto_truncation(integrand, lo: float) -> float:
     raise DivergentIntegralError("integrand does not decay on (0, inf)")
 
 
-def _base_edges(lo: float, hi: float, singular_outer: bool) -> np.ndarray:
+def _base_edges(lo: float, hi: float, singular: bool) -> np.ndarray:
     """Panel skeleton: log-spaced panels from a small absolute anchor (8 per
     decade resolve structure at any scale, growing or decaying), plus geometric
     grading into a singular outer endpoint (its last 1e-12 sliver is dropped;
     the singularity is integrable there)."""
     span = hi - lo
-    grade_start = hi - 0.1 * span if singular_outer else hi
+    grade_start = hi - 0.1 * span if singular else hi
     anchor = 1e-6 * min(1.0, span)
     n_geo = max(24, math.ceil(8.0 * math.log10((grade_start - lo) / anchor)))
     edges = [lo] + list(lo + np.geomspace(anchor, grade_start - lo, n_geo + 1))
-    if singular_outer:
+    if singular:
         depth = hi - grade_start
         while depth > _GRADE_DEPTH_REL * span * 1.5:
             depth *= 0.5
@@ -208,7 +207,7 @@ def inner_product(f, g, mu: Measure, truncation: float | None = None) -> float:
     tail or the refinement does not settle.
     """
     lo, hi = mu.domain
-    singular = mu.singular_outer
+    singular = math.isfinite(hi)
     memo = mu._memo
     if truncation is not None:
         truncation = float(truncation)

@@ -20,9 +20,9 @@ against the same cases.
 ``--compare`` exits 0 when both digests hold the same cases and agree on
 every field but ``residual`` bit for bit, and every residual of both stays at
 or below 1e-9; it prints each disagreement and a residual summary otherwise.
-It also prints, for each class of case (weighted: nlo and clike; flat: the
-pdm models and ``--picture flat``; Euclidean: osc and coulomb), the passing
-states of each digest, the number of flipped pass flags and the largest
+It also prints, for each class of case, named by the case's model (weighted:
+nlo and clike; flat: pdm-osc and pdm-coulomb; Euclidean: osc and coulomb),
+the passing states of each digest, the number of flipped pass flags and the largest
 relative eigenvalue move, the ``dlarrk`` calls and the N * halvings of
 each digest; those two are work counts, never disagreements.  Pytest does
 not collect this file.
@@ -170,7 +170,7 @@ def _class(argv: str) -> str:
     model = argv.split()[2]
     if model in ("osc", "coulomb"):
         return "euclidean"
-    return "flat" if model.startswith("pdm-") or "--picture flat" in argv else "weighted"
+    return "flat" if model.startswith("pdm-") else "weighted"
 
 
 def class_summary(a: dict, b: dict) -> list:

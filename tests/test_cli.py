@@ -228,6 +228,24 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_verify_has_no_picture_flag(capsys):
+    # the model name selects the picture: pdm-osc is the flat picture of nlo
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", "nlo", "--picture", "flat", "--d", "2", "--lambda", "-0.1",
+              "--beta", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --picture flat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E-2"])
+def test_negative_exponent_values_parse_as_values(value, capsys):
+    argv = ["spectrum", "--model", "nlo", "--d", "2", "--beta", "1", "--n-max", "3"]
+    spaced = run([*argv, "--lambda", value], capsys)
+    joined = run([*argv, f"--lambda={value}"], capsys)
+    assert spaced[0] == 0 and spaced[1]
+    assert spaced == joined
+
+
 def test_missing_parameter_exit_code(capsys):
     code, _, err = run(["spectrum", "--model", "nlo", "--d", "2"], capsys)
     assert code == 2
@@ -303,7 +321,7 @@ def test_verify_byte_identical_reports(capsys, tmp_path):
     "model_flags",
     [
         ["--model", "pdm-coulomb", "--D", "3", "--lambda", "-0.1", "--Q", "1"],
-        ["--model", "nlo", "--picture", "flat", "--d", "2", "--lambda", "-0.1", "--beta", "1"],
+        ["--model", "pdm-osc", "--d", "2", "--lambda", "-0.1", "--beta", "1"],
     ],
 )
 def test_verify_general_vonroos_fails_before_solving(model_flags, capsys, monkeypatch):
@@ -344,8 +362,6 @@ def assert_usage_error(argv, capsys):
           "--x-max", "3"], "sampling range exceeds the coordinate domain"),
         (["verify", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1", "--k", "1",
           "--ordering", "xyz"], "unknown ordering 'xyz'"),
-        (["verify", "--model", "pdm-osc", "--d", "2", "--lambda", "-0.1", "--beta", "1",
-          "--k", "1", "--picture", "weighted"], "pdm-osc is solved in the flat picture only"),
         (["verify", "--model", "osc", "--d", "3", "--omega", "1", "--k", "0"],
          "k must be >= 1"),
         (["wavefunction", "--model", "osc", "--d", "3", "--omega", "1", "--points", "0"],
@@ -358,13 +374,15 @@ def assert_usage_error(argv, capsys):
           "--l", "inf"], "oscillator-side l must be an integer"),
         (["verify", *OSC, "--tol-eig", "nan"], "--tol-eig must be >= 0, got nan"),
         (["verify", *OSC, "--tol-eig", "-0.5"], "--tol-eig must be >= 0, got -0.5"),
+        (["verify", *OSC, "--tol-eig", "-1e-6"], "--tol-eig must be >= 0, got -1e-06"),
         (["verify", *OSC, "--tol-residual", "nan"], "--tol-residual must be >= 0, got nan"),
         (["verify", *OSC, "--tol-residual", "-1"], "--tol-residual must be >= 0, got -1.0"),
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
          "negative-L", "x-max-outside-domain", "unknown-ordering-weighted-model",
-         "weighted-picture-of-a-pdm-model", "no-states", "no-points", "no-samples",
+         "no-states", "no-points", "no-samples",
          "fractional-l-duality", "infinite-l", "nan-tol-eig", "negative-tol-eig",
+         "negative-exponent-tol-eig",
          "nan-tol-residual", "negative-tol-residual"],
 )
 def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
@@ -373,16 +391,6 @@ def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
 
     monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", no_solve)
     assert message in assert_usage_error(argv, capsys)
-
-
-@pytest.mark.parametrize(
-    "model_flags",
-    [["--model", "osc", "--d", "3", "--omega", "1"], ["--model", "coulomb", "--D", "3", "--Q", "1"]],
-    ids=["osc", "coulomb"],
-)
-def test_verify_flat_picture_of_a_euclidean_model_is_a_usage_error(model_flags, capsys):
-    line = assert_usage_error(["verify", *model_flags, "--picture", "flat", "--k", "1"], capsys)
-    assert line == "error: the PDM flat picture applies to the curved models only"
 
 
 @pytest.mark.parametrize("name,triple", [("bd", "0,-1,0"), ("mm", "-0.25,-0.5,-0.25")])

@@ -224,7 +224,7 @@ def test_bracketed_indices_match_dstebz(diag, off, k, larrk_calls):
     gershgorin = widened_gershgorin(diag, off)
     for name, guess in bracket_cases(ref, gap):
         for first in (0, k // 2, k - 1):
-            brackets = [guess(j) for j in range(first, k)]
+            brackets = [[guess(j)] for j in range(first, k)]
             larrk_calls.clear()
             got = kernels.lowest_eigenvalues_tridiag(diag, off, k, first, brackets)
             assert got.shape == (k - first,)
@@ -245,11 +245,22 @@ def test_good_brackets_take_one_call_per_index(larrk_calls):
     problem = oracle.build_problem(CoulombLike(D=3, lam=0.05, Q=1.0), 0.0, n_states=3)
     op = oracle.discretize(problem, 2048)
     ref = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3)
-    brackets = [(x - 1e-3 * abs(x), x + 1e-3 * abs(x)) for x in ref]
+    brackets = [[(x - 1e-3 * abs(x), x + 1e-3 * abs(x))] for x in ref]
     larrk_calls.clear()
     got = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3, 0, brackets)
-    assert larrk_calls == [(j + 1, lo, hi) for j, (lo, hi) in enumerate(brackets)]
+    assert larrk_calls == [(j + 1, lo, hi) for j, [(lo, hi)] in enumerate(brackets)]
     np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 2), (2, 1, 2), (3, 1, 3)], ids=["no-guess-axis", "too-few", "not-pairs"]
+)
+def test_brackets_of_another_shape_are_refused(shape, larrk_calls):
+    # brackets are (k - first, g, 2): g (lo, hi) guesses for each returned index
+    diag, off = np.arange(5.0), np.ones(4)
+    with pytest.raises(ValueError, match=r"need 3 brackets of \(lo, hi\) guesses"):
+        kernels.lowest_eigenvalues_tridiag(diag, off, 3, 0, np.zeros(shape))
+    assert larrk_calls == []
 
 
 def test_graded_guesses_are_tried_in_order(larrk_calls):

@@ -145,6 +145,21 @@ class TestInnerProduct:
         with pytest.raises(ValueError, match="finite lo < hi"):
             Measure(m.weight, domain)
 
+    @pytest.mark.parametrize(
+        "model,q",
+        [
+            (NonlinearOscillator(d=2, lam=-0.3, beta=0.5), QuantumNumbers(0, 0)),
+            (NonlinearOscillator(d=2, lam=-0.3, beta=0.5), QuantumNumbers(1, 0)),
+            (CoulombLike(D=3, lam=-0.1, Q=1.0), QuantumNumbers(1, 0.5)),
+        ],
+        ids=["nlo-n0", "nlo-n1", "clike-n1"],
+    )
+    def test_a_hand_built_measure_grades_its_finite_end(self, model, q):
+        # the grading into a finite upper end comes from the domain alone, so
+        # a measure built by hand integrates as measure_for's does, bit for bit
+        state = RadialState(model, q)
+        assert norm(state, Measure(model.weight, model.domain)) == norm(state, measure_for(model))
+
 
 class TestGramMatrices:
     @pytest.mark.parametrize(
