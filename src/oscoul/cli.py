@@ -3,12 +3,14 @@ oracle verification, and bound-state enumeration, emitted as CSV or JSON.
 
 The model name selects the picture ``verify`` solves: ``pdm-osc`` and
 ``pdm-coulomb`` are the flat (PDM) pictures of ``nlo`` and ``clike``, solved
-with ``--ordering``; every other model is solved in its weighted picture.
+with ``--ordering`` (default ``bd``); every other model is solved in its
+weighted picture and refuses ``--ordering``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
-Output is byte-deterministic for a fixed flag set.  The oracle, the duality
-map, the LAPACK binding and NumPy are imported by the commands that use them,
-so ``spectrum`` and ``bound-states`` load none of them.
+Output is byte-deterministic for a fixed flag set; JSON writes a non-finite
+number as null.  The oracle, the duality map, the LAPACK binding and NumPy
+are imported by the commands that use them, so ``spectrum`` and
+``bound-states`` load none of them.
 """
 
 from __future__ import annotations
@@ -65,19 +67,29 @@ def _write(text: str, path):
         sys.stdout.write(text)
 
 
+def _finite(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {key: _finite(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _emit_json(obj: dict, path):
+    obj = {"schema": SCHEMA, **obj}
+    _write(json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", path)
+
+
 def _emit_rows(header, rows, fmt, path):
     if fmt == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         _write("\n".join(lines) + "\n", path)
     else:
-        payload = {"schema": SCHEMA, "columns": list(header), "rows": [list(map(float, r)) for r in rows]}
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
-
-
-def _emit_json(obj: dict, path):
-    obj = {"schema": SCHEMA, **obj}
-    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+        _emit_json({"columns": list(header), "rows": [list(map(float, r)) for r in rows]}, path)
 
 
 def _need(args, name: str):
@@ -253,9 +265,10 @@ def cmd_verify(args) -> int:
 
     model, ang = build_model(args)
     picture = _MODELS[args.model][2]
-    ordering = parse_ordering(args.ordering)
-    if picture == "weighted":
-        ordering = None
+    if picture == "weighted" and args.ordering is not None:
+        raise ConfigError(f"--ordering is for pdm-osc and pdm-coulomb, not --model {args.model}")
+    spec = "bd" if args.ordering is None else args.ordering
+    ordering = None if picture == "weighted" else parse_ordering(spec)
     for name in ("tol-eig", "tol-residual"):
         tol = getattr(args, name.replace("-", "_"))
         if not tol >= 0:
@@ -297,7 +310,7 @@ def cmd_verify(args) -> int:
             "command": "verify",
             "model": args.model,
             "picture": picture,
-            "ordering": None if ordering is None else args.ordering,
+            "ordering": None if ordering is None else spec,
             "ang": ang,
             "k": args.k,
             "grids": grids,
@@ -389,8 +402,10 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="oracle convergence study plus ODE residuals")
     _add_model_flags(sp)
     sp.add_argument("--k", type=int, default=2, help="number of lowest states")
-    sp.add_argument("--grids", default="512,1024,2048")
-    sp.add_argument("--ordering", default="bd", help="bd | mm | vonroos:xi,eta,zeta")
+    sp.add_argument("--grids", default="512,1024,2048", help="doubling ladder, e.g. 512,1024,2048")
+    sp.add_argument(
+        "--ordering", default=None, help="pdm models only: bd (default) | mm | vonroos:xi,eta,zeta"
+    )
     sp.add_argument("--tol-eig", type=float, default=1e-6)
     sp.add_argument("--tol-residual", type=float, default=1e-9)
     sp.set_defaults(func=cmd_verify)

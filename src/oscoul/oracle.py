@@ -6,17 +6,19 @@ grid in conservative (flux) form, symmetrized by the similarity transform
 W^(1/2) H W^(-1/2), and solved by LAPACK ``dlarrk`` Sturm-count bisection
 from NumPy's bundled OpenBLAS (``oscoul.kernels``, bound on the first
 eigensolve; each eigenvalue is resolved to about 2 ulp rather than to
-ulp * ||T||).  A convergence study discretizes each distinct domain on every
-grid of its ladder at once (``discretize_ladder``: p, w and V are sampled
-once each over all the grids' points), solves each matrix once, and computes
-only the eigenvalues it reports.  Each is bisected inside guesses that the
-h^2 law predicts from the points (h^2, lam) of the ladder so far, the closed
-form being the point at h = 0, for any increasing ladder: on the coarsest
-grid the reference +- 1e-3 |ref|; on the second the line through the first
-two points, lam_0 + (ref - lam_0)(1 - h_1^2/h_0^2) +- 2e-3 |ref - lam_0|; on
-each later grid first the quadratic in h^2 through the last three points,
-+- 1e-6 and then +- 3e-5 of the last step |lam_(i-1) - lam_(i-2)|, and then
-the line through the last two (Richardson) +- 2e-3 of it.  Sturm bisection
+ulp * ||T||).  A convergence study takes a doubling ladder, each grid twice
+the one before, and discretizes each distinct domain on all of its grids at
+once (``discretize_ladder``: p, w and V are sampled once each on the finest
+grid's half-cell lattice, and every grid reads its cell centres and
+interfaces from it), solves each matrix once, and computes only the
+eigenvalues it reports.  Each is bisected inside guesses that the h^2 law
+predicts from the points (h^2, lam) of the ladder so far, the closed form
+being the point at h = 0: on the coarsest grid the reference +- 1e-3 |ref|;
+on the second the line through the first two points,
+lam_0 + (ref - lam_0)(1 - h_1^2/h_0^2) +- 2e-3 |ref - lam_0|; on each later
+grid first the quadratic in h^2 through the last three points, +- 1e-6 and
+then +- 3e-5 of the last step |lam_(i-1) - lam_(i-2)|, and then the line
+through the last two (Richardson) +- 2e-3 of it.  Sturm bisection
 pays one count of N rows per halving, and the narrow guesses, which hold
 nearly every state, take the finest grid from about 26 halvings to 17.  No
 half-width is below 32 N eps |guess|, the spread of a computed eigenvalue
@@ -312,33 +314,39 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     return discretize_ladder(problem, [N])[0]
 
 
-def _sample(f, parts):
-    """f at the points of every array in ``parts`` in one call: all the values,
-    and their split back into the parts."""
-    vals = np.asarray(f(np.concatenate(parts)), dtype=float)
-    return vals, np.split(vals, np.cumsum([part.size for part in parts])[:-1])
-
-
 def discretize_ladder(problem: SturmLiouvilleProblem, grids) -> list:
-    """``discretize(problem, N)`` for each N of ``grids``, bit for bit, sampling
-    p, w and V once each over the points of all the grids."""
+    """``discretize(problem, N)`` for each N of a doubling ladder (each N twice
+    the one before), bit for bit.
+
+    p, w and V are sampled once each on the finest grid's half-cell lattice
+    y_j = a + j (b - a) / (2 N_f): w and V at j = 1 ... 2 N_f - 1, p at the
+    even j up to 2 N_f.  A grid of N cells, s = 2 N_f / N lattice steps each,
+    reads its centres at j = s/2, 3 s/2, ... and its interfaces at
+    j = s, 2 s, ..., 2 N_f.
+    """
     for N in grids:
         if not isinstance(N, (int, np.integer)) or N < 3:
             raise ValueError(f"need N >= 3 cells, got {N}")
+    if any(M != 2 * N for N, M in zip(grids, grids[1:])):
+        raise ValueError(f"need each grid size twice the one before, got {list(grids)}")
     a, b = problem.domain
-    hs = [(b - a) / N for N in grids]
-    xs = [a + (np.arange(1, N + 1) - 0.5) * h for N, h in zip(grids, hs)]
-    xhs = [a + np.arange(N + 1) * h for N, h in zip(grids, hs)]
-    w_all, ws = _sample(problem.w, xs + [xh[1:-1] for xh in xhs])
-    v_all, vs = _sample(problem.potential, xs)
-    p_all, ps = _sample(problem.p, [xh[1:] for xh in xhs])
+    n = grids[-1]
+    step = (b - a) / (2 * n)
+    y = a + np.arange(1, 2 * n) * step
+    w_all = np.asarray(problem.w(y), dtype=float)
+    v_all = np.asarray(problem.potential(y), dtype=float)
+    p_all = np.asarray(problem.p(a + np.arange(2, 2 * n + 1, 2) * step), dtype=float)
     if not (np.all(np.isfinite(w_all)) and np.all(np.isfinite(v_all)) and np.all(np.isfinite(p_all))):
         raise ValueError("non-finite coefficient sampled on the grid")
     if not np.all(w_all > 0):
         raise ValueError("weight must be positive on the open domain")
-    m = len(grids)
     ops = []
-    for h, x, w, w_half, v, p_half in zip(hs, xs, ws[:m], ws[m:], vs, ps):
+    for N in grids:
+        s = 2 * n // N
+        centres = slice(s // 2 - 1, None, s)
+        w, v = w_all[centres], v_all[centres]
+        w_half, p_half = w_all[s - 1 :: s], p_all[s // 2 - 1 :: s // 2]
+        h = (b - a) / N
         h2 = h * h
         g = p_half[:-1] * w_half
         diag = v.copy()
@@ -347,7 +355,7 @@ def discretize_ladder(problem: SturmLiouvilleProblem, grids) -> list:
         sw = np.sqrt(w)
         off = -g / (h2 * sw[:-1] * sw[1:])
         diag[-1] += p_half[-1] / h2
-        ops.append(DiscreteOperator(diag=diag, off=off, h=h, nodes=x))
+        ops.append(DiscreteOperator(diag=diag, off=off, h=h, nodes=y[centres]))
     return ops
 
 
@@ -390,44 +398,6 @@ def residual_norm(
     return float(np.max(resid[usable] / (np.abs(lam2e * psi[usable]) + scale[usable])))
 
 
-def _observed_order(grids, ratio: float) -> float:
-    """The order p with (h1^p - h2^p) / (h2^p - h3^p) = ratio, the ratio d1/d2 of
-    successive eigenvalue changes on grids N1 < N2 < N3 (h = 1/N).
-
-    On a geometric ladder that is log(ratio) / log(h1/h2).  Otherwise, with
-    u = log(h1/h2) and v = log(h2/h3), the left side is
-    expm1(p u) / -expm1(-p v), which rises from 0 to infinity over the whole
-    line (u/v at p = 0), so p is found by bisection on its logarithm.
-    """
-    n1, n2, n3 = grids
-    h1, h2, h3 = 1.0 / n1, 1.0 / n2, 1.0 / n3
-    target = math.log(ratio)
-    u = math.log(h1 / h2)
-    if n2 * n2 == n1 * n3:
-        return target / u
-    v = math.log(h2 / h3)
-
-    def log_abs_expm1(x):
-        return x + math.log(-math.expm1(-x)) if x > 0 else math.log(-math.expm1(x))
-
-    def log_side(p):
-        if p * u == 0 or p * v == 0:
-            return math.log(u / v)
-        return log_abs_expm1(p * u) - log_abs_expm1(-p * v)
-
-    lo, hi = -1.0, 1.0
-    while log_side(hi) < target:
-        hi *= 2.0
-    while log_side(lo) > target:
-        lo *= 2.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if log_side(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return mid
-
-
 def _brackets(x, xs, ys, N):
     """Graded guesses (states, guesses, 2) for the eigenvalues at h^2 = x on N
     cells, from the h^2 law E(h) = E(0) + c h^2 + ... through the ladder's
@@ -463,9 +433,11 @@ def convergence_study(
     grids,
     ordering: Optional[PdmOrdering] = None,
 ) -> ConvergenceReport:
-    """Eigenvalues of the k lowest states across grids, with observed order,
-    Richardson extrapolation from the two finest grids, and the closed-form
-    2E of the weighted equation (ordering None) or the ordering's PDM picture.
+    """Eigenvalues of the k lowest states across a doubling ladder of grids
+    (at least 3, each twice the one before), with the observed order
+    log2(d1/d2) of the last two changes, Richardson extrapolation from the
+    two finest grids, and the closed-form 2E of the weighted equation
+    (ordering None) or the ordering's PDM picture.
 
     ``rel_error`` is |extrapolated - reference| / |reference|; when the
     reference is exactly 0 it is the absolute error |extrapolated| (units
@@ -479,8 +451,8 @@ def convergence_study(
     else:
         refs = [2.0 * model.pdm_energy(ordering, q) for q in states]
     grids = [int(N) for N in grids]
-    if len(grids) < 3 or any(b <= a for a, b in zip(grids, grids[1:])):
-        raise ValueError("need at least 3 strictly increasing grid sizes")
+    if len(grids) < 3 or any(M != 2 * N for N, M in zip(grids, grids[1:])):
+        raise ValueError("need at least 3 grid sizes, each twice the one before")
     # each target state gets its own truncation, so low states keep a fine grid;
     # consecutive states on the same domain share one solve per grid
     problems = [build_problem(model, ang, ordering, n_states=j + 1) for j in range(k)]
@@ -514,8 +486,9 @@ def convergence_study(
         monotone = d1 * d2 > 0 and abs(d2) < abs(d1)
         mono.append(bool(monotone))
         if monotone:
-            order = _observed_order(grids[-3:], d1 / d2)
-            rich = seq[-1] + (seq[-1] - seq[-2]) / ((hs[-2] / hs[-1]) ** 2 - 1.0)
+            # log2 of the ratio; math.log2 would round differently
+            order = math.log(d1 / d2) / math.log(2.0)
+            rich = seq[-1] + d2 / 3.0
         else:
             order = math.nan
             rich = math.nan

@@ -103,7 +103,8 @@ def count_dlarrk():
 
 
 def _hex(value) -> str:
-    return float(value).hex()
+    # the report writes a non-finite value as null
+    return float("nan" if value is None else value).hex()
 
 
 def _cases():

@@ -222,6 +222,24 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     assert json.loads(out_file.read_text())["pass"] is False
 
 
+def test_verify_writes_null_for_a_non_finite_value(capsys):
+    # n_r=1's sequence is not monotone, so its order, extrapolation and error
+    # are NaN: the report writes null for each, and stays strict JSON
+    code, out, err = run(
+        ["verify", "--model", "pdm-coulomb", "--D", "4", "--lambda", "0.1", "--Q", "1",
+         "--L", "0.5", "--k", "2", "--format", "json"],
+        capsys,
+    )
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    state = json.loads(out, parse_constant=refuse)["states"][1]
+    assert code == 1
+    assert err.startswith("verify failed: n_r=1 rel_error=nan order=nan residual=")
+    assert [state[key] for key in ("extrapolated", "observed_order", "rel_error")] == [None] * 3
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--model", "bogus"])
@@ -361,7 +379,11 @@ def assert_usage_error(argv, capsys):
         (["wavefunction", "--model", "nlo", "--d", "2", "--lambda", "-0.25", "--beta", "1",
           "--x-max", "3"], "sampling range exceeds the coordinate domain"),
         (["verify", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1", "--k", "1",
-          "--ordering", "xyz"], "unknown ordering 'xyz'"),
+          "--ordering", "xyz"], "--ordering is for pdm-osc and pdm-coulomb, not --model nlo"),
+        (["verify", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1", "--k", "1",
+          "--ordering", "mm"], "--ordering is for pdm-osc and pdm-coulomb, not --model nlo"),
+        (["verify", *OSC, "--grids", "512,1000,2048"],
+         "need at least 3 grid sizes, each twice the one before"),
         (["verify", "--model", "osc", "--d", "3", "--omega", "1", "--k", "0"],
          "k must be >= 1"),
         (["wavefunction", "--model", "osc", "--d", "3", "--omega", "1", "--points", "0"],
@@ -380,6 +402,7 @@ def assert_usage_error(argv, capsys):
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
          "negative-L", "x-max-outside-domain", "unknown-ordering-weighted-model",
+         "ordering-on-weighted-model", "non-doubling-grids",
          "no-states", "no-points", "no-samples",
          "fractional-l-duality", "infinite-l", "nan-tol-eig", "negative-tol-eig",
          "negative-exponent-tol-eig",
