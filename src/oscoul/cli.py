@@ -314,6 +314,7 @@ def cmd_verify(args) -> int:
             "ang": ang,
             "k": args.k,
             "grids": grids,
+            "eig_resolution": list(report.resolution),
             "tolerances": {
                 "eig": args.tol_eig,
                 "order_window": [1.5, 2.5],

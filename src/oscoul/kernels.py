@@ -27,10 +27,14 @@ both ends were evaluated shifts, and their counts enclose the index.  An
 index not certified inside a guess (the eigenvalue outside it, a
 neighbour's index, an empty or zero-width guess) is bisected again from the
 next guess and then from the Gershgorin interval, so a guess can cost time
-but never the answer; one not certified there either raises RuntimeError.  RELTOL is 2 eps and PIVMIN is the pivot floor of ``dstebz``,
-so each eigenvalue is resolved to about 2 ulp of itself; LAPACK's default
-absolute tolerance, ulp * ||T||, would move the oracle's lowest eigenvalues
-by up to about 1e-9 relative.
+but never the answer; one not certified there either raises RuntimeError.
+PIVMIN is the pivot floor of ``dstebz``.  RELTOL, the relative width at
+which bisection stops, is 2 eps by default, so each eigenvalue is resolved
+to about 2 ulp of itself; a caller may ask for a coarser one (the oracle
+passes N eps on N rows, below the round-off spread of its eigenvalues), and
+each halving it skips saves one Sturm count.  LAPACK's default absolute
+tolerance, ulp * ||T||, would move the oracle's lowest eigenvalues by up to
+about 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ _SYMBOL = "scipy_dlarrk_64_"
 _EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
 _LIMIT = 2.0**1022  # dlarrk bisects at (left + right) / 2, which must not overflow
+_RELTOL = 2.0 * _EPS  # the default relative width of a bisected eigenvalue
 
 __all__ = ["LapackNotFound", "lowest_eigenvalues_tridiag"]
 
@@ -101,18 +106,26 @@ def _prepare(diag, off, k, first):
     return diag, off, k, first
 
 
-def lowest_eigenvalues_tridiag(diag, off, k: int, first: int = 0, brackets=None) -> np.ndarray:
+def lowest_eigenvalues_tridiag(
+    diag, off, k: int, first: int = 0, brackets=None, reltol: float = _RELTOL
+) -> np.ndarray:
     """Eigenvalues first .. k-1 (0-based, so the k smallest when first = 0),
-    ascending, each to about 2 ulp.
+    ascending, each bisected to a relative width ``reltol`` (default 2 eps,
+    about 2 ulp).
 
     ``brackets``, if given, holds g (lo, hi) guesses for each returned index,
     shape (k - first, g, 2).  An index's guesses are tried in order,
     narrowest first as the oracle grades them, and an index certified inside
-    none of them is bisected from the Gershgorin interval.  A matrix whose widened Gershgorin interval
-    does not fit inside ±2^1022 (|off| above about 1.3e154 among them) raises
-    ValueError before any LAPACK call.
+    none of them is bisected from the Gershgorin interval.  A ``reltol``
+    that is not finite or lies below 2 eps (below eps ``dlarrk`` runs out of
+    steps), and a matrix whose widened Gershgorin interval does not fit
+    inside ±2^1022 (|off| above about 1.3e154 among them), raise ValueError
+    before any LAPACK call.
     """
     diag, off, k, first = _prepare(diag, off, k, first)
+    reltol = float(reltol)
+    if not _RELTOL <= reltol < math.inf:
+        raise ValueError(f"reltol must be finite and >= 2 eps ({_RELTOL:.3e}), got {reltol}")
     with np.errstate(over="ignore"):
         e2 = off * off
         # dstebz's pivot floor and widened Gershgorin interval
@@ -141,7 +154,7 @@ def lowest_eigenvalues_tridiag(diag, off, k: int, first: int = 0, brackets=None)
         tries = [[*g, gershgorin] for g in guesses.tolist()]
     i64, dbl, ref = ctypes.c_int64, ctypes.c_double, ctypes.byref
     w, werr, info = dbl(), dbl(), i64()
-    n, piv, rtol = ref(i64(diag.size)), ref(dbl(pivmin)), ref(dbl(2.0 * _EPS))
+    n, piv, rtol = ref(i64(diag.size)), ref(dbl(pivmin)), ref(dbl(reltol))
     out = np.empty(k - first)
     for j, intervals in enumerate(tries):
         index = first + j + 1

@@ -5,8 +5,7 @@ operator (-1/w) d/dx (p w d/dx) + V, discretized on a half-cell-offset uniform
 grid in conservative (flux) form, symmetrized by the similarity transform
 W^(1/2) H W^(-1/2), and solved by LAPACK ``dlarrk`` Sturm-count bisection
 from NumPy's bundled OpenBLAS (``oscoul.kernels``, bound on the first
-eigensolve; each eigenvalue is resolved to about 2 ulp rather than to
-ulp * ||T||).  A convergence study takes a doubling ladder, each grid twice
+eigensolve).  A convergence study takes a doubling ladder, each grid twice
 the one before, and discretizes each distinct domain on all of its grids at
 once (``discretize_ladder``: p, w and V are sampled once each on the finest
 grid's half-cell lattice, and every grid reads its cell centres and
@@ -20,14 +19,22 @@ grid first the quadratic in h^2 through the last three points, +- 1e-6 and
 then +- 3e-5 of the last step |lam_(i-1) - lam_(i-2)|, and then the line
 through the last two (Richardson) +- 2e-3 of it.  Sturm bisection
 pays one count of N rows per halving, and the narrow guesses, which hold
-nearly every state, take the finest grid from about 26 halvings to 17.  No
-half-width is below 32 N eps |guess|, the spread of a computed eigenvalue
-about the h^2 law once the law converges to round-off.  A guess only saves
+nearly every state, take the finest grid from about 26 halvings to 17 at
+2 ulp, and to 7 at the resolution below.  No half-width is below
+32 N eps |guess|, the spread of a computed eigenvalue about the h^2 law
+once the law converges to round-off.  A guess only saves
 time: the kernel accepts an eigenvalue only when the Sturm counts certify its
 index strictly inside it, and otherwise tries the next guess and at last the
 Gershgorin interval, so a wrong closed form, an error that is not O(h^2) or a
-zero-width guess (ref = 0) costs more bisection, never the answer.
-Eigenvalues are reported in the doubled convention (2E).
+zero-width guess (ref = 0) costs more bisection, and moves the answer only
+within its resolution.  Bisection stops at a relative width of N eps on N cells
+(``ConvergenceReport.resolution``), not at the kernel's default 2 eps:
+the matrix's own rounding already spreads each eigenvalue by up to about
+31 N eps |lam|, so the digits below N eps are noise, and skipping them takes
+about 40 % of the Sturm counts off a study.  Whichever guess certifies it,
+each eigenvalue lies within N eps |lam| of the 2-ulp solve of the same
+matrix (``lowest_eigenvalues``).  Eigenvalues are reported in the doubled
+convention (2E).
 
 The coefficients (``weighted_coefficients``, the PDM ``flat_coefficients``)
 are functions of the radius r and the stretch t, and each side of the duality
@@ -95,11 +102,15 @@ __all__ = [
 # grid's, relative to the closed form; each finer grid's, relative to the last
 # step of the h^2 line it extrapolates; the narrower ones tried first around
 # the quadratic in h^2 from the third grid on; and the floor of them all, in
-# units of N eps |guess| on N cells
+# units of N eps |guess| on N cells, above the spread of about 31 N eps |lam|
+# that rounding puts on a computed eigenvalue
 _REF_WIDTH = 1e-3
 _STEP_WIDTH = 2e-3
 _CURVE_WIDTHS = (1e-6, 3e-5)
 _FLOOR = 32
+# the relative width at which each eigenvalue's bisection stops, in units of
+# N eps on N cells: 32 times finer than that spread
+_RESOLUTION = 1
 _EPS = np.finfo(float).eps
 # the cutoff scan: points per window, and the stride of its coarse pass
 _SCAN = 8192
@@ -130,7 +141,9 @@ class DiscreteOperator:
 class ConvergenceReport:
     """Grid study of one (model, ang) channel: eigenvalues per grid plus
     observed order, Richardson extrapolation from the two finest grids, and
-    the analytic reference; cutoffs[j] ends state j's solved y-domain."""
+    the analytic reference; cutoffs[j] ends state j's solved y-domain, and
+    resolution[i] is the relative width N eps to which grid i's eigenvalues
+    were bisected."""
 
     grids: tuple
     eigenvalues: tuple  # eigenvalues[i][j]: grid i, state j
@@ -140,6 +153,7 @@ class ConvergenceReport:
     rel_error: tuple
     monotone: tuple
     cutoffs: tuple
+    resolution: tuple
 
 
 def _exp_cutoff(amp, state: str) -> float:
@@ -360,7 +374,8 @@ def discretize_ladder(problem: SturmLiouvilleProblem, grids) -> list:
 
 
 def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of the discretized operator (2E convention)."""
+    """The k smallest eigenvalues of the discretized operator (2E convention),
+    each to about 2 ulp, the kernel's default resolution."""
     from . import kernels
 
     return kernels.lowest_eigenvalues_tridiag(op.diag, op.off, k)
@@ -406,7 +421,9 @@ def _brackets(x, xs, ys, N):
     quadratic through them, +- 1e-6 and then 3e-5 of the last step, and then
     that line.  No half-width is below 32 N eps |guess|: computed eigenvalues
     of N rows stray from the h^2 law by up to about 31 N eps |lam| once it has
-    converged to round-off."""
+    converged to round-off.  Bisection then starts from a width of about
+    68 N eps (``dlarrk`` widens each side by about 2 N eps) and stops at
+    N eps, so a certified guess costs about 6 halvings."""
     y1 = ys[-1]
     if len(ys) == 1:
         guesses = [(y1, _REF_WIDTH * np.abs(y1))]
@@ -451,8 +468,10 @@ def convergence_study(
     else:
         refs = [2.0 * model.pdm_energy(ordering, q) for q in states]
     grids = [int(N) for N in grids]
-    if len(grids) < 3 or any(M != 2 * N for N, M in zip(grids, grids[1:])):
-        raise ValueError("need at least 3 grid sizes, each twice the one before")
+    if len(grids) < 3 or grids[0] < 3 or any(M != 2 * N for N, M in zip(grids, grids[1:])):
+        raise ValueError(
+            f"need at least 3 grid sizes, each twice the one before, of N >= 3 cells, got {grids}"
+        )
     # each target state gets its own truncation, so low states keep a fine grid;
     # consecutive states on the same domain share one solve per grid
     problems = [build_problem(model, ang, ordering, n_states=j + 1) for j in range(k)]
@@ -464,6 +483,7 @@ def convergence_study(
 
     hs = 1.0 / np.asarray(grids, dtype=float)
     hh = hs * hs
+    resolution = [_RESOLUTION * N * _EPS for N in grids]
     eig = np.empty((len(grids), k))
     first = 0
     for top in tops:
@@ -474,6 +494,7 @@ def convergence_study(
             eig[i, run] = kernels.lowest_eigenvalues_tridiag(
                 op.diag, op.off, top + 1, first=first,
                 brackets=_brackets(hh[i], xs[-3:], ys[-3:], grids[i]),
+                reltol=resolution[i],
             )
             xs.append(hh[i])
             ys.append(eig[i, run])
@@ -505,6 +526,7 @@ def convergence_study(
         rel_error=tuple(errs),
         monotone=tuple(mono),
         cutoffs=tuple(prob.domain[1] for prob in problems),
+        resolution=tuple(resolution),
     )
 
 

@@ -22,10 +22,15 @@ every field but ``residual`` bit for bit, and every residual of both stays at
 or below 1e-9; it prints each disagreement and a residual summary otherwise.
 It also prints, for each class of case, named by the case's model (weighted:
 nlo and clike; flat: pdm-osc and pdm-coulomb; Euclidean: osc and coulomb),
-the passing states of each digest, the number of flipped pass flags and the largest
-relative eigenvalue move, the ``dlarrk`` calls and the N * halvings of
-each digest; those two are work counts, never disagreements.  Pytest does
-not collect this file.
+the passing states of each digest, the number of flipped pass flags, the largest
+relative eigenvalue move and the largest in units of N eps of the grid of N
+cells it occurred on, the ``dlarrk`` calls and the N * halvings of each
+digest; those two are work counts, never disagreements.  A change of the
+oracle's resolution, the relative width at which bisection stops, is
+expected to report eigenvalue disagreements, and with them extrapolation,
+error and order ones; the class summary is then the evidence: no flipped
+pass flag, and every move within the resolution (at most 1 N eps when the
+oracle bisects to N eps).  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ RESIDUAL_BOUND = 1e-9
 STATE_VALUES = ("reference", "extrapolated", "rel_error", "observed_order", "residual")
 STATE_FLAGS = ("eig_ok", "order_ok", "residual_ok", "pass")
 WORK = ("dlarrk_calls", "n_halvings")
+GRIDS = (512, 1024, 2048)  # verify's default ladder, which every case runs
 _EPS = 2.0**-52  # LAPACK's dlamch('P')
 
 
@@ -183,7 +189,10 @@ def class_summary(a: dict, b: dict) -> list:
             continue
         st = stats.setdefault(
             _class(argv),
-            dict(cases=0, states=0, pa=0, pb=0, flips=0, move=0.0, ca=0, cb=0, wa=0, wb=0),
+            dict(
+                cases=0, states=0, pa=0, pb=0, flips=0, move=0.0, units=0.0,
+                ca=0, cb=0, wa=0, wb=0,
+            ),
         )
         st["cases"] += 1
         st["ca"] += a[argv].get("dlarrk_calls", 0)
@@ -195,12 +204,15 @@ def class_summary(a: dict, b: dict) -> list:
             st["pa"] += xa["pass"]
             st["pb"] += xb["pass"]
             st["flips"] += xa["pass"] != xb["pass"]
-            for ea, eb in zip(xa["eigenvalues"], xb["eigenvalues"]):
+            for N, ea, eb in zip(GRIDS, xa["eigenvalues"], xb["eigenvalues"]):
                 ea, eb = float.fromhex(ea), float.fromhex(eb)
-                st["move"] = max(st["move"], abs(eb - ea) / abs(ea))
+                move = abs(eb - ea) / abs(ea)
+                st["move"] = max(st["move"], move)
+                st["units"] = max(st["units"], move / (N * _EPS))
     return [
         f"{cls}: {st['cases']} cases, {st['pa']} -> {st['pb']} of {st['states']} states pass, "
         f"{st['flips']} pass flags flipped, largest relative eigenvalue move {st['move']:.1e}, "
+        f"largest in N eps of its grid {st['units']:.2f}, "
         f"dlarrk calls {st['ca']} -> {st['cb']} ({_change(st['ca'], st['cb'])}), "
         f"N*halvings {st['wa']} -> {st['wb']} ({_change(st['wa'], st['wb'])})"
         for cls, st in sorted(stats.items())

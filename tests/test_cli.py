@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oscoul
-from oscoul import kernels
+from oscoul import kernels, oracle
 from oscoul.cli import main
 from oscoul.models import CoulombLike, NonlinearOscillator, QuantumNumbers
 from test_cli_golden import CASES, GOLDEN
@@ -172,6 +172,15 @@ def test_verify_passes(capsys, tmp_path):
     rep = json.loads(out_file.read_text())
     assert rep["schema"] == 1
     assert rep["pass"] is True
+
+
+def test_verify_reports_the_eigenvalue_resolution(capsys):
+    # the relative width N eps to which each grid's eigenvalues were bisected
+    code, out, _ = run(["verify", *OSC, "--grids", "128,256,512"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["eig_resolution"] == [N * np.finfo(float).eps for N in (128, 256, 512)]
+    assert rep["grids"] == [128, 256, 512]
 
 
 @pytest.mark.parametrize(
@@ -384,6 +393,8 @@ def assert_usage_error(argv, capsys):
           "--ordering", "mm"], "--ordering is for pdm-osc and pdm-coulomb, not --model nlo"),
         (["verify", *OSC, "--grids", "512,1000,2048"],
          "need at least 3 grid sizes, each twice the one before"),
+        (["verify", *OSC, "--grids", "0,0,0"], "of N >= 3 cells, got [0, 0, 0]"),
+        (["verify", *OSC, "--grids", "-1,-2,-4"], "of N >= 3 cells, got [-1, -2, -4]"),
         (["verify", "--model", "osc", "--d", "3", "--omega", "1", "--k", "0"],
          "k must be >= 1"),
         (["wavefunction", "--model", "osc", "--d", "3", "--omega", "1", "--points", "0"],
@@ -402,7 +413,7 @@ def assert_usage_error(argv, capsys):
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
          "negative-L", "x-max-outside-domain", "unknown-ordering-weighted-model",
-         "ordering-on-weighted-model", "non-doubling-grids",
+         "ordering-on-weighted-model", "non-doubling-grids", "zero-grids", "negative-grids",
          "no-states", "no-points", "no-samples",
          "fractional-l-duality", "infinite-l", "nan-tol-eig", "negative-tol-eig",
          "negative-exponent-tol-eig",
@@ -412,7 +423,11 @@ def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve ran before the usage check")
 
+    def no_problem(*args, **kwargs):
+        raise AssertionError("a problem was built before the usage check")
+
     monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", no_solve)
+    monkeypatch.setattr(oracle, "build_problem", no_problem)
     assert message in assert_usage_error(argv, capsys)
 
 

@@ -83,6 +83,32 @@ def test_entries_out_of_range_raise_before_lapack(monkeypatch):
         kernels.lowest_eigenvalues_tridiag([1.7e308, 1.7e308], [1.0], 2)
 
 
+@pytest.mark.parametrize(
+    "reltol", [np.nan, np.inf, 0.0, -1.0, np.finfo(float).eps, 1.9 * np.finfo(float).eps]
+)
+def test_reltol_below_2_eps_or_not_finite_raises_before_lapack(reltol, larrk_calls):
+    # below eps dlarrk runs out of steps and the call ends in "could not certify"
+    with pytest.raises(ValueError, match="reltol must be finite and >= 2 eps"):
+        kernels.lowest_eigenvalues_tridiag(np.zeros(5), np.ones(4), 3, reltol=reltol)
+    assert larrk_calls == []
+
+
+def test_coarser_reltol_stays_within_it(larrk_calls):
+    # the oracle's resolution on its N = 2048 matrix: N eps relative, against
+    # the default 2 eps; each dlarrk call stops at the width it is given
+    op = oracle.discretize(
+        oracle.build_problem(CoulombLike(D=3, lam=0.05, Q=1.0), 0.0, n_states=3), 2048
+    )
+    reltol = 2048 * np.finfo(float).eps
+    ref = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3)
+    larrk_calls.clear()
+    got = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3, reltol=reltol)
+    assert [index for index, _, _ in larrk_calls] == [1, 2, 3]
+    assert np.all(np.abs(got - ref) <= reltol * np.abs(ref))
+    default = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3, reltol=2 * np.finfo(float).eps)
+    assert np.array_equal(default, ref)
+
+
 @pytest.mark.filterwarnings("error")
 def test_large_entries_in_range_solve():
     # 1e200 -+ 1e100 round to 1e200; each eigenvalue is resolved to about 2 ulp
@@ -322,19 +348,19 @@ def test_study_batch_memory(monkeypatch):
     real = kernels.lowest_eigenvalues_tridiag
     matrices = []
 
-    def capture(diag, off, k, first=0, brackets=None):
-        matrices.append((diag, off, k, first, brackets))
-        return real(diag, off, k, first, brackets)
+    def capture(diag, off, k, first=0, brackets=None, **kw):
+        matrices.append((diag, off, k, first, brackets, kw))
+        return real(diag, off, k, first, brackets, **kw)
 
     monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", capture)
     oracle.convergence_study(CoulombLike(D=3, lam=0.05, Q=1.0), 0.0, 3, [512, 1024, 2048])
     monkeypatch.undo()
     assert len(matrices) == 9
-    assert sum(k - first for _, _, k, first, _ in matrices) == 9
+    assert sum(k - first for _, _, k, first, _, _ in matrices) == 9
     tracemalloc.start()
     try:
-        for diag, off, k, first, brackets in matrices:
-            real(diag, off, k, first, brackets)
+        for diag, off, k, first, brackets, kw in matrices:
+            real(diag, off, k, first, brackets, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -24,6 +24,11 @@ from oscoul.models import (
 GRIDS = [512, 1024, 2048]
 
 
+def resolution(N):
+    """The relative width to which a study bisects the eigenvalues of N cells."""
+    return oracle._RESOLUTION * N * np.finfo(float).eps
+
+
 def free_particle(n=3):
     prob = oracle.SturmLiouvilleProblem(
         p=lambda x: np.ones_like(x),
@@ -352,9 +357,9 @@ class TestConvergenceStudy:
         real = kernels.lowest_eigenvalues_tridiag
         calls = []
 
-        def spy(diag, off, k, first=0, brackets=None):
+        def spy(diag, off, k, first=0, brackets=None, **kw):
             calls.append((k, first, brackets is not None))
-            return real(diag, off, k, first, brackets)
+            return real(diag, off, k, first, brackets, **kw)
 
         monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", spy)
         return calls
@@ -421,8 +426,9 @@ class TestConvergenceStudy:
         for state in (widths[:7], widths[7:]):
             assert min(state[1], state[3]) > 1.0  # Gershgorin
             assert state[4] < state[5] < state[6] < 1.0  # the graded guesses
-        for got, want in zip(wrong.eigenvalues, true.eigenvalues):
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        # both studies bisect each grid's eigenvalues to its resolution, N eps
+        for N, got, want in zip(GRIDS, wrong.eigenvalues, true.eigenvalues):
+            np.testing.assert_allclose(got, want, rtol=resolution(N), atol=0)
         for j in range(2):
             assert wrong.reference[j] == pytest.approx(1.05 * true.reference[j], rel=1e-15)
             assert wrong.rel_error[j] == pytest.approx(0.05 / 1.05, rel=1e-5)
@@ -432,7 +438,8 @@ class TestConvergenceStudy:
         # misses: the second grid bisects twice, the second time from the
         # Gershgorin interval.  The quadratic in h^2 through the closed form and
         # the two coarser grids holds an h^4 law, so the finest grid's
-        # narrowest guess certifies.  Every grid matches a solve of it alone.
+        # narrowest guess certifies.  Every grid matches a solve of it alone
+        # to the study's resolution.
         m = EuclideanOscillator(d=4, omega=1.0)
         intervals = self.spy_dlarrk(monkeypatch)
         rep = oracle.convergence_study(m, 0.0, 1, GRIDS)
@@ -442,7 +449,28 @@ class TestConvergenceStudy:
         problem = oracle.build_problem(m, 0.0, n_states=1)
         for i, N in enumerate(GRIDS):
             alone = oracle.lowest_eigenvalues(oracle.discretize(problem, N), 1)[0]
-            assert rep.eigenvalues[i][0] == pytest.approx(alone, rel=1e-15, abs=0)
+            assert rep.eigenvalues[i][0] == pytest.approx(alone, rel=resolution(N), abs=0)
+
+    @pytest.mark.parametrize(
+        "model,ang,ordering",
+        [
+            (NonlinearOscillator(d=2, lam=-0.1, beta=1.0), 1.0, None),
+            (CoulombLike(D=3, lam=-0.1, Q=1.0), 0.0, BD),
+            (CoulombLike(D=3, lam=-0.1, Q=1.0), 0.0, MM),
+            (EuclideanCoulomb(D=3, Q=1.0), 0.0, None),
+        ],
+        ids=["weighted-nlo", "flat-bd", "flat-mm", "euclidean-coulomb"],
+    )
+    def test_eigenvalues_within_their_resolution(self, model, ang, ordering):
+        # each study eigenvalue lies within N eps |lam| of the 2-ulp solve of
+        # the same matrix: the digits below N eps are all that the study skips
+        rep = oracle.convergence_study(model, ang, 2, GRIDS, ordering)
+        assert rep.resolution == tuple(resolution(N) for N in GRIDS)
+        for j in range(2):
+            problem = oracle.build_problem(model, ang, ordering, n_states=j + 1)
+            for i, N in enumerate(GRIDS):
+                full = oracle.lowest_eigenvalues(oracle.discretize(problem, N), j + 1)[j]
+                assert abs(rep.eigenvalues[i][j] - full) <= resolution(N) * abs(full), (i, j)
 
     @pytest.mark.parametrize(
         "D,lam,L,states",
