@@ -27,8 +27,8 @@ time: the kernel accepts an eigenvalue only when the Sturm counts certify its
 index strictly inside it, and otherwise tries the next guess and at last the
 Gershgorin interval, so a wrong closed form, an error that is not O(h^2) or a
 zero-width guess (ref = 0) costs more bisection, and moves the answer only
-within its resolution.  Bisection stops at a relative width of N eps on N cells
-(``ConvergenceReport.resolution``), not at the kernel's default 2 eps:
+within its resolution.  Bisection stops at a relative width of N eps on N
+cells (``ConvergenceReport.resolution``), not at the kernel's default 2 eps:
 the matrix's own rounding already spreads each eigenvalue by up to about
 31 N eps |lam|, so the digits below N eps are noise, and skipping them takes
 about 40 % of the Sturm counts off a study.  Whichever guess certifies it,

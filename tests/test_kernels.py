@@ -94,19 +94,19 @@ def test_reltol_below_2_eps_or_not_finite_raises_before_lapack(reltol, larrk_cal
 
 
 def test_coarser_reltol_stays_within_it(larrk_calls):
-    # the oracle's resolution on its N = 2048 matrix: N eps relative, against
-    # the default 2 eps; each dlarrk call stops at the width it is given
+    # the oracle's resolution on its N = 2048 matrix, N eps relative, moves no
+    # eigenvalue by more than that from the default 2 eps, which it names
     op = oracle.discretize(
         oracle.build_problem(CoulombLike(D=3, lam=0.05, Q=1.0), 0.0, n_states=3), 2048
     )
-    reltol = 2048 * np.finfo(float).eps
+    eps = np.finfo(float).eps
     ref = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3)
+    named = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3, reltol=2 * eps)
+    assert np.array_equal(named, ref)
     larrk_calls.clear()
-    got = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3, reltol=reltol)
+    got = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3, reltol=2048 * eps)
     assert [index for index, _, _ in larrk_calls] == [1, 2, 3]
-    assert np.all(np.abs(got - ref) <= reltol * np.abs(ref))
-    default = kernels.lowest_eigenvalues_tridiag(op.diag, op.off, 3, reltol=2 * np.finfo(float).eps)
-    assert np.array_equal(default, ref)
+    assert np.all(np.abs(got - ref) <= 2048 * eps * np.abs(ref))
 
 
 @pytest.mark.filterwarnings("error")
