@@ -212,7 +212,7 @@ def cmd_wavefunction(args) -> int:
     else:
         if x_max is None:
             x_max = 0.999 * hi
-        if not lo < x_max <= hi:
+        if not lo < x_max < hi:
             raise ConfigError("sampling range exceeds the coordinate domain")
         xs = np.linspace(x_max / points, x_max, points)
     psi = np.asarray(model.wavefunction(q, xs))

@@ -7,7 +7,7 @@ W^(1/2) H W^(-1/2), and solved by LAPACK ``dlarrk`` Sturm-count bisection
 from NumPy's bundled OpenBLAS (``oscoul.kernels``, bound on the first
 eigensolve).  A convergence study takes a doubling ladder, each grid twice
 the one before, and discretizes each distinct domain on all of its grids at
-once (``discretize_ladder``: p, w and V are sampled once each on the finest
+once (``discretize_ladder``: one call samples p, w and V on the finest
 grid's half-cell lattice, and every grid reads its cell centres and
 interfaces from it), solves each matrix once, and computes only the
 eigenvalues it reports.  Each is bisected inside guesses that the h^2 law
@@ -41,14 +41,15 @@ are functions of the radius r and the stretch t, and each side of the duality
 names the one coordinate y both pictures are solved in (``coordinate``; x =
 sqrt(s) on the Coulomb side, s on the oscillator side for lam > 0, the radius
 otherwise).  ``build_problem`` maps any radial triple to y in one step,
-P = p/g'^2, W = w g', V(g) with r = g(y); the coordinate map forms P, the
-same p = 1/m in both pictures, with t cancelled.  ``truncation_radius`` cuts
-every infinite y-domain where the density |u|^2 W falls to 1e-12 of its peak.
-It applies that rule to the 8192 points of a window [hi/1e4, hi] doubled
-from hi = 16, but evaluates the state at every 8th point and then only in
-the cells that can hold the peak, a node or the crossing: the same cutoff
-from about an eighth of the points.  A state whose coordinate map overflows
-before its density has decayed raises ValueError.
+P = p/g'^2, W = w g', V(g) with r = g(y), from one call of the coordinate
+map; the map forms P, the same p = 1/m in both pictures, with t cancelled.
+``truncation_radius`` cuts every infinite y-domain where the density |u|^2 W
+falls to 1e-12 of its peak.  It applies that rule to the 8192 points of a
+window [hi/1e4, hi] doubled from hi = 16, but evaluates the state at every
+8th point and then only in the cells that can hold the peak, a node or the
+crossing: the same cutoff from about an eighth of the points.  A state
+whose coordinate map overflows before its density has decayed raises
+ValueError.
 
 Every problem has the natural (zero-flux) row at the origin.  The flat
 picture's u goes as r^a there, a the larger Frobenius exponent of its
@@ -64,14 +65,14 @@ it, mapped back to the radius; a finite radial domain is sampled on its inner
 
 An ordering selects the picture: ``None`` solves the weighted equation, BD
 or MM the PDM flat picture of a curved model (w = 1).  BD is -d/dx (1/m)
-d/dx + V1 (or U) directly.  The MM operator is reduced exactly to that BD
-form by the substitution psi = m^(1/4) u, which turns the ordering into a
-potential term of the model's flat coefficients: the constant -lam^2/4 on
-the Coulomb side, and on the oscillator side the term that takes the
-paper's V2 back to V1.  These are the paper's two orderings and the only von
-Roos triples (O. von Roos, Phys. Rev. B 27, 7547 (1983)) that
-``PdmOrdering`` accepts: the paper pairs each with its own oscillator-side
-potential, so it defines no problem for a third.
+d/dx + V1 (or U) directly.  MM differs from it by a potential on the same
+psi, (4 m m'' - 7 m'^2)/(16 m^3) by the von Roos identity, so its state is
+the BD flat state u, and the model's flat coefficients add that term: the
+constant -lam^2/4 on the Coulomb side, and on the oscillator side the term
+that takes the paper's V2 back to V1.  These are the paper's two orderings
+and the only von Roos triples (O. von Roos, Phys. Rev. B 27, 7547 (1983))
+that ``PdmOrdering`` accepts: the paper pairs each with its own
+oscillator-side potential, so it defines no problem for a third.
 """
 
 from __future__ import annotations
@@ -119,11 +120,10 @@ _STRIDE = 8
 
 @dataclass(frozen=True)
 class SturmLiouvilleProblem:
-    """Coefficients of (-1/w) d/dx (p w d/dx) + V on (a, b), self-adjoint in L^2(w dx)."""
+    """(-1/w) d/dx (p w d/dx) + V on (a, b), self-adjoint in L^2(w dx); one call
+    of ``coefficients`` maps an array of points x to the arrays (p, w, V)."""
 
-    p: Callable
-    w: Callable
-    potential: Callable
+    coefficients: Callable
     domain: tuple[float, float]
 
 
@@ -133,8 +133,6 @@ class DiscreteOperator:
 
     diag: np.ndarray
     off: np.ndarray
-    h: float
-    nodes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -293,23 +291,11 @@ def build_problem(
 
     to_r, _ = model.coordinate()
 
-    def P(y):
-        return to_r(y)[3]
+    def coefficients(y):
+        r, t, dr, P = to_r(y)
+        return P, w(r, t) * dr, V(r, t)
 
-    def W(y):
-        r, t, dr, _ = to_r(y)
-        return w(r, t) * dr
-
-    def U(y):
-        r, t = to_r(y)[:2]
-        return V(r, t)
-
-    return SturmLiouvilleProblem(
-        p=P,
-        w=W,
-        potential=U,
-        domain=(0.0, truncation_radius(model, ang, n_states - 1)),
-    )
+    return SturmLiouvilleProblem(coefficients, (0.0, truncation_radius(model, ang, n_states - 1)))
 
 
 def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
@@ -328,29 +314,37 @@ def discretize(problem: SturmLiouvilleProblem, N: int) -> DiscreteOperator:
     return discretize_ladder(problem, [N])[0]
 
 
+def _doubling(grids) -> list:
+    """The grid sizes as ints; ValueError unless each is an integer N >= 3
+    and twice the one before."""
+    grids = list(grids)
+    if not all(isinstance(N, (int, np.integer)) and N >= 3 for N in grids) or any(
+        M != 2 * N for N, M in zip(grids, grids[1:])
+    ):
+        raise ValueError(f"need each grid size twice the one before, of N >= 3 cells, got {grids}")
+    return [int(N) for N in grids]
+
+
 def discretize_ladder(problem: SturmLiouvilleProblem, grids) -> list:
     """``discretize(problem, N)`` for each N of a doubling ladder (each N twice
     the one before), bit for bit.
 
-    p, w and V are sampled once each on the finest grid's half-cell lattice
-    y_j = a + j (b - a) / (2 N_f): w and V at j = 1 ... 2 N_f - 1, p at the
-    even j up to 2 N_f.  A grid of N cells, s = 2 N_f / N lattice steps each,
-    reads its centres at j = s/2, 3 s/2, ... and its interfaces at
+    One call of the coefficients samples the finest grid's half-cell lattice
+    y_j = a + j (b - a) / (2 N_f), j = 1 ... 2 N_f: p is kept at the even j,
+    w and V at j < 2 N_f.  w and V at the wall, where t = 0 on a finite domain,
+    are dropped, so the call runs with floating-point warnings off; every kept
+    sample must be finite and every w positive.  A grid of N cells, s = 2 N_f / N
+    steps each, reads its centres at j = s/2, 3 s/2, ... and its interfaces at
     j = s, 2 s, ..., 2 N_f.
     """
-    for N in grids:
-        if not isinstance(N, (int, np.integer)) or N < 3:
-            raise ValueError(f"need N >= 3 cells, got {N}")
-    if any(M != 2 * N for N, M in zip(grids, grids[1:])):
-        raise ValueError(f"need each grid size twice the one before, got {list(grids)}")
+    grids = _doubling(grids)
     a, b = problem.domain
     n = grids[-1]
-    step = (b - a) / (2 * n)
-    y = a + np.arange(1, 2 * n) * step
-    w_all = np.asarray(problem.w(y), dtype=float)
-    v_all = np.asarray(problem.potential(y), dtype=float)
-    p_all = np.asarray(problem.p(a + np.arange(2, 2 * n + 1, 2) * step), dtype=float)
-    if not (np.all(np.isfinite(w_all)) and np.all(np.isfinite(v_all)) and np.all(np.isfinite(p_all))):
+    y = a + np.arange(1, 2 * n + 1) * ((b - a) / (2 * n))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p_all, w_all, v_all = (np.asarray(c, dtype=float) for c in problem.coefficients(y))
+    p_all, w_all, v_all = p_all[1::2], w_all[:-1], v_all[:-1]
+    if not all(np.isfinite(c).all() for c in (p_all, w_all, v_all)):
         raise ValueError("non-finite coefficient sampled on the grid")
     if not np.all(w_all > 0):
         raise ValueError("weight must be positive on the open domain")
@@ -369,7 +363,7 @@ def discretize_ladder(problem: SturmLiouvilleProblem, grids) -> list:
         sw = np.sqrt(w)
         off = -g / (h2 * sw[:-1] * sw[1:])
         diag[-1] += p_half[-1] / h2
-        ops.append(DiscreteOperator(diag=diag, off=off, h=h, nodes=y[centres]))
+        ops.append(DiscreteOperator(diag=diag, off=off))
     return ops
 
 
@@ -467,11 +461,9 @@ def convergence_study(
         refs = [2.0 * model.energy(q) for q in states]
     else:
         refs = [2.0 * model.pdm_energy(ordering, q) for q in states]
-    grids = [int(N) for N in grids]
-    if len(grids) < 3 or grids[0] < 3 or any(M != 2 * N for N, M in zip(grids, grids[1:])):
-        raise ValueError(
-            f"need at least 3 grid sizes, each twice the one before, of N >= 3 cells, got {grids}"
-        )
+    grids = _doubling(grids)
+    if len(grids) < 3:
+        raise ValueError(f"need at least 3 grid sizes, got {grids}")
     # each target state gets its own truncation, so low states keep a fine grid;
     # consecutive states on the same domain share one solve per grid
     problems = [build_problem(model, ang, ordering, n_states=j + 1) for j in range(k)]

@@ -391,8 +391,10 @@ def assert_usage_error(argv, capsys):
           "--ordering", "xyz"], "--ordering is for pdm-osc and pdm-coulomb, not --model nlo"),
         (["verify", "--model", "nlo", "--d", "2", "--lambda", "-0.1", "--beta", "1", "--k", "1",
           "--ordering", "mm"], "--ordering is for pdm-osc and pdm-coulomb, not --model nlo"),
+        (["wavefunction", "--model", "clike", "--D", "3", "--lambda", "-0.1", "--Q", "1",
+          "--x-max", "10", "--points", "3"], "sampling range exceeds the coordinate domain"),
         (["verify", *OSC, "--grids", "512,1000,2048"],
-         "need at least 3 grid sizes, each twice the one before"),
+         "need each grid size twice the one before, of N >= 3 cells, got [512, 1000, 2048]"),
         (["verify", *OSC, "--grids", "0,0,0"], "of N >= 3 cells, got [0, 0, 0]"),
         (["verify", *OSC, "--grids", "-1,-2,-4"], "of N >= 3 cells, got [-1, -2, -4]"),
         (["verify", "--model", "osc", "--d", "3", "--omega", "1", "--k", "0"],
@@ -412,7 +414,8 @@ def assert_usage_error(argv, capsys):
         (["verify", *OSC, "--tol-residual", "-1"], "--tol-residual must be >= 0, got -1.0"),
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
-         "negative-L", "x-max-outside-domain", "unknown-ordering-weighted-model",
+         "negative-L", "x-max-outside-domain", "x-max-at-domain-end",
+         "unknown-ordering-weighted-model",
          "ordering-on-weighted-model", "non-doubling-grids", "zero-grids", "negative-grids",
          "no-states", "no-points", "no-samples",
          "fractional-l-duality", "infinite-l", "nan-tol-eig", "negative-tol-eig",

@@ -4,6 +4,7 @@ structure, eigenvalue extraction, residuals, and convergence behavior."""
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,14 +30,13 @@ def resolution(N):
     return oracle._RESOLUTION * N * np.finfo(float).eps
 
 
+def free_problem(p=np.ones_like, w=np.ones_like, potential=np.zeros_like):
+    """-d^2/dx^2 on (0, 1), or the problem with the given coefficient functions."""
+    return oracle.SturmLiouvilleProblem(lambda x: (p(x), w(x), potential(x)), (0.0, 1.0))
+
+
 def free_particle(n=3):
-    prob = oracle.SturmLiouvilleProblem(
-        p=lambda x: np.ones_like(x),
-        w=lambda x: np.ones_like(x),
-        potential=lambda x: np.zeros_like(x),
-        domain=(0.0, 1.0),
-    )
-    return oracle.discretize(prob, n)
+    return oracle.discretize(free_problem(), n)
 
 
 class TestDiscretize:
@@ -78,41 +78,50 @@ class TestDiscretize:
         "model,ang,ordering",
         [
             (NonlinearOscillator(d=2, lam=-0.1, beta=1.0), 1.0, None),
+            (NonlinearOscillator(d=3, lam=-0.1, beta=1.0), 1.0, BD),
             (NonlinearOscillator(d=3, lam=0.05, beta=1.0), 0.0, MM),
             (CoulombLike(D=3, lam=-0.3, Q=2.0), 0.5, None),
             (CoulombLike(D=2.5, lam=0.1, Q=1.0), 1.5, BD),
             (EuclideanCoulomb(D=3, Q=1.0), 0.0, None),
             (EuclideanOscillator(d=4, omega=1.0), 2.0, None),
         ],
-        ids=["nlo-r", "nlo-s-mm", "clike-far-tail", "clike-bd", "coulomb", "osc"],
+        ids=["nlo-r", "nlo-r-bd", "nlo-s-mm", "clike-far-tail", "clike-bd", "coulomb", "osc"],
     )
     def test_ladder_matches_each_grid_alone(self, model, ang, ordering, grids):
-        # one sampling of p, w and V on the finest grid's half-cell lattice
-        # gives each grid the operator it gets alone, bit for bit
+        # one call of the coefficients on the finest grid's half-cell lattice,
+        # the wall included, gives each grid the operator it gets alone, bit for
+        # bit; on a finite domain (nlo lam < 0) V at the wall is infinite
         problem = oracle.build_problem(model, ang, ordering, n_states=2)
-        calls = []
+        sizes = []
 
-        def counted(name, f):
-            def g(x):
-                calls.append((name, x.size))
-                return f(x)
+        def counted(x):
+            sizes.append(x.size)
+            return problem.coefficients(x)
 
-            return g
-
-        once = dataclasses.replace(
-            problem,
-            p=counted("p", problem.p),
-            w=counted("w", problem.w),
-            potential=counted("V", problem.potential),
-        )
-        ladder = oracle.discretize_ladder(once, grids)
-        n = grids[-1]
-        assert sorted(calls) == [("V", 2 * n - 1), ("p", n), ("w", 2 * n - 1)]
+        ladder = oracle.discretize_ladder(dataclasses.replace(problem, coefficients=counted), grids)
+        assert sizes == [2 * grids[-1]]
         for N, op in zip(grids, ladder):
             alone = oracle.discretize(problem, N)
-            assert op.h == alone.h
-            for field in ("diag", "off", "nodes"):
+            for field in ("diag", "off"):
                 assert getattr(op, field).tobytes() == getattr(alone, field).tobytes(), field
+
+    @pytest.mark.parametrize(
+        "coefficient,value,message",
+        [
+            ("w", np.nan, "non-finite coefficient sampled on the grid"),
+            ("potential", np.nan, "non-finite coefficient sampled on the grid"),
+            ("w", 0.0, "weight must be positive on the open domain"),
+        ],
+        ids=["nan-weight", "nan-potential", "zero-weight"],
+    )
+    def test_bad_interior_sample_is_refused(self, coefficient, value, message):
+        # one bad value at x = 3/8, the second cell centre of 4 cells, with the
+        # sampler's floating-point warnings off: only these checks can catch it
+        def bad_at_centre(x):
+            return np.where(x == 0.375, value, 1.0)
+
+        with pytest.raises(ValueError, match=message):
+            oracle.discretize(free_problem(**{coefficient: bad_at_centre}), 4)
 
 
 class TestBuildProblem:
@@ -171,9 +180,10 @@ class TestBuildProblem:
                 V = rad["V"](r, t) - gauge
             h = 1e-6
             dr_dy = (to_r(y + h)[0] - to_r(y - h)[0]) / (2 * h)
-            np.testing.assert_allclose(problem.w(y), w * dr_dy, rtol=1e-9)
-            np.testing.assert_allclose(problem.potential(y), V, rtol=1e-12)
-            np.testing.assert_allclose(problem.p(y), rad["p"](r, t) / dr_dy**2, rtol=1e-9)
+            P, W, U = problem.coefficients(y)
+            np.testing.assert_allclose(W, w * dr_dy, rtol=1e-9)
+            np.testing.assert_allclose(U, V, rtol=1e-12)
+            np.testing.assert_allclose(P, rad["p"](r, t) / dr_dy**2, rtol=1e-9)
 
     def test_far_tail_coefficients_use_the_stretch_directly(self):
         # at lam x^2 = -60, 1 + lam R(x) rounds to 0: a coefficient formed from
@@ -183,7 +193,7 @@ class TestBuildProblem:
         x = np.array([math.sqrt(600.0)])
         R, t = model.coordinate()[0](x)[:2]
         assert 1.0 + model.lam * R[0] == 0.0 and t[0] > 0.0
-        P, V, W = problem.p(x)[0], problem.potential(x)[0], problem.w(x)[0]
+        P, W, V = (c[0] for c in problem.coefficients(x))
         assert np.isfinite([P, V, W]).all() and W > 0
         # W = t^(-3/2) R^2 * 2 x t with t = e^-60 and R = 1/|lam|
         assert W == pytest.approx(2.0 * x[0] * math.exp(30.0) * 100.0, rel=1e-12)
@@ -263,7 +273,7 @@ class TestLowestEigenvalues:
     def test_identity_shift(self):
         op = free_particle(24)
         base = oracle.lowest_eigenvalues(op, 3)
-        shifted = oracle.DiscreteOperator(op.diag + 5.0, op.off, op.h, op.nodes)
+        shifted = oracle.DiscreteOperator(op.diag + 5.0, op.off)
         np.testing.assert_allclose(
             oracle.lowest_eigenvalues(shifted, 3) - base, 5.0, atol=1e-10
         )
@@ -335,16 +345,19 @@ class TestConvergenceStudy:
         assert abs(rep.extrapolated[0] - (-0.25)) <= 1e-6 * 0.25
 
     def test_grid_validation(self):
+        # the study and the ladder share one rule; the study adds its 3 grids
         m = EuclideanOscillator(d=3, omega=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 3 grid sizes"):
             oracle.convergence_study(m, 0.0, 1, [512, 1024])
         with pytest.raises(ValueError):
             oracle.convergence_study(m, 0.0, 1, [512, 512, 1024])
-        with pytest.raises(ValueError, match="each twice the one before"):
-            oracle.convergence_study(m, 0.0, 1, [512, 1000, 2048])
         problem = oracle.build_problem(m, 0.0, n_states=1)
-        with pytest.raises(ValueError, match="each grid size twice the one before"):
-            oracle.discretize_ladder(problem, [300, 512, 1000])
+        for grids in ([512, 1000, 2048], [512.7, 1024, 2048]):
+            message = f"need each grid size twice the one before, of N >= 3 cells, got {grids}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                oracle.convergence_study(m, 0.0, 1, grids)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                oracle.discretize_ladder(problem, grids)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_no_states_is_an_error(self, k):
