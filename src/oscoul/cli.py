@@ -139,6 +139,8 @@ def _ang_fixed(args) -> bool:
 def cmd_spectrum(args) -> int:
     model, ang0 = build_model(args)
     n_cap = args.n_max if args.n_max is not None else 6
+    if n_cap < 0:
+        raise ConfigError(f"--n-max must be >= 0, got {n_cap}")
     osc_side = model.kind == "oscillator"
     pdm = _MODELS[args.model][2] == "flat"
     rows = []

@@ -6,8 +6,9 @@ nonconstant-curvature space, and the PDM reinterpretations of the latter two.
 Each model class is the one home of its physics: its side of the duality, its
 energies and bound-state rule, its measure, its wavefunctions with their exact
 derivatives, the Sturm-Liouville coefficients the oracle discretizes (weighted
-and, for the curved classes, PDM flat-picture), and the coordinate in which
-the oracle solves them.  The PDM forms take one of the paper's two orderings,
+and, for the curved classes, the PDM potential of each ordering, from which
+the side forms the flat picture), and the coordinate in which the oracle
+solves them.  The PDM forms take one of the paper's two orderings,
 ``BD`` or ``MM`` (``PdmOrdering`` accepts no other von Roos triple); the
 Euclidean classes have none and raise ValueError when asked for one.
 
@@ -48,7 +49,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Union
 
 from . import specfun
 from ._lazy import load
@@ -131,8 +131,9 @@ class PdmOrdering:
     operator (O. von Roos, Phys. Rev. B 27, 7547 (1983)).
 
     Only the paper's two orderings exist here: BD (0, -1, 0) and MM (-1/4,
-    -1/2, -1/4).  The paper pairs each with its own potential on the
-    oscillator side (V1 and V2) but keeps the one potential U on the Coulomb
+    -1/2, -1/4).  xi sets the weight m^(-2 xi) of the flat picture
+    (``flat_coefficients``), and the paper gives each its own potential on
+    the oscillator side (V1 and V2) and the one potential U on the Coulomb
     side, so no rule names the problem another triple would pose.
     """
 
@@ -266,8 +267,8 @@ def _jacobi3(n, a, b, z, dz, ddz):
 
 class _Side:
     """What both sides share.  The stretch t(x) is 1 + lam r^2 on the oscillator
-    side and 1 + lam R on the Coulomb side; the PDM mass is a power of it, and
-    it is 1 in the Euclidean limit, where the model's lam is 0.
+    side and 1 + lam R on the Coulomb side; the PDM mass is t^-mu, mu =
+    ``_MASS_POWER``, and t is 1 in the Euclidean limit, where the model's lam is 0.
 
     Coefficients, the measure ``_weight`` and the state ``amplitude`` take t
     next to r, so a solved coordinate supplies t where 1 + lam R(y) cancels.
@@ -296,15 +297,42 @@ class _Side:
         return x ** ((self.dim - 1.0) / 2.0) * self.stretch(x) ** self._FLAT_POWER
 
     @_pointwise
-    def flat_factor_derivatives(self, x):
-        """(f, f', f'') of ``flat_factor``; used by the oracle residuals."""
-        return _mul3(
-            _pow3(x, (self.dim - 1.0) / 2.0), _cpow3(*self._stretch3(x), self._FLAT_POWER)
-        )
+    def flat_factor_derivatives(self, ordering: PdmOrdering, x):
+        """(f, f', f'') of ``flat_factor`` times m^xi, which turns a weighted-measure
+        eigenfunction into the function phi = m^xi psi that the ordering's flat
+        picture solves for; used by the oracle residuals."""
+        power = self._FLAT_POWER - self._MASS_POWER * ordering.xi
+        return _mul3(_pow3(x, (self.dim - 1.0) / 2.0), _cpow3(*self._stretch3(x), power))
+
+    @_pointwise
+    def pdm_mass(self, x):
+        """Position-dependent mass m = t^-mu: (1+lam r^2)^-1 on the oscillator side,
+        (1+lam R)^-2 on the Coulomb side."""
+        return self.stretch(x) ** -self._MASS_POWER
 
     def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
-        """The PDM flat picture: the curved models override this; lam = 0 has none."""
-        raise ValueError("the PDM flat picture applies to the curved models only")
+        """The PDM flat picture of the ordering (xi, eta, xi): (p, w, V) plus
+        c1 = p' + p w'/w, each f(r, t).
+
+        With the mass m = t^-mu, -m^xi d/dr m^eta d/dr m^xi + V acts on
+        phi = m^xi psi as (-1/w) d/dr (p w d/dr) + V with p = 1/m = t^mu and
+        w = m^(-2 xi) = t^(2 mu xi), since 2 xi + eta = -1; V is the paper's
+        potential of the ordering (``_pdm_potential``).  lam = 0 has no PDM form.
+        """
+        _require(self.lam != 0, "the PDM flat picture applies to the curved models only")
+        mu, xi = self._MASS_POWER, ordering.xi
+        scale = (1.0 + 2.0 * xi) * mu
+        return dict(
+            p=lambda r, t: t**mu,
+            w=lambda r, t: t ** (2.0 * mu * xi),
+            V=lambda r, t: self._pdm_potential(ordering, ang, r, t),
+            c1=lambda r, t: scale * t ** (mu - 1) * self._stretch3(r)[1],
+        )
+
+    @_pointwise
+    def pdm_potential(self, ordering: PdmOrdering, ang: float, x):
+        """The paper's PDM potential of the ordering at x (see ``_pdm_potential``)."""
+        return self.flat_coefficients(ang, ordering)["V"](x, self.stretch(x))
 
     def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
         """The PDM energy: the curved models override this; lam = 0 has none."""
@@ -324,6 +352,7 @@ class _OscillatorSide(_Side):
 
     kind = "oscillator"
     _FLAT_POWER = -0.25
+    _MASS_POWER = 1
 
     @property
     def dim(self) -> float:
@@ -365,11 +394,6 @@ class _OscillatorSide(_Side):
     def _stretch3(self, r):
         return (self.stretch(r), 2.0 * self.lam * r, 2.0 * self.lam)
 
-    @_pointwise
-    def pdm_mass(self, r):
-        """Position-dependent mass (1+lam r^2)^-1."""
-        return 1.0 / self.stretch(r)
-
     def coordinate(self):
         """(y -> (r, t, dr/dy, P), end of y) for y = s at lam > 0, where bound states
         decay exponentially (in r only as a power), and y = r otherwise.
@@ -397,6 +421,7 @@ class _CoulombSide(_Side):
 
     kind = "coulomb"
     _FLAT_POWER = -0.75
+    _MASS_POWER = 2
 
     @property
     def dim(self) -> float:
@@ -440,12 +465,6 @@ class _CoulombSide(_Side):
 
     def _stretch3(self, R):
         return (self.stretch(R), self.lam, 0.0)
-
-    @_pointwise
-    def pdm_mass(self, R):
-        """Position-dependent mass (1+lam R)^-2."""
-        t = self.stretch(R)
-        return 1.0 / (t * t)
 
     def coordinate(self):
         """(x -> (R, t, dR/dx, P), end of x) for x = sqrt(s): R ~ x^2 near the origin
@@ -603,33 +622,14 @@ class NonlinearOscillator(_OscillatorSide):
         z = 1.0 + 2.0 * lam * r * r
         return _mul3(trip, _jacobi3(q.n_r, a, b, z, 4.0 * lam * r, 4.0 * lam))
 
-    def _bd_potential(self, ang: float, r, t):
-        """V1, the BD potential."""
+    def _pdm_potential(self, ordering: PdmOrdering, ang: float, r, t):
+        """The paper's V1 for BD and V2 for MM."""
         lam, beta = self.lam, self.beta
-        return self._flat_centrifugal(ang, r) + (beta * (beta + lam) * r * r - 0.25 * lam) / t
-
-    def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
-        """Reduced flat-picture (p, V, c1 = p') of the weight-1 equation, each f(r, t).
-
-        The paper's V2 plus the MM shift collapses to V1, so both orderings
-        share the BD potential here.
-        """
-        lam = self.lam
-        return dict(
-            p=lambda r, t: t,
-            V=lambda r, t: self._bd_potential(ang, r, t),
-            c1=lambda r, t: 2.0 * lam * r,
-        )
-
-    @_pointwise
-    def pdm_potential(self, ordering: PdmOrdering, ang: float, r):
-        """Closed-form PDM potential: V1 for BD, V2 for MM."""
         if ordering == BD:
-            return self._bd_potential(ang, r, self.stretch(r))
-        lam = self.lam
-        return self._flat_centrifugal(ang, r) + (
-            (self.beta + 0.5 * lam) ** 2 * r * r + 0.25 * lam
-        ) / (1.0 + lam * r * r)
+            tail = beta * (beta + lam) * r * r - 0.25 * lam
+        else:
+            tail = (beta + 0.5 * lam) ** 2 * r * r + 0.25 * lam
+        return self._flat_centrifugal(ang, r) + tail / t
 
     def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
         """PDM energy: the curved energy plus the ordering shift (BD and MM coincide here)."""
@@ -687,34 +687,12 @@ class CoulombLike(_CoulombSide):
         z = 1.0 + 2.0 * lam * R
         return _mul3(trip, _jacobi3(q.n_r, wp.rho, wp.sigma, z, 2.0 * lam, 0.0))
 
-    def _bd_potential(self, ang: float, R):
-        """U, the PDM potential of both the BD and the MM ordering."""
+    def _pdm_potential(self, ordering: PdmOrdering, ang: float, R, t):
+        """U, the paper's PDM potential of both the BD and the MM ordering."""
         D = self.D
         return self._flat_centrifugal(ang, R) - (
             self.Q - 0.25 * (D - 1.0) * (2.0 * D - 5.0) * self.lam
         ) / R
-
-    def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
-        """Reduced flat-picture (p, V, c1 = p') of the weight-1 equation, each f(R, t):
-        U plus the von Roos shift.
-
-        The shift is the potential 2 U_vr = -K1/2 m'^2/m^3 - (xi+zeta)/2 m''/m^2,
-        K1 = zeta(eta+zeta-1) + xi(eta+xi-1), that the ordering adds over BD.
-        For the mass (1+lam R)^-2 both ratios are constants, 4 lam^2 and
-        6 lam^2, so the shift is zero for BD and -lam^2/4 for MM (K1 = 7/8).
-        """
-        lam = self.lam
-        shift = 0.0 if ordering == BD else -0.25 * lam**2
-        return dict(
-            p=lambda R, t: t**2,
-            V=lambda R, t: self._bd_potential(ang, R) + shift,
-            c1=lambda R, t: 2.0 * lam * t,
-        )
-
-    @_pointwise
-    def pdm_potential(self, ordering: PdmOrdering, ang: float, R):
-        """Closed-form PDM potential U, the same for BD and MM."""
-        return self._bd_potential(ang, R)
 
     def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
         """PDM energy: the curved energy plus the ordering-dependent shift."""
@@ -723,9 +701,6 @@ class CoulombLike(_CoulombSide):
         if ordering == BD:
             return base - (2.0 * D - 1.0) * (2.0 * D - 5.0) * lam**2 / 32.0
         return base - (2.0 * D - 3.0) ** 2 * lam**2 / 32.0
-
-
-RadialModel = Union[EuclideanOscillator, EuclideanCoulomb, NonlinearOscillator, CoulombLike]
 
 
 def clike_bound_states(model: CoulombLike) -> list[QuantumNumbers]:
@@ -746,12 +721,12 @@ def clike_bound_states(model: CoulombLike) -> list[QuantumNumbers]:
     return states
 
 
-def wavefunction(model: RadialModel, q: QuantumNumbers, x):
+def wavefunction(model: _Side, q: QuantumNumbers, x):
     """The model's unnormalized closed-form radial function at x."""
     return model.wavefunction(q, x)
 
 
-def wavefunction_derivatives(model: RadialModel, q: QuantumNumbers, x):
+def wavefunction_derivatives(model: _Side, q: QuantumNumbers, x):
     """(psi, psi', psi'') of the closed-form radial function, exact in x > 0."""
     return model.derivatives(q, x)
 
@@ -760,7 +735,7 @@ def wavefunction_derivatives(model: RadialModel, q: QuantumNumbers, x):
 class RadialState:
     """A model, its quantum numbers, and an amplitude; callable as psi(x)."""
 
-    model: RadialModel
+    model: _Side
     q: QuantumNumbers
     amplitude: float = 1.0
 

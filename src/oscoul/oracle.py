@@ -64,15 +64,14 @@ it, mapped back to the radius; a finite radial domain is sampled on its inner
 2-95 % instead.
 
 An ordering selects the picture: ``None`` solves the weighted equation, BD
-or MM the PDM flat picture of a curved model (w = 1).  BD is -d/dx (1/m)
-d/dx + V1 (or U) directly.  MM differs from it by a potential on the same
-psi, (4 m m'' - 7 m'^2)/(16 m^3) by the von Roos identity, so its state is
-the BD flat state u, and the model's flat coefficients add that term: the
-constant -lam^2/4 on the Coulomb side, and on the oscillator side the term
-that takes the paper's V2 back to V1.  These are the paper's two orderings
-and the only von Roos triples (O. von Roos, Phys. Rev. B 27, 7547 (1983))
-that ``PdmOrdering`` accepts: the paper pairs each with its own
-oscillator-side potential, so it defines no problem for a third.
+or MM the PDM flat picture of a curved model, -m^xi d/dr m^eta d/dr m^xi + V
+with the paper's potential of that ordering (V1 or V2 on the oscillator side,
+U on the Coulomb side).  Its solution is phi = m^xi psi, with weight
+w = m^(-2 xi): 1 for BD and m^(1/2) for MM (``flat_coefficients``).  These
+are the paper's two orderings and the only von Roos triples (O. von Roos,
+Phys. Rev. B 27, 7547 (1983)) that ``PdmOrdering`` accepts: the paper pairs
+each with its own oscillator-side potential, so it defines no problem for a
+third.
 """
 
 from __future__ import annotations
@@ -242,8 +241,9 @@ def truncation_radius(model, ang: float, n_r: int) -> float:
 
     A finite y-domain is kept whole.  Otherwise the cutoff is where the
     state's density |u|^2 W in y falls to 1e-12 of its peak.  That density is
-    psi^2 w dr/dy in both pictures (the flat u^2 is psi^2 times the weighted
-    measure, and the gauge cancels in |v|^2 W), so one cutoff serves both.
+    psi^2 w dr/dy in every picture (the flat u^2 is psi^2 times the weighted
+    measure, and the gauge and the ordering's m^xi cancel in |v|^2 W), so one
+    cutoff serves them all.
     """
     to_r, end = model.coordinate()
     if math.isfinite(end):
@@ -269,11 +269,11 @@ def build_problem(
     """Sturm-Liouville form of one radial problem in the model's solved coordinate.
 
     ordering None solves the curved radial equation against its measure; BD
-    or MM solves the PDM picture (w = 1) of that ordering, gauged by r^a:
-    weight r^(2a).  The radial (w, V) become W = w g' and V(g) in the
-    coordinate y of ``model.coordinate()``, r = g(y), which also gives P.  The
-    domain is truncated (if infinite) to cover the lowest ``n_states`` states
-    of the channel, by ``truncation_radius``.
+    or MM solves the PDM picture of that ordering, gauged by r^a: weight
+    r^(2a) w with the ordering's w.  The radial (w, V) become W = w g' and
+    V(g) in the coordinate y of ``model.coordinate()``, r = g(y), which also
+    gives P.  The domain is truncated (if infinite) to cover the lowest
+    ``n_states`` states of the channel, by ``truncation_radius``.
     """
     if ordering is None:
         coeff = model.weighted_coefficients(ang)
@@ -281,10 +281,10 @@ def build_problem(
     else:
         flat = model.flat_coefficients(ang, ordering)
         a = model.flat_exponent(ang)
-        p, c1, v = flat["p"], flat["c1"], flat["V"]
+        p, c1, v, flat_w = flat["p"], flat["c1"], flat["V"], flat["w"]
 
         def w(r, t):
-            return r ** (2.0 * a)
+            return r ** (2.0 * a) * flat_w(r, t)
 
         def V(r, t):
             return v(r, t) - a * c1(r, t) / r - a * (a - 1.0) * p(r, t) / (r * r)
@@ -390,9 +390,9 @@ def residual_norm(
         coeff = model.weighted_coefficients(q.ang)
         psi, dpsi, d2psi = state.derivatives(x)
         lam2e = 2.0 * model.energy(q)
-    else:  # -(p psi')' + V psi = 2E psi, c1 = p'
+    else:  # -(1/w)(p w phi')' + V phi = 2E phi for phi = m^xi psi, c1 = (p w)'/w
         coeff = model.flat_coefficients(q.ang, ordering)
-        psi, dpsi, d2psi = _mul3(model.flat_factor_derivatives(x), state.derivatives(x))
+        psi, dpsi, d2psi = _mul3(model.flat_factor_derivatives(ordering, x), state.derivatives(x))
         lam2e = 2.0 * model.pdm_energy(ordering, q)
     t = model.stretch(x)
     kin2 = np.asarray(coeff["p"](x, t)) * d2psi

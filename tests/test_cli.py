@@ -412,6 +412,8 @@ def assert_usage_error(argv, capsys):
         (["verify", *OSC, "--tol-eig", "-1e-6"], "--tol-eig must be >= 0, got -1e-06"),
         (["verify", *OSC, "--tol-residual", "nan"], "--tol-residual must be >= 0, got nan"),
         (["verify", *OSC, "--tol-residual", "-1"], "--tol-residual must be >= 0, got -1.0"),
+        (["spectrum", "--model", "nlo", "--d", "2", "--lambda", "0.1", "--beta", "1",
+          "--n-max", "-1"], "--n-max must be >= 0, got -1"),
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
          "negative-L", "x-max-outside-domain", "x-max-at-domain-end",
@@ -420,7 +422,7 @@ def assert_usage_error(argv, capsys):
          "no-states", "no-points", "no-samples",
          "fractional-l-duality", "infinite-l", "nan-tol-eig", "negative-tol-eig",
          "negative-exponent-tol-eig",
-         "nan-tol-residual", "negative-tol-residual"],
+         "nan-tol-residual", "negative-tol-residual", "negative-n-max"],
 )
 def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
     def no_solve(*args, **kwargs):

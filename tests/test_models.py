@@ -277,8 +277,9 @@ class TestPdm:
         # the domain of nlo d=3 lam=-0.1 ends at 1/sqrt(0.1) = 3.16
         m = NonlinearOscillator(d=3, lam=-0.1, beta=1.0)
         for x in (-1.0, 5.0, [0.5, 5.0]):
-            with pytest.raises(ValueError, match="outside the domain"):
-                m.flat_factor_derivatives(x)
+            for ordering in (BD, MM):
+                with pytest.raises(ValueError, match="outside the domain"):
+                    m.flat_factor_derivatives(ordering, x)
 
     def test_weight_domain(self):
         # the domains end at 1/0.1 = 10 and 1/sqrt(0.1) = 3.16; past them the
@@ -314,6 +315,18 @@ class TestPdm:
             m.pdm_potential(BD, 0.0, R), m.pdm_potential(MM, 0.0, R), rtol=0
         )
 
+    @pytest.mark.parametrize(
+        "model", [NonlinearOscillator(d=3, lam=-0.1, beta=1.0), CoulombLike(D=3, lam=-0.1, Q=1.0)]
+    )
+    def test_mm_weight_is_root_of_the_mass(self, model):
+        # w = m^(-2 xi): 1 for BD and m^(1/2) for MM, with p = 1/m in both
+        r = np.linspace(0.2, 3.0, 7)
+        t = model.stretch(r)
+        for ordering, power in ((BD, 0.0), (MM, 0.5)):
+            coeff = model.flat_coefficients(1.0, ordering)
+            np.testing.assert_allclose(coeff["w"](r, t), model.pdm_mass(r) ** power, rtol=1e-14)
+            np.testing.assert_allclose(coeff["p"](r, t), 1.0 / model.pdm_mass(r), rtol=1e-14)
+
     def test_general_von_roos_rejected(self):
         # a triple other than BD and MM is refused when it is made
         with pytest.raises(ValueError, match="PDM orderings are BD .* and MM .* only"):
@@ -331,6 +344,8 @@ class TestPdm:
             model.pdm_energy(BD, q(0, 0))
         with pytest.raises(ValueError, match="curved models only"):
             model.flat_coefficients(0.0, MM)
+        with pytest.raises(ValueError, match="curved models only"):
+            model.pdm_potential(BD, 0.0, 1.0)
 
     def test_energies(self):
         m2 = NonlinearOscillator(d=2, lam=-0.3, beta=1.0)
@@ -413,10 +428,12 @@ class TestDerivativesAtTheOrigin:
     def test_flat_factor_at_d3(self):
         # the flat factor's radial power is (d-1)/2 = 1 at d = 3
         m = NonlinearOscillator(d=3, lam=-0.1, beta=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            at_zero = m.flat_factor_derivatives(0.0)
-        np.testing.assert_allclose(at_zero, m.flat_factor_derivatives(1e-8), rtol=0, atol=1e-8)
+        for ordering in (BD, MM):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                at_zero = m.flat_factor_derivatives(ordering, 0.0)
+            near = m.flat_factor_derivatives(ordering, 1e-8)
+            np.testing.assert_allclose(at_zero, near, rtol=0, atol=1e-8)
 
 
 BLOCK_CASES = [

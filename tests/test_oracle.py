@@ -152,11 +152,13 @@ class TestBuildProblem:
 
     def test_geodesic_transform_keeps_measure_and_potential(self):
         # every mapped coordinate y: W dy = w dr, V(y) = V(r(y)), P = p (dy/dr)^2;
-        # the flat picture (weight 1) first gauged by r^a: r^(2a), V - a c1/r - a(a-1) p/r^2
+        # the flat picture (weight w = m^(-2 xi)) first gauged by r^a:
+        # r^(2a) w, V - a c1/r - a(a-1) p/r^2
         for model, ordering in [
             (NonlinearOscillator(d=2, lam=0.2, beta=1.0), None),  # s
             (NonlinearOscillator(d=2, lam=0.2, beta=1.0), BD),  # s
             (NonlinearOscillator(d=3, lam=-0.1, beta=1.0), BD),  # r
+            (NonlinearOscillator(d=3, lam=0.2, beta=1.0), MM),  # s
             (CoulombLike(D=3, lam=0.2, Q=1.0), None),  # x = sqrt(s)
             (CoulombLike(D=3, lam=-0.1, Q=1.0), None),  # x = sqrt(s)
             (CoulombLike(D=3, lam=0.2, Q=1.0), BD),  # x = sqrt(s)
@@ -175,7 +177,7 @@ class TestBuildProblem:
                 rad = model.flat_coefficients(1.0, ordering)
                 a = model.flat_exponent(1.0)
                 assert a == 1.0 + (model.dim - 1.0) / 2.0
-                w = r ** (2.0 * a)
+                w = r ** (2.0 * a) * rad["w"](r, t)
                 gauge = a * rad["c1"](r, t) / r + a * (a - 1.0) * rad["p"](r, t) / r**2
                 V = rad["V"](r, t) - gauge
             h = 1e-6
@@ -228,21 +230,19 @@ class TestBuildProblem:
         np.testing.assert_allclose(e_vr, e_mm, rtol=0, atol=1e-10)
 
     def test_mm_equals_bd_for_oscillator(self):
-        # 2E_2 = 2E_1: the reduced MM problem coincides with the BD one
+        # 2E_2 = 2E_1: MM with V2 and weight m^(1/2) has the BD spectrum with V1
         m = NonlinearOscillator(d=4, lam=-0.1, beta=1.0)
-        bd = oracle.discretize(oracle.build_problem(m, 0.0, BD, n_states=1), 2048)
-        mm = oracle.discretize(oracle.build_problem(m, 0.0, MM, n_states=1), 2048)
-        np.testing.assert_allclose(
-            oracle.lowest_eigenvalues(bd, 2), oracle.lowest_eigenvalues(mm, 2), rtol=1e-12
-        )
+        bd = oracle.convergence_study(m, 0.0, 2, GRIDS, BD)
+        mm = oracle.convergence_study(m, 0.0, 2, GRIDS, MM)
+        np.testing.assert_allclose(mm.extrapolated, bd.extrapolated, rtol=2e-12, atol=0)
 
     def test_pdm_ordering_energy_split(self):
         # Eq-(29) vs Eq-(30) spectra differ by the constant 2(E2 - E1) = -lam^2/4
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        bd = oracle.discretize(oracle.build_problem(m, 0.0, BD, n_states=1), 1024)
-        mm = oracle.discretize(oracle.build_problem(m, 0.0, MM, n_states=1), 1024)
-        diff = oracle.lowest_eigenvalues(mm, 1)[0] - oracle.lowest_eigenvalues(bd, 1)[0]
-        assert abs(diff - (-0.01 / 4.0)) < 1e-10
+        bd = oracle.convergence_study(m, 0.0, 1, GRIDS, BD)
+        mm = oracle.convergence_study(m, 0.0, 1, GRIDS, MM)
+        diff = mm.extrapolated[0] - bd.extrapolated[0]
+        assert abs(diff - (-0.01 / 4.0)) < 1e-12
 
     def test_weighted_vs_flat_shift(self):
         # flat eigenvalue = weighted eigenvalue - d(d-2) lam / 4 in the 2E convention
@@ -309,11 +309,16 @@ class TestResiduals:
             assert oracle.residual_norm(st, np.linspace(0.1, hi, 50)) <= 1e-10
 
     def test_flat_picture_residuals(self):
-        m = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        st = RadialState(m, QuantumNumbers(0, 0))
-        samples = np.linspace(0.3, 8.0, 50)
-        assert oracle.residual_norm(st, samples, BD) <= 1e-12
-        assert oracle.residual_norm(st, samples, MM) <= 1e-12
+        # the BD and MM flat pictures, each with its own weight and potential
+        for model, q, hi in [
+            (CoulombLike(D=3, lam=-0.1, Q=1.0), QuantumNumbers(0, 0), 8.0),
+            (NonlinearOscillator(d=3, lam=-0.1, beta=1.0), QuantumNumbers(1, 1), 3.0),
+            (NonlinearOscillator(d=3, lam=0.05, beta=1.0), QuantumNumbers(1, 1), 6.0),
+        ]:
+            samples = np.linspace(0.3, hi, 50)
+            for ordering in (BD, MM):
+                got = oracle.residual_norm(RadialState(model, q), samples, ordering)
+                assert got <= 1e-12, (model, ordering, got)
 
     def test_wrong_energy_gives_large_residual(self, monkeypatch):
         st = RadialState(EuclideanOscillator(d=3, omega=1.0), QuantumNumbers(1, 0))
@@ -634,8 +639,8 @@ KNOWN_MISSES = {
     **{
         (D, lam, L, n_r, o): ITEM2
         for D, lam, L, n_r, orderings in [
-            (2.0, 0.02, 1.5, 3, "bd mm"),
-            (2.0, 0.1, 0.5, 2, "bd mm"),
+            (2.0, 0.02, 1.5, 3, "bd"),
+            (2.0, 0.1, 0.5, 2, "bd"),
             (2.5, 0.1, 1.5, 1, "bd mm"),
             (3.0, 0.1, 0.0, 2, "bd mm"),
             (3.0, 0.1, 1.0, 1, "bd"),
