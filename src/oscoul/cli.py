@@ -275,7 +275,10 @@ def cmd_verify(args) -> int:
         tol = getattr(args, name.replace("-", "_"))
         if not tol >= 0:
             raise ConfigError(f"--{name} must be >= 0, got {tol}")
-    grids = [int(g) for g in args.grids.split(",")]
+    try:
+        grids = [int(g) for g in args.grids.split(",")]
+    except ValueError:
+        raise ConfigError(f"--grids must be comma-separated integers, got {args.grids!r}") from None
     try:
         report = oracle.convergence_study(model, ang, args.k, grids, ordering)
     except LapackNotFound as exc:

@@ -4,13 +4,15 @@ Six models: the Euclidean oscillator and Coulomb problems, the nonlinear
 (constant-curvature) oscillator and its dual Coulomb-like problem in a
 nonconstant-curvature space, and the PDM reinterpretations of the latter two.
 Each model class is the one home of its physics: its side of the duality, its
-energies and bound-state rule, its measure, its wavefunctions with their exact
-derivatives, the Sturm-Liouville coefficients the oracle discretizes (weighted
-and, for the curved classes, the PDM potential of each ordering, from which
-the side forms the flat picture), and the coordinate in which the oracle
-solves them.  The PDM forms take one of the paper's two orderings,
-``BD`` or ``MM`` (``PdmOrdering`` accepts no other von Roos triple); the
-Euclidean classes have none and raise ValueError when asked for one.
+energies and bound-state rule, its wavefunctions with their exact derivatives,
+for the curved classes the PDM potential of each ordering, and the coordinate
+in which the oracle solves them.  The side holds the measure, the curved
+radial potential and the one Sturm-Liouville rule (``_Side.coefficients``)
+that gives every picture the coefficients the oracle discretizes: p = 1/m =
+t^mu, w = r^k t^e, the picture's potential, and c1 = (p w)'/w derived from
+them.  The PDM forms take one of the paper's two orderings, ``BD`` or ``MM``
+(``PdmOrdering`` accepts no other von Roos triple); the Euclidean classes
+have none and raise ValueError when asked for one.
 
 The Euclidean classes are the lam = 0 cases of their side of the duality:
 the side class holds the one domain, measure, radial coefficients and energy,
@@ -86,6 +88,12 @@ def _finite(value) -> bool:
     return math.isfinite(float(value))
 
 
+def _require_finite(name: str, value: float, ok: bool, rule: str) -> None:
+    """Refuse a model parameter that is not finite or breaks its rule, naming its value."""
+    if not (_finite(value) and ok):
+        raise ValueError(f"{name} must be finite and {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class QuantumNumbers:
     """Radial quantum number n_r plus the angular quantum number (l or L).
@@ -132,7 +140,7 @@ class PdmOrdering:
 
     Only the paper's two orderings exist here: BD (0, -1, 0) and MM (-1/4,
     -1/2, -1/4).  xi sets the weight m^(-2 xi) of the flat picture
-    (``flat_coefficients``), and the paper gives each its own potential on
+    (``_Side.coefficients``), and the paper gives each its own potential on
     the oscillator side (V1 and V2) and the one potential U on the Coulomb
     side, so no rule names the problem another triple would pose.
     """
@@ -269,13 +277,19 @@ class _Side:
     """What both sides share.  The stretch t(x) is 1 + lam r^2 on the oscillator
     side and 1 + lam R on the Coulomb side; the PDM mass is t^-mu, mu =
     ``_MASS_POWER``, and t is 1 in the Euclidean limit, where the model's lam is 0.
+    The measure is t^e r^(dim-1), e = ``_MEASURE_POWER``.
 
-    Coefficients, the measure ``_weight`` and the state ``amplitude`` take t
-    next to r, so a solved coordinate supplies t where 1 + lam R(y) cancels.
+    ``coefficients``, the measure ``_weight`` and the state ``amplitude`` take
+    t next to r, so a solved coordinate supplies t where 1 + lam R(y) cancels.
     """
 
     def is_bound(self, q: QuantumNumbers) -> bool:
         return True
+
+    def _weight(self, r, t):
+        """Measure weight t^e r^(dim-1): (1+lam r^2)^(-1/2) r^(d-1) on the
+        oscillator side, (1+lam R)^(-3/2) R^(D-1) on the Coulomb side."""
+        return t**self._MEASURE_POWER * r ** (self.dim - 1.0)
 
     @_pointwise
     def weight(self, x):
@@ -289,19 +303,20 @@ class _Side:
 
     @_pointwise
     def flat_factor(self, x):
-        """Multiplier turning a weighted-measure eigenfunction into the flat-measure one.
+        """Multiplier r^((dim-1)/2) t^(e/2), the root of the measure, turning a
+        weighted-measure eigenfunction into the flat-measure one.
 
         oscillator side: r^((d-1)/2) (1+lam r^2)^(-1/4);
         coulomb side: R^((D-1)/2) (1+lam R)^(-3/4).
         """
-        return x ** ((self.dim - 1.0) / 2.0) * self.stretch(x) ** self._FLAT_POWER
+        return x ** ((self.dim - 1.0) / 2.0) * self.stretch(x) ** (0.5 * self._MEASURE_POWER)
 
     @_pointwise
     def flat_factor_derivatives(self, ordering: PdmOrdering, x):
         """(f, f', f'') of ``flat_factor`` times m^xi, which turns a weighted-measure
         eigenfunction into the function phi = m^xi psi that the ordering's flat
         picture solves for; used by the oracle residuals."""
-        power = self._FLAT_POWER - self._MASS_POWER * ordering.xi
+        power = 0.5 * self._MEASURE_POWER - self._MASS_POWER * ordering.xi
         return _mul3(_pow3(x, (self.dim - 1.0) / 2.0), _cpow3(*self._stretch3(x), power))
 
     @_pointwise
@@ -310,29 +325,34 @@ class _Side:
         (1+lam R)^-2 on the Coulomb side."""
         return self.stretch(x) ** -self._MASS_POWER
 
-    def flat_coefficients(self, ang: float, ordering: PdmOrdering) -> dict:
-        """The PDM flat picture of the ordering (xi, eta, xi): (p, w, V) plus
-        c1 = p' + p w'/w, each f(r, t).
+    def coefficients(self, ang: float, ordering: PdmOrdering | None, r, t):
+        """(p, w, V, c1) at (r, t) of the operator (-1/w) d/dr (p w d/dr) + V =
+        -p d^2/dr^2 - c1 d/dr + V of the picture ``ordering`` selects, with
+        p = 1/m = t^mu, w = r^k t^e and c1 = (p w)'/w = k p/r + (mu+e) t^(mu-1) t'.
 
-        With the mass m = t^-mu, -m^xi d/dr m^eta d/dr m^xi + V acts on
-        phi = m^xi psi as (-1/w) d/dr (p w d/dr) + V with p = 1/m = t^mu and
-        w = m^(-2 xi) = t^(2 mu xi), since 2 xi + eta = -1; V is the paper's
-        potential of the ordering (``_pdm_potential``).  lam = 0 has no PDM form.
+        ordering None is the curved radial equation against its measure:
+        k = dim-1, e = ``_MEASURE_POWER`` and the side's ``_potential``.  BD or
+        MM (xi, eta, xi) is the PDM flat picture: -m^xi d/dr m^eta d/dr m^xi + V
+        acts on phi = m^xi psi as the operator with k = 0 and w = m^(-2 xi),
+        e = 2 mu xi, since 2 xi + eta = -1, and V the paper's potential of the
+        ordering (``_pdm_potential``).  lam = 0 has no PDM form.
         """
-        _require(self.lam != 0, "the PDM flat picture applies to the curved models only")
-        mu, xi = self._MASS_POWER, ordering.xi
-        scale = (1.0 + 2.0 * xi) * mu
-        return dict(
-            p=lambda r, t: t**mu,
-            w=lambda r, t: t ** (2.0 * mu * xi),
-            V=lambda r, t: self._pdm_potential(ordering, ang, r, t),
-            c1=lambda r, t: scale * t ** (mu - 1) * self._stretch3(r)[1],
-        )
+        mu = self._MASS_POWER
+        if ordering is None:
+            k, e = self.dim - 1.0, self._MEASURE_POWER
+            w, V = self._weight(r, t), self._potential(ang, r, t)
+        else:
+            _require(self.lam != 0, "the PDM flat picture applies to the curved models only")
+            k, e = 0.0, 2.0 * mu * ordering.xi
+            w, V = t**e, self._pdm_potential(ordering, ang, r, t)
+        p = t**mu
+        c1 = k * p / r + (mu + e) * t ** (mu - 1) * self._stretch3(r)[1]
+        return p, w, V, c1
 
     @_pointwise
     def pdm_potential(self, ordering: PdmOrdering, ang: float, x):
         """The paper's PDM potential of the ordering at x (see ``_pdm_potential``)."""
-        return self.flat_coefficients(ang, ordering)["V"](x, self.stretch(x))
+        return self.coefficients(ang, ordering, x, self.stretch(x))[2]
 
     def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
         """The PDM energy: the curved models override this; lam = 0 has none."""
@@ -351,7 +371,7 @@ class _OscillatorSide(_Side):
     """Oscillator side of the r = sqrt(R) duality: dimension d, coordinate r."""
 
     kind = "oscillator"
-    _FLAT_POWER = -0.25
+    _MEASURE_POWER = -0.5
     _MASS_POWER = 1
 
     @property
@@ -374,19 +394,9 @@ class _OscillatorSide(_Side):
         n = q.n
         return self.beta * (n + self.d / 2.0) - 0.5 * self.lam * n * (n + self.d - 1.0)
 
-    def _weight(self, r, t):
-        """Measure weight (1+lam r^2)^(-1/2) r^(d-1)."""
-        return t ** (-0.5) * r ** (self.d - 1.0)
-
-    def weighted_coefficients(self, ang: float) -> dict:
-        """(p, w, V) of the radial equation plus c1 = p' + p w'/w, each f(r, t)."""
-        d, lam, beta = self.d, self.lam, self.beta
-        return dict(
-            p=lambda r, t: t,
-            w=self._weight,
-            V=lambda r, t: ang * (ang + d - 2.0) / (r * r) + beta * (beta + lam) * r * r / t,
-            c1=lambda r, t: (d - 1.0 + d * lam * r * r) / r,
-        )
+    def _potential(self, ang: float, r, t):
+        """The curved radial potential l(l+d-2)/r^2 + beta(beta+lam) r^2/t."""
+        return ang * (ang + self.d - 2.0) / (r * r) + self.beta * (self.beta + self.lam) * r * r / t
 
     def stretch(self, r):
         return 1.0 + self.lam * r * r
@@ -420,7 +430,7 @@ class _CoulombSide(_Side):
     """Coulomb side of the r = sqrt(R) duality: dimension D, coordinate R."""
 
     kind = "coulomb"
-    _FLAT_POWER = -0.75
+    _MEASURE_POWER = -1.5
     _MASS_POWER = 2
 
     @property
@@ -445,20 +455,9 @@ class _CoulombSide(_Side):
         f2 = self.Q + self.lam * (-(nu + self.D - 1.0) * (nu + self.D - 1.5) + ll)
         return -f1 * f2 / (2.0 * (2.0 * nu + self.D - 1.0) ** 2)
 
-    def _weight(self, R, t):
-        """Measure weight (1+lam R)^(-3/2) R^(D-1)."""
-        return t ** (-1.5) * R ** (self.D - 1.0)
-
-    def weighted_coefficients(self, ang: float) -> dict:
-        """(p, w, V) of the radial equation plus c1 = p' + p w'/w, each f(R, t)."""
-        D, lam, Q = self.D, self.lam, self.Q
-        c = (2.0 * D - 1.0) / (2.0 * D - 2.0)
-        return dict(
-            p=lambda R, t: t**2,
-            w=self._weight,
-            V=lambda R, t: ang * (ang + D - 2.0) / (R * R) - Q / R,
-            c1=lambda R, t: (D - 1.0) / R * t * (1.0 + c * lam * R),
-        )
+    def _potential(self, ang: float, R, t):
+        """The curved radial potential L(L+D-2)/R^2 - Q/R."""
+        return ang * (ang + self.D - 2.0) / (R * R) - self.Q / R
 
     def stretch(self, R):
         return 1.0 + self.lam * R
@@ -506,7 +505,7 @@ class EuclideanOscillator(_OscillatorSide):
         )
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "omega", float(self.omega))
-        _require(_finite(self.omega) and self.omega > 0, "omega must be positive")
+        _require_finite("omega", self.omega, self.omega > 0, "positive")
 
     @property
     def beta(self) -> float:
@@ -544,8 +543,8 @@ class EuclideanCoulomb(_CoulombSide):
     def __post_init__(self):
         object.__setattr__(self, "D", float(self.D))
         object.__setattr__(self, "Q", float(self.Q))
-        _require(_finite(self.D) and self.D > 1, "dimension D must be > 1")
-        _require(_finite(self.Q) and self.Q > 0, "coupling Q must be positive")
+        _require_finite("dimension D", self.D, self.D > 1, "> 1")
+        _require_finite("coupling Q", self.Q, self.Q > 0, "positive")
 
     def amplitude(self, q: QuantumNumbers, R, t):
         """Unnormalized R^L exp(-kappa R) L_{n_r}^(2L+D-2)(2 kappa R), kappa = sqrt(2|E_nu|)."""
@@ -584,8 +583,8 @@ class NonlinearOscillator(_OscillatorSide):
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "beta", float(self.beta))
-        _require(_finite(self.lam) and self.lam != 0, "lam must be nonzero")
-        _require(_finite(self.beta) and self.beta > 0, "beta must be positive")
+        _require_finite("lam", self.lam, self.lam != 0, "nonzero")
+        _require_finite("beta", self.beta, self.beta > 0, "positive")
         _require(self.beta * (self.beta + self.lam) > 0, "need beta*(beta+lam) > 0")
 
     @property
@@ -648,9 +647,9 @@ class CoulombLike(_CoulombSide):
         object.__setattr__(self, "D", float(self.D))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "Q", float(self.Q))
-        _require(_finite(self.D) and self.D > 1, "dimension D must be > 1")
-        _require(_finite(self.lam) and self.lam != 0, "lam must be nonzero")
-        _require(_finite(self.Q) and self.Q > 0, "coupling Q must be positive")
+        _require_finite("dimension D", self.D, self.D > 1, "> 1")
+        _require_finite("lam", self.lam, self.lam != 0, "nonzero")
+        _require_finite("coupling Q", self.Q, self.Q > 0, "positive")
 
     def is_bound(self, q: QuantumNumbers) -> bool:
         """Normalizability inequality for (n_r, L); strict on the boundary."""

@@ -36,13 +36,14 @@ each eigenvalue lies within N eps |lam| of the 2-ulp solve of the same
 matrix (``lowest_eigenvalues``).  Eigenvalues are reported in the doubled
 convention (2E).
 
-The coefficients (``weighted_coefficients``, the PDM ``flat_coefficients``)
-are functions of the radius r and the stretch t, and each side of the duality
-names the one coordinate y both pictures are solved in (``coordinate``; x =
-sqrt(s) on the Coulomb side, s on the oscillator side for lam > 0, the radius
-otherwise).  ``build_problem`` maps any radial triple to y in one step,
-P = p/g'^2, W = w g', V(g) with r = g(y), from one call of the coordinate
-map; the map forms P, the same p = 1/m in both pictures, with t cancelled.
+Each side of the duality gives every picture's coefficients by one rule
+(``coefficients``): the arrays (p, w, V, c1) at the radius r and the stretch
+t, with p = t^mu, w = r^k t^e and c1 = (p w)'/w.  It also names the one
+coordinate y every picture is solved in (``coordinate``; x = sqrt(s) on the
+Coulomb side, s on the oscillator side for lam > 0, the radius otherwise).
+``build_problem`` maps any radial triple to y in one step, P = p/g'^2,
+W = w g', V(g) with r = g(y), from one call of the coordinate map; the map
+forms P, the same p = 1/m in every picture, with t cancelled.
 ``truncation_radius`` cuts every infinite y-domain where the density |u|^2 W
 falls to 1e-12 of its peak.  It applies that rule to the 8192 points of a
 window [hi/1e4, hi] doubled from hi = 16, but evaluates the state at every
@@ -63,15 +64,15 @@ reports the one it solved each state on (``ConvergenceReport.cutoffs``), and
 it, mapped back to the radius; a finite radial domain is sampled on its inner
 2-95 % instead.
 
-An ordering selects the picture: ``None`` solves the weighted equation, BD
-or MM the PDM flat picture of a curved model, -m^xi d/dr m^eta d/dr m^xi + V
-with the paper's potential of that ordering (V1 or V2 on the oscillator side,
-U on the Coulomb side).  Its solution is phi = m^xi psi, with weight
-w = m^(-2 xi): 1 for BD and m^(1/2) for MM (``flat_coefficients``).  These
-are the paper's two orderings and the only von Roos triples (O. von Roos,
-Phys. Rev. B 27, 7547 (1983)) that ``PdmOrdering`` accepts: the paper pairs
-each with its own oscillator-side potential, so it defines no problem for a
-third.
+An ordering selects the picture: ``None`` solves the weighted equation
+against the measure w = r^(dim-1) t^e; BD or MM the PDM flat picture of a
+curved model, -m^xi d/dr m^eta d/dr m^xi + V with the paper's potential of
+that ordering (V1 or V2 on the oscillator side, U on the Coulomb side).  Its
+solution is phi = m^xi psi, with weight w = m^(-2 xi): 1 for BD and m^(1/2)
+for MM.  These are the paper's two orderings and the only von Roos triples
+(O. von Roos, Phys. Rev. B 27, 7547 (1983)) that ``PdmOrdering`` accepts:
+the paper pairs each with its own oscillator-side potential, so it defines
+no problem for a third.
 """
 
 from __future__ import annotations
@@ -251,11 +252,10 @@ def truncation_radius(model, ang: float, n_r: int) -> float:
     q = QuantumNumbers(n_r, ang)
     if not model.is_bound(q):
         raise ValueError("truncation undefined: target state is not normalizable")
-    w = model.weighted_coefficients(ang)["w"]
 
     def amp(y):
         r, t, dr, _ = to_r(y)
-        return model.amplitude(q, r, t) * np.sqrt(w(r, t) * dr)
+        return model.amplitude(q, r, t) * np.sqrt(model._weight(r, t) * dr)
 
     return _exp_cutoff(amp, f"state n_r={n_r} ang={ang:g}")
 
@@ -270,30 +270,25 @@ def build_problem(
 
     ordering None solves the curved radial equation against its measure; BD
     or MM solves the PDM picture of that ordering, gauged by r^a: weight
-    r^(2a) w with the ordering's w.  The radial (w, V) become W = w g' and
-    V(g) in the coordinate y of ``model.coordinate()``, r = g(y), which also
-    gives P.  The domain is truncated (if infinite) to cover the lowest
-    ``n_states`` states of the channel, by ``truncation_radius``.
+    r^(2a) w and potential V - a c1/r - a(a-1) p/r^2, from one call of
+    ``model.coefficients``.  A Euclidean model with an ordering is refused
+    here.  The radial (w, V) become W = w g' and V(g) in the coordinate y of
+    ``model.coordinate()``, r = g(y), which also gives P.  The domain is
+    truncated (if infinite) to cover the lowest ``n_states`` states of the
+    channel, by ``truncation_radius``.
     """
-    if ordering is None:
-        coeff = model.weighted_coefficients(ang)
-        w, V = coeff["w"], coeff["V"]
-    else:
-        flat = model.flat_coefficients(ang, ordering)
+    if ordering is not None:
+        model.pdm_energy(ordering, QuantumNumbers(0, ang))  # refuses a model without the picture
         a = model.flat_exponent(ang)
-        p, c1, v, flat_w = flat["p"], flat["c1"], flat["V"], flat["w"]
-
-        def w(r, t):
-            return r ** (2.0 * a) * flat_w(r, t)
-
-        def V(r, t):
-            return v(r, t) - a * c1(r, t) / r - a * (a - 1.0) * p(r, t) / (r * r)
-
     to_r, _ = model.coordinate()
 
     def coefficients(y):
         r, t, dr, P = to_r(y)
-        return P, w(r, t) * dr, V(r, t)
+        p, w, V, c1 = model.coefficients(ang, ordering, r, t)
+        if ordering is not None:
+            w = r ** (2.0 * a) * w
+            V = V - a * c1 / r - a * (a - 1.0) * p / (r * r)
+        return P, w * dr, V
 
     return SturmLiouvilleProblem(coefficients, (0.0, truncation_radius(model, ang, n_states - 1)))
 
@@ -387,17 +382,15 @@ def residual_norm(
     model, q = state.model, state.q
     x = np.atleast_1d(np.asarray(samples, dtype=float))
     if ordering is None:
-        coeff = model.weighted_coefficients(q.ang)
         psi, dpsi, d2psi = state.derivatives(x)
         lam2e = 2.0 * model.energy(q)
-    else:  # -(1/w)(p w phi')' + V phi = 2E phi for phi = m^xi psi, c1 = (p w)'/w
-        coeff = model.flat_coefficients(q.ang, ordering)
+    else:  # -(1/w)(p w phi')' + V phi = 2E phi for phi = m^xi psi
         psi, dpsi, d2psi = _mul3(model.flat_factor_derivatives(ordering, x), state.derivatives(x))
         lam2e = 2.0 * model.pdm_energy(ordering, q)
-    t = model.stretch(x)
-    kin2 = np.asarray(coeff["p"](x, t)) * d2psi
-    kin1 = np.asarray(coeff["c1"](x, t)) * dpsi
-    pot = np.asarray(coeff["V"](x, t)) * psi
+    p, _, V, c1 = model.coefficients(q.ang, ordering, x, model.stretch(x))
+    kin2 = p * d2psi
+    kin1 = c1 * dpsi
+    pot = V * psi
     # both pictures: p psi'' + c1 psi' - V psi + 2E psi = 0
     resid = np.abs(kin2 + kin1 - pot + lam2e * psi)
     scale = np.abs(lam2e * psi) + np.abs(kin2) + np.abs(kin1) + np.abs(pot)

@@ -24,8 +24,9 @@ It also prints, for each class of case, named by the case's model (weighted:
 nlo and clike; flat: pdm-osc and pdm-coulomb; Euclidean: osc and coulomb),
 the passing states of each digest, the number of flipped pass flags, the largest
 relative eigenvalue move and the largest in units of N eps of the grid of N
-cells it occurred on, the ``dlarrk`` calls and the N * halvings of each
-digest; those two are work counts, never disagreements.  A change of the
+cells it occurred on, the number of states whose residual moved and the
+largest absolute move, and the ``dlarrk`` calls and the N * halvings of each
+digest; residual moves and work counts are never disagreements.  A change of the
 oracle's resolution, the relative width at which bisection stops, is
 expected to report eigenvalue disagreements, and with them extrapolation,
 error and order ones; the class summary is then the evidence: no flipped
@@ -191,7 +192,7 @@ def class_summary(a: dict, b: dict) -> list:
             _class(argv),
             dict(
                 cases=0, states=0, pa=0, pb=0, flips=0, move=0.0, units=0.0,
-                ca=0, cb=0, wa=0, wb=0,
+                rmoved=0, rmove=0.0, ca=0, cb=0, wa=0, wb=0,
             ),
         )
         st["cases"] += 1
@@ -204,6 +205,9 @@ def class_summary(a: dict, b: dict) -> list:
             st["pa"] += xa["pass"]
             st["pb"] += xb["pass"]
             st["flips"] += xa["pass"] != xb["pass"]
+            ra, rb = float.fromhex(xa["residual"]), float.fromhex(xb["residual"])
+            st["rmoved"] += xa["residual"] != xb["residual"]
+            st["rmove"] = max(st["rmove"], abs(rb - ra))
             for N, ea, eb in zip(GRIDS, xa["eigenvalues"], xb["eigenvalues"]):
                 ea, eb = float.fromhex(ea), float.fromhex(eb)
                 move = abs(eb - ea) / abs(ea)
@@ -213,6 +217,7 @@ def class_summary(a: dict, b: dict) -> list:
         f"{cls}: {st['cases']} cases, {st['pa']} -> {st['pb']} of {st['states']} states pass, "
         f"{st['flips']} pass flags flipped, largest relative eigenvalue move {st['move']:.1e}, "
         f"largest in N eps of its grid {st['units']:.2f}, "
+        f"residual moved in {st['rmoved']} states, largest move {st['rmove']:.1e}, "
         f"dlarrk calls {st['ca']} -> {st['cb']} ({_change(st['ca'], st['cb'])}), "
         f"N*halvings {st['wa']} -> {st['wb']} ({_change(st['wa'], st['wb'])})"
         for cls, st in sorted(stats.items())
@@ -235,7 +240,6 @@ def compare(path_a: str, path_b: str) -> int:
     summary = class_summary(a, b)
     problems = [f"only in {path_a}: {argv}" for argv in a if argv not in b]
     problems += [f"only in {path_b}: {argv}" for argv in b if argv not in a]
-    moved = 0
     for argv in (argv for argv in a if argv in b):
         ra, rb = ({k: v for k, v in rec.items() if k not in WORK} for rec in (a[argv], b[argv]))
         sa, sb = ra.pop("states", []), rb.pop("states", [])
@@ -244,16 +248,13 @@ def compare(path_a: str, path_b: str) -> int:
             continue
         for j, (xa, xb) in enumerate(zip(sa, sb)):
             for key in xa:
-                if key == "residual":
-                    moved += xa[key] != xb[key]
-                elif xa[key] != xb[key]:
+                if key != "residual" and xa[key] != xb[key]:
                     problems.append(f"{argv}: n_r={j} {key} {xa[key]} vs {xb[key]}")
     for path, residuals in ((path_a, res_a), (path_b, res_b)):
         worst = max(residuals, default=0.0)
         print(f"{path}: {len(residuals)} states, largest residual {worst:.2e}")
         if worst > RESIDUAL_BOUND:
             problems.append(f"{path}: a residual exceeds {RESIDUAL_BOUND:g}")
-    print(f"residual differs in {moved} states")
     for key in WORK:
         before = sum(rec.get(key, 0) for rec in a.values())
         after = sum(rec.get(key, 0) for rec in b.values())

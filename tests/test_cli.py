@@ -414,6 +414,12 @@ def assert_usage_error(argv, capsys):
         (["verify", *OSC, "--tol-residual", "-1"], "--tol-residual must be >= 0, got -1.0"),
         (["spectrum", "--model", "nlo", "--d", "2", "--lambda", "0.1", "--beta", "1",
           "--n-max", "-1"], "--n-max must be >= 0, got -1"),
+        (["verify", "--model", "nlo", "--d", "3", "--lambda", "nan", "--beta", "1"],
+         "lam must be finite and nonzero, got nan"),
+        (["verify", "--model", "osc", "--d", "3", "--omega", "inf"],
+         "omega must be finite and positive, got inf"),
+        (["verify", *OSC, "--grids", "512,abc,2048"],
+         "--grids must be comma-separated integers, got '512,abc,2048'"),
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
          "negative-L", "x-max-outside-domain", "x-max-at-domain-end",
@@ -422,7 +428,8 @@ def assert_usage_error(argv, capsys):
          "no-states", "no-points", "no-samples",
          "fractional-l-duality", "infinite-l", "nan-tol-eig", "negative-tol-eig",
          "negative-exponent-tol-eig",
-         "nan-tol-residual", "negative-tol-residual", "negative-n-max"],
+         "nan-tol-residual", "negative-tol-residual", "negative-n-max", "nan-lambda",
+         "inf-omega", "non-integer-grids"],
 )
 def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
     def no_solve(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Closed-form model tests: energies, wavefunctions, bound sets, PDM forms."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -74,13 +75,12 @@ class TestEuclideanIsTheLamZeroCase:
     def test_oscillator(self, d, omega, l):
         m = EuclideanOscillator(d=d, omega=omega)
         r = self.x
-        c = m.weighted_coefficients(float(l))
-        t = m.stretch(r)
-        self.close(c["p"](r, t), [np.ones_like(r)])
-        self.close(c["w"](r, t), [r ** (d - 1)])
+        p, w, V, c1 = m.coefficients(float(l), None, r, m.stretch(r))
+        self.close(p, [np.ones_like(r)])
+        self.close(w, [r ** (d - 1)])
         self.close(m.weight(r), [r ** (d - 1)])
-        self.close(c["V"](r, t), [l * (l + d - 2) / r**2, omega**2 * r**2])
-        self.close(c["c1"](r, t), [(d - 1) / r])
+        self.close(V, [l * (l + d - 2) / r**2, omega**2 * r**2])
+        self.close(c1, [(d - 1) / r])
         assert m.domain == (0.0, math.inf)
         assert m.beta == omega
         for n_r in range(4):
@@ -92,13 +92,12 @@ class TestEuclideanIsTheLamZeroCase:
     def test_coulomb(self, D, Q, L):
         m = EuclideanCoulomb(D=D, Q=Q)
         R = self.x
-        c = m.weighted_coefficients(L)
-        t = m.stretch(R)
-        self.close(c["p"](R, t), [np.ones_like(R)])
-        self.close(c["w"](R, t), [R ** (D - 1)])
+        p, w, V, c1 = m.coefficients(L, None, R, m.stretch(R))
+        self.close(p, [np.ones_like(R)])
+        self.close(w, [R ** (D - 1)])
         self.close(m.weight(R), [R ** (D - 1)])
-        self.close(c["V"](R, t), [L * (L + D - 2) / R**2, -Q / R])
-        self.close(c["c1"](R, t), [(D - 1) / R])
+        self.close(V, [L * (L + D - 2) / R**2, -Q / R])
+        self.close(c1, [(D - 1) / R])
         assert m.domain == (0.0, math.inf)
         for n_r in range(4):
             nu = n_r + L
@@ -323,9 +322,9 @@ class TestPdm:
         r = np.linspace(0.2, 3.0, 7)
         t = model.stretch(r)
         for ordering, power in ((BD, 0.0), (MM, 0.5)):
-            coeff = model.flat_coefficients(1.0, ordering)
-            np.testing.assert_allclose(coeff["w"](r, t), model.pdm_mass(r) ** power, rtol=1e-14)
-            np.testing.assert_allclose(coeff["p"](r, t), 1.0 / model.pdm_mass(r), rtol=1e-14)
+            p, w, _, _ = model.coefficients(1.0, ordering, r, t)
+            np.testing.assert_allclose(w, model.pdm_mass(r) ** power, rtol=1e-14)
+            np.testing.assert_allclose(p, 1.0 / model.pdm_mass(r), rtol=1e-14)
 
     def test_general_von_roos_rejected(self):
         # a triple other than BD and MM is refused when it is made
@@ -343,7 +342,7 @@ class TestPdm:
         with pytest.raises(ValueError, match="curved models only"):
             model.pdm_energy(BD, q(0, 0))
         with pytest.raises(ValueError, match="curved models only"):
-            model.flat_coefficients(0.0, MM)
+            model.coefficients(0.0, MM, 1.0, 1.0)
         with pytest.raises(ValueError, match="curved models only"):
             model.pdm_potential(BD, 0.0, 1.0)
 
@@ -556,6 +555,29 @@ class TestValidation:
             NonlinearOscillator(d=2, lam=-2.0, beta=1.0)  # beta(beta+lam) < 0
         with pytest.raises(ValueError):
             CoulombLike(D=3, lam=0.1, Q=-1.0)
+
+    @pytest.mark.parametrize(
+        "cls,params,message",
+        [
+            (EuclideanOscillator, dict(d=3, omega=math.inf),
+             "omega must be finite and positive, got inf"),
+            (EuclideanCoulomb, dict(D=3, Q=math.nan),
+             "coupling Q must be finite and positive, got nan"),
+            (NonlinearOscillator, dict(d=3, lam=math.nan, beta=1.0),
+             "lam must be finite and nonzero, got nan"),
+            (NonlinearOscillator, dict(d=3, lam=-0.1, beta=math.inf),
+             "beta must be finite and positive, got inf"),
+            (CoulombLike, dict(D=math.inf, lam=-0.1, Q=1.0),
+             "dimension D must be finite and > 1, got inf"),
+            (CoulombLike, dict(D=3, lam=-math.inf, Q=1.0),
+             "lam must be finite and nonzero, got -inf"),
+        ],
+        ids=["osc-omega", "coulomb-Q", "nlo-lam", "nlo-beta", "clike-D", "clike-lam"],
+    )
+    def test_non_finite_parameters_are_named(self, cls, params, message):
+        # a NaN or infinite parameter is refused as not finite, with its value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**params)
 
     def test_quantum_numbers(self):
         with pytest.raises(ValueError):

@@ -126,29 +126,45 @@ class TestDiscretize:
 
 class TestBuildProblem:
     @pytest.mark.parametrize(
-        "model,ang",
+        "model,ang,ordering",
         [
-            (EuclideanOscillator(d=3, omega=1.2), 1.0),
-            (EuclideanCoulomb(D=3, Q=1.0), 1.0),
-            (NonlinearOscillator(d=2, lam=-0.1, beta=1.0), 1.0),
-            (CoulombLike(D=3, lam=-0.1, Q=1.0), 1.0),
+            (EuclideanOscillator(d=3, omega=1.2), 1.0, None),
+            (EuclideanCoulomb(D=3, Q=1.0), 1.0, None),
+            (NonlinearOscillator(d=2, lam=-0.1, beta=1.0), 1.0, None),
+            (CoulombLike(D=3, lam=-0.1, Q=1.0), 1.0, None),
+            (NonlinearOscillator(d=3, lam=-0.1, beta=1.0), 1.0, BD),
+            (NonlinearOscillator(d=3, lam=-0.1, beta=1.0), 1.0, MM),
+            (NonlinearOscillator(d=3, lam=0.2, beta=1.0), 1.0, BD),
+            (NonlinearOscillator(d=3, lam=0.2, beta=1.0), 1.0, MM),
+            (CoulombLike(D=3, lam=-0.1, Q=1.0), 1.0, BD),
+            (CoulombLike(D=3, lam=-0.1, Q=1.0), 1.0, MM),
+            (CoulombLike(D=3, lam=0.2, Q=1.0), 1.0, BD),
+            (CoulombLike(D=3, lam=0.2, Q=1.0), 1.0, MM),
         ],
+        ids=["osc", "coulomb", "nlo-lam-0.1", "clike-lam-0.1", "nlo-lam-0.1-bd",
+             "nlo-lam-0.1-mm", "nlo-lam0.2-bd", "nlo-lam0.2-mm", "clike-lam-0.1-bd",
+             "clike-lam-0.1-mm", "clike-lam0.2-bd", "clike-lam0.2-mm"],
     )
-    def test_weighted_reproduces_radial_equation(self, model, ang):
+    def test_every_picture_reproduces_its_radial_equation(self, model, ang, ordering):
         # (1/w)(p w psi')' must expand to p psi'' + c1 psi' with the paper's c1,
-        # checked via numerical differentiation of p and w at sample points
-        coeff = model.weighted_coefficients(ang)
+        # checked via numerical differentiation of p and of the picture's weight
+        # at sample points: the measure weighted, m^(-2 xi) flat
+        def at(x):
+            return model.coefficients(ang, ordering, x, model.stretch(x))
 
-        def at(key, x):
-            return coeff[key](x, model.stretch(x))
+        def weight(x):
+            if ordering is None:
+                return model.weight(x)
+            return model.pdm_mass(x) ** (-2.0 * ordering.xi)
 
         hi = model.domain[1]
         x = np.linspace(0.3, 0.8 * (hi if math.isfinite(hi) else 5.0), 7)
         h = 1e-6
-        dp = (at("p", x + h) - at("p", x - h)) / (2 * h)
-        dw = (at("w", x + h) - at("w", x - h)) / (2 * h)
-        c1 = dp + at("p", x) * dw / at("w", x)
-        np.testing.assert_allclose(c1, at("c1", x), rtol=1e-6, atol=1e-8)
+        p, w, _, c1 = at(x)
+        np.testing.assert_allclose(w, weight(x), rtol=1e-14)
+        dp = (at(x + h)[0] - at(x - h)[0]) / (2 * h)
+        dw = (weight(x + h) - weight(x - h)) / (2 * h)
+        np.testing.assert_allclose(dp + p * dw / weight(x), c1, rtol=1e-6, atol=1e-8)
 
     def test_geodesic_transform_keeps_measure_and_potential(self):
         # every mapped coordinate y: W dy = w dr, V(y) = V(r(y)), P = p (dy/dr)^2;
@@ -170,22 +186,18 @@ class TestBuildProblem:
             y = np.linspace(0.2, 4.0, 9)
             r = to_r(y)[0]
             t = model.stretch(r)
-            if ordering is None:
-                rad = model.weighted_coefficients(1.0)
-                w, V = rad["w"](r, t), rad["V"](r, t)
-            else:
-                rad = model.flat_coefficients(1.0, ordering)
+            p, w, V, c1 = model.coefficients(1.0, ordering, r, t)
+            if ordering is not None:
                 a = model.flat_exponent(1.0)
                 assert a == 1.0 + (model.dim - 1.0) / 2.0
-                w = r ** (2.0 * a) * rad["w"](r, t)
-                gauge = a * rad["c1"](r, t) / r + a * (a - 1.0) * rad["p"](r, t) / r**2
-                V = rad["V"](r, t) - gauge
+                w = r ** (2.0 * a) * w
+                V = V - (a * c1 / r + a * (a - 1.0) * p / r**2)
             h = 1e-6
             dr_dy = (to_r(y + h)[0] - to_r(y - h)[0]) / (2 * h)
             P, W, U = problem.coefficients(y)
             np.testing.assert_allclose(W, w * dr_dy, rtol=1e-9)
             np.testing.assert_allclose(U, V, rtol=1e-12)
-            np.testing.assert_allclose(P, rad["p"](r, t) / dr_dy**2, rtol=1e-9)
+            np.testing.assert_allclose(P, p / dr_dy**2, rtol=1e-9)
 
     def test_far_tail_coefficients_use_the_stretch_directly(self):
         # at lam x^2 = -60, 1 + lam R(x) rounds to 0: a coefficient formed from
@@ -203,10 +215,9 @@ class TestBuildProblem:
 
     def test_flat_picture_bd_potential_is_v1(self):
         m = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
-        coeff = m.flat_coefficients(1.0, BD)
         r = np.linspace(0.3, 2.5, 7)
         v1 = (1.0 + 0.5) * (1.0 - 0.5) / r**2 + (0.9 * r**2 + 0.025) / (1.0 - 0.1 * r**2)
-        np.testing.assert_allclose(coeff["V"](r, m.stretch(r)), v1, rtol=1e-13)
+        np.testing.assert_allclose(m.coefficients(1.0, BD, r, m.stretch(r))[2], v1, rtol=1e-13)
 
     def test_von_roos_bd_triple_reproduces_bd_exactly(self):
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
@@ -527,11 +538,10 @@ def full_scan_cutoff(amp):
 def state_density_amplitude(model, q):
     """u W^(1/2) in the solved coordinate, the amplitude ``truncation_radius`` scans."""
     to_r, _ = model.coordinate()
-    w = model.weighted_coefficients(q.ang)["w"]
 
     def amp(y):
         r, t, dr, _ = to_r(y)
-        return model.amplitude(q, r, t) * np.sqrt(w(r, t) * dr)
+        return model.amplitude(q, r, t) * np.sqrt(model._weight(r, t) * dr)
 
     return amp
 
