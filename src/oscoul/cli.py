@@ -218,7 +218,7 @@ def cmd_wavefunction(args) -> int:
             raise ConfigError("sampling range exceeds the coordinate domain")
         xs = np.linspace(x_max / points, x_max, points)
     psi = np.asarray(model.wavefunction(q, xs))
-    tilde = model.flat_factor(xs) * psi
+    tilde = model.flat_factor_derivatives(BD, xs)[0] * psi
     rows = [[x, p, t] for x, p, t in zip(xs, psi, tilde)]
     _emit_rows(["x", "psi_weighted", "psi_tilde"], rows, args.format, args.out)
     return 0

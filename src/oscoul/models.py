@@ -32,9 +32,9 @@ Energies are exact; wavefunctions are returned unnormalized (numerical
 normalization lives in ``oscoul.quadrature``).  Units hbar = m = 1.
 
 Array evaluators (wavefunctions, derivative triples, the measure weight, the
-flat factor and the PDM mass and potential) check the whole coordinate array
-once and then run on contiguous blocks of ``_BLOCK`` = 2^14 points, writing
-into preallocated outputs.  A block's float temporaries take 128 KiB each,
+flat factor's triple and the PDM mass and potential) check the whole
+coordinate array once and then run on contiguous blocks of ``_BLOCK`` = 2^14
+points, writing into preallocated outputs.  A block's float temporaries take 128 KiB each,
 and a derivative triple keeps 15-20 of them alive, about the 2 MiB L2 cache
 of one core; on a 10^5-point grid unblocked temporaries are 800 KB each and
 page-fault and spill the cache.  On a 2-CPU VM, 2^13 timed within 10 % of
@@ -302,20 +302,12 @@ class _Side:
         return self.amplitude(q, x, self.stretch(x))
 
     @_pointwise
-    def flat_factor(self, x):
-        """Multiplier r^((dim-1)/2) t^(e/2), the root of the measure, turning a
-        weighted-measure eigenfunction into the flat-measure one.
-
-        oscillator side: r^((d-1)/2) (1+lam r^2)^(-1/4);
-        coulomb side: R^((D-1)/2) (1+lam R)^(-3/4).
-        """
-        return x ** ((self.dim - 1.0) / 2.0) * self.stretch(x) ** (0.5 * self._MEASURE_POWER)
-
-    @_pointwise
     def flat_factor_derivatives(self, ordering: PdmOrdering, x):
-        """(f, f', f'') of ``flat_factor`` times m^xi, which turns a weighted-measure
-        eigenfunction into the function phi = m^xi psi that the ordering's flat
-        picture solves for; used by the oracle residuals."""
+        """(f, f', f'') of the flat factor r^((dim-1)/2) t^(e/2), the root of the
+        measure, times m^xi: f turns a weighted-measure eigenfunction into the
+        function phi = m^xi psi that the ordering's flat picture solves for.  With
+        BD (xi = 0) f is the flat factor itself: r^((d-1)/2) (1+lam r^2)^(-1/4) on
+        the oscillator side, R^((D-1)/2) (1+lam R)^(-3/4) on the Coulomb side."""
         power = 0.5 * self._MEASURE_POWER - self._MASS_POWER * ordering.xi
         return _mul3(_pow3(x, (self.dim - 1.0) / 2.0), _cpow3(*self._stretch3(x), power))
 

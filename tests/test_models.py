@@ -1,5 +1,6 @@
 """Closed-form model tests: energies, wavefunctions, bound sets, PDM forms."""
 
+import functools
 import math
 import re
 import tracemalloc
@@ -366,13 +367,15 @@ class TestFlatPictureFactor:
         # no model has d = 1; at lam = 0 the factor is the bare radial power
         # r^((d-1)/2), which reduces to 1 there
         r = np.linspace(0.2, 3.0, 6)
-        np.testing.assert_allclose(EuclideanOscillator(d=3, omega=1.0).flat_factor(r), r, rtol=0)
-        np.testing.assert_allclose(EuclideanCoulomb(D=2.0, Q=1.0).flat_factor(r), np.sqrt(r))
+        osc = EuclideanOscillator(d=3, omega=1.0).flat_factor_derivatives(BD, r)
+        np.testing.assert_allclose(osc[0], r, rtol=0)
+        coulomb = EuclideanCoulomb(D=2.0, Q=1.0).flat_factor_derivatives(BD, r)
+        np.testing.assert_allclose(coulomb[0], np.sqrt(r))
 
     def test_values(self):
         m = NonlinearOscillator(d=3, lam=-0.1, beta=1.0)
-        assert m.flat_factor(1.0) == pytest.approx(0.9 ** (-0.25))
-        assert CoulombLike(D=3, lam=-0.1, Q=1.0).flat_factor(2.0) == pytest.approx(
+        assert m.flat_factor_derivatives(BD, 1.0)[0] == pytest.approx(0.9 ** (-0.25))
+        assert CoulombLike(D=3, lam=-0.1, Q=1.0).flat_factor_derivatives(BD, 2.0)[0] == pytest.approx(
             2.0 * 0.8 ** (-0.75)
         )
 
@@ -443,12 +446,20 @@ BLOCK_CASES = [
 ]
 
 
+# name -> (method, its arguments before the coordinate)
+def _methods(qq):
+    return {
+        "wavefunction": ("wavefunction", (qq,)),
+        "derivatives": ("derivatives", (qq,)),
+        "flat_factor": ("flat_factor_derivatives", (BD,)),
+        "weight": ("weight", ()),
+    }
+
+
 def _evaluators(model, qq):
     return {
-        "wavefunction": lambda x: model.wavefunction(qq, x),
-        "derivatives": lambda x: model.derivatives(qq, x),
-        "flat_factor": model.flat_factor,
-        "weight": model.weight,
+        name: functools.partial(getattr(model, method), *head)
+        for name, (method, head) in _methods(qq).items()
     }
 
 
@@ -475,9 +486,9 @@ class TestBlockedEvaluation:
         xs = _grid(model, self.N)
         whole = _outputs(f(xs))
         halves = zip(_outputs(f(xs[: self.CUT])), _outputs(f(xs[self.CUT :])))
-        unblocked = getattr(type(model), name).__wrapped__
-        args = (model, xs) if name in ("flat_factor", "weight") else (model, qq, xs)
-        for got, (a, b), want in zip(whole, halves, _outputs(unblocked(*args))):
+        method, head = _methods(qq)[name]
+        unblocked = getattr(type(model), method).__wrapped__
+        for got, (a, b), want in zip(whole, halves, _outputs(unblocked(model, *head, xs))):
             assert got.shape == (self.N,)
             assert got.tobytes() == np.concatenate([a, b]).tobytes()
             assert got.tobytes() == want.tobytes()
