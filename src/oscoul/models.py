@@ -34,15 +34,16 @@ normalization lives in ``oscoul.quadrature``).  Units hbar = m = 1.
 Array evaluators (wavefunctions, derivative triples, the measure weight, the
 flat factor's triple and the PDM mass and potential) check the whole
 coordinate array once and then run on contiguous blocks of ``_BLOCK`` = 2^14
-points, writing into preallocated outputs.  A block's float temporaries take 128 KiB each,
-and a derivative triple keeps 15-20 of them alive, about the 2 MiB L2 cache
-of one core; on a 10^5-point grid unblocked temporaries are 800 KB each and
-page-fault and spill the cache.  On a 2-CPU VM, 2^13 timed within 10 % of
-2^14 either way, 2^15 up to 20 % slower, and 2^16 lost most of the gain.
-Every step is elementwise, so a point's value does not depend on its block:
-outputs are bit-identical to one unblocked call.  Inputs of at most one
-block (every oracle call, nearly every quadrature call) are passed through
-uncopied.
+points, writing into preallocated outputs.  A block's float temporaries take
+128 KiB each.  A derivative triple, built in the model's variable u (lam r^2,
+lam R, omega r^2 or 2 kappa R) with one pow for t^tau, holds at most 10-14 of
+them, its three outputs included: inside the 2 MiB L2 cache of one core.  On
+a 10^5-point grid unblocked temporaries are 800 KB each and page-fault and
+spill the cache.  On a 2-CPU VM, 2^13 timed within 10 % of 2^14 either way,
+2^15 up to 20 % slower, and 2^16 lost most of the gain.  Every step is
+elementwise, so a point's value does not depend on its block: outputs are
+bit-identical to one unblocked call.  Inputs of at most one block (every
+oracle call, nearly every quadrature call) are passed through uncopied.
 """
 
 from __future__ import annotations
@@ -232,40 +233,51 @@ def _mul3(fa, fb):
     return (f0 * g0, f1 * g0 + f0 * g1, f2 * g0 + 2.0 * f1 * g1 + f0 * g2)
 
 
-def _pow3(x, a):
+_ONE3 = (1.0, 0.0, 0.0)
+
+
+def _times_power(x, a, f):
+    """(g, g', g'') of g = x^a f(x) for x >= 0, from f's triple.
+
+    a = 0 and a = 1 take no power, and x^(a-1) is x^(a-2) multiplied by x, so
+    x = 0 gives exact values and no warning wherever g'' is finite there.
+    """
+    f0, f1, f2 = f
     if a == 0:
-        one = np.ones_like(x)
-        zero = np.zeros_like(x)
-        return (one, zero, zero)
-    # at a = 1 the zero coefficient would meet x^-1 = inf at the origin
-    f2 = np.zeros_like(x) if a == 1 else a * (a - 1.0) * x ** (a - 2.0)
-    return (x**a, a * x ** (a - 1.0), f2)
+        return f
+    if a == 1:
+        return (x * f0, f0 + x * f1, 2.0 * f1 + x * f2)
+    p0, p2 = x**a, x ** (a - 2.0)
+    p1 = p2 * x
+    g2 = p2 * (a * (a - 1.0) * f0 + x * (2.0 * a * f1 + x * f2))
+    return (p0 * f0, p1 * (a * f0 + x * f1), g2)
 
 
-def _cpow3(t, dt, ddt, b):
-    # (t(x))^b with t > 0
-    g = b * t ** (b - 1.0)
-    return (t**b, g * dt, b * (b - 1.0) * t ** (b - 2.0) * dt * dt + g * ddt)
+def _chain3(f, du, ddu):
+    """(g, g', g'') of g = f(u(x)), from f's triple in u and u', u''."""
+    f0, f1, f2 = f
+    g2 = f2 * (du * du)
+    if ddu:
+        g2 += f1 * ddu
+    return (f0, f1 * du, g2)
 
 
-def _exp3(u, du, ddu):
-    # exp(-u(x)/2)
-    f = np.exp(-0.5 * u)
-    return (f, -0.5 * du * f, (0.25 * du * du - 0.5 * ddu) * f)
+def _laguerre_gauss3(n, alpha, u):
+    """Triple in u of exp(-u/2) L_n^(alpha)(u)."""
+    l0, l1, l2 = specfun.laguerre_derivatives(n, alpha, u)
+    e = np.exp(-0.5 * u)
+    return (e * l0, e * (l1 - 0.5 * l0), e * (l2 - l1 + 0.25 * l0))
 
 
-def _laguerre3(n, alpha, z, dz, ddz):
-    p0 = np.asarray(specfun.laguerre(n, alpha, z))
-    p1 = np.asarray(specfun.laguerre_derivative(n, alpha, z, order=1))
-    p2 = np.asarray(specfun.laguerre_derivative(n, alpha, z, order=2))
-    return (p0, p1 * dz, p2 * dz * dz + p1 * ddz)
-
-
-def _jacobi3(n, a, b, z, dz, ddz):
-    p0 = np.asarray(specfun.jacobi(n, a, b, z))
-    p1 = np.asarray(specfun.jacobi_derivative(n, a, b, z, order=1))
-    p2 = np.asarray(specfun.jacobi_derivative(n, a, b, z, order=2))
-    return (p0, p1 * dz, p2 * dz * dz + p1 * ddz)
+def _jacobi_stretch3(n, a, b, tau, u):
+    """Triple in u of t^tau P_n^(a,b)(1 + 2u), t = 1 + u > 0: t^(tau-2) is the
+    one pow, multiplied up by t."""
+    p0, p1, p2 = specfun.jacobi_derivatives(n, a, b, u)
+    t = 1.0 + u
+    s2 = t ** (tau - 2.0)
+    s1 = s2 * t
+    k2 = s2 * (tau * (tau - 1.0) * p0 + t * (2.0 * tau * p1 + t * p2))
+    return (s1 * t * p0, s1 * (tau * p0 + t * p1), k2)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +321,9 @@ class _Side:
         BD (xi = 0) f is the flat factor itself: r^((d-1)/2) (1+lam r^2)^(-1/4) on
         the oscillator side, R^((D-1)/2) (1+lam R)^(-3/4) on the Coulomb side."""
         power = 0.5 * self._MEASURE_POWER - self._MASS_POWER * ordering.xi
-        return _mul3(_pow3(x, (self.dim - 1.0) / 2.0), _cpow3(*self._stretch3(x), power))
+        t, dt, ddt = self._stretch3(x)
+        stretch = _chain3(_times_power(t, power, _ONE3), dt, ddt)
+        return _times_power(x, (self.dim - 1.0) / 2.0, stretch)
 
     @_pointwise
     def pdm_mass(self, x):
@@ -514,10 +528,9 @@ class EuclideanOscillator(_OscillatorSide):
     def derivatives(self, q: QuantumNumbers, r):
         """(psi, psi', psi'') of ``wavefunction``, exact in r > 0."""
         om = self.omega
-        u = om * r * r
-        trip = _mul3(_pow3(r, q.ang), _exp3(u, 2.0 * om * r, 2.0 * om))
         alpha = q.ang + (self.d - 2.0) / 2.0
-        return _mul3(trip, _laguerre3(q.n_r, alpha, u, 2.0 * om * r, 2.0 * om))
+        k = _laguerre_gauss3(q.n_r, alpha, om * r * r)
+        return _times_power(r, q.ang, _chain3(k, 2.0 * om * r, 2.0 * om))
 
 
 @dataclass(frozen=True)
@@ -548,10 +561,9 @@ class EuclideanCoulomb(_CoulombSide):
     def derivatives(self, q: QuantumNumbers, R):
         """(psi, psi', psi'') of ``wavefunction``, exact in R > 0."""
         kappa = math.sqrt(2.0 * abs(self.energy(q)))
-        u = 2.0 * kappa * R
-        trip = _mul3(_pow3(R, q.ang), _exp3(u, 2.0 * kappa, 0.0))
         alpha = 2.0 * q.ang + self.D - 2.0
-        return _mul3(trip, _laguerre3(q.n_r, alpha, u, 2.0 * kappa, 0.0))
+        k = _laguerre_gauss3(q.n_r, alpha, 2.0 * kappa * R)
+        return _times_power(R, q.ang, _chain3(k, 2.0 * kappa, 0.0))
 
 
 @dataclass(frozen=True)
@@ -599,19 +611,17 @@ class NonlinearOscillator(_OscillatorSide):
         lam = self.lam
         a = q.ang + (self.d - 2.0) / 2.0
         b = -self.beta / lam - 0.5
-        return r**q.ang * t ** (-self.beta / (2.0 * lam)) * specfun.jacobi(
-            q.n_r, a, b, 1.0 + 2.0 * lam * r * r
-        )
+        p = specfun.jacobi(q.n_r, a, b, lam * r * r)
+        return r**q.ang * t ** (-self.beta / (2.0 * lam)) * p
 
     @_pointwise
     def derivatives(self, q: QuantumNumbers, r):
         """(psi, psi', psi'') of ``wavefunction``, exact in r > 0."""
         lam = self.lam
-        trip = _mul3(_pow3(r, q.ang), _cpow3(*self._stretch3(r), -self.beta / (2.0 * lam)))
         a = q.ang + (self.d - 2.0) / 2.0
         b = -self.beta / lam - 0.5
-        z = 1.0 + 2.0 * lam * r * r
-        return _mul3(trip, _jacobi3(q.n_r, a, b, z, 4.0 * lam * r, 4.0 * lam))
+        k = _jacobi_stretch3(q.n_r, a, b, -self.beta / (2.0 * lam), lam * r * r)
+        return _times_power(r, q.ang, _chain3(k, 2.0 * lam * r, 2.0 * lam))
 
     def _pdm_potential(self, ordering: PdmOrdering, ang: float, r, t):
         """The paper's V1 for BD and V2 for MM."""
@@ -666,17 +676,14 @@ class CoulombLike(_CoulombSide):
     def amplitude(self, q: QuantumNumbers, R, t):
         """Unnormalized R^L (1+lam R)^tau P_{n_r}^(rho,sigma)(1+2 lam R)."""
         wp = self.wavefunction_params(q)
-        z = 1.0 + 2.0 * self.lam * R
-        return R**q.ang * t**wp.tau * specfun.jacobi(q.n_r, wp.rho, wp.sigma, z)
+        return R**q.ang * t**wp.tau * specfun.jacobi(q.n_r, wp.rho, wp.sigma, self.lam * R)
 
     @_pointwise
     def derivatives(self, q: QuantumNumbers, R):
         """(psi, psi', psi'') of ``wavefunction``, exact in R > 0."""
-        lam = self.lam
         wp = self.wavefunction_params(q)
-        trip = _mul3(_pow3(R, q.ang), _cpow3(*self._stretch3(R), wp.tau))
-        z = 1.0 + 2.0 * lam * R
-        return _mul3(trip, _jacobi3(q.n_r, wp.rho, wp.sigma, z, 2.0 * lam, 0.0))
+        k = _jacobi_stretch3(q.n_r, wp.rho, wp.sigma, wp.tau, self.lam * R)
+        return _times_power(R, q.ang, _chain3(k, self.lam, 0.0))
 
     def _pdm_potential(self, ordering: PdmOrdering, ang: float, R, t):
         """U, the paper's PDM potential of both the BD and the MM ordering."""

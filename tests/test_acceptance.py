@@ -234,7 +234,7 @@ def test_criterion_8_limits():
     n, alpha, x = 3, 1.5, 2.0
     target = laguerre(n, alpha, x)
     bs = np.array([1e2, 1e3, 1e4])
-    errors = [abs(jacobi(n, alpha, b, 1.0 - 2.0 * x / b) - target) for b in bs]
+    errors = [abs(jacobi(n, alpha, b, -x / b) - target) for b in bs]  # 1 - 2x/b as u = -x/b
     slope = np.polyfit(np.log(bs), np.log(errors), 1)[0]
     assert abs(slope + 1.0) <= 0.1, slope
     report(8, True, "energy differences scale linearly in lam; Jacobi->Laguerre error ~ 1/b")

@@ -331,6 +331,20 @@ class TestResiduals:
                 got = oracle.residual_norm(RadialState(model, q), samples, ordering)
                 assert got <= 1e-12, (model, ordering, got)
 
+    @pytest.mark.parametrize("lam", [1e-2, 1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize(
+        "cls,params",
+        [(CoulombLike, dict(D=3.0, Q=1.0)), (NonlinearOscillator, dict(d=3, beta=1.0))],
+    )
+    def test_curved_states_near_the_flat_limit(self, cls, params, lam):
+        # Jacobi's b ~ -1/lam: the residual grew as eps/lam, to 3.6e-3 at 1e-14,
+        # while the closed form formed x = 1 + 2 lam r^2 before the recurrence
+        model = cls(lam=lam, **params)
+        for n_r in range(3):
+            samples = oracle.default_samples(model, oracle.truncation_radius(model, 1.0, n_r))
+            got = oracle.residual_norm(RadialState(model, QuantumNumbers(n_r, 1.0)), samples)
+            assert got <= 1e-12, (n_r, got)
+
     def test_wrong_energy_gives_large_residual(self, monkeypatch):
         st = RadialState(EuclideanOscillator(d=3, omega=1.0), QuantumNumbers(1, 0))
         samples = np.linspace(0.2, 5.0, 30)
