@@ -26,6 +26,7 @@ import sys
 from .models import (
     BD,
     MM,
+    MAX_STATES,
     CoulombLike,
     EuclideanCoulomb,
     EuclideanOscillator,
@@ -143,9 +144,23 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--n-max must be >= 0, got {n_cap}")
     osc_side = model.kind == "oscillator"
     pdm = _MODELS[args.model][2] == "flat"
+    # the walk's rows, counted before it is taken: the principal number is
+    # 2 n_r + ang on the oscillator side and n_r + ang on the Coulomb side, so
+    # ang takes floor((n_cap - ang)/step) + 1 rows, summed here over ang = 0..n_cap
+    step = 2 if osc_side else 1
+    if _ang_fixed(args):
+        angs = [ang0]
+        size = int((n_cap - ang0) // step) + 1 if ang0 <= n_cap else 0
+    else:
+        angs = range(n_cap + 1)
+        if step == 1:
+            size = (n_cap + 1) * (n_cap + 2) // 2
+        else:
+            size = n_cap + 1 + (n_cap // 2) * ((n_cap + 1) // 2)
+    if size > MAX_STATES:
+        raise ConfigError(f"--n-max {n_cap} gives {size} rows, more than {MAX_STATES}")
     rows = []
-    angs = [ang0] if _ang_fixed(args) else [float(a) for a in range(int(n_cap) + 1)]
-    for ang in angs:
+    for ang in map(float, angs):
         n_r = 0
         while True:
             q = QuantumNumbers(n_r, ang)

@@ -33,17 +33,16 @@ normalization lives in ``oscoul.quadrature``).  Units hbar = m = 1.
 
 Array evaluators (wavefunctions, derivative triples, the measure weight, the
 flat factor's triple and the PDM mass and potential) check the whole
-coordinate array once and then run on contiguous blocks of ``_BLOCK`` = 2^14
-points, writing into preallocated outputs.  A block's float temporaries take
-128 KiB each.  A derivative triple, built in the model's variable u (lam r^2,
-lam R, omega r^2 or 2 kappa R) with one pow for t^tau, holds at most 10-14 of
-them, its three outputs included: inside the 2 MiB L2 cache of one core.  On
-a 10^5-point grid unblocked temporaries are 800 KB each and page-fault and
-spill the cache.  On a 2-CPU VM, 2^13 timed within 10 % of 2^14 either way,
-2^15 up to 20 % slower, and 2^16 lost most of the gain.  Every step is
-elementwise, so a point's value does not depend on its block: outputs are
-bit-identical to one unblocked call.  Inputs of at most one block (every
-oracle call, nearly every quadrature call) are passed through uncopied.
+coordinate array once, then run on blocks of ``_BLOCK`` = 2^14 points into
+preallocated outputs.  A block's temporaries take 128 KiB each; a derivative
+triple, built in the model's variable u (lam r^2, lam R, omega r^2 or
+2 kappa R) with one pow for t^tau, holds at most 10-14, outputs included,
+inside one core's 2 MiB L2 cache.  Unblocked, a 10^5-point grid's are 800 KB
+each and page-fault and spill the cache.  On a 2-CPU VM, 2^13 timed within
+10 % of 2^14 either way, 2^15 up to 20 % slower, and 2^16 lost most of the
+gain.  Each step is elementwise, so outputs are bit-identical to one
+unblocked call.  Inputs of at most one block (every oracle call, nearly
+every quadrature call) are passed through uncopied.
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ __all__ = [
     "CoulombLike",
     "EuclideanCoulomb",
     "EuclideanOscillator",
+    "MAX_STATES",
     "NonlinearOscillator",
     "PdmOrdering",
     "QuantumNumbers",
@@ -108,10 +108,7 @@ class QuantumNumbers:
     ang: float = 0.0
 
     def __post_init__(self):
-        _require(
-            isinstance(self.n_r, _INTEGER) and self.n_r >= 0,
-            "n_r must be an integer >= 0",
-        )
+        _require(isinstance(self.n_r, _INTEGER) and self.n_r >= 0, "n_r must be an integer >= 0")
         object.__setattr__(self, "n_r", int(self.n_r))
         object.__setattr__(self, "ang", float(self.ang))
         _require(_finite(self.ang) and self.ang >= 0, "ang must be >= 0")
@@ -227,15 +224,6 @@ def _blocked(body, x):
 # ---------------------------------------------------------------------------
 
 
-def _mul3(fa, fb):
-    f0, f1, f2 = fa
-    g0, g1, g2 = fb
-    return (f0 * g0, f1 * g0 + f0 * g1, f2 * g0 + 2.0 * f1 * g1 + f0 * g2)
-
-
-_ONE3 = (1.0, 0.0, 0.0)
-
-
 def _times_power(x, a, f):
     """(g, g', g'') of g = x^a f(x) for x >= 0, from f's triple.
 
@@ -314,15 +302,21 @@ class _Side:
         return self.amplitude(q, x, self.stretch(x))
 
     @_pointwise
+    def derivatives(self, q: QuantumNumbers, x):
+        """(psi, psi', psi'') of ``wavefunction``, exact in x > 0: x^ang times the
+        model's function of u (``_in_u``), chained to x."""
+        k, du, ddu = self._in_u(q, x)
+        return _times_power(x, q.ang, _chain3(k, du, ddu))
+
+    @_pointwise
     def flat_factor_derivatives(self, ordering: PdmOrdering, x):
-        """(f, f', f'') of the flat factor r^((dim-1)/2) t^(e/2), the root of the
-        measure, times m^xi: f turns a weighted-measure eigenfunction into the
-        function phi = m^xi psi that the ordering's flat picture solves for.  With
-        BD (xi = 0) f is the flat factor itself: r^((d-1)/2) (1+lam r^2)^(-1/4) on
-        the oscillator side, R^((D-1)/2) (1+lam R)^(-3/4) on the Coulomb side."""
+        """(f, f', f'') of the flat factor r^((dim-1)/2) t^(e/2), the measure's
+        root, times m^xi: f turns a weighted-measure eigenfunction into the phi =
+        m^xi psi the ordering's flat picture solves for; with BD (xi = 0), f is
+        r^((d-1)/2) (1+lam r^2)^(-1/4) or R^((D-1)/2) (1+lam R)^(-3/4)."""
         power = 0.5 * self._MEASURE_POWER - self._MASS_POWER * ordering.xi
         t, dt, ddt = self._stretch3(x)
-        stretch = _chain3(_times_power(t, power, _ONE3), dt, ddt)
+        stretch = _chain3(_times_power(t, power, (1.0, 0.0, 0.0)), dt, ddt)
         return _times_power(x, (self.dim - 1.0) / 2.0, stretch)
 
     @_pointwise
@@ -505,10 +499,7 @@ class EuclideanOscillator(_OscillatorSide):
     lam = 0.0  # the side's formulas at lam = 0 are the Euclidean ones
 
     def __post_init__(self):
-        _require(
-            isinstance(self.d, _INTEGER) and self.d >= 2,
-            "dimension d must be an integer >= 2",
-        )
+        _require(isinstance(self.d, _INTEGER) and self.d >= 2, "dimension d must be an integer >= 2")
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "omega", float(self.omega))
         _require_finite("omega", self.omega, self.omega > 0, "positive")
@@ -524,13 +515,11 @@ class EuclideanOscillator(_OscillatorSide):
         alpha = q.ang + (self.d - 2.0) / 2.0
         return r**q.ang * np.exp(-0.5 * u) * specfun.laguerre(q.n_r, alpha, u)
 
-    @_pointwise
-    def derivatives(self, q: QuantumNumbers, r):
-        """(psi, psi', psi'') of ``wavefunction``, exact in r > 0."""
+    def _in_u(self, q: QuantumNumbers, r):
+        """exp(-u/2) L(u) at u = omega r^2, with u' and u''."""
         om = self.omega
-        alpha = q.ang + (self.d - 2.0) / 2.0
-        k = _laguerre_gauss3(q.n_r, alpha, om * r * r)
-        return _times_power(r, q.ang, _chain3(k, 2.0 * om * r, 2.0 * om))
+        k = _laguerre_gauss3(q.n_r, q.ang + (self.d - 2.0) / 2.0, om * r * r)
+        return k, 2.0 * om * r, 2.0 * om
 
 
 @dataclass(frozen=True)
@@ -557,13 +546,11 @@ class EuclideanCoulomb(_CoulombSide):
         alpha = 2.0 * q.ang + self.D - 2.0
         return R**q.ang * np.exp(-kappa * R) * specfun.laguerre(q.n_r, alpha, 2.0 * kappa * R)
 
-    @_pointwise
-    def derivatives(self, q: QuantumNumbers, R):
-        """(psi, psi', psi'') of ``wavefunction``, exact in R > 0."""
+    def _in_u(self, q: QuantumNumbers, R):
+        """exp(-u/2) L(u) at u = 2 kappa R, with u' and u''."""
         kappa = math.sqrt(2.0 * abs(self.energy(q)))
-        alpha = 2.0 * q.ang + self.D - 2.0
-        k = _laguerre_gauss3(q.n_r, alpha, 2.0 * kappa * R)
-        return _times_power(R, q.ang, _chain3(k, 2.0 * kappa, 0.0))
+        k = _laguerre_gauss3(q.n_r, 2.0 * q.ang + self.D - 2.0, 2.0 * kappa * R)
+        return k, 2.0 * kappa, 0.0
 
 
 @dataclass(frozen=True)
@@ -580,10 +567,7 @@ class NonlinearOscillator(_OscillatorSide):
     beta: float
 
     def __post_init__(self):
-        _require(
-            isinstance(self.d, _INTEGER) and self.d >= 2,
-            "dimension d must be an integer >= 2",
-        )
+        _require(isinstance(self.d, _INTEGER) and self.d >= 2, "dimension d must be an integer >= 2")
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "beta", float(self.beta))
@@ -593,10 +577,8 @@ class NonlinearOscillator(_OscillatorSide):
 
     @property
     def n_max(self):
-        """Largest normalizable n for lam > 0; None marks the unbounded lam < 0 ladder.
-
-        A negative value means the model has no bound states at all.
-        """
+        """Largest normalizable n for lam > 0 (negative: no bound state at all);
+        None marks the unbounded lam < 0 ladder."""
         if self.lam < 0:
             return None
         x = self.beta / self.lam - (self.d + 1) / 2.0
@@ -614,14 +596,12 @@ class NonlinearOscillator(_OscillatorSide):
         p = specfun.jacobi(q.n_r, a, b, lam * r * r)
         return r**q.ang * t ** (-self.beta / (2.0 * lam)) * p
 
-    @_pointwise
-    def derivatives(self, q: QuantumNumbers, r):
-        """(psi, psi', psi'') of ``wavefunction``, exact in r > 0."""
+    def _in_u(self, q: QuantumNumbers, r):
+        """t^tau P(u) at u = lam r^2, with u' and u''."""
         lam = self.lam
-        a = q.ang + (self.d - 2.0) / 2.0
-        b = -self.beta / lam - 0.5
+        a, b = q.ang + (self.d - 2.0) / 2.0, -self.beta / lam - 0.5
         k = _jacobi_stretch3(q.n_r, a, b, -self.beta / (2.0 * lam), lam * r * r)
-        return _times_power(r, q.ang, _chain3(k, 2.0 * lam * r, 2.0 * lam))
+        return k, 2.0 * lam * r, 2.0 * lam
 
     def _pdm_potential(self, ordering: PdmOrdering, ang: float, r, t):
         """The paper's V1 for BD and V2 for MM."""
@@ -653,23 +633,29 @@ class CoulombLike(_CoulombSide):
         _require_finite("lam", self.lam, self.lam != 0, "nonzero")
         _require_finite("coupling Q", self.Q, self.Q > 0, "positive")
 
+    def _edge_terms(self):
+        """(a, b, c) of the (0, L) inequality's left side a L^2 + b L + c."""
+        D = self.D
+        if self.lam < 0:
+            return 2.0, 2 * D - 3, (D - 1) / 4.0
+        return 0.0, 1.0, (D - 1) * (2 * D - 3) / 4.0
+
+    def _below_edge(self, n_r, L) -> bool:
+        a, b, c = self._edge_terms()
+        lhs = n_r**2 + (2 * L + self.D - 1) * n_r + a * L * L + b * L + c
+        return lhs < self.Q / abs(self.lam)
+
     def is_bound(self, q: QuantumNumbers) -> bool:
         """Normalizability inequality for (n_r, L); strict on the boundary."""
-        n_r, L, D = q.n_r, q.ang, self.D
-        if self.lam < 0:
-            lhs = n_r**2 + (2 * L + D - 1) * n_r + 2 * L**2 + (2 * D - 3) * L + (D - 1) / 4.0
-            return lhs < self.Q / abs(self.lam)
-        lhs = n_r**2 + (2 * L + D - 1) * n_r + L + (D - 1) * (2 * D - 3) / 4.0
-        return lhs < self.Q / self.lam
+        return self._below_edge(q.n_r, q.ang)
 
     def wavefunction_params(self, q: QuantumNumbers) -> WavefunctionParams:
         """The (rho, sigma, tau) triple of the bound-state wavefunction."""
         nu, L, D, lam, Q = q.nu, q.ang, self.D, self.lam, self.Q
         ll = L * (L + D - 2.0)
         rho = 2.0 * L + D - 2.0
-        sigma = -(Q + lam * (nu**2 + (D - 1.0) * nu + 0.25 * (D - 1.0) + ll)) / (
-            lam * (nu + 0.5 * (D - 1.0))
-        )
+        den = lam * (nu + 0.5 * (D - 1.0))
+        sigma = -(Q + lam * (nu**2 + (D - 1.0) * nu + 0.25 * (D - 1.0) + ll)) / den
         tau = -(Q + lam * (nu * (nu + D - 1.5) + ll)) / (lam * (2.0 * nu + D - 1.0))
         return WavefunctionParams(rho=rho, sigma=sigma, tau=tau)
 
@@ -678,19 +664,15 @@ class CoulombLike(_CoulombSide):
         wp = self.wavefunction_params(q)
         return R**q.ang * t**wp.tau * specfun.jacobi(q.n_r, wp.rho, wp.sigma, self.lam * R)
 
-    @_pointwise
-    def derivatives(self, q: QuantumNumbers, R):
-        """(psi, psi', psi'') of ``wavefunction``, exact in R > 0."""
+    def _in_u(self, q: QuantumNumbers, R):
+        """t^tau P(u) at u = lam R, with u' and u''."""
         wp = self.wavefunction_params(q)
-        k = _jacobi_stretch3(q.n_r, wp.rho, wp.sigma, wp.tau, self.lam * R)
-        return _times_power(R, q.ang, _chain3(k, self.lam, 0.0))
+        return _jacobi_stretch3(q.n_r, wp.rho, wp.sigma, wp.tau, self.lam * R), self.lam, 0.0
 
     def _pdm_potential(self, ordering: PdmOrdering, ang: float, R, t):
         """U, the paper's PDM potential of both the BD and the MM ordering."""
         D = self.D
-        return self._flat_centrifugal(ang, R) - (
-            self.Q - 0.25 * (D - 1.0) * (2.0 * D - 5.0) * self.lam
-        ) / R
+        return self._flat_centrifugal(ang, R) - (self.Q - 0.25 * (D - 1.0) * (2.0 * D - 5.0) * self.lam) / R
 
     def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
         """PDM energy: the curved energy plus the ordering-dependent shift."""
@@ -701,22 +683,41 @@ class CoulombLike(_CoulombSide):
         return base - (2.0 * D - 3.0) ** 2 * lam**2 / 32.0
 
 
+# most states one enumeration lists (bound sets, spectrum rows); 30 346 at lam = 1e-4 fit
+MAX_STATES = 100_000
+
+
+def _count_below(a, b, c, ok) -> int:
+    """How many m >= 0 have a m^2 + b m + c < 0, for a quadratic increasing on
+    them: the root, confirmed with ok(m), the same test written exactly."""
+    root = 0.0 if not c < 0 else -c / b if a == 0 else (math.sqrt(b * b - 4 * a * c) - b) / (2 * a)
+    if not root <= MAX_STATES:
+        raise ValueError(f"the bound set has at least {root - 1:.3g} states, more than {MAX_STATES}")
+    m = math.ceil(root)
+    while m > 0 and not ok(m - 1):
+        m -= 1
+    while ok(m):
+        m += 1
+    return m
+
+
 def clike_bound_states(model: CoulombLike) -> list[QuantumNumbers]:
     """All admissible (n_r, L), ordered by (L, n_r).
 
-    The left side of the bound-state inequality increases in n_r and in
-    integer L for every D > 1, so the admissible set is a staircase: walk
-    L = 0, 1, ... while (0, L) is bound, and n_r = 0, 1, ... within each L.
-    """
-    states = []
-    L = 0
-    while model.is_bound(QuantumNumbers(0, L)):
-        n_r = 0
-        while model.is_bound(q := QuantumNumbers(n_r, L)):
-            states.append(q)
-            n_r += 1
-        L += 1
-    return states
+    The bound-state inequality's left side increases in n_r and in integer L
+    for every D > 1, so the set is a staircase, counted before it is listed:
+    its number of L from the (0, L) inequality, and each L's n_r count from its
+    quadratic in n_r.  More than ``MAX_STATES`` states raise ValueError."""
+    a, b, c = model._edge_terms()
+    c -= model.Q / abs(model.lam)
+    ok = model._below_edge  # is_bound at (n_r, L)
+    widths = [
+        _count_below(1, 2 * L + model.D - 1, a * L * L + b * L + c, lambda n: ok(n, L))
+        for L in range(_count_below(a, b, c, lambda L: ok(0, L)))
+    ]
+    if sum(widths) > MAX_STATES:
+        raise ValueError(f"the bound set has {sum(widths)} states, more than {MAX_STATES}")
+    return [QuantumNumbers(n_r, L) for L, width in enumerate(widths) for n_r in range(width)]
 
 
 def wavefunction(model: _Side, q: QuantumNumbers, x):

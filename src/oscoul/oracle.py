@@ -83,7 +83,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .models import PdmOrdering, QuantumNumbers, RadialState, _mul3
+from .models import PdmOrdering, QuantumNumbers, RadialState
 
 __all__ = [
     "ConvergenceReport",
@@ -384,8 +384,9 @@ def residual_norm(
     if ordering is None:
         psi, dpsi, d2psi = state.derivatives(x)
         lam2e = 2.0 * model.energy(q)
-    else:  # -(1/w)(p w phi')' + V phi = 2E phi for phi = m^xi psi
-        psi, dpsi, d2psi = _mul3(model.flat_factor_derivatives(ordering, x), state.derivatives(x))
+    else:  # -(1/w)(p w phi')' + V phi = 2E phi for phi = m^xi psi, by the product rule
+        (f0, f1, f2), (g0, g1, g2) = model.flat_factor_derivatives(ordering, x), state.derivatives(x)
+        psi, dpsi, d2psi = f0 * g0, f1 * g0 + f0 * g1, f2 * g0 + 2.0 * f1 * g1 + f0 * g2
         lam2e = 2.0 * model.pdm_energy(ordering, q)
     p, _, V, c1 = model.coefficients(q.ang, ordering, x, model.stretch(x))
     kin2 = p * d2psi

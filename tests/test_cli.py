@@ -4,6 +4,7 @@ import _json
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 import oscoul
 from oscoul import kernels, oracle
 from oscoul.cli import main
-from oscoul.models import CoulombLike, NonlinearOscillator, QuantumNumbers
+from oscoul.models import MAX_STATES, CoulombLike, NonlinearOscillator, QuantumNumbers
 from test_cli_golden import CASES, GOLDEN
 
 
@@ -60,6 +61,35 @@ def test_spectrum_bound_only_row_count(capsys):
     )
     assert code == 0
     assert len(parse_csv(out)) == 5
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["bound-states", "--model", "clike", "--D", "3", "--lambda", "1e-300", "--Q", "1"], "1e+300"),
+        (["bound-states", "--model", "clike", "--D", "3", "--lambda", "-1e-7", "--Q", "1"], "3926992"),
+        (["spectrum", "--model", "osc", "--d", "3", "--omega", "1", "--n-max", "100000000"],
+         "2500000100000001"),
+        (["spectrum", "--model", "coulomb", "--D", "3", "--Q", "1", "--L", "0", "--n-max", "100000000"],
+         "100000001"),
+    ],
+)
+def test_enumerations_are_sized_before_they_are_walked(argv, count, capsys):
+    # each of these walked for minutes or without end; now each is refused at once
+    def hang(signum, frame):
+        raise TimeoutError(" ".join(argv))
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        code, out, err = run(argv, capsys)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and count in lines[0], err
+    assert str(MAX_STATES) in lines[0]
 
 
 def test_bound_states_counts(capsys):

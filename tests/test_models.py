@@ -12,6 +12,7 @@ import pytest
 from oscoul import specfun
 from oscoul.models import (
     BD,
+    MAX_STATES,
     MM,
     CoulombLike,
     EuclideanCoulomb,
@@ -244,6 +245,19 @@ class TestBoundStates:
     def test_empty_below_existence_threshold(self):
         # Q <= (D-1)|lam|/4 leaves no bound state at all
         assert clike_bound_states(CoulombLike(D=3, lam=-1.0, Q=0.4)) == []
+
+    @pytest.mark.parametrize("lam,size", [(0.002, 1144), (1e-4, 30346), (-1e-4, 3924)])
+    def test_cap_admits_small_lam(self, lam, size):
+        # the benchmark's smallest lam is 0.002
+        assert len(clike_bound_states(CoulombLike(D=3, lam=lam, Q=1.0))) == size <= MAX_STATES
+
+    @pytest.mark.parametrize(
+        "lam,message",
+        [(-1e-7, "has 3926992 states"), (1e-6, "at least 1e+06"), (1e-300, "at least 1e+300")],
+    )
+    def test_refuses_a_set_above_the_cap(self, lam, message):
+        with pytest.raises(ValueError, match=f"{re.escape(message)}.*more than {MAX_STATES}"):
+            clike_bound_states(CoulombLike(D=3, lam=lam, Q=1.0))
 
     @pytest.mark.parametrize("lam", [0.01, -0.01, -0.1, -1.0, 0.2, 0.5])
     def test_matches_brute_force_box(self, lam):
