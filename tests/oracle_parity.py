@@ -8,9 +8,10 @@ The first form runs, in process, every distinct ``verify`` argument list that
 ``perfbench/cases.py`` generates for oracle_sweep at seeds 1-20 (built by
 ``perfbench/operations.verify_argv``) and writes one record per case: the
 exit code, the error message of a usage error, every pass/eig_ok/order_ok/
-residual_ok flag, and ``float.hex`` of each state's reference, eigenvalues,
-extrapolation, relative error, observed order and residual, and the case's
-``dlarrk`` work: its number of calls and its N * halvings, the Sturm counts
+residual_ok flag, ``float.hex`` of each state's reference, eigenvalues,
+extrapolation, relative error, observed order and residual, the cutoff that
+ends each state's solved domain (``ConvergenceReport.cutoffs``, recorded by a
+spy on ``oracle.convergence_study``), and the case's ``dlarrk`` work: its number of calls and its N * halvings, the Sturm counts
 of N rows that each call makes, replayed from the call's interval and
 answer with ``dlarrk``'s stopping rule.  The package is
 imported from ``PYTHONPATH`` (``src`` of this checkout when it is not set),
@@ -20,13 +21,18 @@ against the same cases.
 ``--compare`` exits 0 when both digests hold the same cases and agree on
 every field but ``residual`` bit for bit, and every residual of both stays at
 or below 1e-9; it prints each disagreement and a residual summary otherwise.
+A state whose cutoff moved is solved on another domain, so its values are
+listed with the move and are not disagreements; its flags still are.  A
+change to a closed form can move a cutoff by one point of the scan, and with
+it every eigenvalue of that state, which a solver change does not.
 It also prints, for each class of case, named by the case's model (weighted:
 nlo and clike; flat: pdm-osc and pdm-coulomb; Euclidean: osc and coulomb),
 the passing states of each digest, the number of flipped pass flags, the largest
 relative eigenvalue move and the largest in units of N eps of the grid of N
-cells it occurred on, the number of states whose residual moved and the
-largest absolute move, and the ``dlarrk`` calls and the N * halvings of each
-digest; residual moves and work counts are never disagreements.  A change of the
+cells it occurred on, the number of states whose cutoff moved, the number of
+states whose residual moved and the largest absolute move, and the ``dlarrk``
+calls and the N * halvings of each digest; residual moves and work counts are
+never disagreements.  A change of the
 oracle's resolution, the relative width at which bisection stops, is
 expected to report eigenvalue disagreements, and with them extrapolation,
 error and order ones; the class summary is then the evidence: no flipped
@@ -109,6 +115,27 @@ def count_dlarrk():
         kernels._lapack = bound
 
 
+@contextlib.contextmanager
+def record_cutoffs():
+    """Collect, in the list this yields, ``float.hex`` of each state's cutoff of
+    every convergence study run inside the block, by wrapping the study."""
+    from oscoul import oracle
+
+    cutoffs = []
+    study = oracle.convergence_study
+
+    def spy(*args, **kwargs):
+        report = study(*args, **kwargs)
+        cutoffs.extend(float(c).hex() for c in report.cutoffs)
+        return report
+
+    oracle.convergence_study = spy
+    try:
+        yield cutoffs
+    finally:
+        oracle.convergence_study = study
+
+
 def _hex(value) -> str:
     # the report writes a non-finite value as null
     return float("nan" if value is None else value).hex()
@@ -136,9 +163,9 @@ def _digest_one(argv, path) -> dict:
     if os.path.exists(path):
         os.remove(path)
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), count_dlarrk() as work:
+    with contextlib.redirect_stderr(err), count_dlarrk() as work, record_cutoffs() as cutoffs:
         code = cli.main([*argv, "--out", path])
-    record = {"argv": " ".join(argv), "exit": code, **work}
+    record = {"argv": " ".join(argv), "exit": code, **work, "cutoffs": cutoffs}
     if code == 2:
         record["error"] = err.getvalue().strip()
         return record
@@ -192,7 +219,7 @@ def class_summary(a: dict, b: dict) -> list:
             _class(argv),
             dict(
                 cases=0, states=0, pa=0, pb=0, flips=0, move=0.0, units=0.0,
-                rmoved=0, rmove=0.0, ca=0, cb=0, wa=0, wb=0,
+                cmoved=0, rmoved=0, rmove=0.0, ca=0, cb=0, wa=0, wb=0,
             ),
         )
         st["cases"] += 1
@@ -200,6 +227,7 @@ def class_summary(a: dict, b: dict) -> list:
         st["cb"] += b[argv].get("dlarrk_calls", 0)
         st["wa"] += a[argv].get("n_halvings", 0)
         st["wb"] += b[argv].get("n_halvings", 0)
+        st["cmoved"] += sum(map(str.__ne__, a[argv].get("cutoffs", []), b[argv].get("cutoffs", [])))
         for xa, xb in zip(sa, sb):
             st["states"] += 1
             st["pa"] += xa["pass"]
@@ -216,7 +244,7 @@ def class_summary(a: dict, b: dict) -> list:
     return [
         f"{cls}: {st['cases']} cases, {st['pa']} -> {st['pb']} of {st['states']} states pass, "
         f"{st['flips']} pass flags flipped, largest relative eigenvalue move {st['move']:.1e}, "
-        f"largest in N eps of its grid {st['units']:.2f}, "
+        f"largest in N eps of its grid {st['units']:.2f}, cutoff moved in {st['cmoved']} states, "
         f"residual moved in {st['rmoved']} states, largest move {st['rmove']:.1e}, "
         f"dlarrk calls {st['ca']} -> {st['cb']} ({_change(st['ca'], st['cb'])}), "
         f"N*halvings {st['wa']} -> {st['wb']} ({_change(st['wa'], st['wb'])})"
@@ -240,16 +268,23 @@ def compare(path_a: str, path_b: str) -> int:
     summary = class_summary(a, b)
     problems = [f"only in {path_a}: {argv}" for argv in a if argv not in b]
     problems += [f"only in {path_b}: {argv}" for argv in b if argv not in a]
+    moved = []
     for argv in (argv for argv in a if argv in b):
         ra, rb = ({k: v for k, v in rec.items() if k not in WORK} for rec in (a[argv], b[argv]))
         sa, sb = ra.pop("states", []), rb.pop("states", [])
+        ca, cb = ra.pop("cutoffs", []), rb.pop("cutoffs", [])
         if ra != rb or len(sa) != len(sb):
             problems.append(f"{argv}: {ra} with {len(sa)} states vs {rb} with {len(sb)}")
             continue
         for j, (xa, xb) in enumerate(zip(sa, sb)):
+            shifted = j < min(len(ca), len(cb)) and ca[j] != cb[j]
+            if shifted:
+                moved.append(f"{argv}: n_r={j} cutoff {float.fromhex(ca[j])!r} -> {float.fromhex(cb[j])!r}")
             for key in xa:
-                if key != "residual" and xa[key] != xb[key]:
-                    problems.append(f"{argv}: n_r={j} {key} {xa[key]} vs {xb[key]}")
+                if key == "residual" or xa[key] == xb[key]:
+                    continue
+                line = f"{argv}: n_r={j} {key} {xa[key]} vs {xb[key]}"
+                (moved if shifted and key not in STATE_FLAGS else problems).append(line)
     for path, residuals in ((path_a, res_a), (path_b, res_b)):
         worst = max(residuals, default=0.0)
         print(f"{path}: {len(residuals)} states, largest residual {worst:.2e}")
@@ -259,7 +294,7 @@ def compare(path_a: str, path_b: str) -> int:
         before = sum(rec.get(key, 0) for rec in a.values())
         after = sum(rec.get(key, 0) for rec in b.values())
         print(f"{key}: {before} -> {after} ({_change(before, after)})")
-    for line in problems + summary:
+    for line in problems + [f"moved with its cutoff: {line}" for line in moved] + summary:
         print(line)
     print("agree" if not problems else f"{len(problems)} disagreements")
     return 1 if problems else 0
