@@ -108,7 +108,10 @@ class QuantumNumbers:
     ang: float = 0.0
 
     def __post_init__(self):
-        _require(isinstance(self.n_r, _INTEGER) and self.n_r >= 0, "n_r must be an integer >= 0")
+        _require(
+            isinstance(self.n_r, _INTEGER) and self.n_r >= 0,
+            "n_r must be an integer >= 0",
+        )
         object.__setattr__(self, "n_r", int(self.n_r))
         object.__setattr__(self, "ang", float(self.ang))
         _require(_finite(self.ang) and self.ang >= 0, "ang must be >= 0")
@@ -244,10 +247,7 @@ def _times_power(x, a, f):
 def _chain3(f, du, ddu):
     """(g, g', g'') of g = f(u(x)), from f's triple in u and u', u''."""
     f0, f1, f2 = f
-    g2 = f2 * (du * du)
-    if ddu:
-        g2 += f1 * ddu
-    return (f0, f1 * du, g2)
+    return (f0, f1 * du, f2 * (du * du) + f1 * ddu)
 
 
 def _laguerre_gauss3(n, alpha, u):
@@ -499,7 +499,10 @@ class EuclideanOscillator(_OscillatorSide):
     lam = 0.0  # the side's formulas at lam = 0 are the Euclidean ones
 
     def __post_init__(self):
-        _require(isinstance(self.d, _INTEGER) and self.d >= 2, "dimension d must be an integer >= 2")
+        _require(
+            isinstance(self.d, _INTEGER) and self.d >= 2,
+            "dimension d must be an integer >= 2",
+        )
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "omega", float(self.omega))
         _require_finite("omega", self.omega, self.omega > 0, "positive")
@@ -567,7 +570,10 @@ class NonlinearOscillator(_OscillatorSide):
     beta: float
 
     def __post_init__(self):
-        _require(isinstance(self.d, _INTEGER) and self.d >= 2, "dimension d must be an integer >= 2")
+        _require(
+            isinstance(self.d, _INTEGER) and self.d >= 2,
+            "dimension d must be an integer >= 2",
+        )
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "beta", float(self.beta))
@@ -577,8 +583,10 @@ class NonlinearOscillator(_OscillatorSide):
 
     @property
     def n_max(self):
-        """Largest normalizable n for lam > 0 (negative: no bound state at all);
-        None marks the unbounded lam < 0 ladder."""
+        """Largest normalizable n for lam > 0; None marks the unbounded lam < 0 ladder.
+
+        A negative value means the model has no bound states at all.
+        """
         if self.lam < 0:
             return None
         x = self.beta / self.lam - (self.d + 1) / 2.0
@@ -654,8 +662,9 @@ class CoulombLike(_CoulombSide):
         nu, L, D, lam, Q = q.nu, q.ang, self.D, self.lam, self.Q
         ll = L * (L + D - 2.0)
         rho = 2.0 * L + D - 2.0
-        den = lam * (nu + 0.5 * (D - 1.0))
-        sigma = -(Q + lam * (nu**2 + (D - 1.0) * nu + 0.25 * (D - 1.0) + ll)) / den
+        sigma = -(Q + lam * (nu**2 + (D - 1.0) * nu + 0.25 * (D - 1.0) + ll)) / (
+            lam * (nu + 0.5 * (D - 1.0))
+        )
         tau = -(Q + lam * (nu * (nu + D - 1.5) + ll)) / (lam * (2.0 * nu + D - 1.0))
         return WavefunctionParams(rho=rho, sigma=sigma, tau=tau)
 
@@ -672,7 +681,9 @@ class CoulombLike(_CoulombSide):
     def _pdm_potential(self, ordering: PdmOrdering, ang: float, R, t):
         """U, the paper's PDM potential of both the BD and the MM ordering."""
         D = self.D
-        return self._flat_centrifugal(ang, R) - (self.Q - 0.25 * (D - 1.0) * (2.0 * D - 5.0) * self.lam) / R
+        return self._flat_centrifugal(ang, R) - (
+            self.Q - 0.25 * (D - 1.0) * (2.0 * D - 5.0) * self.lam
+        ) / R
 
     def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
         """PDM energy: the curved energy plus the ordering-dependent shift."""
