@@ -195,6 +195,15 @@ def test_array_evaluation_matches_scalar():
     np.testing.assert_allclose(arr, scal, rtol=0, atol=0)
 
 
+def test_singular_recurrence_is_refused():
+    # a + b = -3 zeroes the k + a + b factor of step 3: nlo d=3 l=0 at beta/lam = 3
+    assert math.isfinite(specfun.jacobi(2, 0.5, -3.5, 0.1))
+    with pytest.raises(ValueError, match="singular at degree 3"):
+        specfun.jacobi(3, 0.5, -3.5, 0.1)
+    with pytest.raises(ValueError, match="singular at degree 3"):
+        specfun.jacobi_derivatives(4, -0.5, -4.5, 0.1)
+
+
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         specfun.jacobi(-1, 0.0, 0.0, 0.0)
