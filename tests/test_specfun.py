@@ -117,10 +117,11 @@ def test_jacobi_derivative_matches_finite_differences():
         n = int(rng.integers(1, 7))
         a, b = rng.uniform(-0.5, 8.0, size=2)
         u = rng.uniform(-0.9, -0.1)
-        h = 5e-7
+        h = 5e-7  # 1e-6 in x
         fd = (specfun.jacobi(n, a, b, u + h) - specfun.jacobi(n, a, b, u - h)) / (2 * h)
         got = specfun.jacobi_derivatives(n, a, b, u)[1]
-        assert abs(got - fd) <= 2e-8 * max(1.0, abs(fd))
+        # the x-derivative's 1e-8 * max(1, |fd|), in u: d/du = 2 d/dx
+        assert abs(got - fd) <= 2e-8 * max(1.0, abs(fd) / 2)
 
 
 @pytest.mark.parametrize("lam", [1e-2, 1e-6, 1e-10, 1e-14])
