@@ -114,8 +114,8 @@ def build_model(args):
             raise ConfigError("oscillator-side l must be an integer")
     else:
         ang = args.L if args.L is not None else 0.0
-    if ang < 0:
-        raise ConfigError("angular quantum number must be >= 0")
+    if not (ang >= 0 and math.isfinite(ang)):
+        raise ConfigError(f"angular quantum number must be >= 0 and finite, got {ang}")
     return model, float(ang)
 
 
@@ -144,13 +144,17 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--n-max must be >= 0, got {n_cap}")
     osc_side = model.kind == "oscillator"
     pdm = _MODELS[args.model][2] == "flat"
-    # the walk's rows, counted before it is taken: the principal number is
-    # 2 n_r + ang on the oscillator side and n_r + ang on the Coulomb side, so
-    # ang takes floor((n_cap - ang)/step) + 1 rows, summed here over ang = 0..n_cap
+    # the principal number is 2 n_r + ang on the oscillator side and n_r + ang
+    # on the Coulomb side, so ang has width(ang) rows up to n_cap; the rows are
+    # counted before they are walked, summed in closed form over ang = 0..n_cap
     step = 2 if osc_side else 1
+
+    def width(ang):
+        return int((n_cap - ang) // step) + 1 if ang <= n_cap else 0
+
     if _ang_fixed(args):
         angs = [ang0]
-        size = int((n_cap - ang0) // step) + 1 if ang0 <= n_cap else 0
+        size = width(ang0)
     else:
         angs = range(n_cap + 1)
         if step == 1:
@@ -161,20 +165,14 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--n-max {n_cap} gives {size} rows, more than {MAX_STATES}")
     rows = []
     for ang in map(float, angs):
-        n_r = 0
-        while True:
+        for n_r in range(width(ang)):
             q = QuantumNumbers(n_r, ang)
-            principal = q.n if osc_side else q.nu
-            if principal > n_cap:
-                break
             if args.bound_only and not model.is_bound(q):
-                n_r += 1
                 continue
-            row = [n_r, ang, principal, model.energy(q), int(model.is_bound(q))]
+            row = [n_r, ang, q.n if osc_side else q.nu, model.energy(q), int(model.is_bound(q))]
             if pdm:
                 row += [model.pdm_energy(BD, q), model.pdm_energy(MM, q)]
             rows.append(row)
-            n_r += 1
     header = ["n_r", "ang", "n" if osc_side else "nu", "energy", "bound"]
     if pdm:
         header += ["energy_bd", "energy_mm"]
@@ -217,6 +215,9 @@ def cmd_wavefunction(args) -> int:
     model, ang = build_model(args)
     points = _sample_count(args, "points")
     q = QuantumNumbers(args.n_r, ang)
+    # an unbound state's closed form is formal, and can repeat a bound state's values
+    if not model.is_bound(q):
+        raise ConfigError(f"state n_r={q.n_r} ang={ang:g} is not normalizable")
     lo, hi = model.domain
     x_max = args.x_max
     if x_max is None and math.isinf(hi):

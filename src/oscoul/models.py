@@ -17,8 +17,8 @@ have none and raise ValueError when asked for one.
 The Euclidean classes are the lam = 0 cases of their side of the duality:
 the side class holds the one domain, measure, radial coefficients and energy,
 written for the curved model, and at lam = 0 (stretch t = 1, beta = omega)
-they reduce to the textbook forms.  The Euclidean classes keep only their
-parameters and their Laguerre states.
+they reduce to the textbook forms.  Each model writes its states once, as
+the (c, params) of x^ang K(u) that its side evaluates (see ``_Side``).
 
 Solved coordinate (``coordinate``), one per side for both pictures, a map
 y -> (r, t, dr/dy, P) with the stretch t and the kinetic coefficient
@@ -35,12 +35,11 @@ Array evaluators (wavefunctions, derivative triples, the measure weight, the
 flat factor's triple and the PDM mass and potential) check the whole
 coordinate array once, then run on blocks of ``_BLOCK`` = 2^14 points into
 preallocated outputs.  A block's temporaries take 128 KiB each; a derivative
-triple, built in the model's variable u (lam r^2, lam R, omega r^2 or
-2 kappa R) with one pow for t^tau, holds at most 10-14, outputs included,
-inside one core's 2 MiB L2 cache.  Unblocked, a 10^5-point grid's are 800 KB
-each and page-fault and spill the cache.  On a 2-CPU VM, 2^13 timed within
-10 % of 2^14 either way, 2^15 up to 20 % slower, and 2^16 lost most of the
-gain.  Each step is elementwise, so outputs are bit-identical to one
+triple, K's triple in u (one pow for t^tau) chained to x, holds at most
+10-14, outputs included, inside one core's 2 MiB L2 cache.  Unblocked, a
+10^5-point grid's are 800 KB each and page-fault and spill the cache.  On a
+2-CPU VM, 2^13 timed within 10 % of 2^14 either way, 2^15 up to 20 % slower,
+and 2^16 lost most of the gain.  Each step is elementwise, so outputs are bit-identical to one
 unblocked call.  Inputs of at most one block (every oracle call, nearly
 every quadrature call) are passed through uncopied.
 """
@@ -274,10 +273,16 @@ def _jacobi_stretch3(n, a, b, tau, u):
 
 
 class _Side:
-    """What both sides share.  The stretch t(x) is 1 + lam r^2 on the oscillator
-    side and 1 + lam R on the Coulomb side; the PDM mass is t^-mu, mu =
-    ``_MASS_POWER``, and t is 1 in the Euclidean limit, where the model's lam is 0.
-    The measure is t^e r^(dim-1), e = ``_MEASURE_POWER``.
+    """What both sides share.  A side writes its variable u = ``_u(c, x)``, c r^2
+    or c R (one u under R = r^2), and (u', u'') = ``_du(c, x)``.  The stretch
+    t = 1 + ``_u(lam, x)`` is 1 in the Euclidean limit, where the model's lam
+    is 0; the PDM mass is t^-mu, mu = ``_MASS_POWER``, and the measure is
+    t^e r^(dim-1), e = ``_MEASURE_POWER``.
+
+    A model's ``_closed_form(q)`` gives (c, params) of its states x^ang K(u):
+    (alpha,) of exp(-u/2) L_n^alpha(u) at lam = 0, else (a, b, tau) of
+    t^tau P_n^(a,b)(1 + 2u) at c = lam.  ``amplitude`` (the value) and
+    ``derivatives`` (the triple) both read it, so the two cannot drift apart.
 
     ``coefficients``, the measure ``_weight`` and the state ``amplitude`` take
     t next to r, so a solved coordinate supplies t where 1 + lam R(y) cancels.
@@ -285,6 +290,19 @@ class _Side:
 
     def is_bound(self, q: QuantumNumbers) -> bool:
         return True
+
+    def stretch(self, x):
+        """t = 1 + lam r^2 or 1 + lam R."""
+        return 1.0 + self._u(self.lam, x)
+
+    def amplitude(self, q: QuantumNumbers, x, t):
+        """Unnormalized x^ang K(u) of ``_closed_form``; the Jacobi form reads t."""
+        c, params = self._closed_form(q)
+        u = self._u(c, x)
+        if self.lam == 0:
+            return x**q.ang * np.exp(-0.5 * u) * specfun.laguerre(q.n_r, *params, u)
+        a, b, tau = params
+        return x**q.ang * t**tau * specfun.jacobi(q.n_r, a, b, u)
 
     def _weight(self, r, t):
         """Measure weight t^e r^(dim-1): (1+lam r^2)^(-1/2) r^(d-1) on the
@@ -303,10 +321,12 @@ class _Side:
 
     @_pointwise
     def derivatives(self, q: QuantumNumbers, x):
-        """(psi, psi', psi'') of ``wavefunction``, exact in x > 0: x^ang times the
-        model's function of u (``_in_u``), chained to x."""
-        k, du, ddu = self._in_u(q, x)
-        return _times_power(x, q.ang, _chain3(k, du, ddu))
+        """(psi, psi', psi'') of ``wavefunction``, exact in x > 0: x^ang times K's
+        triple in u, chained to x."""
+        c, params = self._closed_form(q)
+        triple = _laguerre_gauss3 if self.lam == 0 else _jacobi_stretch3
+        k = triple(q.n_r, *params, self._u(c, x))
+        return _times_power(x, q.ang, _chain3(k, *self._du(c, x)))
 
     @_pointwise
     def flat_factor_derivatives(self, ordering: PdmOrdering, x):
@@ -315,8 +335,8 @@ class _Side:
         m^xi psi the ordering's flat picture solves for; with BD (xi = 0), f is
         r^((d-1)/2) (1+lam r^2)^(-1/4) or R^((D-1)/2) (1+lam R)^(-3/4)."""
         power = 0.5 * self._MEASURE_POWER - self._MASS_POWER * ordering.xi
-        t, dt, ddt = self._stretch3(x)
-        stretch = _chain3(_times_power(t, power, (1.0, 0.0, 0.0)), dt, ddt)
+        t = self.stretch(x)
+        stretch = _chain3(_times_power(t, power, (1.0, 0.0, 0.0)), *self._du(self.lam, x))
         return _times_power(x, (self.dim - 1.0) / 2.0, stretch)
 
     @_pointwise
@@ -346,7 +366,7 @@ class _Side:
             k, e = 0.0, 2.0 * mu * ordering.xi
             w, V = t**e, self._pdm_potential(ordering, ang, r, t)
         p = t**mu
-        c1 = k * p / r + (mu + e) * t ** (mu - 1) * self._stretch3(r)[1]
+        c1 = k * p / r + (mu + e) * t ** (mu - 1) * self._du(self.lam, r)[0]
         return p, w, V, c1
 
     @_pointwise
@@ -398,11 +418,11 @@ class _OscillatorSide(_Side):
         """The curved radial potential l(l+d-2)/r^2 + beta(beta+lam) r^2/t."""
         return ang * (ang + self.d - 2.0) / (r * r) + self.beta * (self.beta + self.lam) * r * r / t
 
-    def stretch(self, r):
-        return 1.0 + self.lam * r * r
+    def _u(self, c, r):
+        return c * r * r
 
-    def _stretch3(self, r):
-        return (self.stretch(r), 2.0 * self.lam * r, 2.0 * self.lam)
+    def _du(self, c, r):
+        return 2.0 * c * r, 2.0 * c
 
     def coordinate(self):
         """(y -> (r, t, dr/dy, P), end of y) for y = s at lam > 0, where bound states
@@ -459,11 +479,11 @@ class _CoulombSide(_Side):
         """The curved radial potential L(L+D-2)/R^2 - Q/R."""
         return ang * (ang + self.D - 2.0) / (R * R) - self.Q / R
 
-    def stretch(self, R):
-        return 1.0 + self.lam * R
+    def _u(self, c, R):
+        return c * R
 
-    def _stretch3(self, R):
-        return (self.stretch(R), self.lam, 0.0)
+    def _du(self, c, R):
+        return c, 0.0
 
     def coordinate(self):
         """(x -> (R, t, dR/dx, P), end of x) for x = sqrt(s): R ~ x^2 near the origin
@@ -512,17 +532,9 @@ class EuclideanOscillator(_OscillatorSide):
         """The side's strength: beta is omega at lam = 0."""
         return self.omega
 
-    def amplitude(self, q: QuantumNumbers, r, t):
-        """Unnormalized r^l exp(-omega r^2/2) L_{n_r}^(l+(d-2)/2)(omega r^2)."""
-        u = self.omega * r * r
-        alpha = q.ang + (self.d - 2.0) / 2.0
-        return r**q.ang * np.exp(-0.5 * u) * specfun.laguerre(q.n_r, alpha, u)
-
-    def _in_u(self, q: QuantumNumbers, r):
-        """exp(-u/2) L(u) at u = omega r^2, with u' and u''."""
-        om = self.omega
-        k = _laguerre_gauss3(q.n_r, q.ang + (self.d - 2.0) / 2.0, om * r * r)
-        return k, 2.0 * om * r, 2.0 * om
+    def _closed_form(self, q: QuantumNumbers):
+        """r^l exp(-omega r^2/2) L_{n_r}^(l+(d-2)/2)(omega r^2)."""
+        return self.omega, (q.ang + (self.d - 2.0) / 2.0,)
 
 
 @dataclass(frozen=True)
@@ -543,17 +555,10 @@ class EuclideanCoulomb(_CoulombSide):
         _require_finite("dimension D", self.D, self.D > 1, "> 1")
         _require_finite("coupling Q", self.Q, self.Q > 0, "positive")
 
-    def amplitude(self, q: QuantumNumbers, R, t):
-        """Unnormalized R^L exp(-kappa R) L_{n_r}^(2L+D-2)(2 kappa R), kappa = sqrt(2|E_nu|)."""
+    def _closed_form(self, q: QuantumNumbers):
+        """R^L exp(-kappa R) L_{n_r}^(2L+D-2)(2 kappa R), kappa = sqrt(2|E_nu|)."""
         kappa = math.sqrt(2.0 * abs(self.energy(q)))
-        alpha = 2.0 * q.ang + self.D - 2.0
-        return R**q.ang * np.exp(-kappa * R) * specfun.laguerre(q.n_r, alpha, 2.0 * kappa * R)
-
-    def _in_u(self, q: QuantumNumbers, R):
-        """exp(-u/2) L(u) at u = 2 kappa R, with u' and u''."""
-        kappa = math.sqrt(2.0 * abs(self.energy(q)))
-        k = _laguerre_gauss3(q.n_r, 2.0 * q.ang + self.D - 2.0, 2.0 * kappa * R)
-        return k, 2.0 * kappa, 0.0
+        return 2.0 * kappa, (2.0 * q.ang + self.D - 2.0,)
 
 
 @dataclass(frozen=True)
@@ -596,20 +601,10 @@ class NonlinearOscillator(_OscillatorSide):
         n_max = self.n_max
         return n_max is None or q.n <= n_max
 
-    def amplitude(self, q: QuantumNumbers, r, t):
-        """Unnormalized r^l (1+lam r^2)^(-beta/(2 lam)) P_{n_r}^(l+(d-2)/2, -beta/lam-1/2)(1+2 lam r^2)."""
+    def _closed_form(self, q: QuantumNumbers):
+        """r^l (1+lam r^2)^(-beta/(2 lam)) P_{n_r}^(l+(d-2)/2, -beta/lam-1/2)(1+2 lam r^2)."""
         lam = self.lam
-        a = q.ang + (self.d - 2.0) / 2.0
-        b = -self.beta / lam - 0.5
-        p = specfun.jacobi(q.n_r, a, b, lam * r * r)
-        return r**q.ang * t ** (-self.beta / (2.0 * lam)) * p
-
-    def _in_u(self, q: QuantumNumbers, r):
-        """t^tau P(u) at u = lam r^2, with u' and u''."""
-        lam = self.lam
-        a, b = q.ang + (self.d - 2.0) / 2.0, -self.beta / lam - 0.5
-        k = _jacobi_stretch3(q.n_r, a, b, -self.beta / (2.0 * lam), lam * r * r)
-        return k, 2.0 * lam * r, 2.0 * lam
+        return lam, (q.ang + (self.d - 2.0) / 2.0, -self.beta / lam - 0.5, -self.beta / (2.0 * lam))
 
     def _pdm_potential(self, ordering: PdmOrdering, ang: float, r, t):
         """The paper's V1 for BD and V2 for MM."""
@@ -668,15 +663,10 @@ class CoulombLike(_CoulombSide):
         tau = -(Q + lam * (nu * (nu + D - 1.5) + ll)) / (lam * (2.0 * nu + D - 1.0))
         return WavefunctionParams(rho=rho, sigma=sigma, tau=tau)
 
-    def amplitude(self, q: QuantumNumbers, R, t):
-        """Unnormalized R^L (1+lam R)^tau P_{n_r}^(rho,sigma)(1+2 lam R)."""
+    def _closed_form(self, q: QuantumNumbers):
+        """R^L (1+lam R)^tau P_{n_r}^(rho,sigma)(1+2 lam R) (``wavefunction_params``)."""
         wp = self.wavefunction_params(q)
-        return R**q.ang * t**wp.tau * specfun.jacobi(q.n_r, wp.rho, wp.sigma, self.lam * R)
-
-    def _in_u(self, q: QuantumNumbers, R):
-        """t^tau P(u) at u = lam R, with u' and u''."""
-        wp = self.wavefunction_params(q)
-        return _jacobi_stretch3(q.n_r, wp.rho, wp.sigma, wp.tau, self.lam * R), self.lam, 0.0
+        return self.lam, (wp.rho, wp.sigma, wp.tau)
 
     def _pdm_potential(self, ordering: PdmOrdering, ang: float, R, t):
         """U, the paper's PDM potential of both the BD and the MM ordering."""

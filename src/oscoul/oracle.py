@@ -449,15 +449,18 @@ def convergence_study(
     hbar = m = 1), since no relative error exists there."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    grids = _doubling(grids)
+    if len(grids) < 3:
+        raise ValueError(f"need at least 3 grid sizes, got {grids}")
+    # the coarsest grid holds N_0 eigenvalues: refuse more before any problem is built
+    if k > grids[0]:
+        raise ValueError(f"k must lie in [1, {grids[0]}], got {k}")
     # a model without the asked picture is a usage error: report it before any solve
     states = [QuantumNumbers(j, ang) for j in range(k)]
     if ordering is None:
         refs = [2.0 * model.energy(q) for q in states]
     else:
         refs = [2.0 * model.pdm_energy(ordering, q) for q in states]
-    grids = _doubling(grids)
-    if len(grids) < 3:
-        raise ValueError(f"need at least 3 grid sizes, got {grids}")
     # each target state gets its own truncation, so low states keep a fine grid;
     # consecutive states on the same domain share one solve per grid
     problems = [build_problem(model, ang, ordering, n_states=j + 1) for j in range(k)]

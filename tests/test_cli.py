@@ -450,6 +450,16 @@ def assert_usage_error(argv, capsys):
          "omega must be finite and positive, got inf"),
         (["verify", *OSC, "--grids", "512,abc,2048"],
          "--grids must be comma-separated integers, got '512,abc,2048'"),
+        (["verify", "--model", "osc", "--d", "3", "--omega", "1", "--k", "600"],
+         "k must lie in [1, 512], got 600"),
+        (["wavefunction", "--model", "nlo", "--d", "3", "--lambda", "0.1", "--beta", "1",
+          "--l", "2", "--n-r", "4", "--x-max", "5"], "state n_r=4 ang=2 is not normalizable"),
+        (["wavefunction", "--model", "clike", "--D", "3", "--lambda", "0.5", "--Q", "1",
+          "--n-r", "3", "--x-max", "5"], "state n_r=3 ang=0 is not normalizable"),
+        (["wavefunction", "--model", "nlo", "--d", "3", "--lambda", "0.1", "--beta", "1",
+          "--l", "2", "--n-r", "4"], "state n_r=4 ang=2 is not normalizable"),
+        (["spectrum", "--model", "clike", "--D", "3", "--lambda", "0.1", "--Q", "1",
+          "--L", "inf"], "angular quantum number must be >= 0 and finite, got inf"),
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
          "negative-L", "x-max-outside-domain", "x-max-at-domain-end",
@@ -459,7 +469,8 @@ def assert_usage_error(argv, capsys):
          "fractional-l-duality", "infinite-l", "nan-tol-eig", "negative-tol-eig",
          "negative-exponent-tol-eig",
          "nan-tol-residual", "negative-tol-residual", "negative-n-max", "nan-lambda",
-         "inf-omega", "non-integer-grids"],
+         "inf-omega", "non-integer-grids", "k-above-coarsest-grid", "unbound-nlo-x-max",
+         "unbound-clike-x-max", "unbound-nlo", "infinite-L"],
 )
 def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
     def no_solve(*args, **kwargs):

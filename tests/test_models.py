@@ -402,9 +402,17 @@ class TestDerivativeTriples:
             (EuclideanCoulomb(D=3, Q=1.0), QuantumNumbers(1, 1)),
             (NonlinearOscillator(d=2, lam=-0.1, beta=1.0), QuantumNumbers(2, 1)),
             (CoulombLike(D=3, lam=0.2, Q=1.0), QuantumNumbers(1, 0)),
+            # one row of each remaining closed-form family: the Jacobi form at
+            # lam > 0 on the oscillator side and at lam < 0 on the Coulomb
+            # side, and half-integer L in both Coulomb forms
+            (NonlinearOscillator(d=3, lam=0.1, beta=1.0), QuantumNumbers(2, 1)),
+            (CoulombLike(D=2.5, lam=-0.02, Q=1.0), QuantumNumbers(2, 0.5)),
+            (EuclideanCoulomb(D=2.5, Q=1.0), QuantumNumbers(1, 0.5)),
+            (CoulombLike(D=3, lam=0.1, Q=1.0), QuantumNumbers(1, 1.5)),
         ],
     )
     def test_against_finite_differences(self, model, qq):
+        assert model.is_bound(qq)
         state = RadialState(model, qq)
         hi = model.domain[1]
         x = np.linspace(0.3, min(3.0, 0.8 * hi) if math.isfinite(hi) else 3.0, 9)
