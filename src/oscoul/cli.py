@@ -1,5 +1,6 @@
 """Command-line front end: spectra, wavefunction sampling, duality checks,
-oracle verification, and bound-state enumeration, emitted as CSV or JSON.
+oracle verification, and bound-state enumeration, emitted as CSV (the default)
+or JSON; ``verify`` and oscillator-side ``bound-states`` write JSON only.
 
 The model name selects the picture ``verify`` solves: ``pdm-osc`` and
 ``pdm-coulomb`` are the flat (PDM) pictures of ``nlo`` and ``clike``, solved
@@ -85,12 +86,17 @@ def _emit_json(obj: dict, path):
 
 
 def _emit_rows(header, rows, fmt, path):
-    if fmt == "csv":
+    if fmt == "json":
+        _emit_json({"columns": list(header), "rows": [list(map(float, r)) for r in rows]}, path)
+    else:
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         _write("\n".join(lines) + "\n", path)
-    else:
-        _emit_json({"columns": list(header), "rows": [list(map(float, r)) for r in rows]}, path)
+
+
+def _json_only(args, what: str):
+    if args.format == "csv":
+        raise ConfigError(f"{what} writes JSON only, not --format csv")
 
 
 def _need(args, name: str):
@@ -102,39 +108,34 @@ def _need(args, name: str):
 
 
 def build_model(args):
-    """Model instance plus its angular quantum number from CLI flags."""
+    """Model and its angular quantum number from CLI flags, refusing any it does not read."""
     cls, flags, _ = _MODELS[args.model]
+    ang_flag = "l" if cls.kind == "oscillator" else "L"
+    for flag in ("d", "D", "lambda", "beta", "omega", "Q", "l", "L"):
+        if getattr(args, flag) is not None and flag not in (*flags, ang_flag):
+            raise ConfigError(f"--{flag} does not apply to --model {args.model}")
     try:
         model = cls(*(_need(args, flag) for flag in flags))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if model.kind == "oscillator":
-        ang = args.l if args.l is not None else 0.0
-        if not ang.is_integer():
-            raise ConfigError("oscillator-side l must be an integer")
-    else:
-        ang = args.L if args.L is not None else 0.0
+    ang = getattr(args, ang_flag)
+    ang = 0.0 if ang is None else ang
+    if ang_flag == "l" and not ang.is_integer():
+        raise ConfigError("oscillator-side l must be an integer")
     if not (ang >= 0 and math.isfinite(ang)):
         raise ConfigError(f"angular quantum number must be >= 0 and finite, got {ang}")
     return model, float(ang)
 
 
 def parse_ordering(spec: str) -> PdmOrdering:
-    if spec == "bd":
-        return BD
-    if spec == "mm":
-        return MM
+    if spec in ("bd", "mm"):
+        return PdmOrdering[spec.upper()]
     if spec.startswith("vonroos:"):
         try:
-            xi, eta, zeta = (float(v) for v in spec.split(":", 1)[1].split(","))
-            return PdmOrdering(xi, eta, zeta)
+            return PdmOrdering(tuple(float(v) for v in spec.split(":", 1)[1].split(",")))
         except ValueError as exc:
             raise ConfigError(f"bad ordering {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown ordering {spec!r}")
-
-
-def _ang_fixed(args) -> bool:
-    return (args.l is not None) or (args.L is not None)
 
 
 def cmd_spectrum(args) -> int:
@@ -152,7 +153,7 @@ def cmd_spectrum(args) -> int:
     def width(ang):
         return int((n_cap - ang) // step) + 1 if ang <= n_cap else 0
 
-    if _ang_fixed(args):
+    if args.l is not None or args.L is not None:
         angs = [ang0]
         size = width(ang0)
     else:
@@ -189,6 +190,7 @@ def cmd_bound_states(args) -> int:
         rows = [[q.n_r, q.ang, q.nu, model.energy(q)] for q in states]
         _emit_rows(["n_r", "L", "nu", "energy"], rows, args.format, args.out)
         return 0
+    _json_only(args, f"bound-states --model {args.model}")
     n_max = model.n_max
     _emit_json(
         {
@@ -281,6 +283,7 @@ def cmd_verify(args) -> int:
     from . import oracle
     from .kernels import LapackNotFound
 
+    _json_only(args, "verify")
     model, ang = build_model(args)
     picture = _MODELS[args.model][2]
     if picture == "weighted" and args.ordering is not None:
@@ -368,7 +371,7 @@ def _add_model_flags(sp):
     sp.add_argument("--Q", type=float, help="Coulomb coupling")
     sp.add_argument("--l", type=float, default=None, help="oscillator angular momentum")
     sp.add_argument("--L", type=float, default=None, help="Coulomb-side angular number")
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
+    sp.add_argument("--format", choices=["csv", "json"], default=None)
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
 

@@ -46,6 +46,7 @@ every quadrature call) are passed through uncopied.
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 import numbers
@@ -133,34 +134,32 @@ class WavefunctionParams:
     tau: float
 
 
-@dataclass(frozen=True)
-class PdmOrdering:
+class PdmOrdering(enum.Enum):
     """von Roos ordering (xi, eta, zeta), xi+eta+zeta = -1, of the PDM kinetic
     operator (O. von Roos, Phys. Rev. B 27, 7547 (1983)).
 
     Only the paper's two orderings exist here: BD (0, -1, 0) and MM (-1/4,
-    -1/2, -1/4).  xi sets the weight m^(-2 xi) of the flat picture
+    -1/2, -1/4); ``PdmOrdering(triple)`` finds either and refuses any other.
+    xi sets the weight m^(-2 xi) of the flat picture
     (``_Side.coefficients``), and the paper gives each its own potential on
     the oscillator side (V1 and V2) and the one potential U on the Coulomb
     side, so no rule names the problem another triple would pose.
     """
 
-    xi: float
-    eta: float
-    zeta: float
+    BD = (0.0, -1.0, 0.0)
+    MM = (-0.25, -0.5, -0.25)
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi", float(self.xi))
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "zeta", float(self.zeta))
-        _require(
-            (self.xi, self.eta, self.zeta) in ((0.0, -1.0, 0.0), (-0.25, -0.5, -0.25)),
-            "PDM orderings are BD (0,-1,0) and MM (-0.25,-0.5,-0.25) only",
-        )
+    @property
+    def xi(self) -> float:
+        return self.value[0]
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError("PDM orderings are BD (0,-1,0) and MM (-0.25,-0.5,-0.25) only")
 
 
-BD = PdmOrdering(0.0, -1.0, 0.0)
-MM = PdmOrdering(-0.25, -0.5, -0.25)
+BD = PdmOrdering.BD
+MM = PdmOrdering.MM
 
 
 def _check_coordinate(model, x):

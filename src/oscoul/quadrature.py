@@ -1,6 +1,7 @@
 """Weighted-measure quadrature: panelled Gauss-Legendre inner products,
 numerical normalization, and the norm-divergence scan that operationalizes the
-bound-state inequalities.
+bound-state inequalities from a state's norms at three truncations it picks
+toward the domain's upper end.
 
 Infinite domains are integrated to an analytic-tail-justified truncation with
 width-doubling panels.  A finite upper end of a measure's domain (the
@@ -261,45 +262,37 @@ def normalized(state: RadialState, mu: Measure) -> RadialState:
 
 
 def _default_truncations(state, mu: Measure):
+    """t0 4^j, j = 3, 4, 5, with t0 twenty times the density's peak radius (at
+    least 20), on an infinite domain; hi - span 10^-j, j = 4, 5, 6, on a finite one."""
     lo, hi = mu.domain
     if math.isinf(hi):
         grid = np.geomspace(1e-3, 1e3, 512)
         vals = np.abs(np.asarray(state(grid)) ** 2 * mu.weight(grid))
         r_peak = float(grid[int(np.argmax(vals))])
         t0 = 20.0 * max(r_peak, 1.0)
-        return [t0 * 4.0**j for j in range(6)]
+        return [t0 * 4.0**j for j in range(3, 6)]
     span = hi - lo
-    return [hi - span * 10.0 ** (-j) for j in range(1, 7)]
+    return [hi - span * 10.0 ** (-j) for j in range(4, 7)]
 
 
-def norm_divergence_scan(state, mu: Measure, truncations=None) -> Verdict:
-    """Classify the norm integral as convergent or divergent from a truncation sweep.
+def norm_divergence_scan(state, mu: Measure) -> Verdict:
+    """Classify the norm integral as convergent or divergent from its value at
+    the three truncations of ``_default_truncations``.
 
-    Compares the last two increments of the norm along the sweep: shrinking
-    increments (ratio < 1) converge, and so does a last growth exponent in
-    the truncation parameter below 0.01; increments that do not shrink
-    (ratio >= 1) diverge.  Without a finite ratio (two equal norms before
-    the last, or a non-finite norm) the sweep is inconclusive.  The ratio
-    reads a slow power-law tail, whose exponent stays large while its
-    increments shrink.
+    Compares the two increments of the three norms: shrinking increments
+    (ratio < 1) converge, and so does a last growth exponent in the
+    truncation parameter (t, or 1/(hi - t) on a finite domain) below 0.01;
+    increments that do not shrink (ratio >= 1) diverge.  Without a finite
+    ratio (two equal first norms, or a non-finite norm) the scan is
+    inconclusive.  The ratio reads a slow power-law tail, whose exponent
+    stays large while its increments shrink.
     """
-    lo, hi = mu.domain
-    if truncations is None:
-        truncations = _default_truncations(state, mu)
-    truncations = sorted(float(t) for t in truncations)
-    if len(truncations) < 3:
-        raise ValueError("need at least 3 truncations")
-    if len(set(truncations)) < len(truncations):
-        raise ValueError("truncations must be distinct")
-    if not all(lo < t < hi for t in truncations):
-        raise ValueError("truncations must lie strictly inside the domain")
+    hi = mu.domain[1]
+    truncations = np.array(_default_truncations(state, mu))
     norms = np.array([norm(state, mu, truncation=t) for t in truncations])
-    if math.isinf(hi):
-        xs = np.array(truncations)
-    else:
-        xs = 1.0 / (hi - np.array(truncations))
+    xs = truncations if math.isinf(hi) else 1.0 / (hi - truncations)
     slope = np.diff(np.log(norms))[-1] / np.diff(np.log(xs))[-1]
-    before, last = np.diff(norms)[-2:]
+    before, last = np.diff(norms)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = last / before
     if slope < 0.01:

@@ -460,6 +460,12 @@ def assert_usage_error(argv, capsys):
           "--l", "2", "--n-r", "4"], "state n_r=4 ang=2 is not normalizable"),
         (["spectrum", "--model", "clike", "--D", "3", "--lambda", "0.1", "--Q", "1",
           "--L", "inf"], "angular quantum number must be >= 0 and finite, got inf"),
+        (["spectrum", "--model", "clike", "--D", "3", "--lambda", "0.1", "--Q", "1",
+          "--l", "1", "--n-max", "1"], "--l does not apply to --model clike"),
+        (["verify", *OSC, "--lambda", "0.1"], "--lambda does not apply to --model osc"),
+        (["verify", *OSC, "--format", "csv"], "verify writes JSON only, not --format csv"),
+        (["bound-states", "--model", "nlo", "--d", "2", "--lambda", "0.2", "--beta", "1",
+          "--format", "csv"], "bound-states --model nlo writes JSON only, not --format csv"),
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
          "negative-L", "x-max-outside-domain", "x-max-at-domain-end",
@@ -470,7 +476,8 @@ def assert_usage_error(argv, capsys):
          "negative-exponent-tol-eig",
          "nan-tol-residual", "negative-tol-residual", "negative-n-max", "nan-lambda",
          "inf-omega", "non-integer-grids", "k-above-coarsest-grid", "unbound-nlo-x-max",
-         "unbound-clike-x-max", "unbound-nlo", "infinite-L"],
+         "unbound-clike-x-max", "unbound-nlo", "infinite-L", "l-on-clike", "lambda-on-osc",
+         "csv-verify", "csv-nlo-bound-states"],
 )
 def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
@@ -595,7 +602,7 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
     # spectrum and bound-states evaluate scalar closed forms: NumPy is
     # registered to load on first use and never executes
     names = [n for n in CASES if n.startswith(("spectrum-", "bound-states-"))]
-    assert len(names) == 24
+    assert len(names) == 21
     assert "numpy._core" not in run_golden_cases_fresh(names, tmp_path)
 
 

@@ -33,10 +33,12 @@ DUALITY = {
 
 def _cases():
     for case, flags in MODELS.items():
-        ang = ["--l", "1"] if flags[1] in ("osc", "nlo", "pdm-osc") else ["--L", "0"]
+        osc_side = flags[1] in ("osc", "nlo", "pdm-osc")
+        ang = ["--l", "1"] if osc_side else ["--L", "0"]
         for fmt in ("csv", "json"):
             yield f"spectrum-{case}.{fmt}", ["spectrum", *flags, "--format", fmt]
-            if flags[1] not in ("osc", "coulomb"):
+            # oscillator-side bound-states writes JSON only
+            if flags[1] not in ("osc", "coulomb") and not (osc_side and fmt == "csv"):
                 yield f"bound-states-{case}.{fmt}", ["bound-states", *flags, "--format", fmt]
             yield f"wavefunction-{case}.{fmt}", [
                 "wavefunction", *flags, *ang, "--n-r", "1", "--points", "50", "--format", fmt

@@ -344,11 +344,11 @@ class TestPdm:
     def test_general_von_roos_rejected(self):
         # a triple other than BD and MM is refused when it is made
         with pytest.raises(ValueError, match="PDM orderings are BD .* and MM .* only"):
-            PdmOrdering(-0.5, 0.0, -0.5)
-        with pytest.raises(ValueError):
-            PdmOrdering(math.nan, -1.0, 0.0)
-        assert PdmOrdering(0, -1, 0) == BD
-        assert PdmOrdering(-0.25, -0.5, -0.25) == MM
+            PdmOrdering((-0.5, 0.0, -0.5))
+        with pytest.raises(ValueError, match="PDM orderings are BD .* and MM .* only"):
+            PdmOrdering((math.nan, -1.0, 0.0))
+        assert PdmOrdering((0, -1, 0)) == BD
+        assert PdmOrdering((-0.25, -0.5, -0.25)) == MM
 
     @pytest.mark.parametrize(
         "model", [EuclideanOscillator(d=3, omega=1.0), EuclideanCoulomb(D=3, Q=1.0)]
@@ -373,7 +373,7 @@ class TestPdm:
 
     def test_ordering_constraint(self):
         with pytest.raises(ValueError):
-            PdmOrdering(0.0, 0.0, 0.0)
+            PdmOrdering((0.0, 0.0, 0.0))
 
 
 class TestFlatPictureFactor:

@@ -223,7 +223,7 @@ class TestBuildProblem:
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
         bd = oracle.discretize(oracle.build_problem(m, 0.0, BD, n_states=1), 128)
         vr = oracle.discretize(
-            oracle.build_problem(m, 0.0, PdmOrdering(0.0, -1.0, 0.0), n_states=1),
+            oracle.build_problem(m, 0.0, PdmOrdering((0.0, -1.0, 0.0)), n_states=1),
             128,
         )
         assert np.array_equal(bd.diag, vr.diag)
@@ -233,7 +233,7 @@ class TestBuildProblem:
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
         mm = oracle.discretize(oracle.build_problem(m, 0.0, MM, n_states=1), 512)
         vr = oracle.discretize(
-            oracle.build_problem(m, 0.0, PdmOrdering(-0.25, -0.5, -0.25), n_states=1),
+            oracle.build_problem(m, 0.0, PdmOrdering((-0.25, -0.5, -0.25)), n_states=1),
             512,
         )
         e_mm = oracle.lowest_eigenvalues(mm, 2)
@@ -272,7 +272,7 @@ class TestBuildProblem:
                 RadialState(EuclideanCoulomb(D=3, Q=1.0), QuantumNumbers(0, 0)), [1.0], MM
             )
         with pytest.raises(ValueError):
-            PdmOrdering(1.0, 1.0, 1.0)
+            PdmOrdering((1.0, 1.0, 1.0))
 
     def test_truncation_requires_bound_state(self):
         m = NonlinearOscillator(d=2, lam=0.2, beta=1.0)
@@ -639,7 +639,7 @@ def test_study_without_closed_form_fails_before_solving(model, monkeypatch):
 
     monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", no_solve)
     with pytest.raises(ValueError, match="PDM orderings are BD .* and MM .* only"):
-        oracle.convergence_study(model, 0.0, 2, GRIDS, PdmOrdering(-0.5, 0, -0.5))
+        oracle.convergence_study(model, 0.0, 2, GRIDS, PdmOrdering((-0.5, 0, -0.5)))
 
 
 # The sweep: every bound state n_r < 5 of these channels, in the weighted

@@ -28,6 +28,7 @@ from oscoul.quadrature import (
     Measure,
     Verdict,
     _base_edges,
+    _default_truncations,
     _probe_grid,
     _refine,
     gauss_legendre,
@@ -180,7 +181,13 @@ class TestGramMatrices:
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-8
 
 
-_HI = 1.0 / np.sqrt(0.1)  # the domain end of the nlo model at lam = -0.1
+# a finite domain, an infinite one with a power-law tail, and a Euclidean one
+SCAN_MODELS = [
+    NonlinearOscillator(d=3, lam=-0.1, beta=1.0),
+    CoulombLike(D=3, lam=0.2, Q=1.0),
+    EuclideanOscillator(d=3, omega=1.0),
+]
+SCAN_IDS = ["nlo-finite", "clike-infinite", "osc"]
 
 
 class TestDivergenceScan:
@@ -211,28 +218,31 @@ class TestDivergenceScan:
         assert m.is_bound(state.q)
         assert norm_divergence_scan(state, measure_for(m)) is Verdict.CONVERGES
 
-    def test_requires_enough_truncations(self):
-        m = NonlinearOscillator(d=2, lam=0.2, beta=1.0)
-        mu = measure_for(m)
-        with pytest.raises(ValueError):
-            norm_divergence_scan(RadialState(m, QuantumNumbers(0, 0)), mu, truncations=[5.0, 10.0])
+    @pytest.mark.parametrize("model", SCAN_MODELS[:2], ids=SCAN_IDS[:2])
+    def test_each_scan_integrates_three_truncated_norms(self, model, monkeypatch):
+        cuts = []
+        real_norm = quadrature.norm
 
-    @pytest.mark.parametrize(
-        "truncations",
-        [[1.0, 2.0, 2.0], [2.0, 2.0, 5.0], [5.0, 2.0, 5.0, 9.0], [0.5 * _HI, 0.9 * _HI, _HI]],
-    )
-    def test_rejects_repeated_truncations_before_any_integral(self, truncations):
-        # the last case cuts at the finite domain end, where the scan's
-        # 1 / (hi - t) divides by zero
-        m = NonlinearOscillator(d=3, lam=-0.1, beta=1.0)
-        assert m.domain[1] == _HI
-        calls = []
-        state = lambda x: calls.append(x) or np.exp(-x)  # noqa: E731
-        repeated = len(set(truncations)) < len(truncations)
-        match = "distinct" if repeated else "strictly inside the domain"
-        with pytest.raises(ValueError, match=match):
-            norm_divergence_scan(state, measure_for(m), truncations=truncations)
-        assert not calls
+        def spy(f, mu, truncation=None):
+            cuts.append(truncation)
+            return real_norm(f, mu, truncation=truncation)
+
+        monkeypatch.setattr(quadrature, "norm", spy)
+        mu = measure_for(model)
+        for q in (QuantumNumbers(0, 0), QuantumNumbers(1, 1)):
+            state = RadialState(model, q)
+            cuts.clear()
+            norm_divergence_scan(state, mu)
+            assert cuts == _default_truncations(state, mu)
+
+    @pytest.mark.parametrize("model", SCAN_MODELS, ids=SCAN_IDS)
+    def test_default_truncations_rise_strictly_inside_the_domain(self, model):
+        lo, hi = model.domain
+        mu = measure_for(model)
+        for n_r, ang in [(0, 0), (1, 1), (3, 2)]:
+            cuts = _default_truncations(RadialState(model, QuantumNumbers(n_r, ang)), mu)
+            assert len(cuts) == 3
+            assert lo < cuts[0] < cuts[1] < cuts[2] < hi
 
 
 class TestInternals:

@@ -4,9 +4,9 @@
 
 * the Gram matrix of the four lowest normalized states of each channel the
   closed-form benchmark cycles through (unjittered strengths);
-* for the states on either side of the bound/unbound edge of three channels,
-  the norm at each default truncation of the divergence scan, and the scan's
-  verdict.
+* for the states on either side of the bound/unbound edge of six channels,
+  the three truncations the divergence scan picks, the norm at each, and the
+  scan's verdict.
 
 A change that keeps the quadrature's nodes, weights and floating-point order
 keeps every bit.  The verdict of clike D=3 lam=0.2 L=0 n_r=1, a bound state
