@@ -51,10 +51,6 @@ _MODELS = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _fmt(value) -> str:
     if isinstance(value, numbers.Integral):
         return str(int(value))
@@ -96,14 +92,14 @@ def _emit_rows(header, rows, fmt, path):
 
 def _json_only(args, what: str):
     if args.format == "csv":
-        raise ConfigError(f"{what} writes JSON only, not --format csv")
+        raise ValueError(f"{what} writes JSON only, not --format csv")
 
 
 def _need(args, name: str):
     value = getattr(args, name.strip("-").replace("-", "_"), None)
     if value is None:
         what = f"--model {args.model}" if "model" in args else args.command
-        raise ConfigError(f"--{name} is required for {what}")
+        raise ValueError(f"--{name} is required for {what}")
     return value
 
 
@@ -113,17 +109,14 @@ def build_model(args):
     ang_flag = "l" if cls.kind == "oscillator" else "L"
     for flag in ("d", "D", "lambda", "beta", "omega", "Q", "l", "L"):
         if getattr(args, flag) is not None and flag not in (*flags, ang_flag):
-            raise ConfigError(f"--{flag} does not apply to --model {args.model}")
-    try:
-        model = cls(*(_need(args, flag) for flag in flags))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            raise ValueError(f"--{flag} does not apply to --model {args.model}")
+    model = cls(*(_need(args, flag) for flag in flags))
     ang = getattr(args, ang_flag)
     ang = 0.0 if ang is None else ang
     if ang_flag == "l" and not ang.is_integer():
-        raise ConfigError("oscillator-side l must be an integer")
+        raise ValueError("oscillator-side l must be an integer")
     if not (ang >= 0 and math.isfinite(ang)):
-        raise ConfigError(f"angular quantum number must be >= 0 and finite, got {ang}")
+        raise ValueError(f"angular quantum number must be >= 0 and finite, got {ang}")
     return model, float(ang)
 
 
@@ -134,15 +127,15 @@ def parse_ordering(spec: str) -> PdmOrdering:
         try:
             return PdmOrdering(tuple(float(v) for v in spec.split(":", 1)[1].split(",")))
         except ValueError as exc:
-            raise ConfigError(f"bad ordering {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown ordering {spec!r}")
+            raise ValueError(f"bad ordering {spec!r}: {exc}") from exc
+    raise ValueError(f"unknown ordering {spec!r}")
 
 
 def cmd_spectrum(args) -> int:
     model, ang0 = build_model(args)
     n_cap = args.n_max if args.n_max is not None else 6
     if n_cap < 0:
-        raise ConfigError(f"--n-max must be >= 0, got {n_cap}")
+        raise ValueError(f"--n-max must be >= 0, got {n_cap}")
     osc_side = model.kind == "oscillator"
     pdm = _MODELS[args.model][2] == "flat"
     # the principal number is 2 n_r + ang on the oscillator side and n_r + ang
@@ -163,7 +156,7 @@ def cmd_spectrum(args) -> int:
         else:
             size = n_cap + 1 + (n_cap // 2) * ((n_cap + 1) // 2)
     if size > MAX_STATES:
-        raise ConfigError(f"--n-max {n_cap} gives {size} rows, more than {MAX_STATES}")
+        raise ValueError(f"--n-max {n_cap} gives {size} rows, more than {MAX_STATES}")
     rows = []
     for ang in map(float, angs):
         for n_r in range(width(ang)):
@@ -184,7 +177,7 @@ def cmd_spectrum(args) -> int:
 def cmd_bound_states(args) -> int:
     model, _ = build_model(args)
     if model.lam == 0:
-        raise ConfigError("bound-state enumeration applies to nlo/clike/pdm-* models")
+        raise ValueError("bound-state enumeration applies to nlo/clike/pdm-* models")
     if model.kind == "coulomb":
         states = clike_bound_states(model)
         rows = [[q.n_r, q.ang, q.nu, model.energy(q)] for q in states]
@@ -207,7 +200,7 @@ def cmd_bound_states(args) -> int:
 def _sample_count(args, name: str) -> int:
     value = getattr(args, name)
     if value < 1:
-        raise ConfigError(f"--{name} must be >= 1, got {value}")
+        raise ValueError(f"--{name} must be >= 1, got {value}")
     return value
 
 
@@ -219,7 +212,7 @@ def cmd_wavefunction(args) -> int:
     q = QuantumNumbers(args.n_r, ang)
     # an unbound state's closed form is formal, and can repeat a bound state's values
     if not model.is_bound(q):
-        raise ConfigError(f"state n_r={q.n_r} ang={ang:g} is not normalizable")
+        raise ValueError(f"state n_r={q.n_r} ang={ang:g} is not normalizable")
     lo, hi = model.domain
     x_max = args.x_max
     if x_max is None and math.isinf(hi):
@@ -233,7 +226,7 @@ def cmd_wavefunction(args) -> int:
         if x_max is None:
             x_max = 0.999 * hi
         if not lo < x_max < hi:
-            raise ConfigError("sampling range exceeds the coordinate domain")
+            raise ValueError("sampling range exceeds the coordinate domain")
         xs = np.linspace(x_max / points, x_max, points)
     psi = np.asarray(model.wavefunction(q, xs))
     tilde = model.flat_factor_derivatives(BD, xs)[0] * psi
@@ -249,12 +242,15 @@ def cmd_duality(args) -> int:
     from .duality import map_curved, verify_pointwise
 
     lam = getattr(args, "lambda") if getattr(args, "lambda") is not None else 0.0
+    strength, unread = ("omega", "beta") if lam == 0 else ("beta", "omega")
+    if getattr(args, unread) is not None:
+        raise ValueError(f"--{unread} does not apply to duality at lambda = {lam:g}")
     d = _need(args, "d")
     if not args.l.is_integer():
-        raise ConfigError("oscillator-side l must be an integer")
+        raise ValueError("oscillator-side l must be an integer")
     l = int(args.l)
     n_samples = _sample_count(args, "samples")
-    pair = map_curved(d, l, lam, _need(args, "omega" if lam == 0 else "beta"), args.n_r)
+    pair = map_curved(d, l, lam, _need(args, strength), args.n_r)
     lo, hi = pair.coulomb.domain
     span = hi if math.isfinite(hi) else 4.0 * oracle.truncation_radius(
         pair.oscillator, float(l), args.n_r
@@ -287,21 +283,21 @@ def cmd_verify(args) -> int:
     model, ang = build_model(args)
     picture = _MODELS[args.model][2]
     if picture == "weighted" and args.ordering is not None:
-        raise ConfigError(f"--ordering is for pdm-osc and pdm-coulomb, not --model {args.model}")
+        raise ValueError(f"--ordering is for pdm-osc and pdm-coulomb, not --model {args.model}")
     spec = "bd" if args.ordering is None else args.ordering
     ordering = None if picture == "weighted" else parse_ordering(spec)
     for name in ("tol-eig", "tol-residual"):
         tol = getattr(args, name.replace("-", "_"))
         if not tol >= 0:
-            raise ConfigError(f"--{name} must be >= 0, got {tol}")
+            raise ValueError(f"--{name} must be >= 0, got {tol}")
     try:
         grids = [int(g) for g in args.grids.split(",")]
     except ValueError:
-        raise ConfigError(f"--grids must be comma-separated integers, got {args.grids!r}") from None
+        raise ValueError(f"--grids must be comma-separated integers, got {args.grids!r}") from None
     try:
         report = oracle.convergence_study(model, ang, args.k, grids, ordering)
     except LapackNotFound as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     states = []
     all_ok = True
     for j in range(args.k):
@@ -441,7 +437,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,20 +5,21 @@ Six models: the Euclidean oscillator and Coulomb problems, the nonlinear
 nonconstant-curvature space, and the PDM reinterpretations of the latter two.
 Each model class is the one home of its physics: its side of the duality, its
 energies and bound-state rule, its wavefunctions with their exact derivatives,
-for the curved classes the PDM potential of each ordering, and the coordinate
-in which the oracle solves them.  The side holds the measure, the curved
-radial potential and the one Sturm-Liouville rule (``_Side.coefficients``)
-that gives every picture the coefficients the oracle discretizes: p = 1/m =
+and the coordinate in which the oracle solves them.  The side holds the
+measure, the curved radial potential, the PDM potential and energy of each
+ordering, and the one Sturm-Liouville rule (``_Side.coefficients``) that
+gives every picture the coefficients the oracle discretizes: p = 1/m =
 t^mu, w = r^k t^e, the picture's potential, and c1 = (p w)'/w derived from
 them.  The PDM forms take one of the paper's two orderings, ``BD`` or ``MM``
-(``PdmOrdering`` accepts no other von Roos triple); the Euclidean classes
-have none and raise ValueError when asked for one.
+(``PdmOrdering`` accepts no other von Roos triple).
 
 The Euclidean classes are the lam = 0 cases of their side of the duality:
-the side class holds the one domain, measure, radial coefficients and energy,
-written for the curved model, and at lam = 0 (stretch t = 1, beta = omega)
-they reduce to the textbook forms.  Each model writes its states once, as
-the (c, params) of x^ang K(u) that its side evaluates (see ``_Side``).
+the side class holds the one domain, measure, radial coefficients, energy
+and PDM form, written for the curved model, and at lam = 0 (stretch t = 1,
+beta = omega) they reduce to the textbook forms: the mass is 1, the
+orderings' shifts vanish, and V1 = V2 and U are the Euclidean flat
+potentials.  Each model writes its states once, as the (c, params) of
+x^ang K(u) that its side evaluates (see ``_Side``).
 
 Solved coordinate (``coordinate``), one per side for both pictures, a map
 y -> (r, t, dr/dy, P) with the stretch t and the kinetic coefficient
@@ -73,7 +74,6 @@ __all__ = [
     "PdmOrdering",
     "QuantumNumbers",
     "RadialState",
-    "WavefunctionParams",
     "clike_bound_states",
     "wavefunction",
     "wavefunction_derivatives",
@@ -123,15 +123,6 @@ class QuantumNumbers:
     @property
     def nu(self) -> float:
         return self.n_r + self.ang
-
-
-@dataclass(frozen=True)
-class WavefunctionParams:
-    """(rho, sigma, tau) of the Coulomb-like bound state R^L (1+lam R)^tau P^(rho,sigma)(1+2 lam R)."""
-
-    rho: float
-    sigma: float
-    tau: float
 
 
 class PdmOrdering(enum.Enum):
@@ -354,14 +345,14 @@ class _Side:
         MM (xi, eta, xi) is the PDM flat picture: -m^xi d/dr m^eta d/dr m^xi + V
         acts on phi = m^xi psi as the operator with k = 0 and w = m^(-2 xi),
         e = 2 mu xi, since 2 xi + eta = -1, and V the paper's potential of the
-        ordering (``_pdm_potential``).  lam = 0 has no PDM form.
+        ordering (``_pdm_potential``).  At lam = 0 (m = 1) both orderings give
+        the Euclidean flat picture.
         """
         mu = self._MASS_POWER
         if ordering is None:
             k, e = self.dim - 1.0, self._MEASURE_POWER
             w, V = self._weight(r, t), self._potential(ang, r, t)
         else:
-            _require(self.lam != 0, "the PDM flat picture applies to the curved models only")
             k, e = 0.0, 2.0 * mu * ordering.xi
             w, V = t**e, self._pdm_potential(ordering, ang, r, t)
         p = t**mu
@@ -372,10 +363,6 @@ class _Side:
     def pdm_potential(self, ordering: PdmOrdering, ang: float, x):
         """The paper's PDM potential of the ordering at x (see ``_pdm_potential``)."""
         return self.coefficients(ang, ordering, x, self.stretch(x))[2]
-
-    def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
-        """The PDM energy: the curved models override this; lam = 0 has none."""
-        raise ValueError("the PDM flat picture applies to the curved models only")
 
     def flat_exponent(self, ang: float) -> float:
         """a = ang + (dim-1)/2, the larger Frobenius exponent of the flat state."""
@@ -416,6 +403,19 @@ class _OscillatorSide(_Side):
     def _potential(self, ang: float, r, t):
         """The curved radial potential l(l+d-2)/r^2 + beta(beta+lam) r^2/t."""
         return ang * (ang + self.d - 2.0) / (r * r) + self.beta * (self.beta + self.lam) * r * r / t
+
+    def _pdm_potential(self, ordering: PdmOrdering, ang: float, r, t):
+        """The paper's V1 for BD and V2 for MM."""
+        lam, beta = self.lam, self.beta
+        if ordering == BD:
+            tail = beta * (beta + lam) * r * r - 0.25 * lam
+        else:
+            tail = (beta + 0.5 * lam) ** 2 * r * r + 0.25 * lam
+        return self._flat_centrifugal(ang, r) + tail / t
+
+    def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
+        """PDM energy: the curved energy plus the ordering shift (BD and MM coincide here)."""
+        return self.energy(q) - self.d * (self.d - 2.0) * self.lam / 8.0
 
     def _u(self, c, r):
         return c * r * r
@@ -477,6 +477,21 @@ class _CoulombSide(_Side):
     def _potential(self, ang: float, R, t):
         """The curved radial potential L(L+D-2)/R^2 - Q/R."""
         return ang * (ang + self.D - 2.0) / (R * R) - self.Q / R
+
+    def _pdm_potential(self, ordering: PdmOrdering, ang: float, R, t):
+        """U, the paper's PDM potential of both the BD and the MM ordering."""
+        D = self.D
+        return self._flat_centrifugal(ang, R) - (
+            self.Q - 0.25 * (D - 1.0) * (2.0 * D - 5.0) * self.lam
+        ) / R
+
+    def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
+        """PDM energy: the curved energy plus the ordering-dependent shift."""
+        D, lam = self.D, self.lam
+        base = self.energy(q)
+        if ordering == BD:
+            return base - (2.0 * D - 1.0) * (2.0 * D - 5.0) * lam**2 / 32.0
+        return base - (2.0 * D - 3.0) ** 2 * lam**2 / 32.0
 
     def _u(self, c, R):
         return c * R
@@ -605,19 +620,6 @@ class NonlinearOscillator(_OscillatorSide):
         lam = self.lam
         return lam, (q.ang + (self.d - 2.0) / 2.0, -self.beta / lam - 0.5, -self.beta / (2.0 * lam))
 
-    def _pdm_potential(self, ordering: PdmOrdering, ang: float, r, t):
-        """The paper's V1 for BD and V2 for MM."""
-        lam, beta = self.lam, self.beta
-        if ordering == BD:
-            tail = beta * (beta + lam) * r * r - 0.25 * lam
-        else:
-            tail = (beta + 0.5 * lam) ** 2 * r * r + 0.25 * lam
-        return self._flat_centrifugal(ang, r) + tail / t
-
-    def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
-        """PDM energy: the curved energy plus the ordering shift (BD and MM coincide here)."""
-        return self.energy(q) - self.d * (self.d - 2.0) * self.lam / 8.0
-
 
 @dataclass(frozen=True)
 class CoulombLike(_CoulombSide):
@@ -651,8 +653,8 @@ class CoulombLike(_CoulombSide):
         """Normalizability inequality for (n_r, L); strict on the boundary."""
         return self._below_edge(q.n_r, q.ang)
 
-    def wavefunction_params(self, q: QuantumNumbers) -> WavefunctionParams:
-        """The (rho, sigma, tau) triple of the bound-state wavefunction."""
+    def wavefunction_params(self, q: QuantumNumbers) -> tuple[float, float, float]:
+        """The (rho, sigma, tau) of the bound-state wavefunction."""
         nu, L, D, lam, Q = q.nu, q.ang, self.D, self.lam, self.Q
         ll = L * (L + D - 2.0)
         rho = 2.0 * L + D - 2.0
@@ -660,27 +662,11 @@ class CoulombLike(_CoulombSide):
             lam * (nu + 0.5 * (D - 1.0))
         )
         tau = -(Q + lam * (nu * (nu + D - 1.5) + ll)) / (lam * (2.0 * nu + D - 1.0))
-        return WavefunctionParams(rho=rho, sigma=sigma, tau=tau)
+        return rho, sigma, tau
 
     def _closed_form(self, q: QuantumNumbers):
         """R^L (1+lam R)^tau P_{n_r}^(rho,sigma)(1+2 lam R) (``wavefunction_params``)."""
-        wp = self.wavefunction_params(q)
-        return self.lam, (wp.rho, wp.sigma, wp.tau)
-
-    def _pdm_potential(self, ordering: PdmOrdering, ang: float, R, t):
-        """U, the paper's PDM potential of both the BD and the MM ordering."""
-        D = self.D
-        return self._flat_centrifugal(ang, R) - (
-            self.Q - 0.25 * (D - 1.0) * (2.0 * D - 5.0) * self.lam
-        ) / R
-
-    def pdm_energy(self, ordering: PdmOrdering, q: QuantumNumbers) -> float:
-        """PDM energy: the curved energy plus the ordering-dependent shift."""
-        D, lam = self.D, self.lam
-        base = self.energy(q)
-        if ordering == BD:
-            return base - (2.0 * D - 1.0) * (2.0 * D - 5.0) * lam**2 / 32.0
-        return base - (2.0 * D - 3.0) ** 2 * lam**2 / 32.0
+        return self.lam, self.wavefunction_params(q)
 
 
 # most states one enumeration lists (bound sets, spectrum rows); 30 346 at lam = 1e-4 fit

@@ -65,14 +65,14 @@ it, mapped back to the radius; a finite radial domain is sampled on its inner
 2-95 % instead.
 
 An ordering selects the picture: ``None`` solves the weighted equation
-against the measure w = r^(dim-1) t^e; BD or MM the PDM flat picture of a
-curved model, -m^xi d/dr m^eta d/dr m^xi + V with the paper's potential of
-that ordering (V1 or V2 on the oscillator side, U on the Coulomb side).  Its
-solution is phi = m^xi psi, with weight w = m^(-2 xi): 1 for BD and m^(1/2)
-for MM.  These are the paper's two orderings and the only von Roos triples
-(O. von Roos, Phys. Rev. B 27, 7547 (1983)) that ``PdmOrdering`` accepts:
-the paper pairs each with its own oscillator-side potential, so it defines
-no problem for a third.
+against the measure w = r^(dim-1) t^e; BD or MM the PDM flat picture,
+-m^xi d/dr m^eta d/dr m^xi + V with the paper's potential of that ordering
+(V1 or V2 on the oscillator side, U on the Coulomb side), which at lam = 0
+(m = 1) is the Euclidean flat picture.  Its solution is phi = m^xi psi, with
+weight w = m^(-2 xi): 1 for BD and m^(1/2) for MM.  These are the paper's
+two orderings and the only von Roos triples (O. von Roos, Phys. Rev. B 27,
+7547 (1983)) that ``PdmOrdering`` accepts: the paper pairs each with its own
+oscillator-side potential, so it defines no problem for a third.
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ _REF_WIDTH = 1e-3
 _STEP_WIDTH = 2e-3
 _CURVE_WIDTHS = (1e-6, 3e-5)
 _FLOOR = 32
-# the relative width at which each eigenvalue's bisection stops, in units of
-# N eps on N cells: 32 times finer than that spread
-_RESOLUTION = 1
 _EPS = np.finfo(float).eps
 # the cutoff scan: points per window, and the stride of its coarse pass
 _SCAN = 8192
@@ -271,15 +268,12 @@ def build_problem(
     ordering None solves the curved radial equation against its measure; BD
     or MM solves the PDM picture of that ordering, gauged by r^a: weight
     r^(2a) w and potential V - a c1/r - a(a-1) p/r^2, from one call of
-    ``model.coefficients``.  A Euclidean model with an ordering is refused
-    here.  The radial (w, V) become W = w g' and V(g) in the coordinate y of
-    ``model.coordinate()``, r = g(y), which also gives P.  The domain is
-    truncated (if infinite) to cover the lowest ``n_states`` states of the
-    channel, by ``truncation_radius``.
+    ``model.coefficients``.  The radial (w, V) become W = w g' and V(g) in the
+    coordinate y of ``model.coordinate()``, r = g(y), which also gives P.  The
+    domain is truncated (if infinite) to cover the lowest ``n_states`` states
+    of the channel, by ``truncation_radius``.
     """
-    if ordering is not None:
-        model.pdm_energy(ordering, QuantumNumbers(0, ang))  # refuses a model without the picture
-        a = model.flat_exponent(ang)
+    a = model.flat_exponent(ang)
     to_r, _ = model.coordinate()
 
     def coefficients(y):
@@ -330,7 +324,9 @@ def discretize_ladder(problem: SturmLiouvilleProblem, grids) -> list:
     are dropped, so the call runs with floating-point warnings off; every kept
     sample must be finite and every w positive.  A grid of N cells, s = 2 N_f / N
     steps each, reads its centres at j = s/2, 3 s/2, ... and its interfaces at
-    j = s, 2 s, ..., 2 N_f.
+    j = s, 2 s, ..., 2 N_f.  A grid on which an entry overflows (h^2 w does
+    on a domain as long as 1e150) raises ValueError naming it: its couplings
+    would silently read 0.
     """
     grids = _doubling(grids)
     a, b = problem.domain
@@ -344,21 +340,27 @@ def discretize_ladder(problem: SturmLiouvilleProblem, grids) -> list:
     if not np.all(w_all > 0):
         raise ValueError("weight must be positive on the open domain")
     ops = []
-    for N in grids:
-        s = 2 * n // N
-        centres = slice(s // 2 - 1, None, s)
-        w, v = w_all[centres], v_all[centres]
-        w_half, p_half = w_all[s - 1 :: s], p_all[s // 2 - 1 :: s // 2]
-        h = (b - a) / N
-        h2 = h * h
-        g = p_half[:-1] * w_half
-        diag = v.copy()
-        diag[:-1] += g / (h2 * w[:-1])
-        diag[1:] += g / (h2 * w[1:])
-        sw = np.sqrt(w)
-        off = -g / (h2 * sw[:-1] * sw[1:])
-        diag[-1] += p_half[-1] / h2
-        ops.append(DiscreteOperator(diag=diag, off=off))
+    try:
+        with np.errstate(over="raise"):
+            for N in grids:
+                s = 2 * n // N
+                centres = slice(s // 2 - 1, None, s)
+                w, v = w_all[centres], v_all[centres]
+                w_half, p_half = w_all[s - 1 :: s], p_all[s // 2 - 1 :: s // 2]
+                h = (b - a) / N
+                h2 = h * h
+                g = p_half[:-1] * w_half
+                diag = v.copy()
+                diag[:-1] += g / (h2 * w[:-1])
+                diag[1:] += g / (h2 * w[1:])
+                sw = np.sqrt(w)
+                off = -g / (h2 * sw[:-1] * sw[1:])
+                diag[-1] += p_half[-1] / h2
+                ops.append(DiscreteOperator(diag=diag, off=off))
+    except FloatingPointError:
+        raise ValueError(
+            f"the operator overflows on the grid of N = {N} cells of y in ({a:g}, {b:g})"
+        ) from None
     return ops
 
 
@@ -455,7 +457,6 @@ def convergence_study(
     # the coarsest grid holds N_0 eigenvalues: refuse more before any problem is built
     if k > grids[0]:
         raise ValueError(f"k must lie in [1, {grids[0]}], got {k}")
-    # a model without the asked picture is a usage error: report it before any solve
     states = [QuantumNumbers(j, ang) for j in range(k)]
     if ordering is None:
         refs = [2.0 * model.energy(q) for q in states]
@@ -472,7 +473,9 @@ def convergence_study(
 
     hs = 1.0 / np.asarray(grids, dtype=float)
     hh = hs * hs
-    resolution = [_RESOLUTION * N * _EPS for N in grids]
+    # each eigenvalue is bisected to a relative width of N eps on N cells,
+    # below the about 31 N eps by which rounding already spreads it
+    resolution = [N * _EPS for N in grids]
     eig = np.empty((len(grids), k))
     first = 0
     for top in tops:

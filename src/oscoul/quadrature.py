@@ -136,8 +136,6 @@ def _auto_truncation(integrand, lo: float) -> float:
         if peak == 0 or vals[-1] < 1e-16 * peak:
             return hi
         hi *= 4.0
-        if hi > 1e30:
-            break
     raise DivergentIntegralError("integrand does not decay on (0, inf)")
 
 

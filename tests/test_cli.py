@@ -466,6 +466,10 @@ def assert_usage_error(argv, capsys):
         (["verify", *OSC, "--format", "csv"], "verify writes JSON only, not --format csv"),
         (["bound-states", "--model", "nlo", "--d", "2", "--lambda", "0.2", "--beta", "1",
           "--format", "csv"], "bound-states --model nlo writes JSON only, not --format csv"),
+        (["duality", "--d", "3", "--lambda", "0.1", "--beta", "1", "--omega", "5"],
+         "--omega does not apply to duality at lambda = 0.1"),
+        (["duality", "--d", "3", "--omega", "1", "--beta", "7"],
+         "--beta does not apply to duality at lambda = 0"),
     ],
     ids=["vonroos-general", "vonroos-two-values", "unknown-ordering", "fractional-l",
          "negative-L", "x-max-outside-domain", "x-max-at-domain-end",
@@ -477,7 +481,8 @@ def assert_usage_error(argv, capsys):
          "nan-tol-residual", "negative-tol-residual", "negative-n-max", "nan-lambda",
          "inf-omega", "non-integer-grids", "k-above-coarsest-grid", "unbound-nlo-x-max",
          "unbound-clike-x-max", "unbound-nlo", "infinite-L", "l-on-clike", "lambda-on-osc",
-         "csv-verify", "csv-nlo-bound-states"],
+         "csv-verify", "csv-nlo-bound-states", "omega-on-curved-duality",
+         "beta-on-flat-duality"],
 )
 def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
@@ -528,6 +533,27 @@ def test_cutoff_scan_stops_where_the_coordinate_overflows(command, capsys):
         "error: state n_r=1 ang=0: density does not decay below 1e-12 of its peak by y = 32, "
         "and its coordinate map overflows before y = 64\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--model", "clike", "--D", "3", "--lambda", "1e-300", "--Q", "1", "--L", "0"],
+         "state n_r=0 ang=0: density does not decay below 1e-12 of its peak by y = 8192"),
+        (["--model", "nlo", "--d", "3", "--lambda", "-1e-300", "--beta", "1", "--k", "1"],
+         "the operator overflows on the grid of N = 512 cells of y in (0, 1e+150)"),
+        (["--model", "nlo", "--d", "3", "--lambda", "-1e-200", "--beta", "1", "--k", "1"],
+         "the operator overflows on the grid of N = 512 cells of y in (0, 1e+100)"),
+        (["--model", "pdm-osc", "--d", "3", "--lambda", "-1e-300", "--beta", "1", "--k", "1"],
+         "the operator overflows on the grid of N = 512 cells of y in (0, 1e+150)"),
+    ],
+    ids=["clike-never-decays", "nlo-overflows", "nlo-overflows-1e-200", "pdm-osc-overflows"],
+)
+def test_refusals_found_while_solving_print_one_line(argv, message, capsys):
+    # clike at lam = 1e-300 still holds its density at y = 8192, the scan's last
+    # window; on nlo's domain (0, 1/sqrt|lam|) h^2 w overflows, and the solve
+    # would read its couplings as 0: one error line each, and no warning
+    assert assert_usage_error(["verify", *argv], capsys) == f"error: {message}"
 
 
 def test_verify_zero_reference_is_judged_by_its_absolute_error(capsys):

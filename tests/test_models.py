@@ -191,22 +191,22 @@ class TestCoulombLike:
                 assert abs(m.energy(q(n_r, L)) - ref) < 1e-7
 
     def test_wavefunction_params_frozen(self):
-        wp = CoulombLike(D=3, lam=-0.1, Q=1.0).wavefunction_params(q(0, 0))
-        assert wp.rho == 1.0
-        assert math.isclose(wp.sigma, 9.5, rel_tol=1e-13)
-        assert math.isclose(wp.tau, 5.0, rel_tol=1e-13)
+        rho, sigma, tau = CoulombLike(D=3, lam=-0.1, Q=1.0).wavefunction_params(q(0, 0))
+        assert rho == 1.0
+        assert math.isclose(sigma, 9.5, rel_tol=1e-13)
+        assert math.isclose(tau, 5.0, rel_tol=1e-13)
 
     def test_params_match_dual_oscillator(self):
         # sigma = -beta/lam - 1/2 and tau = -beta/(2 lam) with beta = 1
         lam = -0.1
-        wp = CoulombLike(D=3, lam=lam, Q=1.0).wavefunction_params(q(0, 0))
-        assert math.isclose(wp.sigma, -1.0 / lam - 0.5, rel_tol=1e-13)
-        assert math.isclose(wp.tau, -1.0 / (2 * lam), rel_tol=1e-13)
+        _, sigma, tau = CoulombLike(D=3, lam=lam, Q=1.0).wavefunction_params(q(0, 0))
+        assert math.isclose(sigma, -1.0 / lam - 0.5, rel_tol=1e-13)
+        assert math.isclose(tau, -1.0 / (2 * lam), rel_tol=1e-13)
 
     def test_rho_formula(self):
         for D, L in [(2.5, 0), (3, 1), (4, 2.5)]:
-            wp = CoulombLike(D=D, lam=0.1, Q=1.0).wavefunction_params(q(1, L))
-            assert wp.rho == 2 * L + D - 2
+            rho, _, _ = CoulombLike(D=D, lam=0.1, Q=1.0).wavefunction_params(q(1, L))
+            assert rho == 2 * L + D - 2
 
     def test_tau_small_lam_limit(self):
         # tau ~ sqrt(2|E|)/|lam| so (1+lam R)^tau -> exp(-sqrt(2|E|) R);
@@ -214,21 +214,19 @@ class TestCoulombLike:
         kappa = 0.25  # sqrt(2 |E_1|) = Q/(2 nu + D - 1) for D=3, Q=1, nu=1
         ratios = []
         for lam in (-1e-2, -1e-3, -1e-4):
-            wp = CoulombLike(D=3, lam=lam, Q=1.0).wavefunction_params(q(1, 0))
-            ratios.append(wp.tau * abs(lam) / kappa)
+            _, _, tau = CoulombLike(D=3, lam=lam, Q=1.0).wavefunction_params(q(1, 0))
+            ratios.append(tau * abs(lam) / kappa)
         np.testing.assert_allclose(ratios, 1.0, rtol=3e-2)
         assert abs(ratios[2] - 1.0) < abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
         R = 2.0
-        wp = CoulombLike(D=3, lam=-1e-4, Q=1.0).wavefunction_params(q(1, 0))
-        assert abs((1.0 - 1e-4 * R) ** wp.tau - math.exp(-kappa * R)) < 1e-3
+        _, _, tau = CoulombLike(D=3, lam=-1e-4, Q=1.0).wavefunction_params(q(1, 0))
+        assert abs((1.0 - 1e-4 * R) ** tau - math.exp(-kappa * R)) < 1e-3
 
     def test_ground_wavefunction_is_pure_power(self):
         m = CoulombLike(D=3, lam=-0.1, Q=1.0)
-        wp = m.wavefunction_params(q(0, 0))
+        _, _, tau = m.wavefunction_params(q(0, 0))
         R = np.linspace(0.3, 8.0, 9)
-        np.testing.assert_allclose(
-            m.wavefunction(q(0, 0), R), (1.0 - 0.1 * R) ** wp.tau, rtol=1e-14
-        )
+        np.testing.assert_allclose(m.wavefunction(q(0, 0), R), (1.0 - 0.1 * R) ** tau, rtol=1e-14)
 
 
 class TestBoundStates:
@@ -351,15 +349,21 @@ class TestPdm:
         assert PdmOrdering((-0.25, -0.5, -0.25)) == MM
 
     @pytest.mark.parametrize(
-        "model", [EuclideanOscillator(d=3, omega=1.0), EuclideanCoulomb(D=3, Q=1.0)]
+        "model", [EuclideanOscillator(d=3, omega=1.3), EuclideanCoulomb(D=2.5, Q=1.3)]
     )
-    def test_euclidean_models_have_no_pdm_form(self, model):
-        with pytest.raises(ValueError, match="curved models only"):
-            model.pdm_energy(BD, q(0, 0))
-        with pytest.raises(ValueError, match="curved models only"):
-            model.coefficients(0.0, MM, 1.0, 1.0)
-        with pytest.raises(ValueError, match="curved models only"):
-            model.pdm_potential(BD, 0.0, 1.0)
+    def test_euclidean_models_are_the_pdm_form_at_lam_zero(self, model):
+        # m = 1 and the orderings' shifts vanish: V1 = V2 = a(a-1)/r^2 + omega^2 r^2
+        # and U = a(a-1)/R^2 - Q/R, the Euclidean flat potentials, a = l + (dim-1)/2
+        r = np.linspace(0.2, 4.0, 9)
+        for ang in (0.0, 1.0, 2.0):
+            a = ang + (model.dim - 1.0) / 2.0
+            tail = model.omega**2 * r * r if model.kind == "oscillator" else -model.Q / r
+            for ordering in (BD, MM):
+                for n_r in range(3):
+                    assert model.pdm_energy(ordering, q(n_r, ang)) == model.energy(q(n_r, ang))
+                flat = a * (a - 1.0) / r**2 + tail
+                np.testing.assert_allclose(model.pdm_potential(ordering, ang, r), flat, rtol=1e-14)
+                np.testing.assert_array_equal(model.pdm_mass(r), 1.0)
 
     def test_energies(self):
         m2 = NonlinearOscillator(d=2, lam=-0.3, beta=1.0)

@@ -27,7 +27,7 @@ GRIDS = [512, 1024, 2048]
 
 def resolution(N):
     """The relative width to which a study bisects the eigenvalues of N cells."""
-    return oracle._RESOLUTION * N * np.finfo(float).eps
+    return N * np.finfo(float).eps
 
 
 def free_problem(p=np.ones_like, w=np.ones_like, potential=np.zeros_like):
@@ -264,15 +264,32 @@ class TestBuildProblem:
         assert abs(rep_f.extrapolated[0] - (rep_w.extrapolated[0] - shift)) < 1e-7
 
     def test_rejects_bad_combinations(self):
-        # the Euclidean models have no PDM picture; BD and MM are the only orderings
-        with pytest.raises(ValueError, match="curved models only"):
-            oracle.build_problem(EuclideanOscillator(d=3, omega=1.0), 0.0, BD)
-        with pytest.raises(ValueError, match="curved models only"):
-            oracle.residual_norm(
-                RadialState(EuclideanCoulomb(D=3, Q=1.0), QuantumNumbers(0, 0)), [1.0], MM
-            )
+        # BD and MM are the only orderings
         with pytest.raises(ValueError):
             PdmOrdering((1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "model,ang",
+        [(EuclideanOscillator(d=3, omega=1.0), 1.0), (EuclideanCoulomb(D=2.5, Q=1.0), 0.5),
+         (EuclideanCoulomb(D=3, Q=1.0), 1.0)],
+        ids=["osc-d3-l1", "coulomb-D2.5-L0.5", "coulomb-D3-L1"],
+    )
+    def test_euclidean_flat_picture_passes(self, model, ang):
+        # at lam = 0 the mass is 1, so BD and MM pose the one Euclidean flat
+        # problem, and its closed form is the weighted energy: both pass verify's
+        # rule, and MM's weight m^(1/2) = 1 gives BD's eigenvalues bit for bit
+        reports = {}
+        for ordering in (BD, MM):
+            rep = oracle.convergence_study(model, ang, 2, GRIDS, ordering)
+            for j in range(2):
+                _assert_check(rep, j)
+                state = RadialState(model, QuantumNumbers(j, ang))
+                samples = oracle.default_samples(model, rep.cutoffs[j])
+                assert oracle.residual_norm(state, samples, ordering) <= 1e-9
+            energies = [model.energy(QuantumNumbers(j, ang)) for j in range(2)]
+            assert rep.reference == tuple(2.0 * e for e in energies)
+            reports[ordering] = rep
+        assert reports[BD] == reports[MM]
 
     def test_truncation_requires_bound_state(self):
         m = NonlinearOscillator(d=2, lam=0.2, beta=1.0)
@@ -344,6 +361,13 @@ class TestResiduals:
             samples = oracle.default_samples(model, oracle.truncation_radius(model, 1.0, n_r))
             got = oracle.residual_norm(RadialState(model, QuantumNumbers(n_r, 1.0)), samples)
             assert got <= 1e-12, (n_r, got)
+
+    def test_samples_where_the_operator_underflows_are_refused(self):
+        # osc d=3 ground state at r >= 40: psi ~ exp(-r^2/2) underflows to 0,
+        # so every term of the residual does
+        st = RadialState(EuclideanOscillator(d=3, omega=1.0), QuantumNumbers(0, 0))
+        with pytest.raises(ValueError, match="all samples sit where the operator underflows"):
+            oracle.residual_norm(st, np.linspace(40.0, 60.0, 5))
 
     def test_wrong_energy_gives_large_residual(self, monkeypatch):
         st = RadialState(EuclideanOscillator(d=3, omega=1.0), QuantumNumbers(1, 0))
@@ -580,7 +604,6 @@ def test_cutoff_scan_matches_the_full_scan(model):
     # the coarse-to-fine scan returns the full scan's cutoff bit for bit, for
     # n_r 0-4 and integer and half-integer L, in both pictures
     angs = (0.0, 0.5, 1.5) if model.kind == "coulomb" else (0.0, 1.0, 2.0)
-    orderings = (None, BD, MM) if model.lam else (None,)
     windows = set()
     for ang in angs:
         for n_r in range(5):
@@ -590,11 +613,30 @@ def test_cutoff_scan_matches_the_full_scan(model):
             want = full_scan_cutoff(state_density_amplitude(model, q))
             windows.add(want > 16.0)
             assert oracle.truncation_radius(model, ang, n_r) == want, (ang, n_r)
-            for ordering in orderings:
+            for ordering in (None, BD, MM):
                 problem = oracle.build_problem(model, ang, ordering, n_states=n_r + 1)
                 assert problem.domain == (0.0, want), (ang, n_r, ordering)
     if model == CoulombLike(D=3, lam=-0.1, Q=1.0):
         assert windows == {False, True}  # L=0 n_r=2 and L=3/2 n_r=0 need a second window
+
+
+def test_fine_peak_moves_the_threshold_past_the_coarse_crossing():
+    # a spike twice the Gaussian's peak, between coarse points next to the
+    # coarse maximum: the fill finds it, the threshold doubles, and the density
+    # crosses it before the coarse crossing, in a cell the scan must fill too
+    grid = np.linspace(16e-4, 16.0, 8192)
+    spike = grid[1028]  # the coarse points are every 8th, and the coarse peak is at 1024
+    calls = []
+
+    def amp(y, height=2.0):
+        calls.append(y.size)
+        return np.sqrt(np.exp(-(((y - 2.0) / 0.5) ** 2)) * np.where(y == spike, height, 1.0))
+
+    want = full_scan_cutoff(amp)
+    calls.clear()
+    assert oracle._exp_cutoff(amp, "spike") == want
+    assert len(calls) == 3  # the coarse pass, the cells it flags, and the refill
+    assert want < oracle._exp_cutoff(lambda y: amp(y, 1.0), "no spike")
 
 
 def test_default_samples_reach_past_the_last_node():

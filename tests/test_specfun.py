@@ -134,8 +134,9 @@ def test_jacobi_triple_near_the_flat_limit(lam):
     for n in range(6):
         params = [(a, -1.0 / lam - 0.5) for a in (0.5, 1.5)]
         for L in (0.0, 1.0):
-            wp = CoulombLike(D=3.0, lam=lam, Q=1.0).wavefunction_params(QuantumNumbers(n, L))
-            params.append((wp.rho, wp.sigma))
+            model = CoulombLike(D=3.0, lam=lam, Q=1.0)
+            rho, sigma, _ = model.wavefunction_params(QuantumNumbers(n, L))
+            params.append((rho, sigma))
         for a, b in params:
             got = specfun.jacobi_derivatives(n, a, b, u)
             ref = np.array([[float(v) for v in jacobi_series3(n, a, b, x)] for x in u]).T
