@@ -238,7 +238,6 @@ def cmd_wavefunction(args) -> int:
 def cmd_duality(args) -> int:
     import numpy as np
 
-    from . import oracle
     from .duality import map_curved, verify_pointwise
 
     lam = getattr(args, "lambda") if getattr(args, "lambda") is not None else 0.0
@@ -252,9 +251,12 @@ def cmd_duality(args) -> int:
     n_samples = _sample_count(args, "samples")
     pair = map_curved(d, l, lam, _need(args, strength), args.n_r)
     lo, hi = pair.coulomb.domain
-    span = hi if math.isfinite(hi) else 4.0 * oracle.truncation_radius(
-        pair.oscillator, float(l), args.n_r
-    ) ** 2 / 16.0
+    if math.isfinite(hi):
+        span = hi
+    else:  # only an infinite domain needs the oracle's cutoff
+        from . import oracle
+
+        span = 4.0 * oracle.truncation_radius(pair.oscillator, float(l), args.n_r) ** 2 / 16.0
     samples = np.linspace(0.05 * span, 0.95 * span, n_samples)
     report = verify_pointwise(pair, samples)
     _emit_json(

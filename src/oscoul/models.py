@@ -95,26 +95,27 @@ def _require_finite(name: str, value: float, ok: bool, rule: str) -> None:
         raise ValueError(f"{name} must be finite and {rule}, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuantumNumbers:
     """Radial quantum number n_r plus the angular quantum number (l or L).
 
     ang is an integer l on the oscillator side; Coulomb-side states produced by
     the duality carry L = l/2, which is a half-integer when l is odd.  Derived:
     n = 2 n_r + l (principal, oscillator side) and nu = n_r + L (Coulomb side).
+    States are built in tight loops, so each is validated and set once.
     """
 
     n_r: int
     ang: float = 0.0
 
-    def __post_init__(self):
-        _require(
-            isinstance(self.n_r, _INTEGER) and self.n_r >= 0,
-            "n_r must be an integer >= 0",
-        )
-        object.__setattr__(self, "n_r", int(self.n_r))
-        object.__setattr__(self, "ang", float(self.ang))
-        _require(_finite(self.ang) and self.ang >= 0, "ang must be >= 0")
+    def __init__(self, n_r: int, ang: float = 0.0):
+        if not (isinstance(n_r, _INTEGER) and n_r >= 0):
+            raise ValueError("n_r must be an integer >= 0")
+        ang = float(ang)
+        if not (math.isfinite(ang) and ang >= 0):
+            raise ValueError("ang must be >= 0")
+        object.__setattr__(self, "n_r", int(n_r))
+        object.__setattr__(self, "ang", ang)
 
     @property
     def n(self) -> float:
@@ -644,14 +645,15 @@ class CoulombLike(_CoulombSide):
             return 2.0, 2 * D - 3, (D - 1) / 4.0
         return 0.0, 1.0, (D - 1) * (2 * D - 3) / 4.0
 
-    def _below_edge(self, n_r, L) -> bool:
+    def _below_edge(self):
+        """``is_bound`` at (n_r, L), as a function whose terms are formed once."""
         a, b, c = self._edge_terms()
-        lhs = n_r**2 + (2 * L + self.D - 1) * n_r + a * L * L + b * L + c
-        return lhs < self.Q / abs(self.lam)
+        D, edge = self.D, self.Q / abs(self.lam)
+        return lambda n_r, L: n_r**2 + (2 * L + D - 1) * n_r + a * L * L + b * L + c < edge
 
     def is_bound(self, q: QuantumNumbers) -> bool:
         """Normalizability inequality for (n_r, L); strict on the boundary."""
-        return self._below_edge(q.n_r, q.ang)
+        return self._below_edge()(q.n_r, q.ang)
 
     def wavefunction_params(self, q: QuantumNumbers) -> tuple[float, float, float]:
         """The (rho, sigma, tau) of the bound-state wavefunction."""
@@ -696,7 +698,7 @@ def clike_bound_states(model: CoulombLike) -> list[QuantumNumbers]:
     quadratic in n_r.  More than ``MAX_STATES`` states raise ValueError."""
     a, b, c = model._edge_terms()
     c -= model.Q / abs(model.lam)
-    ok = model._below_edge  # is_bound at (n_r, L)
+    ok = model._below_edge()  # is_bound at (n_r, L)
     widths = [
         _count_below(1, 2 * L + model.D - 1, a * L * L + b * L + c, lambda n: ok(n, L))
         for L in range(_count_below(a, b, c, lambda L: ok(0, L)))

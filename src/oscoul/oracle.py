@@ -48,7 +48,8 @@ forms P, the same p = 1/m in every picture, with t cancelled.
 falls to 1e-12 of its peak.  It applies that rule to the 8192 points of a
 window [hi/1e4, hi] doubled from hi = 16, but evaluates the state at every
 8th point and then only in the cells that can hold the peak, a node or the
-crossing: the same cutoff from about an eighth of the points.  A state
+crossing: the same cutoff from about an eighth of the points.  Each
+window's grid is built once per process and cached read-only.  A state
 whose coordinate map overflows before its density has decayed raises
 ValueError.
 
@@ -77,6 +78,7 @@ oscillator-side potential, so it defines no problem for a third.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -109,7 +111,7 @@ _REF_WIDTH = 1e-3
 _STEP_WIDTH = 2e-3
 _CURVE_WIDTHS = (1e-6, 3e-5)
 _FLOOR = 32
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 # the cutoff scan: points per window, and the stride of its coarse pass
 _SCAN = 8192
 _STRIDE = 8
@@ -161,29 +163,48 @@ def _exp_cutoff(amp, state: str) -> float:
     The rule is applied to the 8192 evenly spaced points of a window
     [hi 1e-4, hi], doubled from hi = 16 to 8192: the first point at or after
     the density's largest value (its first one) that lies below 1e-12 of it.
-    A density that overflows or is undefined counts as 0.  Each window is
-    scanned coarse to fine (``_window_cutoff``).  A state that has not decayed
-    by the last window, or by the last one before its coordinate map
-    overflows (amp raises ValueError there), raises ValueError naming
-    ``state`` and the coordinate the scan reached.
+    A density that overflows or is undefined counts as 0, and the whole scan
+    runs with floating-point warnings off.  Each window is scanned coarse to
+    fine (``_window_cutoff``) on its grid, built once per process and shared
+    read-only (``_scan_grid``).  A state that has not decayed by the last
+    window, or by the last one before its coordinate map overflows (amp
+    raises ValueError there), raises ValueError naming ``state`` and the
+    coordinate the scan reached.
     """
     hi, reached = 16.0, 16e-4
-    while hi < 1e4:
-        try:
-            cut = _window_cutoff(amp, np.linspace(hi * 1e-4, hi, _SCAN))
-        except ValueError as exc:  # amp's coordinate map overflows in this window
-            raise ValueError(
-                f"{state}: density does not decay below 1e-12 of its peak by "
-                f"y = {reached:g}, and its coordinate map overflows before y = {hi:g}"
-            ) from exc
-        if cut is not None:
-            return cut
-        hi, reached = 2.0 * hi, hi
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while hi < 1e4:
+            try:
+                cut = _window_cutoff(amp, _scan_grid(hi))
+            except ValueError as exc:  # amp's coordinate map overflows in this window
+                raise ValueError(
+                    f"{state}: density does not decay below 1e-12 of its peak by "
+                    f"y = {reached:g}, and its coordinate map overflows before y = {hi:g}"
+                ) from exc
+            if cut is not None:
+                return cut
+            hi, reached = 2.0 * hi, hi
     raise ValueError(f"{state}: density does not decay below 1e-12 of its peak by y = {reached:g}")
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_grid(hi: float) -> np.ndarray:
+    """The 8192 points of the scan window [hi 1e-4, hi]; read-only, since the
+    cache hands every scan the same array."""
+    grid = np.linspace(hi * 1e-4, hi, _SCAN)
+    grid.flags.writeable = False
+    return grid
+
+
+# the coarse pass of a window: every _STRIDE-th point and the last, and the
+# number of points each coarse cell spans
+_COARSE = np.append(np.arange(0, _SCAN - 1, _STRIDE), _SCAN - 1)
+_CELLS = np.diff(_COARSE)
+
+
 def _window_cutoff(amp, grid):
-    """``_exp_cutoff``'s rule on one window, or None when it finds no cutoff there.
+    """``_exp_cutoff``'s rule on one window of ``_SCAN`` points, or None when
+    it finds no cutoff there; the caller turns floating-point warnings off.
 
     amp is evaluated at every ``_STRIDE``-th point and the last, then at the
     points of the coarse cells that can hold the rule's answer: the two next
@@ -195,26 +216,26 @@ def _window_cutoff(amp, grid):
     node, where the density dips below 1e-12 of its peak (no state of a
     15000-state random sweep of the models does); no point is evaluated twice.
     """
-    n = grid.size
-    dens = np.empty(n)
-    done = np.zeros(n, dtype=bool)
+    dens = np.empty(_SCAN)
+    done = np.zeros(_SCAN, dtype=bool)
 
     def evaluate(idx):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = np.abs(np.asarray(amp(grid[idx]))) ** 2
+        vals = np.abs(np.asarray(amp(grid[idx]))) ** 2
         dens[idx] = np.where(vals < np.inf, vals, 0.0)  # overflow and NaN count as 0
         done[idx] = True
 
-    coarse = np.r_[0 : n - 1 : _STRIDE, n - 1]
-    evaluate(coarse)
-    c = dens[coarse]
-    top = (c > 0) & np.r_[True, c[1:] >= c[:-1]] & np.r_[c[:-1] >= c[1:], True]
+    evaluate(_COARSE)
+    c = dens[_COARSE]
+    # coarse local maxima: no lower than either neighbour, the ends having one
+    top = c > 0
+    top[1:] &= c[1:] >= c[:-1]
+    top[:-1] &= c[:-1] >= c[1:]
     cells = top[:-1] | top[1:]
     k = int(np.argmax(c))
     below = np.flatnonzero(c[k:] < 1e-12 * c[k])
     if below.size:
         cells[k + below[0] - 1] = True
-    fill = np.repeat(cells, np.diff(coarse)) & ~done[:-1]
+    fill = np.repeat(cells, _CELLS) & ~done[:-1]
     evaluate(np.flatnonzero(fill))
     seen = np.flatnonzero(done)
     ipk = seen[np.argmax(dens[seen])]
@@ -404,9 +425,10 @@ def residual_norm(
 
 
 def _brackets(x, xs, ys, N):
-    """Graded guesses (states, guesses, 2) for the eigenvalues at h^2 = x on N
-    cells, from the h^2 law E(h) = E(0) + c h^2 + ... through the ladder's
-    last points (xs, ys): one point (the closed form) gives it +- 1e-3 |ref|;
+    """Graded guesses for the eigenvalues at h^2 = x on N cells, one list of
+    (lo, hi) float pairs per state, from the h^2 law E(h) = E(0) + c h^2 + ...
+    through the ladder's last points (xs, ys), ys[i] holding each state's
+    eigenvalue: one point (the closed form) gives it +- 1e-3 |ref|;
     two the line through them, +- 2e-3 of their step; three first the
     quadratic through them, +- 1e-6 and then 3e-5 of the last step, and then
     that line.  No half-width is below 32 N eps |guess|: computed eigenvalues
@@ -414,23 +436,27 @@ def _brackets(x, xs, ys, N):
     converged to round-off.  Bisection then starts from a width of about
     68 N eps (``dlarrk`` widens each side by about 2 N eps) and stops at
     N eps, so a certified guess costs about 6 halvings."""
-    y1 = ys[-1]
-    if len(ys) == 1:
-        guesses = [(y1, _REF_WIDTH * np.abs(y1))]
-    else:
-        x0, x1, y0 = xs[-2], xs[-1], ys[-2]
-        step = y1 - y0
-        line = y1 + step * (x - x1) / (x1 - x0)
-        guesses = [(line, _STEP_WIDTH * np.abs(step))]
-        if len(ys) == 3:
-            curve = (step / (x1 - x0) - (y0 - ys[0]) / (x0 - xs[0])) / (x1 - xs[0])
-            quad = line + curve * (x - x1) * (x - x0)
-            guesses = [(quad, width * np.abs(step)) for width in _CURVE_WIDTHS] + guesses
+    floor = _FLOOR * N * _EPS
     out = []
-    for guess, width in guesses:
-        width = np.maximum(width, _FLOOR * N * _EPS * np.abs(guess))
-        out.append(np.stack((guess - width, guess + width), axis=-1))
-    return np.stack(out, axis=1)
+    for pts in zip(*ys):  # one state's points
+        y1 = pts[-1]
+        if len(pts) == 1:
+            guesses = [(y1, _REF_WIDTH * abs(y1))]
+        else:
+            x0, x1, y0 = xs[-2], xs[-1], pts[-2]
+            step = y1 - y0
+            line = y1 + step * (x - x1) / (x1 - x0)
+            guesses = [(line, _STEP_WIDTH * abs(step))]
+            if len(pts) == 3:
+                curve = (step / (x1 - x0) - (y0 - pts[0]) / (x0 - xs[0])) / (x1 - xs[0])
+                quad = line + curve * (x - x1) * (x - x0)
+                guesses = [(quad, width * abs(step)) for width in _CURVE_WIDTHS] + guesses
+        pairs = []
+        for guess, width in guesses:
+            width = max(width, floor * abs(guess))
+            pairs.append((guess - width, guess + width))
+        out.append(pairs)
+    return out
 
 
 def convergence_study(
@@ -471,8 +497,7 @@ def convergence_study(
     ]
     from . import kernels
 
-    hs = 1.0 / np.asarray(grids, dtype=float)
-    hh = hs * hs
+    hh = [(1.0 / N) * (1.0 / N) for N in grids]
     # each eigenvalue is bisected to a relative width of N eps on N cells,
     # below the about 31 N eps by which rounding already spreads it
     resolution = [N * _EPS for N in grids]
@@ -481,7 +506,7 @@ def convergence_study(
     for top in tops:
         run = slice(first, top + 1)
         # the points (h^2, E) of the ladder so far, the closed form being the one at h = 0
-        xs, ys = [0.0], [np.asarray(refs[run])]
+        xs, ys = [0.0], [refs[run]]
         for i, op in enumerate(discretize_ladder(problems[top], grids)):
             eig[i, run] = kernels.lowest_eigenvalues_tridiag(
                 op.diag, op.off, top + 1, first=first,
@@ -489,7 +514,7 @@ def convergence_study(
                 reltol=resolution[i],
             )
             xs.append(hh[i])
-            ys.append(eig[i, run])
+            ys.append(eig[i, run].tolist())
         first = top + 1
     orders, extrap, errs, mono = [], [], [], []
     for j in range(k):

@@ -604,6 +604,22 @@ def test_cli_import_loads_no_scipy_or_numba():
     assert out.stdout.split() == ["[]", "[]"]
 
 
+@pytest.mark.parametrize("lam,loads_oracle", [("-0.1", False), ("0.1", True)])
+def test_duality_imports_the_oracle_only_for_an_infinite_domain(lam, loads_oracle, tmp_path):
+    # at lam < 0 the Coulomb side's domain is finite and needs no cutoff scan;
+    # the median of the ratios never imports numpy.ma (about 12 ms)
+    code = (
+        "import sys, oscoul.cli; "
+        f"oscoul.cli.main(['duality', '--d', '3', '--lambda', '{lam}', '--beta', '1', "
+        f"'--out', {str(tmp_path / 'd.json')!r}]); "
+        "print(sorted(m for m in ('numpy.ma', 'oscoul.oracle') if m in sys.modules))"
+    )
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == (["['oscoul.oracle']"] if loads_oracle else ["[]"])
+    assert json.loads((tmp_path / "d.json").read_text())["max_deviation"] < 1e-12
+
+
 # runs golden cases, read as (name, argv, out path) from stdin, in one fresh
 # process and prints the NumPy modules loaded after them
 GOLDEN_RUNNER = """

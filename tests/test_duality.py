@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oscoul import duality
 from oscoul.duality import DualPair, beta_from_coupling, map_curved, verify_pointwise
 from oscoul.models import (
     CoulombLike,
@@ -183,3 +184,25 @@ def test_pointwise_mismatched_pair_flagged():
     bad = replace(good, coulomb_q=QuantumNumbers(0, 0.0))
     samples = np.linspace(0.5, 9.0, 50)
     assert verify_pointwise(bad, samples).max_deviation > 1e-3
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 51, 100])
+def test_median_is_numpys(size):
+    # verify_pointwise's median is np.median's float for odd and even lengths,
+    # with ties, signed zeros, infinities and NaN
+    rng = np.random.default_rng(size)
+    samples = [
+        rng.normal(size=size),
+        np.round(rng.normal(size=size), 1),
+        rng.normal(size=size) * 10.0 ** rng.uniform(-300, 300, size=size),
+        np.where(rng.random(size) < 0.5, 0.0, -0.0),
+        np.where(rng.random(size) < 0.3, np.inf, rng.normal(size=size)),
+        np.full(size, 1.7e308),  # the middle pair's sum overflows
+    ]
+    nan = rng.normal(size=size)
+    nan[rng.integers(size)] = np.nan
+    samples.append(nan)
+    for x in samples:
+        with np.errstate(over="ignore"):
+            want = float(np.median(x))
+        assert duality._median(x).hex() == want.hex(), x

@@ -3,6 +3,7 @@
 matrices, and of the intervals it bisects: one Gershgorin interval per index
 without brackets, the bracket alone when it certifies the index."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -401,3 +402,151 @@ def test_oracle_matrices_at_full_precision(model, ang):
         lapack_driver="stebz", tol=1e-300,
     )
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "diag,off,accepted",
+    [
+        pytest.param([4.494e307, 4.494e307], [1.0], True, id="diag-just-inside"),
+        pytest.param([-4.494e307, -4.494e307], [1.0], True, id="negative-diag-just-inside"),
+        pytest.param([4.4943e307, 4.4943e307], [1.0], False, id="diag-just-outside"),
+        pytest.param([1.7e308, 1.7e308], [1.0], False, id="diag-far-outside"),
+        pytest.param([1.0, 1.0, 1.0], [1e154, -1e154], True, id="off-square-finite"),
+        pytest.param([1.0, 1.0, 1.0], [1e155, 1.0], False, id="off-square-overflows"),
+        pytest.param([2e307, 2e307, 2e307], [1e154, 1e154], True, id="both-large"),
+    ],
+)
+def test_range_limit_decides_as_the_widened_interval(diag, off, accepted, monkeypatch):
+    # the range check bounds the interval from max |diag| and max off^2, and
+    # forms the interval itself whenever that bound comes near ±2^1022: every
+    # matrix is accepted or refused exactly as its widened Gershgorin interval
+    # decides, and a refused one before any LAPACK call
+    with np.errstate(over="ignore"):  # an off-diagonal square may overflow
+        lo, hi = widened_gershgorin(np.array(diag), np.array(off))
+    assert accepted == (-kernels._LIMIT < lo < hi < kernels._LIMIT)
+    if accepted:
+        got = kernels.lowest_eigenvalues_tridiag(diag, off, len(diag))
+        ref = eigh_tridiagonal(np.array(diag), np.array(off), eigvals_only=True)
+        scale = max(map(abs, diag)) + 2 * max(map(abs, off))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=4 * np.finfo(float).eps * scale)
+        return
+
+    def no_lapack():
+        raise AssertionError("LAPACK bound before the range check")
+
+    monkeypatch.setattr(kernels, "_lapack", no_lapack)
+    message = f"interval [{lo:.3e}, {hi:.3e}] must lie inside ±4.494e+307"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kernels.lowest_eigenvalues_tridiag(diag, off, len(diag))
+
+
+@pytest.fixture
+def gershgorin_forms(monkeypatch):
+    """The number of times the kernel forms the widened Gershgorin interval."""
+    real = kernels._widened_gershgorin
+    count = [0]
+
+    def spy(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_widened_gershgorin", spy)
+    return count
+
+
+def test_fallback_interval_is_formed_once_and_only_when_needed(gershgorin_forms, larrk_calls):
+    # good guesses never form the interval; missed ones form it once a call,
+    # and every fallback bisects from exactly the widened Gershgorin interval
+    diag, off = random_tridiag(31, 40)
+    ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 3))
+    good = [[(x - 1e-6, x + 1e-6)] for x in ref]
+    kernels.lowest_eigenvalues_tridiag(diag, off, 4, 0, good)
+    assert gershgorin_forms == [0]
+    assert len(larrk_calls) == 4
+    missed = [[(x + 1e-6, x + 2e-6)] for x in ref]
+    larrk_calls.clear()
+    got = kernels.lowest_eigenvalues_tridiag(diag, off, 4, 0, missed)
+    assert gershgorin_forms == [1]
+    fallbacks = larrk_calls[1::2]
+    assert [index for index, _, _ in fallbacks] == [1, 2, 3, 4]
+    assert {(lo, hi) for _, lo, hi in fallbacks} == {widened_gershgorin(diag, off)}
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    kernels.lowest_eigenvalues_tridiag(diag, off, 4)
+    assert gershgorin_forms == [2]
+
+
+def test_interval_that_decided_the_range_check_is_reused(gershgorin_forms, larrk_calls):
+    # near the range limit the interval is formed for the check, and a missed
+    # guess bisects from that same interval
+    diag, off = np.array([4.494e307, 4.494e307]), np.array([1.0])
+    kernels.lowest_eigenvalues_tridiag(diag, off, 2, 0, [[(0.0, 1.0)], [(0.0, 1.0)]])
+    assert gershgorin_forms == [1]
+    assert [(lo, hi) for _, lo, hi in larrk_calls[1::2]] == [widened_gershgorin(diag, off)] * 2
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [
+        pytest.param(lambda a: np.repeat(a, 2)[::2], id="strided"),
+        pytest.param(lambda a: a[::-1].copy()[::-1], id="reversed-view"),
+        pytest.param(lambda a: a.tolist(), id="list"),
+        pytest.param(lambda a: np.asfortranarray(a), id="fortran"),
+    ],
+)
+def test_any_float_layout_gives_the_contiguous_answer(convert):
+    diag, off = random_tridiag(33, 30)
+    want = kernels.lowest_eigenvalues_tridiag(diag.copy(), off.copy(), 5)
+    got = kernels.lowest_eigenvalues_tridiag(convert(diag), convert(off), 5)
+    assert got.tolist() == want.tolist()
+
+
+def test_integer_entries_give_the_float_answer():
+    rng = np.random.default_rng(34)
+    diag, off = rng.integers(-9, 10, size=25), rng.integers(-3, 4, size=24)
+    want = kernels.lowest_eigenvalues_tridiag(diag.astype(float), off.astype(float), 4)
+    for d, o in ((diag, off), (diag.tolist(), off.tolist()), (diag.astype(np.int32), off[::1])):
+        assert kernels.lowest_eigenvalues_tridiag(d, o, 4).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        pytest.param(lambda b: b.tolist(), id="lists"),
+        pytest.param(lambda b: tuple(tuple(map(tuple, row)) for row in b.tolist()), id="tuples"),
+        pytest.param(lambda b: [[tuple(p) for p in row] for row in b], id="numpy-pairs"),
+        pytest.param(lambda b: b, id="array"),
+    ],
+)
+def test_brackets_in_any_nested_form_are_read_alike(form, larrk_calls):
+    diag, off = random_tridiag(35, 20)
+    ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(1, 2))
+    brackets = np.array([[(x - 0.5, x + 0.25), (x - 1e-3, x + 1e-3)] for x in ref])
+    want = kernels.lowest_eigenvalues_tridiag(diag, off, 3, 1, brackets.tolist())
+    expected = list(larrk_calls)
+    larrk_calls.clear()
+    got = kernels.lowest_eigenvalues_tridiag(diag, off, 3, 1, form(brackets))
+    assert got.tolist() == want.tolist()
+    assert larrk_calls == expected
+
+
+@pytest.mark.parametrize(
+    "brackets,shape",
+    [
+        pytest.param([[], [], []], "(3, 0)", id="no-guesses"),
+        pytest.param([[(0.0, 1.0)], [(0.0, 1.0)]], "(2, 1, 2)", id="too-few"),
+        pytest.param([[(0.0, 1.0)], [(0.0, 1.0)], [(0.0, 1.0, 2.0)]], None, id="ragged"),
+        pytest.param([[[[0.0], [1.0]]]] * 3, "(3, 1, 2, 1)", id="pairs-of-lists"),
+        pytest.param([(0.0, 1.0)] * 3, "(3, 2)", id="no-guess-axis"),
+    ],
+)
+def test_nested_brackets_of_another_shape_are_refused(brackets, shape, larrk_calls):
+    diag, off = np.arange(5.0), np.ones(4)
+    if shape is None:  # np.asarray itself refuses a ragged nesting
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            kernels.lowest_eigenvalues_tridiag(diag, off, 3, 0, brackets)
+    else:
+        message = rf"need 3 brackets of \(lo, hi\) guesses, got shape {re.escape(shape)}"
+        with pytest.raises(ValueError, match=message):
+            kernels.lowest_eigenvalues_tridiag(diag, off, 3, 0, brackets)
+    assert larrk_calls == []

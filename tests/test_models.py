@@ -1,5 +1,6 @@
 """Closed-form model tests: energies, wavefunctions, bound sets, PDM forms."""
 
+import dataclasses
 import functools
 import math
 import re
@@ -273,6 +274,26 @@ class TestBoundStates:
                     if m.is_bound(q(n_r, L))
                 ]
                 assert clike_bound_states(m) == expected, (D, lam, Q)
+
+    def test_matches_is_bound_walk_on_random_models(self):
+        # random D in (1, 5), both signs of lam and Q: the set is every (n_r, L)
+        # that is_bound accepts in the box above, in (L, n_r) order
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            D, Q = rng.uniform(1.01, 5.0), 10.0 ** rng.uniform(-1.0, 0.7)
+            lam = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 0.0)
+            m = CoulombLike(D=D, lam=lam, Q=Q)
+            ratio = Q / abs(lam)
+            n_cap, l_cap = int(math.sqrt(ratio + 1.0)) + 1, int(ratio + 1.0) + 1
+            walk = [
+                (n_r, L)
+                for L in range(l_cap + 1)
+                for n_r in range(n_cap + 1)
+                if m.is_bound(q(n_r, L))
+            ]
+            got = clike_bound_states(m)
+            assert [(s.n_r, s.ang) for s in got] == walk, (D, lam, Q)
+            assert all(type(s.n_r) is int and type(s.ang) is float for s in got)
 
 
 class TestPdm:
@@ -623,6 +644,36 @@ class TestValidation:
             QuantumNumbers(0, -0.5)
         qq = QuantumNumbers(2, 1)
         assert qq.n == 5 and qq.nu == 3
+
+    @pytest.mark.parametrize(
+        "args,error,message",
+        [
+            ((-1, 0), ValueError, "n_r must be an integer >= 0"),
+            ((1.0, 0), ValueError, "n_r must be an integer >= 0"),
+            (("1", 0), ValueError, "n_r must be an integer >= 0"),
+            ((np.int64(-2),), ValueError, "n_r must be an integer >= 0"),
+            ((-1, -1.0), ValueError, "n_r must be an integer >= 0"),  # n_r is checked first
+            ((0, -0.5), ValueError, "ang must be >= 0"),
+            ((0, math.nan), ValueError, "ang must be >= 0"),
+            ((0, math.inf), ValueError, "ang must be >= 0"),
+            ((0, "x"), ValueError, "could not convert"),
+            ((0, None), TypeError, "float"),
+        ],
+    )
+    def test_quantum_numbers_refusals(self, args, error, message):
+        with pytest.raises(error, match=message):
+            QuantumNumbers(*args)
+
+    def test_quantum_numbers_hold_plain_numbers(self):
+        # integer and real types of any kind become int and float, once
+        for qq in (QuantumNumbers(np.int64(3), np.float32(1.5)), QuantumNumbers(n_r=3, ang=1.5)):
+            assert (type(qq.n_r), type(qq.ang)) == (int, float)
+            assert qq == QuantumNumbers(3, 1.5) and hash(qq) == hash(QuantumNumbers(3, 1.5))
+        assert QuantumNumbers(2).ang == 0.0
+        assert repr(QuantumNumbers(True, 2)) == "QuantumNumbers(n_r=1, ang=2.0)"
+        assert dataclasses.replace(QuantumNumbers(3, 1.5), ang=2) == QuantumNumbers(3, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            QuantumNumbers(3).n_r = 4
 
 
 class TestCheckCoordinate:

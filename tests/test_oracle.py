@@ -816,3 +816,58 @@ class TestVariationalMonotonicity:
             values.append(oracle.lowest_eigenvalues(op, 1)[0])
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-9)
+
+
+def test_scan_windows_are_built_once_and_read_only():
+    # every cutoff scan reads its windows from one cache; the grid it hands
+    # out is the window's linspace, and no caller can write to it
+    grid = oracle._scan_grid(64.0)
+    assert oracle._scan_grid(64.0) is grid
+    assert not grid.flags.writeable
+    assert grid.tolist() == np.linspace(64.0 * 1e-4, 64.0, 8192).tolist()
+    oracle.truncation_radius(CoulombLike(D=3, lam=-0.1, Q=1.0), 1.5, 0)  # scans 16 and 32
+    assert oracle._scan_grid(16.0) is oracle._scan_grid(16.0)
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 0.0
+
+
+def numpy_brackets(x, xs, ys, N):
+    """The graded guesses by whole-array arithmetic, as (states, guesses, 2)."""
+    eps = np.finfo(float).eps
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    y1 = ys[-1]
+    if len(ys) == 1:
+        guesses = [(y1, 1e-3 * np.abs(y1))]
+    else:
+        x0, x1, y0 = xs[-2], xs[-1], ys[-2]
+        step = y1 - y0
+        line = y1 + step * (x - x1) / (x1 - x0)
+        guesses = [(line, 2e-3 * np.abs(step))]
+        if len(ys) == 3:
+            curve = (step / (x1 - x0) - (y0 - ys[0]) / (x0 - xs[0])) / (x1 - xs[0])
+            quad = line + curve * (x - x1) * (x - x0)
+            guesses = [(quad, w * np.abs(step)) for w in (1e-6, 3e-5)] + guesses
+    out = []
+    for guess, width in guesses:
+        width = np.maximum(width, 32 * N * eps * np.abs(guess))
+        out.append(np.stack((guess - width, guess + width), axis=-1))
+    return np.stack(out, axis=1)
+
+
+def test_brackets_are_the_whole_array_formula_bit_for_bit():
+    # the scalar guesses of each state equal the same law evaluated on whole
+    # arrays, for one, two and three ladder points, a zero reference among them
+    rng = np.random.default_rng(37)
+    grids = [64, 128, 256, 512]
+    hh = [(1.0 / N) ** 2 for N in grids]
+    for _ in range(50):
+        states = int(rng.integers(1, 4))
+        ref = (rng.normal(size=states) * 10.0 ** rng.uniform(-3, 3)).tolist()
+        ref[0] = 0.0 if rng.random() < 0.2 else ref[0]
+        ys = [ref] + [(np.array(ref) + rng.normal(size=states) * h).tolist() for h in hh[:3]]
+        xs = [0.0] + hh[:3]
+        for i in range(4):
+            got = oracle._brackets(hh[i], xs[: i + 1][-3:], ys[: i + 1][-3:], grids[i])
+            want = numpy_brackets(hh[i], xs[: i + 1][-3:], ys[: i + 1][-3:], grids[i])
+            assert all(type(v) is float for row in got for pair in row for v in pair)
+            assert [[list(pair) for pair in row] for row in got] == want.tolist()
