@@ -132,19 +132,7 @@ def _widened_gershgorin(diag, off, pivmin):
 
 def _guesses(brackets, count) -> list:
     """``brackets`` as ``count`` lists of (lo, hi) float pairs, or ValueError
-    unless its shape is (count, g, 2).  Nested lists or tuples, as the oracle
-    passes, are read as they are; anything else, or anything they do not
-    hold as pairs of numbers, through ``np.asarray``."""
-    if isinstance(brackets, (list, tuple)):
-        try:
-            rows = [[(float(lo), float(hi)) for lo, hi in row] for row in brackets]
-        except (TypeError, ValueError, OverflowError):
-            rows = None
-        # rows of no guesses are shape (count, 0) to np.asarray, not (count, 0, 2)
-        if rows is not None and len(rows) == count and all(
-            len(row) == len(rows[0]) > 0 for row in rows
-        ):
-            return rows
+    unless its shape is (count, g, 2)."""
     guesses = np.asarray(brackets, dtype=float)
     if guesses.ndim != 3 or len(guesses) != count or guesses.shape[-1] != 2:
         raise ValueError(f"need {count} brackets of (lo, hi) guesses, got shape {guesses.shape}")
