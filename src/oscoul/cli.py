@@ -213,18 +213,17 @@ def cmd_wavefunction(args) -> int:
     # an unbound state's closed form is formal, and can repeat a bound state's values
     if not model.is_bound(q):
         raise ValueError(f"state n_r={q.n_r} ang={ang:g} is not normalizable")
-    lo, hi = model.domain
     x_max = args.x_max
-    if x_max is None and math.isinf(hi):
-        # sampled evenly in the solved coordinate up to the state's cutoff
-        # there: a state with a power-law tail keeps samples in its bulk
+    if x_max is None:
+        # sampled evenly in the solved coordinate up to the state's cutoff, on
+        # every domain: a state with a power-law tail keeps samples in its
+        # bulk, and one far narrower than a finite domain is not missed
         from . import oracle
 
         cutoff = oracle.truncation_radius(model, ang, args.n_r)
         xs = oracle.default_samples(model, cutoff, points)
     else:
-        if x_max is None:
-            x_max = 0.999 * hi
+        lo, hi = model.domain
         if not lo < x_max < hi:
             raise ValueError("sampling range exceeds the coordinate domain")
         xs = np.linspace(x_max / points, x_max, points)
@@ -238,6 +237,7 @@ def cmd_wavefunction(args) -> int:
 def cmd_duality(args) -> int:
     import numpy as np
 
+    from . import oracle
     from .duality import map_curved, verify_pointwise
 
     lam = getattr(args, "lambda") if getattr(args, "lambda") is not None else 0.0
@@ -250,13 +250,7 @@ def cmd_duality(args) -> int:
     l = int(args.l)
     n_samples = _sample_count(args, "samples")
     pair = map_curved(d, l, lam, _need(args, strength), args.n_r)
-    lo, hi = pair.coulomb.domain
-    if math.isfinite(hi):
-        span = hi
-    else:  # only an infinite domain needs the oracle's cutoff
-        from . import oracle
-
-        span = 4.0 * oracle.truncation_radius(pair.oscillator, float(l), args.n_r) ** 2 / 16.0
+    span = 4.0 * oracle.truncation_radius(pair.oscillator, float(l), args.n_r) ** 2 / 16.0
     samples = np.linspace(0.05 * span, 0.95 * span, n_samples)
     report = verify_pointwise(pair, samples)
     _emit_json(

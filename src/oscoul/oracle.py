@@ -6,7 +6,7 @@ grid in conservative (flux) form, symmetrized by the similarity transform
 W^(1/2) H W^(-1/2), and solved by LAPACK ``dlarrk`` Sturm-count bisection
 from NumPy's bundled OpenBLAS (``oscoul.kernels``, bound on the first
 eigensolve).  A convergence study takes a doubling ladder, each grid twice
-the one before, and discretizes each distinct domain on all of its grids at
+the one before, and discretizes each state's domain on all of its grids at
 once (``discretize_ladder``: one call samples p, w and V on the finest
 grid's half-cell lattice, and every grid reads its cell centres and
 interfaces from it), solves each matrix once, and computes only the
@@ -44,14 +44,15 @@ Coulomb side, s on the oscillator side for lam > 0, the radius otherwise).
 ``build_problem`` maps any radial triple to y in one step, P = p/g'^2,
 W = w g', V(g) with r = g(y), from one call of the coordinate map; the map
 forms P, the same p = 1/m in every picture, with t cancelled.
-``truncation_radius`` cuts every infinite y-domain where the density |u|^2 W
-falls to 1e-12 of its peak.  It applies that rule to the 8192 points of a
-window [hi/1e4, hi] doubled from hi = 16, but evaluates the state at every
-8th point and then only in the cells that can hold the peak, a node or the
-crossing: the same cutoff from about an eighth of the points.  Each
-window's grid is built once per process and cached read-only.  A state
-whose coordinate map overflows before its density has decayed raises
-ValueError.
+``truncation_radius`` cuts every y-domain where the density |u|^2 W falls
+to 1e-12 of its peak, and a finite one at its end if it does not fall that
+far there.  It applies that rule to the 8192 points of a window [hi/1e4,
+hi] doubled from hi = 16, the last clipped at a finite end, but evaluates
+the state at every 8th point and then only in the cells that can hold the
+peak, a node or the crossing: the same cutoff from about an eighth of the
+points.  Each window's grid is built once per process and cached
+read-only.  A state whose coordinate map overflows before its density has
+decayed raises ValueError.
 
 Every problem has the natural (zero-flux) row at the origin.  The flat
 picture's u goes as r^a there, a the larger Frobenius exponent of its
@@ -62,8 +63,8 @@ V - a c1/r - a(a-1) p/r^2 with c1 = (p w)'/w.  The weighted picture is a = 0.
 That cutoff is the only rule for where a state ends.  A convergence study
 reports the one it solved each state on (``ConvergenceReport.cutoffs``), and
 ``default_samples`` places residual and wavefunction samples evenly in y up to
-it, mapped back to the radius; a finite radial domain is sampled on its inner
-2-95 % instead.
+it, mapped back to the radius and kept strictly inside a finite radial
+domain.
 
 An ordering selects the picture: ``None`` solves the weighted equation
 against the measure w = r^(dim-1) t^e; BD or MM the PDM flat picture,
@@ -153,7 +154,7 @@ class ConvergenceReport:
     resolution: tuple
 
 
-def _exp_cutoff(amp, state: str) -> float:
+def _exp_cutoff(amp, state: str, end: float = math.inf) -> float:
     """Smallest coordinate where the state's density amp^2 falls to 1e-12 of its peak.
 
     The eigenvalue perturbation from a Dirichlet cutoff scales with the density
@@ -163,7 +164,9 @@ def _exp_cutoff(amp, state: str) -> float:
     The rule is applied to the 8192 evenly spaced points of a window
     [hi 1e-4, hi], doubled from hi = 16 to 8192: the first point at or after
     the density's largest value (its first one) that lies below 1e-12 of it.
-    A density that overflows or is undefined counts as 0, and the whole scan
+    A window that reaches the domain's ``end`` is clipped there and is the
+    last; when it finds no cutoff either, the domain ends the state.  A
+    density that overflows or is undefined counts as 0, and the whole scan
     runs with floating-point warnings off.  Each window is scanned coarse to
     fine (``_window_cutoff``) on its grid, built once per process and shared
     read-only (``_scan_grid``).  A state that has not decayed by the last
@@ -175,7 +178,7 @@ def _exp_cutoff(amp, state: str) -> float:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while hi < 1e4:
             try:
-                cut = _window_cutoff(amp, _scan_grid(hi))
+                cut = _window_cutoff(amp, _scan_grid(min(hi, end)))
             except ValueError as exc:  # amp's coordinate map overflows in this window
                 raise ValueError(
                     f"{state}: density does not decay below 1e-12 of its peak by "
@@ -183,6 +186,8 @@ def _exp_cutoff(amp, state: str) -> float:
                 ) from exc
             if cut is not None:
                 return cut
+            if hi >= end:
+                return end
             hi, reached = 2.0 * hi, hi
     raise ValueError(f"{state}: density does not decay below 1e-12 of its peak by y = {reached:g}")
 
@@ -258,15 +263,13 @@ def _window_cutoff(amp, grid):
 def truncation_radius(model, ang: float, n_r: int) -> float:
     """Domain cutoff for the state (n_r, ang), in the model's solved coordinate y.
 
-    A finite y-domain is kept whole.  Otherwise the cutoff is where the
-    state's density |u|^2 W in y falls to 1e-12 of its peak.  That density is
-    psi^2 w dr/dy in every picture (the flat u^2 is psi^2 times the weighted
-    measure, and the gauge and the ordering's m^xi cancel in |v|^2 W), so one
-    cutoff serves them all.
+    The cutoff is where the state's density |u|^2 W in y falls to 1e-12 of
+    its peak, or a finite domain's end if it does not fall that far there
+    (``_exp_cutoff``).  That density is psi^2 w dr/dy in every picture (the
+    flat u^2 is psi^2 times the weighted measure, and the gauge and the
+    ordering's m^xi cancel in |v|^2 W), so one cutoff serves them all.
     """
     to_r, end = model.coordinate()
-    if math.isfinite(end):
-        return end
     q = QuantumNumbers(n_r, ang)
     if not model.is_bound(q):
         raise ValueError("truncation undefined: target state is not normalizable")
@@ -275,7 +278,7 @@ def truncation_radius(model, ang: float, n_r: int) -> float:
         r, t, dr, _ = to_r(y)
         return model.amplitude(q, r, t) * np.sqrt(model._weight(r, t) * dr)
 
-    return _exp_cutoff(amp, f"state n_r={n_r} ang={ang:g}")
+    return _exp_cutoff(amp, f"state n_r={n_r} ang={ang:g}", end)
 
 
 def build_problem(
@@ -291,8 +294,8 @@ def build_problem(
     r^(2a) w and potential V - a c1/r - a(a-1) p/r^2, from one call of
     ``model.coefficients``.  The radial (w, V) become W = w g' and V(g) in the
     coordinate y of ``model.coordinate()``, r = g(y), which also gives P.  The
-    domain is truncated (if infinite) to cover the lowest ``n_states`` states
-    of the channel, by ``truncation_radius``.
+    domain ends at the cutoff of the channel's state n_r = ``n_states`` - 1
+    (``truncation_radius``).
     """
     a = model.flat_exponent(ang)
     to_r, _ = model.coordinate()
@@ -341,9 +344,9 @@ def discretize_ladder(problem: SturmLiouvilleProblem, grids) -> list:
 
     One call of the coefficients samples the finest grid's half-cell lattice
     y_j = a + j (b - a) / (2 N_f), j = 1 ... 2 N_f: p is kept at the even j,
-    w and V at j < 2 N_f.  w and V at the wall, where t = 0 on a finite domain,
-    are dropped, so the call runs with floating-point warnings off; every kept
-    sample must be finite and every w positive.  A grid of N cells, s = 2 N_f / N
+    w and V at j < 2 N_f.  w and V at the wall, where t = 0 on a finite domain
+    kept whole, are dropped, so the call runs with floating-point warnings off;
+    every kept sample must be finite and every w positive.  A grid of N cells, s = 2 N_f / N
     steps each, reads its centres at j = s/2, 3 s/2, ... and its interfaces at
     j = s, 2 s, ..., 2 N_f.  A grid on which an entry overflows (h^2 w does
     on a domain as long as 1e150) raises ValueError naming it: its couplings
@@ -488,13 +491,8 @@ def convergence_study(
         refs = [2.0 * model.energy(q) for q in states]
     else:
         refs = [2.0 * model.pdm_energy(ordering, q) for q in states]
-    # each target state gets its own truncation, so low states keep a fine grid;
-    # consecutive states on the same domain share one solve per grid
+    # each state is solved on its own cutoff, so low states keep a fine grid
     problems = [build_problem(model, ang, ordering, n_states=j + 1) for j in range(k)]
-    # the top state of each run of consecutive states on one domain
-    tops = [
-        j for j in range(k) if j + 1 == k or problems[j + 1].domain != problems[j].domain
-    ]
     from . import kernels
 
     hh = [(1.0 / N) * (1.0 / N) for N in grids]
@@ -502,20 +500,17 @@ def convergence_study(
     # below the about 31 N eps by which rounding already spreads it
     resolution = [N * _EPS for N in grids]
     eig = np.empty((len(grids), k))
-    first = 0
-    for top in tops:
-        run = slice(first, top + 1)
+    for j, problem in enumerate(problems):
         # the points (h^2, E) of the ladder so far, the closed form being the one at h = 0
-        xs, ys = [0.0], [refs[run]]
-        for i, op in enumerate(discretize_ladder(problems[top], grids)):
-            eig[i, run] = kernels.lowest_eigenvalues_tridiag(
-                op.diag, op.off, top + 1, first=first,
+        xs, ys = [0.0], [[refs[j]]]
+        for i, op in enumerate(discretize_ladder(problem, grids)):
+            (eig[i, j],) = kernels.lowest_eigenvalues_tridiag(
+                op.diag, op.off, j + 1, first=j,
                 brackets=_brackets(hh[i], xs[-3:], ys[-3:], grids[i]),
                 reltol=resolution[i],
             )
             xs.append(hh[i])
-            ys.append(eig[i, run].tolist())
-        first = top + 1
+            ys.append([float(eig[i, j])])
     orders, extrap, errs, mono = [], [], [], []
     for j in range(k):
         seq = eig[:, j]
@@ -548,16 +543,19 @@ def convergence_study(
 
 
 def default_samples(model, cutoff: float, n: int = 50) -> np.ndarray:
-    """n deterministic radii covering a state whose y-domain ends at ``cutoff``
-    (``truncation_radius``, or a study's ``cutoffs``).
-
-    On an infinite radial domain the samples are evenly spaced in the
-    coordinate y of ``model.coordinate()``, from cutoff/n to cutoff,
-    and mapped back to the radius; no scan of the state is made here.  A
-    finite radial domain is sampled evenly on its inner 2-95 %.
+    """n deterministic radii, strictly inside the radial domain, covering a
+    state whose y-domain ends at ``cutoff`` (``truncation_radius``, or a
+    study's ``cutoffs``): evenly spaced in the coordinate y of
+    ``model.coordinate()`` from cutoff/n to cutoff and mapped back to the
+    radius.  When the last maps onto a finite end (a cutoff at the end, or a
+    far tail where the radius rounds onto it), they are spaced up to the last
+    of ``_SCAN`` even points of (0, cutoff] whose radius lies below it.  No
+    scan of the state is made here.
     """
-    lo, hi = model.domain
-    if math.isfinite(hi):
-        return np.linspace(lo + 0.02 * (hi - lo), hi - 0.05 * (hi - lo), n)
     to_r, _ = model.coordinate()
-    return to_r(np.linspace(cutoff / n, cutoff, n))[0]
+    r = to_r(np.linspace(cutoff / n, cutoff, n))[0]
+    if r[-1] < model.domain[1]:
+        return r
+    y = np.linspace(cutoff / _SCAN, cutoff, _SCAN)
+    top = y[np.flatnonzero(to_r(y)[0] < model.domain[1])[-1]]
+    return to_r(np.linspace(top / n, top, n))[0]

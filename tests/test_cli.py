@@ -217,8 +217,8 @@ def test_verify_reports_the_eigenvalue_resolution(capsys):
     "model_flags", [["--model", "clike"], ["--model", "pdm-coulomb"]], ids=["weighted", "flat"]
 )
 def test_verify_residual_samples_end_at_the_studied_cutoff(model_flags, capsys, monkeypatch):
-    # on an infinite domain the residual samples run up to the cutoff each
-    # state was solved on, in the model's solved coordinate
+    # the residual samples run up to the cutoff each state was solved on, in
+    # the model's solved coordinate
     from oscoul import oracle
 
     reports, seen = [], []
@@ -541,19 +541,63 @@ def test_cutoff_scan_stops_where_the_coordinate_overflows(command, capsys):
         (["--model", "clike", "--D", "3", "--lambda", "1e-300", "--Q", "1", "--L", "0"],
          "state n_r=0 ang=0: density does not decay below 1e-12 of its peak by y = 8192"),
         (["--model", "nlo", "--d", "3", "--lambda", "-1e-300", "--beta", "1", "--k", "1"],
-         "the operator overflows on the grid of N = 512 cells of y in (0, 1e+150)"),
+         "state n_r=0 ang=0: density does not decay below 1e-12 of its peak by y = 8192"),
         (["--model", "nlo", "--d", "3", "--lambda", "-1e-200", "--beta", "1", "--k", "1"],
-         "the operator overflows on the grid of N = 512 cells of y in (0, 1e+100)"),
+         "state n_r=0 ang=0: density does not decay below 1e-12 of its peak by y = 8192"),
         (["--model", "pdm-osc", "--d", "3", "--lambda", "-1e-300", "--beta", "1", "--k", "1"],
-         "the operator overflows on the grid of N = 512 cells of y in (0, 1e+150)"),
+         "state n_r=0 ang=0: density does not decay below 1e-12 of its peak by y = 8192"),
     ],
     ids=["clike-never-decays", "nlo-overflows", "nlo-overflows-1e-200", "pdm-osc-overflows"],
 )
 def test_refusals_found_while_solving_print_one_line(argv, message, capsys):
-    # clike at lam = 1e-300 still holds its density at y = 8192, the scan's last
-    # window; on nlo's domain (0, 1/sqrt|lam|) h^2 w overflows, and the solve
-    # would read its couplings as 0: one error line each, and no warning
+    # at |lam| = 1e-300 or 1e-200 the stretch t = 1 + lam r^2 rounds to 1
+    # (ROADMAP item 13), so the density still holds at y = 8192, the scan's last
+    # window; on nlo's domain (0, 1/sqrt|lam|), as long as 1e150, the scan
+    # refuses before h^2 w overflows on the grid: one error line each, and no
+    # warning
     assert assert_usage_error(["verify", *argv], capsys) == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wavefunction", "--model", "nlo", "--d", "3", "--lambda", "-1e-300", "--beta", "1",
+         "--points", "5"],
+        ["duality", "--d", "3", "--lambda", "-1e-300", "--beta", "1"],
+    ],
+    ids=["wavefunction", "duality"],
+)
+def test_state_far_narrower_than_its_domain_is_scanned_not_sampled_blindly(argv, capsys):
+    # the domain (0, 1e150) was sampled evenly up to its end: the wavefunction
+    # printed five rows of zeros at x >= 2e149; the cutoff scan now refuses
+    assert assert_usage_error(argv, capsys) == (
+        "error: state n_r=0 ang=0: density does not decay below 1e-12 of its peak by y = 8192"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--model", "clike", "--D", "3", "--lambda", "-0.3", "--Q", "2", "--L", "0.5"],
+        ["--model", "pdm-coulomb", "--D", "3", "--lambda", "-0.3", "--Q", "2", "--L", "0.5"],
+        ["--model", "nlo", "--d", "4", "--lambda", "-0.1", "--beta", "0.3", "--l", "0"],
+        ["--model", "nlo", "--d", "3", "--lambda", "-1e-10", "--beta", "1", "--l", "0"],
+    ],
+    ids=["clike-far-tail", "pdm-coulomb-far-tail", "nlo-kept-whole", "nlo-narrow"],
+)
+@pytest.mark.parametrize("points", [1, 2, 50])
+def test_wavefunction_writes_every_point_inside_a_finite_domain(flags, points, capsys):
+    # clike's n_r=1 cutoff x = 38.85 maps 36 of 50 even samples onto R = 1/|lam|,
+    # and nlo d=4 beta=0.3 is cut at its end: each writes --points rows, every
+    # one strictly inside the domain, with a finite value
+    code, out, err = run(["wavefunction", *flags, "--n-r", "1", "--points", str(points)], capsys)
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    xs = np.array([float(r["x"]) for r in rows])
+    lam = float(flags[flags.index("--lambda") + 1])
+    end = 1.0 / abs(lam) if flags[1] in ("clike", "pdm-coulomb") else 1.0 / math.sqrt(-lam)
+    assert len(rows) == points and 0.0 < xs[0] and xs[-1] < end
+    assert all(math.isfinite(float(r["psi_weighted"])) for r in rows)
 
 
 def test_verify_zero_reference_is_judged_by_its_absolute_error(capsys):
@@ -604,10 +648,11 @@ def test_cli_import_loads_no_scipy_or_numba():
     assert out.stdout.split() == ["[]", "[]"]
 
 
-@pytest.mark.parametrize("lam,loads_oracle", [("-0.1", False), ("0.1", True)])
-def test_duality_imports_the_oracle_only_for_an_infinite_domain(lam, loads_oracle, tmp_path):
-    # at lam < 0 the Coulomb side's domain is finite and needs no cutoff scan;
-    # the median of the ratios never imports numpy.ma (about 12 ms)
+@pytest.mark.parametrize("lam", ["-0.1", "0.1"])
+def test_duality_loads_the_oracle_but_not_numpy_ma(lam, tmp_path):
+    # the samples run up to the oscillator state's cutoff on every domain, so
+    # the oracle is loaded; the median of the ratios never imports numpy.ma
+    # (about 12 ms)
     code = (
         "import sys, oscoul.cli; "
         f"oscoul.cli.main(['duality', '--d', '3', '--lambda', '{lam}', '--beta', '1', "
@@ -616,7 +661,7 @@ def test_duality_imports_the_oracle_only_for_an_infinite_domain(lam, loads_oracl
     )
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == (["['oscoul.oracle']"] if loads_oracle else ["[]"])
+    assert out.stdout.split() == ["['oscoul.oracle']"]
     assert json.loads((tmp_path / "d.json").read_text())["max_deviation"] < 1e-12
 
 

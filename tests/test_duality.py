@@ -1,11 +1,13 @@
 """Duality-map tests: parameter exchange, round trips, pointwise function identity."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from oscoul import duality
+from oscoul.cli import main
 from oscoul.duality import DualPair, beta_from_coupling, map_curved, verify_pointwise
 from oscoul.models import (
     CoulombLike,
@@ -147,6 +149,36 @@ def test_two_route_energy_consistency():
         scale = max(abs(route_a), beta * (beta + lam) / 8.0 + abs(0.25 * lam * e_osc))
         assert abs(route_a - route_b) <= 1e-12 * scale
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "d,l,lam,beta,n_r",
+    [(2, 2, 0.2, 1.0, 1), (3, 1, 0.2, 1.0, 1), (4, 0, 0.2, 1.0, 1), (4, 2, 0.2, 1.0, 0),
+     (4, 1, 0.05, 0.5, 3)],
+)
+def test_zero_coulomb_energy_maps(d, l, lam, beta, n_r, tmp_path):
+    # the Coulomb-side energy of these states is 0 in exact arithmetic, and
+    # the two routes to it leave round-off of 1e-17: judged against the size
+    # of the terms, they agree (a relative 1e-12 raised RuntimeError, and
+    # ``oscoul duality`` ended in a traceback)
+    pair = map_curved(d, l, lam, beta, n_r)
+    assert abs(pair.coulomb_energy) < 1e-16
+    assert abs(pair.coulomb.energy(pair.coulomb_q)) < 1e-16
+    out = tmp_path / "duality.json"
+    argv = ["duality", "--d", str(d), "--l", str(l), "--lambda", str(lam), "--beta", str(beta),
+            "--n-r", str(n_r), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["max_deviation"] <= 2e-12
+
+
+def test_a_real_inconsistency_still_raises(monkeypatch):
+    # a Coulomb-side energy 1e-9 of the terms away from the oscillator's route
+    energy = CoulombLike.energy
+    monkeypatch.setattr(CoulombLike, "energy", lambda self, q: energy(self, q) + 1e-9)
+    with pytest.raises(RuntimeError, match="internal duality inconsistency in map_curved"):
+        map_curved(2, 2, 0.2, 1.0, 1)
+    with pytest.raises(RuntimeError, match="internal duality inconsistency in map_curved"):
+        map_curved(3, 0, -0.1, 1.0, 0)
 
 
 def test_pointwise_ground_state_pairs():

@@ -79,18 +79,21 @@ class TestDiscretize:
         [
             (NonlinearOscillator(d=2, lam=-0.1, beta=1.0), 1.0, None),
             (NonlinearOscillator(d=3, lam=-0.1, beta=1.0), 1.0, BD),
+            (NonlinearOscillator(d=4, lam=-0.1, beta=0.3), 0.0, None),
             (NonlinearOscillator(d=3, lam=0.05, beta=1.0), 0.0, MM),
             (CoulombLike(D=3, lam=-0.3, Q=2.0), 0.5, None),
             (CoulombLike(D=2.5, lam=0.1, Q=1.0), 1.5, BD),
             (EuclideanCoulomb(D=3, Q=1.0), 0.0, None),
             (EuclideanOscillator(d=4, omega=1.0), 2.0, None),
         ],
-        ids=["nlo-r", "nlo-r-bd", "nlo-s-mm", "clike-far-tail", "clike-bd", "coulomb", "osc"],
+        ids=["nlo-r", "nlo-r-bd", "nlo-r-whole", "nlo-s-mm", "clike-far-tail", "clike-bd",
+             "coulomb", "osc"],
     )
     def test_ladder_matches_each_grid_alone(self, model, ang, ordering, grids):
         # one call of the coefficients on the finest grid's half-cell lattice,
         # the wall included, gives each grid the operator it gets alone, bit for
-        # bit; on a finite domain (nlo lam < 0) V at the wall is infinite
+        # bit; on a finite domain kept whole (nlo d=4 lam=-0.1 beta=0.3) V at
+        # the wall is infinite
         problem = oracle.build_problem(model, ang, ordering, n_states=2)
         sizes = []
 
@@ -122,6 +125,17 @@ class TestDiscretize:
 
         with pytest.raises(ValueError, match=message):
             oracle.discretize(free_problem(**{coefficient: bad_at_centre}), 4)
+
+    def test_operator_overflow_is_refused(self):
+        # with w = y^2 on (0, 1e150), h^2 w overflows and the couplings would
+        # silently read 0: one error line names the grid.  The density cutoff
+        # ends every model's state long before such a domain
+        problem = dataclasses.replace(free_problem(w=np.square), domain=(0.0, 1e150))
+        with pytest.raises(ValueError) as exc:
+            oracle.discretize_ladder(problem, GRIDS)
+        assert str(exc.value) == (
+            "the operator overflows on the grid of N = 512 cells of y in (0, 1e+150)"
+        )
 
 
 class TestBuildProblem:
@@ -241,11 +255,18 @@ class TestBuildProblem:
         np.testing.assert_allclose(e_vr, e_mm, rtol=0, atol=1e-10)
 
     def test_mm_equals_bd_for_oscillator(self):
-        # 2E_2 = 2E_1: MM with V2 and weight m^(1/2) has the BD spectrum with V1
+        # 2E_2 = 2E_1: MM with V2 and weight m^(1/2) has the BD spectrum with
+        # V1.  Checked on the whole domain (0, 1/sqrt|lam|): a study cuts each
+        # state where its density falls to 1e-12 of its peak, and that cut's
+        # truncation error differs between the two weights (by 6e-12 here)
         m = NonlinearOscillator(d=4, lam=-0.1, beta=1.0)
-        bd = oracle.convergence_study(m, 0.0, 2, GRIDS, BD)
-        mm = oracle.convergence_study(m, 0.0, 2, GRIDS, MM)
-        np.testing.assert_allclose(mm.extrapolated, bd.extrapolated, rtol=2e-12, atol=0)
+        whole = (0.0, m.coordinate()[1])
+        extrapolated = []
+        for ordering in (BD, MM):
+            problem = dataclasses.replace(oracle.build_problem(m, 0.0, ordering), domain=whole)
+            eig = [oracle.lowest_eigenvalues(op, 2) for op in oracle.discretize_ladder(problem, GRIDS)]
+            extrapolated.append(eig[-1] + (eig[-1] - eig[-2]) / 3.0)
+        np.testing.assert_allclose(extrapolated[1], extrapolated[0], rtol=2e-12, atol=0)
 
     def test_pdm_ordering_energy_split(self):
         # Eq-(29) vs Eq-(30) spectra differ by the constant 2(E2 - E1) = -lam^2/4
@@ -435,20 +456,6 @@ class TestConvergenceStudy:
     def eigenvalue_count(calls):
         return sum(k - first for k, first, _ in calls)
 
-    def test_shared_domain_solves_once_per_grid(self, monkeypatch):
-        m = NonlinearOscillator(d=2, lam=-0.1, beta=1.0)
-        grids = [128, 256, 512]
-        calls = self.spy_solves(monkeypatch)
-        rep = oracle.convergence_study(m, 1.0, 3, grids)
-        # one solve per grid, each started from predicted brackets
-        assert calls == [(3, 0, True)] * 3
-        assert self.eigenvalue_count(calls) == 9
-        for j in range(3):
-            problem = oracle.build_problem(m, 1.0, n_states=j + 1)
-            for i, N in enumerate(grids):
-                alone = oracle.lowest_eigenvalues(oracle.discretize(problem, N), j + 1)[j]
-                assert rep.eigenvalues[i][j] == pytest.approx(alone, rel=1e-12, abs=0)
-
     def test_own_truncation_solves_per_state(self, monkeypatch):
         m = CoulombLike(D=3, lam=0.05, Q=1.0)
         grids = [128, 256, 512]
@@ -553,12 +560,14 @@ class TestConvergenceStudy:
             assert 1.5 <= rep.observed_order[j] <= 2.5, (j, rep.observed_order[j])
 
 
-def full_scan_cutoff(amp):
+def full_scan_cutoff(amp, end=math.inf):
     """The cutoff rule of ``oracle._exp_cutoff`` evaluated at all 8192 points of
-    each window, as the scan was before it went coarse to fine."""
+    each window, as the scan was before it went coarse to fine; a window that
+    reaches a finite ``end`` is clipped there, and the end is kept when no
+    window cuts."""
     hi = 16.0
     for _ in range(40):
-        grid = np.linspace(hi * 1e-4, hi, 8192)
+        grid = np.linspace(min(hi, end) * 1e-4, min(hi, end), 8192)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals = np.abs(np.asarray(amp(grid))) ** 2
         vals = np.nan_to_num(vals, nan=0.0, posinf=0.0)
@@ -567,6 +576,8 @@ def full_scan_cutoff(amp):
         tail = np.nonzero(vals[ipk:] < 1e-12 * peak)[0]
         if peak > 0 and tail.size:
             return float(grid[ipk + tail[0]])
+        if hi >= end:
+            return end
         hi *= 2.0
         if hi > 1e4:
             break
@@ -596,21 +607,29 @@ def state_density_amplitude(model, q):
         EuclideanCoulomb(D=3, Q=1.0),
         EuclideanOscillator(d=3, omega=1.0),
         EuclideanOscillator(d=4, omega=5000.0),
+        NonlinearOscillator(d=3, lam=-0.1, beta=1.0),
+        NonlinearOscillator(d=4, lam=-0.1, beta=0.3),
+        NonlinearOscillator(d=2, lam=-1e-10, beta=1.0),
     ],
     ids=["nlo-lam0.05", "nlo-lam0.3", "clike-lam-0.1", "clike-lam-0.3-far-tail", "clike-lam0.02",
-         "clike-lam0.1", "coulomb", "osc", "osc-narrow"],
+         "clike-lam0.1", "coulomb", "osc", "osc-narrow", "nlo-lam-0.1-finite",
+         "nlo-lam-0.1-kept-whole", "nlo-lam-1e-10-finite"],
 )
 def test_cutoff_scan_matches_the_full_scan(model):
     # the coarse-to-fine scan returns the full scan's cutoff bit for bit, for
-    # n_r 0-4 and integer and half-integer L, in both pictures
+    # n_r 0-4 and integer and half-integer L, in both pictures; on a finite
+    # y-domain its last window is clipped at the end, which it keeps when no
+    # window cuts
     angs = (0.0, 0.5, 1.5) if model.kind == "coulomb" else (0.0, 1.0, 2.0)
-    windows = set()
+    end = model.coordinate()[1]
+    windows, kept = set(), set()
     for ang in angs:
         for n_r in range(5):
             q = QuantumNumbers(n_r, ang)
             if not model.is_bound(q):
                 continue
-            want = full_scan_cutoff(state_density_amplitude(model, q))
+            want = full_scan_cutoff(state_density_amplitude(model, q), end)
+            kept.add(want == end)
             windows.add(want > 16.0)
             assert oracle.truncation_radius(model, ang, n_r) == want, (ang, n_r)
             for ordering in (None, BD, MM):
@@ -618,6 +637,10 @@ def test_cutoff_scan_matches_the_full_scan(model):
                 assert problem.domain == (0.0, want), (ang, n_r, ordering)
     if model == CoulombLike(D=3, lam=-0.1, Q=1.0):
         assert windows == {False, True}  # L=0 n_r=2 and L=3/2 n_r=0 need a second window
+    if model.lam < 0 and model.kind == "oscillator":
+        # at beta = 0.3 every state fills its domain (0, 3.16); the others are
+        # cut inside theirs, (0, 3.16) and (0, 1e5)
+        assert kept == {model.beta == 0.3}
 
 
 def test_fine_peak_moves_the_threshold_past_the_coarse_crossing():
@@ -657,6 +680,26 @@ def test_default_samples_find_a_state_inside_unit_radius(n_r):
     samples = oracle.default_samples(m, oracle.truncation_radius(m, 0.0, n_r))
     assert samples.max() < 0.1
     assert oracle.residual_norm(RadialState(m, q), samples) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize(
+    "model,ang,n_r",
+    [(CoulombLike(D=3, lam=-0.3, Q=2.0), 0.5, 1), (NonlinearOscillator(d=4, lam=-0.1, beta=0.3), 0.0, 0)],
+    ids=["clike-far-tail", "nlo-kept-whole"],
+)
+def test_default_samples_lie_strictly_inside_a_finite_domain(model, ang, n_r, n):
+    # clike's cutoff x = 38.85 maps 36 of 50 even samples onto R = 1/|lam|, and
+    # nlo's cutoff is its end r = 1/sqrt|lam|: the n samples rise strictly
+    # inside the domain, and the closed form solves its equation on them
+    cutoff = oracle.truncation_radius(model, ang, n_r)
+    end = model.domain[1]
+    assert model.coordinate()[0](np.array([cutoff]))[0][0] == end
+    samples = oracle.default_samples(model, cutoff, n)
+    assert samples.shape == (n,) and 0.0 < samples[0] and samples[-1] < end
+    assert np.all(np.diff(samples) > 0)
+    state = RadialState(model, QuantumNumbers(n_r, ang))
+    assert oracle.residual_norm(state, samples) <= 1e-9
 
 
 @pytest.mark.parametrize(
