@@ -40,7 +40,7 @@ from .models import (
 
 SCHEMA = 1
 
-# model name -> (class, the flags of its parameters in field order, picture)
+# model name -> (constructor, the flags of its arguments in order, picture)
 _MODELS = {
     "osc": (EuclideanOscillator, ("d", "omega"), "weighted"),
     "coulomb": (EuclideanCoulomb, ("D", "Q"), "weighted"),
@@ -105,12 +105,15 @@ def _need(args, name: str):
 
 def build_model(args):
     """Model and its angular quantum number from CLI flags, refusing any it does not read."""
-    cls, flags, _ = _MODELS[args.model]
-    ang_flag = "l" if cls.kind == "oscillator" else "L"
+    make, flags, _ = _MODELS[args.model]
+    ang_flag = "l" if "d" in flags else "L"
     for flag in ("d", "D", "lambda", "beta", "omega", "Q", "l", "L"):
         if getattr(args, flag) is not None and flag not in (*flags, ang_flag):
             raise ValueError(f"--{flag} does not apply to --model {args.model}")
-    model = cls(*(_need(args, flag) for flag in flags))
+    model = make(*(_need(args, flag) for flag in flags))
+    if "lambda" in flags and model.lam == 0:
+        flat = "osc" if ang_flag == "l" else "coulomb"
+        raise ValueError(f"--model {args.model} needs lambda != 0; lambda = 0 is --model {flat}")
     ang = getattr(args, ang_flag)
     ang = 0.0 if ang is None else ang
     if ang_flag == "l" and not ang.is_integer():

@@ -12,17 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .models import (
-    CoulombLike,
-    EuclideanCoulomb,
-    EuclideanOscillator,
-    NonlinearOscillator,
-    QuantumNumbers,
-)
+from .models import CoulombLike, NonlinearOscillator, QuantumNumbers
 
 __all__ = [
     "DualPair",
@@ -37,9 +30,9 @@ __all__ = [
 class DualPair:
     """An oscillator state with its Coulomb-side image under r = sqrt(R)."""
 
-    oscillator: Union[EuclideanOscillator, NonlinearOscillator]
+    oscillator: NonlinearOscillator
     osc_q: QuantumNumbers
-    coulomb: Union[EuclideanCoulomb, CoulombLike]
+    coulomb: CoulombLike
     coulomb_q: QuantumNumbers
     coulomb_energy: float
     integer_L: bool
@@ -57,14 +50,11 @@ class PointwiseReport:
 def map_curved(d: int, l: int, lam: float, beta: float, n_r: int = 0) -> DualPair:
     """Oscillator (d, l, lam, beta, n_r) -> Coulomb-side (D, L, Q, E) image.
 
-    lam != 0 maps the nonlinear oscillator onto the Coulomb-like problem;
-    lam = 0 maps the Euclidean oscillator with omega = beta onto the
-    Euclidean Coulomb problem, through the same formulas.
+    Maps the nonlinear oscillator onto the Coulomb-like problem; at lam = 0
+    these are the Euclidean oscillator with omega = beta and the Euclidean
+    Coulomb problem, through the same formulas.
     """
-    if lam == 0:
-        osc = EuclideanOscillator(d=d, omega=beta)
-    else:
-        osc = NonlinearOscillator(d=d, lam=lam, beta=beta)
+    osc = NonlinearOscillator(d=d, lam=lam, beta=beta)
     oq = QuantumNumbers(n_r, l)
     if not osc.is_bound(oq):
         raise ValueError(
@@ -75,7 +65,7 @@ def map_curved(d: int, l: int, lam: float, beta: float, n_r: int = 0) -> DualPai
     L = l / 2.0
     Q = 0.5 * (e_osc - 2.0 * lam * L * (L + D - 2.0))
     cal_e = -beta * (beta + lam) / 8.0 + 0.25 * lam * e_osc
-    cm = EuclideanCoulomb(D=D, Q=Q) if lam == 0 else CoulombLike(D=D, lam=lam, Q=Q)
+    cm = CoulombLike(D=D, lam=lam, Q=Q)
     cq = QuantumNumbers(n_r, L)
     energy = cm.energy(cq)
     # both routes cancel terms of this size, so an energy of 0 carries their round-off

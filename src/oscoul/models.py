@@ -1,11 +1,14 @@
 """Closed-form radial problems and their position-dependent-mass forms.
 
-Six models: the Euclidean oscillator and Coulomb problems, the nonlinear
-(constant-curvature) oscillator and its dual Coulomb-like problem in a
-nonconstant-curvature space, and the PDM reinterpretations of the latter two.
-Each model class is the one home of its physics: its side of the duality, its
-energies and bound-state rule, its wavefunctions with their exact derivatives,
-and the coordinate in which the oracle solves them.  The side holds the
+Two model classes, one per side of the duality: ``NonlinearOscillator``, the
+nonlinear (constant-curvature) oscillator, and ``CoulombLike``, its dual
+Coulomb-like problem in a nonconstant-curvature space, each with its PDM
+reinterpretation.  Each takes any finite lam; its lam = 0 member is its
+side's Euclidean problem (the oscillator with omega = beta, the Coulomb
+problem in flat space), which ``EuclideanOscillator`` and ``EuclideanCoulomb``
+build.  Each model class is the one home of its physics: its side of the
+duality, its energies and bound-state rule, its wavefunctions with their exact
+derivatives, and the coordinate in which the oracle solves them.  The side holds the
 measure, the curved radial potential, the PDM potential and energy of each
 ordering, and the one Sturm-Liouville rule (``_Side.coefficients``) that
 gives every picture the coefficients the oracle discretizes: p = 1/m =
@@ -13,12 +16,9 @@ t^mu, w = r^k t^e, the picture's potential, and c1 = (p w)'/w derived from
 them.  The PDM forms take one of the paper's two orderings, ``BD`` or ``MM``
 (``PdmOrdering`` accepts no other von Roos triple).
 
-The Euclidean classes are the lam = 0 cases of their side of the duality:
-the side class holds the one domain, measure, radial coefficients, energy
-and PDM form, written for the curved model, and at lam = 0 (stretch t = 1,
-beta = omega) they reduce to the textbook forms: the mass is 1, the
-orderings' shifts vanish, and V1 = V2 and U are the Euclidean flat
-potentials.  Each model writes its states once, as the (c, params) of
+At lam = 0 (stretch t = 1) the side's forms reduce to the textbook ones: the
+mass is 1, the orderings' shifts vanish, and V1 = V2 and U are the Euclidean
+flat potentials.  Each model writes its states once, as the (c, params) of
 x^ang K(u) that its side evaluates (see ``_Side``).
 
 Solved coordinate (``coordinate``), one per side for both pictures, a map
@@ -279,9 +279,6 @@ class _Side:
     t next to r, so a solved coordinate supplies t where 1 + lam R(y) cancels.
     """
 
-    def is_bound(self, q: QuantumNumbers) -> bool:
-        return True
-
     def stretch(self, x):
         """t = 1 + lam r^2 or 1 + lam R."""
         return 1.0 + self._u(self.lam, x)
@@ -526,63 +523,14 @@ class _CoulombSide(_Side):
 
 
 @dataclass(frozen=True)
-class EuclideanOscillator(_OscillatorSide):
-    """Isotropic harmonic oscillator in d Euclidean dimensions."""
-
-    d: int
-    omega: float
-    lam = 0.0  # the side's formulas at lam = 0 are the Euclidean ones
-
-    def __post_init__(self):
-        _require(
-            isinstance(self.d, _INTEGER) and self.d >= 2,
-            "dimension d must be an integer >= 2",
-        )
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "omega", float(self.omega))
-        _require_finite("omega", self.omega, self.omega > 0, "positive")
-
-    @property
-    def beta(self) -> float:
-        """The side's strength: beta is omega at lam = 0."""
-        return self.omega
-
-    def _closed_form(self, q: QuantumNumbers):
-        """r^l exp(-omega r^2/2) L_{n_r}^(l+(d-2)/2)(omega r^2)."""
-        return self.omega, (q.ang + (self.d - 2.0) / 2.0,)
-
-
-@dataclass(frozen=True)
-class EuclideanCoulomb(_CoulombSide):
-    """Attractive -Q/R problem in D dimensions.
-
-    D is a real > 1: the duality image of a d-dimensional oscillator has
-    D = (d+2)/2, a half-integer for odd d.
-    """
-
-    D: float
-    Q: float
-    lam = 0.0  # the side's formulas at lam = 0 are the Euclidean ones
-
-    def __post_init__(self):
-        object.__setattr__(self, "D", float(self.D))
-        object.__setattr__(self, "Q", float(self.Q))
-        _require_finite("dimension D", self.D, self.D > 1, "> 1")
-        _require_finite("coupling Q", self.Q, self.Q > 0, "positive")
-
-    def _closed_form(self, q: QuantumNumbers):
-        """R^L exp(-kappa R) L_{n_r}^(2L+D-2)(2 kappa R), kappa = sqrt(2|E_nu|)."""
-        kappa = math.sqrt(2.0 * abs(self.energy(q)))
-        return 2.0 * kappa, (2.0 * q.ang + self.D - 2.0,)
-
-
-@dataclass(frozen=True)
 class NonlinearOscillator(_OscillatorSide):
     """Nonlinear (Mathews-Lakshmanan type) oscillator in d dimensions.
 
     Equivalently an oscillator on a space of constant curvature -lam.  The
     potential strength is pinned to alpha^2 = beta*(beta+lam); only that
     one-parameter family is exactly solvable, so alpha is never an input.
+    lam = 0 is the isotropic harmonic oscillator of frequency beta
+    (``EuclideanOscillator``).
     """
 
     d: int
@@ -597,17 +545,17 @@ class NonlinearOscillator(_OscillatorSide):
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "beta", float(self.beta))
-        _require_finite("lam", self.lam, self.lam != 0, "nonzero")
+        _require(_finite(self.lam), f"lam must be finite, got {self.lam}")
         _require_finite("beta", self.beta, self.beta > 0, "positive")
         _require(self.beta * (self.beta + self.lam) > 0, "need beta*(beta+lam) > 0")
 
     @property
     def n_max(self):
-        """Largest normalizable n for lam > 0; None marks the unbounded lam < 0 ladder.
+        """Largest normalizable n for lam > 0; None marks the unbounded ladder of lam <= 0.
 
         A negative value means the model has no bound states at all.
         """
-        if self.lam < 0:
+        if self.lam <= 0:
             return None
         x = self.beta / self.lam - (self.d + 1) / 2.0
         return math.ceil(x - 1e-12)
@@ -617,14 +565,30 @@ class NonlinearOscillator(_OscillatorSide):
         return n_max is None or q.n <= n_max
 
     def _closed_form(self, q: QuantumNumbers):
-        """r^l (1+lam r^2)^(-beta/(2 lam)) P_{n_r}^(l+(d-2)/2, -beta/lam-1/2)(1+2 lam r^2)."""
-        lam = self.lam
-        return lam, (q.ang + (self.d - 2.0) / 2.0, -self.beta / lam - 0.5, -self.beta / (2.0 * lam))
+        """r^l exp(-beta r^2/2) L_{n_r}^(l+(d-2)/2)(beta r^2) at lam = 0, else
+        r^l (1+lam r^2)^(-beta/(2 lam)) P_{n_r}^(l+(d-2)/2, -beta/lam-1/2)(1+2 lam r^2)."""
+        lam, a = self.lam, q.ang + (self.d - 2.0) / 2.0
+        if lam == 0:
+            return self.beta, (a,)
+        return lam, (a, -self.beta / lam - 0.5, -self.beta / (2.0 * lam))
+
+
+def EuclideanOscillator(d: int, omega: float) -> NonlinearOscillator:
+    """Isotropic harmonic oscillator in d Euclidean dimensions: the lam = 0
+    ``NonlinearOscillator``, whose beta is the frequency omega."""
+    omega = float(omega)
+    _require_finite("omega", omega, omega > 0, "positive")
+    return NonlinearOscillator(d, 0.0, omega)
 
 
 @dataclass(frozen=True)
 class CoulombLike(_CoulombSide):
-    """-Q/R problem in the nonconstant-curvature space dual to the nonlinear oscillator."""
+    """-Q/R problem in the nonconstant-curvature space dual to the nonlinear oscillator.
+
+    lam = 0 is the attractive -Q/R problem in D flat dimensions
+    (``EuclideanCoulomb``).  D is a real > 1: the duality image of a
+    d-dimensional oscillator has D = (d+2)/2, a half-integer for odd d.
+    """
 
     D: float
     lam: float
@@ -635,7 +599,7 @@ class CoulombLike(_CoulombSide):
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "Q", float(self.Q))
         _require_finite("dimension D", self.D, self.D > 1, "> 1")
-        _require_finite("lam", self.lam, self.lam != 0, "nonzero")
+        _require(_finite(self.lam), f"lam must be finite, got {self.lam}")
         _require_finite("coupling Q", self.Q, self.Q > 0, "positive")
 
     def _edge_terms(self):
@@ -646,18 +610,20 @@ class CoulombLike(_CoulombSide):
         return 0.0, 1.0, (D - 1) * (2 * D - 3) / 4.0
 
     def _below_edge(self):
-        """``is_bound`` at (n_r, L), as a function whose terms are formed once."""
+        """``is_bound`` at (n_r, L) for lam != 0, as a function whose terms are formed once."""
         a, b, c = self._edge_terms()
         D, edge = self.D, self.Q / abs(self.lam)
         return lambda n_r, L: n_r**2 + (2 * L + D - 1) * n_r + a * L * L + b * L + c < edge
 
     def is_bound(self, q: QuantumNumbers) -> bool:
-        """Normalizability inequality for (n_r, L); strict on the boundary."""
-        return self._below_edge()(q.n_r, q.ang)
+        """Normalizability inequality for (n_r, L); strict on the boundary.  Every
+        state is bound at lam = 0."""
+        return self.lam == 0 or self._below_edge()(q.n_r, q.ang)
 
     def wavefunction_params(self, q: QuantumNumbers) -> tuple[float, float, float]:
-        """The (rho, sigma, tau) of the bound-state wavefunction."""
+        """The (rho, sigma, tau) of the bound-state wavefunction; lam = 0 has none."""
         nu, L, D, lam, Q = q.nu, q.ang, self.D, self.lam, self.Q
+        _require(lam != 0, "the Jacobi parameters (rho, sigma, tau) need lam != 0")
         ll = L * (L + D - 2.0)
         rho = 2.0 * L + D - 2.0
         sigma = -(Q + lam * (nu**2 + (D - 1.0) * nu + 0.25 * (D - 1.0) + ll)) / (
@@ -667,8 +633,17 @@ class CoulombLike(_CoulombSide):
         return rho, sigma, tau
 
     def _closed_form(self, q: QuantumNumbers):
-        """R^L (1+lam R)^tau P_{n_r}^(rho,sigma)(1+2 lam R) (``wavefunction_params``)."""
+        """R^L exp(-kappa R) L_{n_r}^(2L+D-2)(2 kappa R), kappa = sqrt(2|E_nu|), at lam = 0,
+        else R^L (1+lam R)^tau P_{n_r}^(rho,sigma)(1+2 lam R) (``wavefunction_params``)."""
+        if self.lam == 0:
+            kappa = math.sqrt(2.0 * abs(self.energy(q)))
+            return 2.0 * kappa, (2.0 * q.ang + self.D - 2.0,)
         return self.lam, self.wavefunction_params(q)
+
+
+def EuclideanCoulomb(D: float, Q: float) -> CoulombLike:
+    """Attractive -Q/R problem in D Euclidean dimensions: the lam = 0 ``CoulombLike``."""
+    return CoulombLike(D, 0.0, Q)
 
 
 # most states one enumeration lists (bound sets, spectrum rows); 30 346 at lam = 1e-4 fit
@@ -695,7 +670,9 @@ def clike_bound_states(model: CoulombLike) -> list[QuantumNumbers]:
     The bound-state inequality's left side increases in n_r and in integer L
     for every D > 1, so the set is a staircase, counted before it is listed:
     its number of L from the (0, L) inequality, and each L's n_r count from its
-    quadratic in n_r.  More than ``MAX_STATES`` states raise ValueError."""
+    quadratic in n_r.  More than ``MAX_STATES`` states raise ValueError, and so
+    does lam = 0, where every state is bound."""
+    _require(model.lam != 0, "at lam = 0 every state is bound: the bound set is infinite")
     a, b, c = model._edge_terms()
     c -= model.Q / abs(model.lam)
     ok = model._below_edge()  # is_bound at (n_r, L)

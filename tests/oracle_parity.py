@@ -16,7 +16,7 @@ of N rows that each call makes, replayed from the call's interval and
 answer with ``dlarrk``'s stopping rule.  The package is
 imported from ``PYTHONPATH`` (``src`` of this checkout when it is not set),
 so pointing ``PYTHONPATH`` at another checkout's ``src`` digests that code
-against the same cases.
+against the same cases; the summary line names the package it digested.
 
 ``--compare`` exits 0 when both digests hold the same cases and agree on
 every field but ``residual`` bit for bit, and every residual of both stays at
@@ -194,8 +194,11 @@ def digest(out_path: str) -> int:
     for rec in records:
         codes[rec["exit"]] = codes.get(rec["exit"], 0) + 1
     total = {key: sum(rec[key] for rec in records) for key in WORK}
+    import oscoul
+
     print(
-        f"{len(records)} cases, exit codes {dict(sorted(codes.items()))}, "
+        f"{len(records)} cases of {os.path.dirname(oscoul.__file__)}, "
+        f"exit codes {dict(sorted(codes.items()))}, "
         f"{total['dlarrk_calls']} dlarrk calls, {total['n_halvings']} N*halvings -> {out_path}"
     )
     return 0

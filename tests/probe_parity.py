@@ -5,12 +5,13 @@ checks, or compare two digests.
     python tests/probe_parity.py --compare BEFORE.json AFTER.json
 
 A probe is a grid of ``verify`` channels, each run with ``--k`` states and
-verify's default grids and gates; a check is one state of one channel.  Two
+verify's default grids and gates; a check is one state of one channel.  Three
 probes are named:
 
-- ``lam0_neg`` (ROADMAP item 13, the lam < 0 half; 144 checks): clike with
-  D in {2, 3, 4} and Q = 1, and nlo with d in {2, 3, 4} and beta = 1, at
-  lam in {-1e-4, -1e-6, -1e-8, -1e-10}, ang in {0, 1}, n_r < 3.
+- ``lam0_neg`` and ``lam0_pos`` (ROADMAP item 13, the lam < 0 and lam > 0
+  halves; 144 checks each): clike with D in {2, 3, 4} and Q = 1, and nlo
+  with d in {2, 3, 4} and beta = 1, at lam in -{1e-4, 1e-6, 1e-8, 1e-10}
+  and +{1e-4, 1e-6, 1e-8, 1e-10}, ang in {0, 1}, n_r < 3.
 - ``nlo_neg`` (ROADMAP item 1, nlo at lam < 0; 720 checks): nlo with d in
   {2, 3, 4}, l in {0, 1, 2} and every n_r < 5, at lam in {-1e-4, -1e-3,
   -0.02, -0.1, -0.3, -1} and beta in {0.5, 1, 2}, leaving out the
@@ -28,8 +29,9 @@ checkout's ``src`` digests that code on the same probe.
 transitions between the digests: fail -> pass, pass -> fail, exit 2 ->
 answer and answer -> exit 2, and every move between two classes.  It exits
 0 when both digests hold the same checks and no check went from pass to
-fail.  Pytest does not collect this file; the Tier-1 lam < 0 gate
-(``test_lambda_negative_gate.py``) takes its thinned grids from ``PROBES``.
+fail.  Pytest does not collect this file; the Tier-1 near-flat and lam < 0
+gate (``test_lambda_negative_gate.py``) takes its thinned grids from
+``PROBES``.
 """
 
 from __future__ import annotations
@@ -68,14 +70,21 @@ class Channel(NamedTuple):
         ]
 
 
-PROBES = {
-    "lam0_neg": [
-        Channel(model, dim, lam, 1.0, ang, 3)
-        for lam in (-1e-4, -1e-6, -1e-8, -1e-10)
+
+def _near_flat(sign: float) -> list:
+    """Item 13's channels on one side of lam = 0."""
+    return [
+        Channel(model, dim, sign * size, 1.0, ang, 3)
+        for size in (1e-4, 1e-6, 1e-8, 1e-10)
         for model in ("clike", "nlo")
         for dim in (2, 3, 4)
         for ang in (0, 1)
-    ],
+    ]
+
+
+PROBES = {
+    "lam0_neg": _near_flat(-1.0),
+    "lam0_pos": _near_flat(1.0),
     "nlo_neg": [
         Channel("nlo", d, lam, beta, l, 5)
         for lam in (-1e-4, -1e-3, -0.02, -0.1, -0.3, -1.0)

@@ -14,7 +14,7 @@ record per state: the verdict, or the class and message of the exception the
 scan raised, and the model's ``is_bound``.  The package is imported from
 ``PYTHONPATH`` (``src`` of this checkout when it is not set), so pointing
 ``PYTHONPATH`` at another checkout's ``src`` digests that code against the
-same probe.
+same probe; the summary line names the package it digested.
 
 ``--compare`` prints, for each digest, how its verdicts and raises split over
 bound and unbound states; then each verdict that changed, each raise that
@@ -54,6 +54,7 @@ def _channels():
 
 def digest(out_path: str) -> int:
     sys.path.append(os.path.join(ROOT, "src"))
+    import oscoul
     from oscoul.models import QuantumNumbers, RadialState
     from oscoul.quadrature import measure_for, norm_divergence_scan
 
@@ -71,7 +72,7 @@ def digest(out_path: str) -> int:
     with open(out_path, "w") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
-    print(f"{len(records)} states -> {out_path}")
+    print(f"{len(records)} states of {os.path.dirname(oscoul.__file__)} -> {out_path}")
     return 0
 
 

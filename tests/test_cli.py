@@ -445,7 +445,7 @@ def assert_usage_error(argv, capsys):
         (["spectrum", "--model", "nlo", "--d", "2", "--lambda", "0.1", "--beta", "1",
           "--n-max", "-1"], "--n-max must be >= 0, got -1"),
         (["verify", "--model", "nlo", "--d", "3", "--lambda", "nan", "--beta", "1"],
-         "lam must be finite and nonzero, got nan"),
+         "lam must be finite, got nan"),
         (["verify", "--model", "osc", "--d", "3", "--omega", "inf"],
          "omega must be finite and positive, got inf"),
         (["verify", *OSC, "--grids", "512,abc,2048"],
@@ -494,6 +494,18 @@ def test_usage_errors_print_one_line(argv, message, capsys, monkeypatch):
     monkeypatch.setattr(kernels, "lowest_eigenvalues_tridiag", no_solve)
     monkeypatch.setattr(oracle, "build_problem", no_problem)
     assert message in assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("model", ["nlo", "clike", "pdm-osc", "pdm-coulomb"])
+@pytest.mark.parametrize("lam", ["0", "-0"])
+def test_lambda_zero_names_the_euclidean_model(command, model, lam, capsys):
+    # the lam = 0 member of each class is spelled --model osc or --model coulomb
+    flat, dim, strength = ("osc", "--d", "--beta") if "osc" in model or model == "nlo" else (
+        "coulomb", "--D", "--Q")
+    argv = [command, "--model", model, dim, "3", "--lambda", lam, strength, "1"]
+    line = assert_usage_error(argv, capsys)
+    assert line == f"error: --model {model} needs lambda != 0; lambda = 0 is --model {flat}"
 
 
 @pytest.mark.parametrize("name,triple", [("bd", "0,-1,0"), ("mm", "-0.25,-0.5,-0.25")])

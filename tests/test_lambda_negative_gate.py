@@ -1,10 +1,11 @@
-"""The lam < 0 gate: the probes of ROADMAP items 13 and 1 (``probe_parity``),
-item 13's thinned to lam in {-1e-6, -1e-10} and item 1's to one beta per
-lam, run through ``oscoul verify``.  A check is one state of one channel, and it passes when
-verify's report passes it: every state is cut where its density falls to
-1e-12 of its peak, and sampled up to there, however narrow it is beside its
-finite domain.  The singular-end class of item 1 and item 3's order-4 family
-near lam = 0 are strict xfails; nothing else is excluded.
+"""The near-flat and lam < 0 gate: the probes of ROADMAP items 13 and 1
+(``probe_parity``), item 13's two halves thinned to lam in +-{1e-6, 1e-10}
+and item 1's to one beta per lam, run through ``oscoul verify``.  A check
+is one state of one channel, and it passes when verify's report passes
+it: every state is cut where its density falls to 1e-12 of its peak, and
+sampled up to there, however narrow it is beside its finite domain.  The
+singular-end class of item 1 and item 3's order-4 family near lam = 0 are
+strict xfails; nothing else is excluded.
 
 The gate has a file of its own: pytest reads the whole file's source to
 report each strict xfail, and in a long file that cost more than the checks.
@@ -18,7 +19,7 @@ import tempfile
 import probe_parity
 import pytest
 
-GATE_LAM0 = (-1e-6, -1e-10)
+GATE_LAM0 = (-1e-6, -1e-10, 1e-6, 1e-10)
 GATE_BETA = {-1e-4: 1.0, -1e-3: 2.0, -0.02: 0.5, -0.1: 1.0, -0.3: 0.5, -1.0: 2.0}
 ITEM1 = "ROADMAP item 1: nlo with beta/(2|lam|) <= 1, whose density is singular at the end"
 ITEM3_NEAR_FLAT = "ROADMAP item 3: ground state of the order-4 family near lam = 0, accurate"
@@ -26,7 +27,8 @@ ITEM3_NEAR_FLAT = "ROADMAP item 3: ground state of the order-4 family near lam =
 
 def _gate_checks():
     """One param per (channel, n_r) of the thinned probes."""
-    channels = [c for c in probe_parity.PROBES["lam0_neg"] if c.lam in GATE_LAM0]
+    near_flat = probe_parity.PROBES["lam0_neg"] + probe_parity.PROBES["lam0_pos"]
+    channels = [c for c in near_flat if c.lam in GATE_LAM0]
     channels += [c for c in probe_parity.PROBES["nlo_neg"] if GATE_BETA[c.lam] == c.strength]
     for c in channels:
         for n_r in range(c.k):
@@ -56,7 +58,7 @@ def test_negative_lambda_gate(channel, n_r):
     assert state["pass"], {key: state[key] for key in ("rel_error", "observed_order", "residual")}
 
 
-def test_negative_lambda_gate_holds_342_checks():
+def test_lambda_gate_holds_414_checks():
     checks = list(_gate_checks())
     xfails = collections.Counter(m.kwargs["reason"] for p in checks for m in p.marks)
-    assert (len(checks), xfails[ITEM1], xfails[ITEM3_NEAR_FLAT]) == (342, 90, 4)
+    assert (len(checks), xfails[ITEM1], xfails[ITEM3_NEAR_FLAT]) == (414, 90, 8)

@@ -107,6 +107,23 @@ class TestEuclideanIsTheLamZeroCase:
             self.close(m.energy(q(n_r, L)), [-(Q**2) / (2 * (2 * nu + D - 1) ** 2)])
 
 
+    def test_euclidean_constructors_build_the_lam_zero_member(self):
+        osc, coulomb = EuclideanOscillator(d=3, omega=1.3), EuclideanCoulomb(D=2.5, Q=1.3)
+        assert osc == NonlinearOscillator(3, 0.0, 1.3) and type(osc) is NonlinearOscillator
+        assert coulomb == CoulombLike(2.5, 0.0, 1.3) and type(coulomb) is CoulombLike
+        assert osc.n_max is None
+        assert all(osc.is_bound(q(n_r, 2)) and coulomb.is_bound(q(n_r, 1.5)) for n_r in range(9))
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0])
+    def test_refuses_what_lam_zero_leaves_undefined(self, lam):
+        # the Jacobi parameters divide by lam, and every state is bound
+        m = CoulombLike(D=3, lam=lam, Q=1.0)
+        with pytest.raises(ValueError, match=re.escape("(rho, sigma, tau) need lam != 0")):
+            m.wavefunction_params(q(0, 0))
+        with pytest.raises(ValueError, match="every state is bound: the bound set is infinite"):
+            clike_bound_states(m)
+
+
 class TestNonlinearOscillator:
     def test_energy_values(self):
         assert math.isclose(
@@ -378,7 +395,7 @@ class TestPdm:
         r = np.linspace(0.2, 4.0, 9)
         for ang in (0.0, 1.0, 2.0):
             a = ang + (model.dim - 1.0) / 2.0
-            tail = model.omega**2 * r * r if model.kind == "oscillator" else -model.Q / r
+            tail = model.beta**2 * r * r if model.kind == "oscillator" else -model.Q / r
             for ordering in (BD, MM):
                 for n_r in range(3):
                     assert model.pdm_energy(ordering, q(n_r, ang)) == model.energy(q(n_r, ang))
@@ -608,11 +625,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             EuclideanCoulomb(D=1.0, Q=1.0)
         with pytest.raises(ValueError):
-            NonlinearOscillator(d=2, lam=0.0, beta=1.0)
-        with pytest.raises(ValueError):
             NonlinearOscillator(d=2, lam=-2.0, beta=1.0)  # beta(beta+lam) < 0
         with pytest.raises(ValueError):
             CoulombLike(D=3, lam=0.1, Q=-1.0)
+        # lam = 0 is the Euclidean member, not a refusal
+        assert NonlinearOscillator(d=2, lam=0.0, beta=1.0) == EuclideanOscillator(d=2, omega=1.0)
 
     @pytest.mark.parametrize(
         "cls,params,message",
@@ -622,13 +639,13 @@ class TestValidation:
             (EuclideanCoulomb, dict(D=3, Q=math.nan),
              "coupling Q must be finite and positive, got nan"),
             (NonlinearOscillator, dict(d=3, lam=math.nan, beta=1.0),
-             "lam must be finite and nonzero, got nan"),
+             "lam must be finite, got nan"),
             (NonlinearOscillator, dict(d=3, lam=-0.1, beta=math.inf),
              "beta must be finite and positive, got inf"),
             (CoulombLike, dict(D=math.inf, lam=-0.1, Q=1.0),
              "dimension D must be finite and > 1, got inf"),
             (CoulombLike, dict(D=3, lam=-math.inf, Q=1.0),
-             "lam must be finite and nonzero, got -inf"),
+             "lam must be finite, got -inf"),
         ],
         ids=["osc-omega", "coulomb-Q", "nlo-lam", "nlo-beta", "clike-D", "clike-lam"],
     )

@@ -395,8 +395,8 @@ class TestResiduals:
         samples = np.linspace(0.2, 5.0, 30)
         good = oracle.residual_norm(st, samples)
         # the same state checked against an energy 5 % too high
-        energy = EuclideanOscillator.energy
-        monkeypatch.setattr(EuclideanOscillator, "energy", lambda self, q: 1.05 * energy(self, q))
+        energy = NonlinearOscillator.energy
+        monkeypatch.setattr(NonlinearOscillator, "energy", lambda self, q: 1.05 * energy(self, q))
         bad = oracle.residual_norm(st, samples)
         assert good <= 1e-12
         assert bad > 1e-3
