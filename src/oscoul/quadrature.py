@@ -57,6 +57,7 @@ __all__ = [
 _GRADE_DEPTH_REL = 1e-12  # deepest graded panel, relative to the domain length
 _NPOINTS = 24  # Gauss-Legendre nodes per panel
 _REL_TOL = 1e-12  # panel-doubling change that ends the refinement
+_FLAT_EXPONENT = 0.01  # a norm growing slower than this power of the truncation converges
 
 
 class DivergentIntegralError(ArithmeticError):
@@ -273,6 +274,11 @@ def _default_truncations(state, mu: Measure):
     return [hi - span * 10.0 ** (-j) for j in range(4, 7)]
 
 
+def _growth(norms: np.ndarray, xs: np.ndarray) -> float:
+    """The growth exponent of the last two norms in the truncation parameter."""
+    return np.diff(np.log(norms))[-1] / np.diff(np.log(xs))[-1]
+
+
 def norm_divergence_scan(state, mu: Measure) -> Verdict:
     """Classify the norm integral as convergent or divergent from its value at
     the three truncations of ``_default_truncations``.
@@ -283,17 +289,29 @@ def norm_divergence_scan(state, mu: Measure) -> Verdict:
     increments that do not shrink (ratio >= 1) diverge.  Without a finite
     ratio (two equal first norms, or a non-finite norm) the scan is
     inconclusive.  The ratio reads a slow power-law tail, whose exponent
-    stays large while its increments shrink.
+    stays large while its increments shrink.  When the last norm raises
+    DivergentIntegralError after two finite norms that already grow with an
+    exponent of at least 0.01, the integral diverges; any other raise
+    propagates.
     """
     hi = mu.domain[1]
     truncations = np.array(_default_truncations(state, mu))
-    norms = np.array([norm(state, mu, truncation=t) for t in truncations])
     xs = truncations if math.isinf(hi) else 1.0 / (hi - truncations)
-    slope = np.diff(np.log(norms))[-1] / np.diff(np.log(xs))[-1]
+    norms = []
+    for t in truncations:
+        try:
+            norms.append(norm(state, mu, truncation=t))
+        except DivergentIntegralError:
+            grows = len(norms) == 2 and all(map(math.isfinite, norms))
+            if grows and _growth(np.array(norms), xs[:2]) >= _FLAT_EXPONENT:
+                return Verdict.DIVERGES
+            raise
+    norms = np.array(norms)
+    slope = _growth(norms, xs)
     before, last = np.diff(norms)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = last / before
-    if slope < 0.01:
+    if slope < _FLAT_EXPONENT:
         return Verdict.CONVERGES
     if not math.isfinite(ratio):
         return Verdict.INCONCLUSIVE

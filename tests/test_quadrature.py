@@ -218,6 +218,18 @@ class TestDivergenceScan:
         assert m.is_bound(state.q)
         assert norm_divergence_scan(state, measure_for(m)) is Verdict.CONVERGES
 
+    def test_growing_norms_diverge_where_the_last_one_cannot_be_integrated(self):
+        # unbound at lam < 0: the norms read 5.1e35 and 1.3e44 at the first two
+        # truncations, where the third's refinement does not settle; with
+        # L = 3/2 not even the first settles, so the scan has nothing to read
+        m = CoulombLike(D=2, lam=-0.3, Q=0.5)
+        mu = measure_for(m)
+        state = RadialState(m, QuantumNumbers(7, 1))
+        assert not m.is_bound(state.q)
+        assert norm_divergence_scan(state, mu) is Verdict.DIVERGES
+        with pytest.raises(DivergentIntegralError, match="did not converge"):
+            norm_divergence_scan(RadialState(m, QuantumNumbers(7, 1.5)), mu)
+
     @pytest.mark.parametrize("model", SCAN_MODELS[:2], ids=SCAN_IDS[:2])
     def test_each_scan_integrates_three_truncated_norms(self, model, monkeypatch):
         cuts = []
