@@ -428,38 +428,35 @@ def residual_norm(
 
 
 def _brackets(x, xs, ys, N):
-    """Graded guesses for the eigenvalues at h^2 = x on N cells, one list of
-    (lo, hi) float pairs per state, from the h^2 law E(h) = E(0) + c h^2 + ...
-    through the ladder's last points (xs, ys), ys[i] holding each state's
-    eigenvalue: one point (the closed form) gives it +- 1e-3 |ref|;
-    two the line through them, +- 2e-3 of their step; three first the
-    quadratic through them, +- 1e-6 and then 3e-5 of the last step, and then
-    that line.  No half-width is below 32 N eps |guess|: computed eigenvalues
-    of N rows stray from the h^2 law by up to about 31 N eps |lam| once it has
+    """Graded guesses for one state's eigenvalue at h^2 = x on N cells, as
+    (lo, hi) float pairs, from the h^2 law E(h) = E(0) + c h^2 + ... through
+    the ladder's last points (xs, ys), ys[i] the state's eigenvalue at xs[i]:
+    one point (the closed form) gives it +- 1e-3 |ref|; two the line through
+    them, +- 2e-3 of their step; three first the quadratic through them,
+    +- 1e-6 and then 3e-5 of the last step, and then that line.  No
+    half-width is below 32 N eps |guess|: computed eigenvalues of N rows
+    stray from the h^2 law by up to about 31 N eps |lam| once it has
     converged to round-off.  Bisection then starts from a width of about
     68 N eps (``dlarrk`` widens each side by about 2 N eps) and stops at
     N eps, so a certified guess costs about 6 halvings."""
+    y1 = ys[-1]
+    if len(ys) == 1:
+        guesses = [(y1, _REF_WIDTH * abs(y1))]
+    else:
+        x0, x1, y0 = xs[-2], xs[-1], ys[-2]
+        step = y1 - y0
+        line = y1 + step * (x - x1) / (x1 - x0)
+        guesses = [(line, _STEP_WIDTH * abs(step))]
+        if len(ys) == 3:
+            curve = (step / (x1 - x0) - (y0 - ys[0]) / (x0 - xs[0])) / (x1 - xs[0])
+            quad = line + curve * (x - x1) * (x - x0)
+            guesses = [(quad, width * abs(step)) for width in _CURVE_WIDTHS] + guesses
     floor = _FLOOR * N * _EPS
-    out = []
-    for pts in zip(*ys):  # one state's points
-        y1 = pts[-1]
-        if len(pts) == 1:
-            guesses = [(y1, _REF_WIDTH * abs(y1))]
-        else:
-            x0, x1, y0 = xs[-2], xs[-1], pts[-2]
-            step = y1 - y0
-            line = y1 + step * (x - x1) / (x1 - x0)
-            guesses = [(line, _STEP_WIDTH * abs(step))]
-            if len(pts) == 3:
-                curve = (step / (x1 - x0) - (y0 - pts[0]) / (x0 - xs[0])) / (x1 - xs[0])
-                quad = line + curve * (x - x1) * (x - x0)
-                guesses = [(quad, width * abs(step)) for width in _CURVE_WIDTHS] + guesses
-        pairs = []
-        for guess, width in guesses:
-            width = max(width, floor * abs(guess))
-            pairs.append((guess - width, guess + width))
-        out.append(pairs)
-    return out
+    pairs = []
+    for guess, width in guesses:
+        width = max(width, floor * abs(guess))
+        pairs.append((guess - width, guess + width))
+    return pairs
 
 
 def convergence_study(
@@ -502,15 +499,15 @@ def convergence_study(
     eig = np.empty((len(grids), k))
     for j, problem in enumerate(problems):
         # the points (h^2, E) of the ladder so far, the closed form being the one at h = 0
-        xs, ys = [0.0], [[refs[j]]]
+        xs, ys = [0.0], [refs[j]]
         for i, op in enumerate(discretize_ladder(problem, grids)):
             (eig[i, j],) = kernels.lowest_eigenvalues_tridiag(
                 op.diag, op.off, j + 1, first=j,
-                brackets=_brackets(hh[i], xs[-3:], ys[-3:], grids[i]),
+                brackets=[_brackets(hh[i], xs[-3:], ys[-3:], grids[i])],
                 reltol=resolution[i],
             )
             xs.append(hh[i])
-            ys.append([float(eig[i, j])])
+            ys.append(float(eig[i, j]))
     orders, extrap, errs, mono = [], [], [], []
     for j in range(k):
         seq = eig[:, j]

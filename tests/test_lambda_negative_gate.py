@@ -1,96 +1,54 @@
 """The lambda gate: the verify probes of ROADMAP items 13 and 1 (``parity``),
 run through ``oscoul verify``.  Item 13's weighted halves are thinned to lam
-in +-{1e-6, 1e-10}, item 1's lam < 0 probe to one beta per lam; item 13's
-flat probe and item 1's lam > 0 probe run whole.  A check is one state of
-one channel, and it passes when verify's report passes it: every state is
-cut where its density falls to 1e-12 of its peak, and sampled up to there,
-however narrow it is beside its finite domain.  Item 1's singular-end class
-and its lam > 0 misses, and item 3's order-4 family near lam = 0, are strict
-xfails; nothing else is excluded.
+in +-{1e-6, 1e-10}, item 1's nlo lam < 0 probe to one beta per lam; item 13's
+flat probe and item 1's lam > 0 and clike lam < 0 probes run whole.  A check
+is one state of one channel, and it passes when verify's report passes it:
+every state is cut where its density falls to 1e-12 of its peak, and sampled
+up to there, however narrow it is beside its finite domain.  A miss that
+``parity.expected_miss`` names is a strict xfail; nothing else is excluded.
 
 The gate has a file of its own: pytest reads the whole file's source to
 report each strict xfail, and in a long file that cost more than the checks.
 """
 
 import collections
-import functools
 
 import parity
 import pytest
 
 GATE_LAM0 = (-1e-6, -1e-10, 1e-6, 1e-10)
 GATE_BETA = {-1e-4: 1.0, -1e-3: 2.0, -0.02: 0.5, -0.1: 1.0, -0.3: 0.5, -1.0: 2.0}
-ITEM1 = "ROADMAP item 1: nlo with beta/(2|lam|) <= 1, whose density is singular at the end"
-ITEM1_POS = "ROADMAP item 1: lam > 0 state near threshold, or a channel that cannot be truncated"
-ITEM3_NEAR_FLAT = "ROADMAP item 3: ground state of the order-4 family near lam = 0, accurate"
-# item 3's family near lam = 0: (model, dim, ang) in the weighted picture, and
-# (model, a) in the flat one, whose problem depends on dim and ang only through
-# the flat exponent a = ang + (dim - 1)/2
-NEAR_FLAT_FAMILY = {("clike", 3, 0), ("nlo", 4, 0), ("pdm-coulomb", 1.0), ("pdm-osc", 1.5)}
-# item 1's misses at lam > 0: (model, dim, lam, strength, ang, n_r)
-POS_MISSES = {
-    (model, dim, lam, strength, ang, n_r)
-    for model, dim, lam, strength, ang, n_rs in [
-        ("clike", 2.0, 0.02, 0.5, 0.5, (4,)),
-        ("clike", 2.0, 0.02, 0.5, 1.5, (3,)),
-        ("clike", 2.0, 0.1, 2.0, 1.0, (3,)),
-        ("clike", 2.5, 0.02, 0.5, 1.5, (3,)),
-        ("clike", 2.5, 0.3, 1.0, 0.0, (0, 1)),  # exits 2: its coordinate map overflows
-        ("clike", 3.0, 0.3, 1.0, 1.5, (0,)),
-        ("clike", 4.0, 0.1, 0.5, 1.0, (0,)),  # non-monotone
-        ("nlo", 2, 0.3, 2.0, 0, (3,)),
-        ("nlo", 2, 0.3, 2.0, 2, (2,)),
-        ("nlo", 4, 0.3, 2.0, 1, (2,)),
-    ]
-    for n_r in n_rs
-}
 
 
-def _reason(c, n_r):
-    """The strict xfail reason of one check, or None."""
-    if c.model == "nlo" and c.lam < 0 and c.strength / (2.0 * abs(c.lam)) <= 1.0:
-        return ITEM1
-    if c[:5] + (n_r,) in POS_MISSES:
-        return ITEM1_POS
-    family = (c.model, c.dim, c.ang) if c.ordering is None else (c.model, c.ang + (c.dim - 1) / 2)
-    if n_r == 0 and abs(c.lam) <= 1e-6 and family in NEAR_FLAT_FAMILY:
-        return ITEM3_NEAR_FLAT
-    return None
-
-
-def _gate_checks():
-    """One param per (channel, n_r) of the gate's channels."""
+def _gate_channels():
     near_flat = parity.PROBES["lam0_neg"].cases() + parity.PROBES["lam0_pos"].cases()
     channels = [c for c in near_flat if c.lam in GATE_LAM0]
     channels += [c for c in parity.PROBES["nlo_neg"].cases() if GATE_BETA[c.lam] == c.strength]
-    channels += parity.PROBES["pos"].cases() + parity.PROBES["lam0_flat"].cases()
-    for c in channels:
-        for n_r in range(c.k):
-            reason = _reason(c, n_r)
-            ordering = f"-{c.ordering}" if c.ordering else ""
-            yield pytest.param(
-                c, n_r,
-                id=f"{c.model}-dim{c.dim:g}-lam{c.lam:g}-s{c.strength:g}-ang{c.ang:g}{ordering}-nr{n_r}",
-                marks=[pytest.mark.xfail(strict=True, reason=reason)] if reason else [],
-            )
+    return channels + parity.PROBES["pos"].cases() + parity.PROBES["lam0_flat"].cases()
 
 
-@functools.cache
-def _verify_channel(channel):
-    return parity.run_verify(channel.argv())
+def _gate_id(c, n_r):
+    ordering = f"-{c.ordering}" if c.ordering else ""
+    return f"{c.model}-dim{c.dim:g}-lam{c.lam:g}-s{c.strength:g}-ang{c.ang:g}{ordering}-nr{n_r}"
 
 
-@pytest.mark.parametrize("channel,n_r", list(_gate_checks()))
+GATE = list(parity.params(_gate_channels(), _gate_id))
+CLIKE_NEG = list(parity.params(parity.PROBES["clike_neg"].cases(), _gate_id))
+
+
+def _xfails(checks):
+    return collections.Counter(m.kwargs["reason"] for p in checks for m in p.marks)
+
+
+@pytest.mark.parametrize("channel,n_r", GATE + CLIKE_NEG)
 def test_negative_lambda_gate(channel, n_r):
-    code, error, states = _verify_channel(channel)
-    assert states is not None, error
-    state = states[n_r]
-    assert state["pass"], {key: state[key] for key in ("rel_error", "observed_order", "residual")}
+    parity.assert_passes(channel, n_r)
 
 
 def test_lambda_gate_holds_1724_checks():
-    checks = list(_gate_checks())
-    xfails = collections.Counter(m.kwargs["reason"] for p in checks for m in p.marks)
-    assert (len(checks), xfails[ITEM1], xfails[ITEM1_POS], xfails[ITEM3_NEAR_FLAT]) == (
-        1724, 90, 11, 32
-    )
+    assert len(GATE) == 1724
+    assert _xfails(GATE) == {parity.ITEM1: 90, parity.ITEM1_POS: 11, parity.ITEM3: 32}
+
+
+def test_clike_neg_gate_holds_390_checks():
+    assert (len(CLIKE_NEG), _xfails(CLIKE_NEG)) == (390, {parity.ITEM3: 1})

@@ -1,12 +1,13 @@
 """Oracle tests: problem assembly against the radial equations, discretization
 structure, eigenvalue extraction, residuals, and convergence behavior."""
 
+import collections
 import dataclasses
-import functools
 import math
 import re
 
 import numpy as np
+import parity
 import pytest
 
 from oscoul import kernels, oracle
@@ -303,7 +304,8 @@ class TestBuildProblem:
         for ordering in (BD, MM):
             rep = oracle.convergence_study(model, ang, 2, GRIDS, ordering)
             for j in range(2):
-                _assert_check(rep, j)
+                assert rep.rel_error[j] <= 1e-6, (j, rep.rel_error[j])
+                assert 1.5 <= rep.observed_order[j] <= 2.5, (j, rep.observed_order[j])
                 state = RadialState(model, QuantumNumbers(j, ang))
                 samples = oracle.default_samples(model, rep.cutoffs[j])
                 assert oracle.residual_norm(state, samples, ordering) <= 1e-9
@@ -727,122 +729,46 @@ def test_study_without_closed_form_fails_before_solving(model, monkeypatch):
         oracle.convergence_study(model, 0.0, 2, GRIDS, PdmOrdering((-0.5, 0, -0.5)))
 
 
-# The sweep: every bound state n_r < 5 of these channels, in the weighted
-# picture and (curved models) the flat picture with BD and MM, 1061 checks.
-# A check passes when the oracle meets the closed form to 1e-6 with an
-# observed order in [1.5, 2.5].
-SWEEP_CURVED = [
-    CoulombLike(D=D, lam=lam, Q=1.0)
-    for D in (2.0, 2.5, 3.0, 4.0)
-    for lam in (-0.1, -0.02, 0.02, 0.1)
-] + [NonlinearOscillator(d=d, lam=lam, beta=1.0) for d in (2, 3, 4) for lam in (-0.1, 0.05)]
-SWEEP_EUCLIDEAN = [EuclideanCoulomb(D=D, Q=1.0) for D in (2.0, 2.5, 3.0, 4.0)] + [
-    EuclideanOscillator(d=d, omega=1.0) for d in (2, 3, 4)
-]
-
-ITEM2 = "ROADMAP item 2: flat Coulomb-like state near threshold at lam > 0 (larger h^2 constant)"
-ITEM3 = "ROADMAP item 3: accurate answer (error < 5e-12) that reads order about 4"
-# each known miss: (D, lam, L, n_r, ordering) in the flat picture and
-# (kind, dim, ang, n_r) for the Euclidean models
-KNOWN_MISSES = {
-    **{
-        (D, lam, L, n_r, o): ITEM2
-        for D, lam, L, n_r, orderings in [
-            (2.0, 0.02, 1.5, 3, "bd"),
-            (2.0, 0.1, 0.5, 2, "bd"),
-            (2.5, 0.1, 1.5, 1, "bd mm"),
-            (3.0, 0.1, 0.0, 2, "bd mm"),
-            (3.0, 0.1, 1.0, 1, "bd"),
-            (3.0, 0.1, 1.5, 1, "bd mm"),
-            (4.0, 0.02, 1.5, 4, "bd mm"),
-            (4.0, 0.1, 0.5, 1, "bd mm"),
-        ]
-        for o in orderings.split()
-    },
-    ("coulomb", 3.0, 0.0, 0): ITEM3,
-    ("coulomb", 4.0, 0.5, 0): ITEM3,
-    ("oscillator", 4.0, 0.0, 0): ITEM3,
-}
+# The sweep (``parity.PROBES["sweep"]``): every bound state n_r < 5 of its
+# channels, through ``oscoul verify``, in the weighted picture and (curved
+# models) the flat picture with BD and MM, 1061 checks.  A check passes when
+# verify passes it; a miss that ``parity.expected_miss`` names is a strict xfail.
+SWEEP = parity.PROBES["sweep"].cases()
+WEIGHTED = [c for c in SWEEP if c.model in ("clike", "nlo")]
+FLAT = [c for c in SWEEP if c.ordering]
+EUCLIDEAN = [c for c in SWEEP if c.model in ("coulomb", "osc")]
 
 
-def _bound_count(model, ang):
-    k = 0
-    while k < 5 and model.is_bound(QuantumNumbers(k, ang)):
-        k += 1
-    return k
+def _sweep_id(c, n_r=None):
+    ordering = f"-{c.ordering}" if c.ordering else ""
+    state = "" if n_r is None else f"-nr{n_r}"
+    return f"{c.side}-dim{float(c.dim)}-lam{float(c.lam)}-ang{float(c.ang)}{ordering}{state}"
 
 
-def _angs(model):
-    return (0.0, 0.5, 1.0, 1.5) if model.kind == "coulomb" else (0.0, 1.0, 2.0)
-
-
-@functools.cache
-def _study(model, ang, k, ordering=None):
-    return oracle.convergence_study(model, ang, k, GRIDS, ordering)
-
-
-def _assert_check(rep, j):
-    assert rep.rel_error[j] <= 1e-6, (j, rep.rel_error[j])
-    assert 1.5 <= rep.observed_order[j] <= 2.5, (j, rep.observed_order[j])
-
-
-def _weighted_channels():
-    """Every weighted curved channel of the sweep with a bound state."""
-    for m in SWEEP_CURVED:
-        for ang in _angs(m):
-            if k := _bound_count(m, ang):
-                yield pytest.param(m, ang, k, id=f"{m.kind}-dim{m.dim}-lam{m.lam}-ang{ang}")
-
-
-def _state_checks(models, orderings):
-    """One param per (channel, ordering, n_r); a known miss is a strict xfail."""
-    for m in models:
-        for ang in _angs(m):
-            k = _bound_count(m, ang)
-            for name, ordering in orderings:
-                for j in range(k):
-                    key = (m.dim, m.lam, ang, j, name) if name else (m.kind, m.dim, ang, j)
-                    reason = KNOWN_MISSES.get(key)
-                    suffix = f"-{name}-nr{j}" if name else f"-nr{j}"
-                    yield pytest.param(
-                        m, ang, k, ordering, j,
-                        id=f"{m.kind}-dim{m.dim}-lam{m.lam}-ang{ang}{suffix}",
-                        marks=[pytest.mark.xfail(strict=True, reason=reason)] if reason else [],
-                    )
-
-
-@pytest.mark.parametrize("model,ang,k", list(_weighted_channels()))
-def test_weighted_sweep(model, ang, k):
+@pytest.mark.parametrize("channel", [pytest.param(c, id=_sweep_id(c)) for c in WEIGHTED])
+def test_weighted_sweep(channel):
     # the weighted curved pictures have no known miss: a channel per test
-    rep = _study(model, ang, k)
-    for j in range(k):
-        _assert_check(rep, j)
+    for n_r in range(channel.k):
+        parity.assert_passes(channel, n_r)
 
 
-FLAT_ORDERINGS = [("bd", BD), ("mm", MM)]
-
-
-@pytest.mark.parametrize(
-    "model,ang,k,ordering,n_r", list(_state_checks(SWEEP_CURVED, FLAT_ORDERINGS))
-)
-def test_flat_sweep(model, ang, k, ordering, n_r):
+@pytest.mark.parametrize("channel,n_r", list(parity.params(FLAT, _sweep_id)))
+def test_flat_sweep(channel, n_r):
     # the PDM flat picture, gauged by r^a and solved in the weighted coordinate
-    _assert_check(_study(model, ang, k, ordering), n_r)
+    parity.assert_passes(channel, n_r)
 
 
-@pytest.mark.parametrize(
-    "model,ang,k,ordering,n_r", list(_state_checks(SWEEP_EUCLIDEAN, [("", None)]))
-)
-def test_euclidean_sweep(model, ang, k, ordering, n_r):
+@pytest.mark.parametrize("channel,n_r", list(parity.params(EUCLIDEAN, _sweep_id)))
+def test_euclidean_sweep(channel, n_r):
     # the weighted picture at lam = 0; Euclidean Coulomb is solved in x = sqrt(R)
-    _assert_check(_study(model, ang, k), n_r)
+    parity.assert_passes(channel, n_r)
 
 
 def test_sweep_holds_1061_checks():
-    weighted = sum(p.values[2] for p in _weighted_channels())
-    flat = len(list(_state_checks(SWEEP_CURVED, FLAT_ORDERINGS)))
-    euclidean = len(list(_state_checks(SWEEP_EUCLIDEAN, [("", None)])))
-    assert (weighted, flat, euclidean) == (312, 624, 125)
+    counts = [sum(c.k for c in channels) for channels in (WEIGHTED, FLAT, EUCLIDEAN)]
+    misses = collections.Counter(parity.expected_miss(c, n_r) for c in SWEEP for n_r in range(c.k))
+    assert counts == [312, 624, 125]
+    assert misses == {None: 1045, parity.ITEM2: 13, parity.ITEM3: 3}
 
 
 class TestVariationalMonotonicity:
@@ -898,8 +824,9 @@ def numpy_brackets(x, xs, ys, N):
 
 
 def test_brackets_are_the_whole_array_formula_bit_for_bit():
-    # the scalar guesses of each state equal the same law evaluated on whole
-    # arrays, for one, two and three ladder points, a zero reference among them
+    # the scalar guesses of each state, taken alone, equal the same law
+    # evaluated on whole arrays, for one, two and three ladder points, a zero
+    # reference among them
     rng = np.random.default_rng(37)
     grids = [64, 128, 256, 512]
     hh = [(1.0 / N) ** 2 for N in grids]
@@ -910,7 +837,9 @@ def test_brackets_are_the_whole_array_formula_bit_for_bit():
         ys = [ref] + [(np.array(ref) + rng.normal(size=states) * h).tolist() for h in hh[:3]]
         xs = [0.0] + hh[:3]
         for i in range(4):
-            got = oracle._brackets(hh[i], xs[: i + 1][-3:], ys[: i + 1][-3:], grids[i])
             want = numpy_brackets(hh[i], xs[: i + 1][-3:], ys[: i + 1][-3:], grids[i])
-            assert all(type(v) is float for row in got for pair in row for v in pair)
-            assert [[list(pair) for pair in row] for row in got] == want.tolist()
+            for s in range(states):
+                pts = [y[s] for y in ys[: i + 1][-3:]]
+                got = oracle._brackets(hh[i], xs[: i + 1][-3:], pts, grids[i])
+                assert all(type(v) is float for pair in got for v in pair)
+                assert [list(pair) for pair in got] == want[s].tolist()
